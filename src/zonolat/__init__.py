@@ -40,7 +40,7 @@ from .constructions import (
     tensor_lattice,
     voronoi_first_kind,
 )
-from .simplex import LPProblem, LPResult, lp_problem, solve_lp, solve_with_fixed_zero
+from .simplex import LPProblem, LPResult, lp_problem, solve_lp
 from .mmcc import (
     CVPInstance,
     CVPSolution,

@@ -81,27 +81,38 @@ class SolutionFile:
     tool_version: str
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer; bools are ints to Python but not to the file format."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_problem(data: dict) -> ProblemFile:
     if not isinstance(data, dict):
         raise InputFormatError("problem file must be a JSON object")
     try:
-        m = int(data["m"])
-        n = int(data["n"])
+        m = data["m"]
+        n = data["n"]
         rows = data["M"]
         g = data["g"]
         t = data["t"]
     except KeyError as exc:
         raise InputFormatError(f"missing required field {exc.args[0]!r}") from exc
+    for key, value in (("m", m), ("n", n)):
+        if not _is_integer(value):
+            raise InputFormatError(f"{key} must be an integer, got {value!r}")
+    for key, value in (("M", rows), ("g", g), ("t", t)):
+        if not isinstance(value, list):
+            raise InputFormatError(f"{key} must be a list, got {value!r}")
     tu_mode = data.get("tu_mode", "verify")
     if tu_mode not in ("verify", "assert"):
         raise InputFormatError(f"tu_mode must be 'verify' or 'assert', got {tu_mode!r}")
-    if len(rows) != n or any(len(r) != m for r in rows):
+    if len(rows) != n or any(not isinstance(r, list) or len(r) != m for r in rows):
         raise InputFormatError("M does not match the declared n x m shape")
     entries = []
     for row in rows:
         out = []
         for e in row:
-            if not isinstance(e, int) or e not in (-1, 0, 1):
+            if not _is_integer(e) or e not in (-1, 0, 1):
                 raise InputFormatError(f"matrix entries must be -1, 0 or 1, got {e!r}")
             out.append(e)
         entries.append(tuple(out))

@@ -283,6 +283,11 @@ def primitive_chain(coords: Sequence, lattice: ZonotopalLattice) -> PrimitiveCha
 
 @lru_cache(maxsize=None)
 def kernel_basis(matrix: TUMatrix) -> tuple[IntVec, ...]:
+    """integer_kernel(matrix), cached per matrix."""
+    return integer_kernel(matrix)
+
+
+def integer_kernel(matrix: TUMatrix) -> tuple[IntVec, ...]:
     """Integral basis of ker(matrix) /\\ Z^m.
 
     Hermite-style column reduction: unimodular column operations (swap,

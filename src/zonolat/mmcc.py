@@ -20,10 +20,12 @@ from .core import (
     FracVec,
     IntVec,
     PrimitiveChain,
+    TUMatrix,
     ZonotopalLattice,
     frac_vec,
     inner_product,
     int_vec,
+    integer_kernel,
     matrix_rank,
     primitive_chain,
     project_onto_span,
@@ -165,51 +167,61 @@ def lambda_lp(v: Sequence, instance: CVPInstance) -> simplex.LPProblem:
     return simplex.lp_problem(obj, rows, rhs)
 
 
-def compute_lambda(v: Sequence, instance: CVPInstance) -> tuple[Fraction, FracVec]:
-    """lambda(v) = max(0, -opt) plus the optimal LP vertex."""
+@dataclass
+class WarmStart:
+    """Lambda-LP state carried from one LP of an instance to the next.
+
+    Every lambda LP of an instance has the same constraints, so the optimal
+    tableau of the last one (`result`) is a feasible start for the next and
+    phase 1 runs once per instance (see simplex.solve_lp).
+    """
+
+    result: simplex.LPResult | None = None
+
+
+def compute_lambda(v: Sequence, instance: CVPInstance,
+                   warm: WarmStart | None = None) -> tuple[Fraction, FracVec]:
+    """lambda(v) = max(0, -opt) plus the optimal LP vertex.
+
+    With `warm`, the LP starts from warm.result and its own result is
+    stored there for the next call.
+    """
     vv = int_vec(v)
     if not instance.lattice.contains(vv):
         raise InvalidInputError(f"{vv} is not a lattice member")
-    res = simplex.solve_lp(lambda_lp(vv, instance))
+    start = warm.result if warm is not None else None
+    res = simplex.solve_lp(lambda_lp(vv, instance), start)
     if res.status != simplex.OPTIMAL:
         raise InternalInvariantError(f"lambda LP reported {res.status}")
+    if warm is not None:
+        warm.result = res
     lam = max(Fraction(0), -res.optimum)
     return lam, res.vertex
 
 
 def min_mean_voronoi_vector(v: Sequence, instance: CVPInstance,
-                            lam: Fraction | None = None) -> PrimitiveChain:
+                            lam: Fraction | None = None,
+                            vertex: FracVec | None = None) -> PrimitiveChain:
     """Strict Voronoi vector of minimum mean cost, minimal support, at v.
 
-    Probes coordinates in ascending index order, fixing x_i^+ = x_i^- = 0
-    whenever the LP optimum stays at -lambda(v); the final optimal vertex
-    then rescales exactly to a {-1,0,+1} kernel vector.
+    `vertex` is the basic optimal vertex of lambda_lp(v) that gave `lam`;
+    both are computed here when the vertex is omitted.  A basic vertex of
+    {[M, -M] x = 0, 1.x = 1, x >= 0} is a circuit of [M, -M] scaled to sum
+    one.  The circuit {i+, i-} has mean cost g_i > 0, so it is never optimal
+    while lambda(v) > 0; every other one is a primitive chain, read off as
+    x+ - x- and rescaled to {-1, 0, +1}.
     """
     vv = int_vec(v)
-    prob = lambda_lp(vv, instance)
-    res = simplex.solve_lp(prob)
-    if res.status != simplex.OPTIMAL:
-        raise InternalInvariantError(f"lambda LP reported {res.status}")
-    target_opt = res.optimum
-    found = max(Fraction(0), -target_opt)
-    if lam is not None and lam != found:
-        raise InternalInvariantError(f"lambda mismatch: given {lam}, LP found {found}")
-    if found <= 0:
+    if vertex is None:
+        found, vertex = compute_lambda(vv, instance)
+        if lam is not None and lam != found:
+            raise InternalInvariantError(f"lambda mismatch: given {lam}, LP found {found}")
+        lam = found
+    elif lam is None:
+        raise InvalidInputError("an LP vertex must come with its lambda")
+    if lam <= 0:
         raise InvalidInputError("lambda(v) = 0: no improving vector exists")
     m = instance.m
-    fixed: set[int] = set()
-    vertex = res.vertex
-    for i in range(m):
-        if vertex[i] == 0 and vertex[m + i] == 0:
-            # the incumbent optimal vertex already avoids i, so the probe
-            # LP keeps the optimum and the fix is accepted for free
-            fixed |= {i, m + i}
-            continue
-        trial = fixed | {i, m + i}
-        probe = simplex.solve_with_fixed_zero(prob, trial)
-        if probe.status == simplex.OPTIMAL and probe.optimum == target_opt:
-            fixed = trial
-            vertex = probe.vertex
     diff = [vertex[i] - vertex[m + i] for i in range(m)]
     scale = max(abs(d) for d in diff)
     if scale == 0:
@@ -219,16 +231,28 @@ def min_mean_voronoi_vector(v: Sequence, instance: CVPInstance,
         q = d / scale
         if q not in (-1, 0, 1):
             raise InternalInvariantError(
-                "minimal-support LP vertex is not a rescaled primitive chain"
+                "optimal LP vertex is not a rescaled primitive chain"
             )
         coords.append(int(q))
     u = primitive_chain(coords, instance.lattice)
-    mean = Fraction(cost(vv, u, instance), len(u.support))
-    if mean != target_opt:
+    if not _is_circuit(sorted(u.support), instance.lattice.matrix):
         raise InternalInvariantError(
-            f"extracted vector has mean cost {mean}, expected {target_opt}"
+            f"support of {u.coords} is not a circuit: rank M[:, supp] != |supp| - 1"
+        )
+    mean = Fraction(cost(vv, u, instance), len(u.support))
+    if mean != -lam:
+        raise InternalInvariantError(
+            f"extracted vector has mean cost {mean}, expected {-lam}"
         )
     return u
+
+
+def _is_circuit(columns: list[int], matrix: TUMatrix) -> bool:
+    """rank M[:, columns] = |columns| - 1, i.e. a one-dimensional kernel."""
+    sub = TUMatrix(n=matrix.n, m=len(columns),
+                   entries=tuple(tuple(row[j] for j in columns) for row in matrix.entries),
+                   tu_status="asserted")  # a submatrix of a TU matrix is TU
+    return len(integer_kernel(sub)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +297,8 @@ def saturating_step(lam: Fraction, u: PrimitiveChain,
     return max(1, delta)
 
 
-def stopping_data(instance: CVPInstance) -> StoppingData:
+def stopping_data(instance: CVPInstance,
+                  lam0: Fraction | None = None) -> StoppingData:
     """Integrality scale K, threshold delta, and a bug-detecting iteration cap.
 
     K is the lcm of the denominators of g_i and of 2 g_i t_i, so K times any
@@ -281,19 +306,22 @@ def stopping_data(instance: CVPInstance) -> StoppingData:
     delta = 1/(2 K m) sits strictly below it.  The cap combines the
     geometric decrease of lambda (factor 1 - 1/(2m) every m - rank(M)
     iterations) with a safety margin; exact arithmetic stops at lambda = 0
-    long before.
+    long before.  `lam0` is lambda at the origin, solved here if omitted.
     """
     m = instance.m
     K = 1
     for g, t in zip(instance.weights, instance.target):
         K = math.lcm(K, g.denominator, (2 * g * t).denominator)
     delta = Fraction(1, 2 * K * m)
-    lam0, _ = compute_lambda((0,) * m, instance)
+    if lam0 is None:
+        lam0, _ = compute_lambda((0,) * m, instance)
     blocks = 0
-    if lam0 > 0:
-        ratio = lam0 * 2 * K * m  # lam0 / delta
-        if ratio > 1:
-            blocks = math.ceil(math.log(float(ratio)) / -math.log(1 - 1 / (2 * m)))
+    ratio = lam0 * 2 * K * m  # lam0 / delta
+    if ratio > 1:
+        # (1 - 1/(2m))^(2m b) < e^-b, and ratio < 2^bits <= e^bits, so
+        # 2m bits blocks bring lambda below delta
+        bits = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 1
+        blocks = 2 * m * bits
     block_len = m - matrix_rank(instance.lattice.matrix)
     cap = max(1, block_len) * blocks + m + 16
     return StoppingData(K=K, delta=delta, iteration_cap=cap)
@@ -309,16 +337,23 @@ def solve_cvp(instance: CVPInstance,
     """Walk from the origin to a closest lattice vector.
 
     Each iteration cancels a minimum mean strict Voronoi vector by the
-    saturating line-search step.  Every iteration strictly decreases the
-    squared distance and never increases lambda; both are asserted, and a
-    step of length one is retried if a longer step ever violates them.
+    saturating line-search step and solves one lambda LP at the new point,
+    warm-started from the previous one; that LP's vertex is the next chain.
+    Every iteration strictly decreases the squared distance and never
+    increases lambda; both are asserted.  The saturating step minimizes w
+    along u as a whole, but on a heavy coordinate of u it can overshoot
+    until stepping that coordinate back costs less than -lambda, and
+    lambda rises (test_fallback_unit_step_regression).  A unit step never
+    does that, so the step is then retried with length one, warm-started
+    from the LP at v.
     """
     opts = options or SolveOptions()
     m = instance.m
-    sd = stopping_data(instance)
+    warm = WarmStart()
     v: IntVec = (0,) * m
     dist = instance.distance_sq(v)
-    lam, _ = compute_lambda(v, instance)
+    lam, vertex = compute_lambda(v, instance, warm)
+    sd = stopping_data(instance, lam)
     records: list[IterationRecord] = []
     while lam > 0:
         if len(records) >= sd.iteration_cap:
@@ -330,14 +365,16 @@ def solve_cvp(instance: CVPInstance,
             raise InternalInvariantError(
                 f"stopping-rule inconsistency: 0 < lambda = {lam} < 1/(K m)"
             )
-        u = min_mean_voronoi_vector(v, instance, lam=lam)
+        u = min_mean_voronoi_vector(v, instance, lam, vertex)
         fallback = False
+        at_v = warm.result
         delta = saturating_step(lam, u, instance)
-        v_next, dist_next, lam_next = _attempt(v, u, delta, instance)
+        v_next, dist_next, lam_next, vertex = _attempt(v, u, delta, instance, warm)
         if delta > 1 and (lam_next > lam or dist_next >= dist):
             delta = 1
             fallback = True
-            v_next, dist_next, lam_next = _attempt(v, u, 1, instance)
+            warm.result = at_v
+            v_next, dist_next, lam_next, vertex = _attempt(v, u, 1, instance, warm)
         if lam_next > lam:
             raise InternalInvariantError(
                 f"lambda increased from {lam} to {lam_next} at unit step"
@@ -364,9 +401,9 @@ def solve_cvp(instance: CVPInstance,
                        certified=certified)
 
 
-def _attempt(v: IntVec, u: PrimitiveChain, delta: int,
-             instance: CVPInstance) -> tuple[IntVec, Fraction, Fraction]:
+def _attempt(v: IntVec, u: PrimitiveChain, delta: int, instance: CVPInstance,
+             warm: WarmStart) -> tuple[IntVec, Fraction, Fraction, FracVec]:
     v_next = tuple(a + delta * b for a, b in zip(v, u.coords))
     dist_next = instance.distance_sq(v_next)
-    lam_next, _ = compute_lambda(v_next, instance)
-    return v_next, dist_next, lam_next
+    lam_next, vertex = compute_lambda(v_next, instance, warm)
+    return v_next, dist_next, lam_next, vertex

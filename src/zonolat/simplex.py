@@ -9,7 +9,7 @@ always produce the identical pivot sequence and vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -52,10 +52,26 @@ class LPProblem:
 
 
 @dataclass(frozen=True)
+class Tableau:
+    """An optimal basis in canonical form: B^-1 A, B^-1 b and the basic columns.
+
+    None of it depends on the objective, so it is a feasible starting basis
+    for any other objective over the same constraints.
+    """
+
+    constraints: tuple  # (A, b, lower, upper) of the problem it solved
+    rows: tuple[tuple[Fraction, ...], ...]
+    rhs: tuple[Fraction, ...]
+    basis: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class LPResult:
     status: str
     optimum: Fraction | None
     vertex: tuple[Fraction, ...] | None
+    #: final tableau of an optimal solve, the warm start of solve_lp
+    tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
 
 def lp_problem(c: Iterable, A: Iterable[Iterable], b: Iterable,
@@ -73,47 +89,37 @@ def lp_problem(c: Iterable, A: Iterable[Iterable], b: Iterable,
     return LPProblem(c=cv, A=av, b=bv, lower=lov, upper=upv)
 
 
-def solve_lp(p: LPProblem) -> LPResult:
-    """Exact optimum and basic optimal vertex via two-phase Bland simplex."""
-    std, col_of = _to_standard_form(p)
-    res = _simplex_standard(*std)
+def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
+    """Exact optimum and basic optimal vertex via two-phase Bland simplex.
+
+    `start` is an optimal result of an earlier solve with the same A, b and
+    bounds.  Its final tableau stays primal feasible whatever the objective,
+    so phase 1 is skipped and phase 2 reprices that basis for p.c.  The
+    start is read, never modified, so one result can seed several solves.
+    """
+    constraints = (p.A, p.b, p.lower, p.upper)
+    warm = None
+    if start is not None:
+        if start.tableau is None or start.tableau.constraints != constraints:
+            raise InvalidInputError(
+                "start must be an optimal result for the same A, b and bounds"
+            )
+        warm = start.tableau
+    (c, a, b), col_of = _to_standard_form(p)
+    res = _simplex_standard(c, a, b, warm)
     if res[0] != OPTIMAL:
         return LPResult(status=res[0], optimum=None, vertex=None)
-    _, opt, x = res
+    _, opt, x, tab, rhs, basis = res
     vertex = []
     for pos, neg in col_of:
         val = x[pos]
         if neg is not None:
             val = val - x[neg]
         vertex.append(val)
-    return LPResult(status=OPTIMAL, optimum=opt, vertex=tuple(vertex))
-
-
-def solve_with_fixed_zero(p: LPProblem, fixed: Iterable[int]) -> LPResult:
-    """Solve p with x_i = 0 imposed for every i in `fixed`.
-
-    Implemented by dropping the fixed columns; the returned vertex is
-    re-expanded with exact zeros at the fixed positions.
-    """
-    fixed_set = set(fixed)
-    n = len(p.c)
-    if any(i < 0 or i >= n for i in fixed_set):
-        raise InvalidInputError("fixed index out of range")
-    keep = [j for j in range(n) if j not in fixed_set]
-    q = LPProblem(
-        c=tuple(p.c[j] for j in keep),
-        A=tuple(tuple(row[j] for j in keep) for row in p.A),
-        b=p.b,
-        lower=tuple(p.lower[j] for j in keep),
-        upper=tuple(p.upper[j] for j in keep),
-    )
-    r = solve_lp(q)
-    if r.status != OPTIMAL:
-        return r
-    full = [Fraction(0)] * n
-    for j, val in zip(keep, r.vertex):
-        full[j] = val
-    return LPResult(status=OPTIMAL, optimum=r.optimum, vertex=tuple(full))
+    tableau = Tableau(constraints=constraints, rows=tuple(map(tuple, tab)),
+                      rhs=tuple(rhs), basis=tuple(basis))
+    return LPResult(status=OPTIMAL, optimum=opt, vertex=tuple(vertex),
+                    tableau=tableau)
 
 
 # ---------------------------------------------------------------------------
@@ -167,89 +173,27 @@ def _to_standard_form(p: LPProblem):
 
 
 def _simplex_standard(c: list[Fraction], a: list[list[Fraction]],
-                      b: list[Fraction]):
+                      b: list[Fraction], warm: Tableau | None = None):
+    """Solve min c.x, a x = b, x >= 0; phase 2 starts from `warm` if given.
+
+    Pivots replace tableau rows instead of editing them, so copying the
+    outer lists of `warm` leaves it intact.
+    """
     nvar = len(c)
-    rows = [list(r) for r in a]
-    rhs = list(b)
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-    m = len(rows)
-
-    # tableau over columns [structural | artificial], artificial basis
-    tab = [rows[i] + [Fraction(int(k == i)) for k in range(m)] for i in range(m)]
-    basis = [nvar + i for i in range(m)]
-    ncols = nvar + m
-
-    # phase 1: minimize the sum of artificials
-    red = [Fraction(0)] * ncols
-    z = Fraction(0)
-    for j in range(nvar):
-        red[j] = -sum(tab[i][j] for i in range(m))
-    z = -sum(rhs)
-
-    def pivot(r: int, jc: int):
-        nonlocal z
-        pv = tab[r][jc]
-        tab[r] = [x / pv for x in tab[r]]
-        rhs[r] /= pv
-        for i in range(len(tab)):
-            if i != r and tab[i][jc]:
-                f = tab[i][jc]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
-                rhs[i] -= f * rhs[r]
-        if red[jc]:
-            f = red[jc]
-            for j in range(ncols):
-                red[j] -= f * tab[r][j]
-            z -= f * rhs[r]
-        basis[r] = jc
-
-    def bland(allowed: int) -> str:
-        while True:
-            enter = next((j for j in range(allowed) if red[j] < 0), None)
-            if enter is None:
-                return OPTIMAL
-            best = None
-            for i in range(len(tab)):
-                if tab[i][enter] > 0:
-                    ratio = rhs[i] / tab[i][enter]
-                    key = (ratio, basis[i])
-                    if best is None or key < best[0]:
-                        best = (key, i)
-            if best is None:
-                return UNBOUNDED
-            pivot(best[1], enter)
-
-    status = bland(ncols)
-    if status != OPTIMAL:
-        raise InternalInvariantError("phase-1 objective is bounded by zero")
-    if z != 0:
-        return (INFEASIBLE,)
-
-    # drive artificial variables out of the basis; drop redundant rows
-    for i in range(len(tab) - 1, -1, -1):
-        if basis[i] >= nvar:
-            enter = next((j for j in range(nvar) if tab[i][j] != 0), None)
-            if enter is None:
-                del tab[i], rhs[i], basis[i]
-            else:
-                pivot(i, enter)
-
-    # phase 2 over structural columns only
-    for i in range(len(tab)):
-        tab[i] = tab[i][:nvar]
-    ncols = nvar
+    if warm is None:
+        feasible = _phase_one(a, b, nvar)
+        if feasible is None:
+            return (INFEASIBLE,)
+        tab, rhs, basis = feasible
+    else:
+        tab, rhs, basis = list(warm.rows), list(warm.rhs), list(warm.basis)
     red = list(c)
-    z = Fraction(0)
     for i, bi in enumerate(basis):
         if c[bi]:
             f = c[bi]
             for j in range(nvar):
                 red[j] -= f * tab[i][j]
-            z -= f * rhs[i]
-    status = bland(nvar)
+    status = _bland(tab, rhs, basis, red, nvar)
     if status == UNBOUNDED:
         return (UNBOUNDED,)
 
@@ -258,7 +202,77 @@ def _simplex_standard(c: list[Fraction], a: list[list[Fraction]],
         x[bi] = rhs[i]
     opt = sum((ci * xi for ci, xi in zip(c, x) if ci and xi), Fraction(0))
     _certify_optimal(c, a, b, basis, x, opt)
-    return (OPTIMAL, opt, x)
+    return (OPTIMAL, opt, x, tab, rhs, basis)
+
+
+def _phase_one(a: list[list[Fraction]], b: list[Fraction], nvar: int):
+    """A feasible basis of a x = b, x >= 0 as (rows, rhs, basis) in canonical form.
+
+    Redundant rows are dropped; None when the system is infeasible.
+    """
+    rows = [list(r) for r in a]
+    rhs = list(b)
+    for i in range(len(rows)):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    m = len(rows)
+
+    # tableau over columns [structural | artificial], artificial basis;
+    # minimize the sum of artificials
+    tab = [rows[i] + [Fraction(int(k == i)) for k in range(m)] for i in range(m)]
+    basis = [nvar + i for i in range(m)]
+    red = [-sum(tab[i][j] for i in range(m)) for j in range(nvar)]
+    red += [Fraction(0)] * m
+    if _bland(tab, rhs, basis, red, nvar + m) != OPTIMAL:
+        raise InternalInvariantError("phase-1 objective is bounded by zero")
+    if any(rhs[i] for i in range(len(tab)) if basis[i] >= nvar):
+        return None
+
+    # drive artificial variables out of the basis; drop redundant rows
+    for i in range(len(tab) - 1, -1, -1):
+        if basis[i] >= nvar:
+            enter = next((j for j in range(nvar) if tab[i][j] != 0), None)
+            if enter is None:
+                del tab[i], rhs[i], basis[i]
+            else:
+                _pivot(tab, rhs, basis, None, i, enter)
+    return [row[:nvar] for row in tab], rhs, basis
+
+
+def _pivot(tab, rhs, basis, red, r: int, jc: int) -> None:
+    """Make column jc basic in row r; rows are replaced, never edited."""
+    pv = tab[r][jc]
+    tab[r] = [x / pv for x in tab[r]]
+    rhs[r] /= pv
+    for i in range(len(tab)):
+        if i != r and tab[i][jc]:
+            f = tab[i][jc]
+            tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
+            rhs[i] -= f * rhs[r]
+    if red is not None and red[jc]:
+        f = red[jc]
+        for j, y in enumerate(tab[r]):
+            red[j] -= f * y
+    basis[r] = jc
+
+
+def _bland(tab, rhs, basis, red, allowed: int) -> str:
+    """Pivot by Bland's rule over the first `allowed` columns until optimal."""
+    while True:
+        enter = next((j for j in range(allowed) if red[j] < 0), None)
+        if enter is None:
+            return OPTIMAL
+        best = None
+        for i in range(len(tab)):
+            if tab[i][enter] > 0:
+                ratio = rhs[i] / tab[i][enter]
+                key = (ratio, basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            return UNBOUNDED
+        _pivot(tab, rhs, basis, red, best[1], enter)
 
 
 def _certify_optimal(c, a, b, basis, x, opt):

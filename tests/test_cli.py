@@ -229,3 +229,29 @@ def test_solve_byte_identical(tmp_path, a2_file):
     assert main(["solve", a2_file, "--oracle", "--trace", str(p1)]) == 0
     assert main(["solve", a2_file, "--oracle", "--trace", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", "abc"),
+    ("n", 1.5),
+    ("M", 5),
+    ("M", [5]),
+    ("M", [[1, True, 1]]),
+    ("g", 5),
+])
+def test_solve_rejects_malformed_fields(tmp_path, capsys, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(A2_PROBLEM, **{field: value})), encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_solve_huge_target(tmp_path, capsys):
+    # 400-digit entries: the iteration cap must come from an exact bound
+    big = "9" * 400
+    data = dict(A2_PROBLEM, t=[big, f"-{big}/7", "1/3"])
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["lambda_trace"][-1] == "0"

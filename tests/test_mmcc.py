@@ -1,4 +1,4 @@
-"""Solver machinery: derivatives, costs, lambda, probing, steps, main loop."""
+"""Solver machinery: derivatives, costs, lambda, chain extraction, steps, main loop."""
 
 from __future__ import annotations
 
@@ -19,12 +19,18 @@ from zonolat import (
     kernel_basis,
     min_mean_voronoi_vector,
     primitive_chain,
+    simplex,
     solve_cvp,
     step_size,
     stopping_data,
     tensor_lattice,
 )
-from zonolat.mmcc import left_derivative, right_derivative
+from zonolat.mmcc import (
+    SolveOptions,
+    lambda_lp,
+    left_derivative,
+    right_derivative,
+)
 
 A2_TARGET = (F(7, 10), F(-1, 5), F(-1, 2))
 
@@ -148,7 +154,7 @@ def test_min_mean_not_callable_on_boundary_tie():
 
 
 def test_min_mean_tie_is_deterministic_minimizer():
-    # two chains tie at mean cost -1/8; the probe must return one of them,
+    # two chains tie at mean cost -1/8; extraction must return one of them,
     # deterministically, and it must attain the minimum
     inst = cvp_instance(a2(), (F(3, 4), F(-3, 8), F(-3, 8)), project=False)
     lam, _ = compute_lambda((0, 0, 0), inst)
@@ -253,3 +259,76 @@ def test_solve_trace_monotone():
 def test_instance_requires_span_membership():
     with pytest.raises(InvalidInputError):
         cvp_instance(a2(), (1, 0, 0), project=False)
+
+
+def _corpus_instances():
+    rng = random.Random(71)
+    return [
+        cvp_instance(
+            lat,
+            [F(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(lat.m)],
+            project=True,
+        )
+        for lat in corpus_small()
+    ]
+
+
+def test_one_lp_per_iteration(monkeypatch):
+    # one cold LP at the origin, then one warm LP per step taken
+    calls = []
+    solve_lp = simplex.solve_lp
+
+    def counting(p, start=None):
+        calls.append(start is None)
+        return solve_lp(p, start)
+
+    monkeypatch.setattr(simplex, "solve_lp", counting)
+    for inst in _corpus_instances():
+        calls.clear()
+        sol = solve_cvp(inst)
+        fallbacks = sum(r.step_fallback for r in sol.trace)
+        assert len(calls) == sol.iterations + 1 + fallbacks
+        assert calls.count(True) == 1
+
+
+def test_warm_lambda_lp_matches_cold_at_every_iterate():
+    for inst in _corpus_instances():
+        sol = solve_cvp(inst, SolveOptions(certify=False))
+        prev = None
+        for v in [(0,) * inst.m] + [r.v for r in sol.trace]:
+            p = lambda_lp(v, inst)
+            cold = simplex.solve_lp(p)
+            warm = simplex.solve_lp(p, start=prev or cold)
+            assert warm.optimum == cold.optimum
+            lam = max(F(0), -cold.optimum)
+            if lam > 0:
+                # extraction asserts the circuit and the mean -lam itself
+                u_warm = min_mean_voronoi_vector(v, inst, lam, warm.vertex)
+                u_cold = min_mean_voronoi_vector(v, inst, lam, cold.vertex)
+                assert (F(cost(v, u_warm, inst), len(u_warm.support))
+                        == F(cost(v, u_cold, inst), len(u_cold.support)))
+            prev = warm
+
+
+def test_fallback_unit_step_regression():
+    # a cographic lattice (m = 13) where the saturating step at iteration 2
+    # raises lambda from 1667/168 to 445/42; the unit-step retry recovers
+    from zonolat import ZonotopalLattice, tu_matrix
+
+    rows = [
+        [1, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [1, -1, 0, -1, -1, -1, -1, 1, 1, 0, 0, 1, 0],
+        [0, 0, 0, 0, -1, 0, -1, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 1, 0, 0],
+        [0, 0, 0, 0, -1, 0, -1, 0, 0, 0, 0, 1, 1],
+    ]
+    g = [4, 5, 6, 2, 2, 6, F(1, 3), F(5, 3), 1, 1, F(2, 3), 1, F(5, 2)]
+    t = [F(-19, 6), 4, F(-16, 5), F(4, 3), 4, F(10, 7), F(-18, 7), 0, 0, -2,
+         F(1, 2), -9, F(-16, 3)]
+    lat = ZonotopalLattice(matrix=tu_matrix(rows), weights=g)
+    inst = cvp_instance(lat, t, project=True)
+    sol = solve_cvp(inst)
+    fallback = [r for r in sol.trace if r.step_fallback]
+    assert [r.index for r in fallback] == [2]
+    assert fallback[0].lam == F(1667, 168) and fallback[0].step == 1
+    assert sol.distance_sq == inst.distance_sq(brute_force_cvp(inst))

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import a2
-from zonolat import cvp_instance, lp_problem, solve_lp, solve_with_fixed_zero
+from zonolat import InvalidInputError, cvp_instance, lp_problem, solve_lp
 from zonolat.mmcc import lambda_lp
 from zonolat.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
@@ -56,25 +56,30 @@ def test_free_variable():
     assert r.status == OPTIMAL and r.optimum == -7 and r.vertex == (-7,)
 
 
-def test_fixed_zero_noop_equals_solve():
+def test_warm_start_reprices_basis():
+    # same constraints, new costs: the warm solve skips phase 1 and must
+    # reach the cold optimum; the start itself is left untouched
     p = lambda_lp((0, 0, 0), _a2_instance())
-    assert solve_with_fixed_zero(p, []) == solve_lp(p)
+    first = solve_lp(p)
+    q = lambda_lp((1, 0, -1), _a2_instance())
+    cold = solve_lp(q)
+    warm = solve_lp(q, start=first)
+    assert warm.status == OPTIMAL and warm.optimum == cold.optimum == F(1, 5)
+    assert solve_lp(p, start=first) == first
+    assert first.tableau == solve_lp(p).tableau
 
 
-def test_fixed_zero_probe_value():
-    # fixing x_1^+ = x_1^- = 0 removes every chain through coordinate 0;
-    # the best remaining vertex is the chain (0,1,-1)/2 with value 7/10
+def test_warm_start_rejects_other_constraints():
     p = lambda_lp((0, 0, 0), _a2_instance())
-    r = solve_with_fixed_zero(p, [0, 3])
-    assert r.status == OPTIMAL
-    assert r.optimum == F(7, 10)
-    assert r.optimum > F(-1, 5)
-    assert r.vertex[0] == 0 and r.vertex[3] == 0
-
-
-def test_fixed_zero_all_infeasible():
-    p = lambda_lp((0, 0, 0), _a2_instance())
-    assert solve_with_fixed_zero(p, range(6)).status == INFEASIBLE
+    first = solve_lp(p)
+    other_b = lp_problem(p.c, p.A, p.b[:-1] + (F(2),))
+    other_a = lp_problem(p.c, p.A[:-1] + ((F(1),) * 5 + (F(2),),), p.b)
+    for q in (other_b, other_a):
+        with pytest.raises(InvalidInputError):
+            solve_lp(q, start=first)
+    infeasible = solve_lp(lp_problem([1], [[1], [1]], [0, 1]))
+    with pytest.raises(InvalidInputError):
+        solve_lp(lp_problem([1], [[1], [1]], [0, 1]), start=infeasible)
 
 
 def test_determinism_repeated_solves():
