@@ -24,7 +24,14 @@ from .constructions import (
     tensor_lattice,
     voronoi_first_kind,
 )
-from .core import FracVec, IntVec, ZonotopalLattice, tu_matrix
+from .core import (
+    VERIFY_ROW_CAP,
+    FracVec,
+    IntVec,
+    ZonotopalLattice,
+    project_onto_span,
+    tu_matrix,
+)
 from .errors import (
     InternalInvariantError,
     OracleFailureError,
@@ -32,7 +39,6 @@ from .errors import (
 )
 from .mmcc import cvp_instance, solve_cvp
 from .oracle import brute_force_cvp, check_tu, enumerate_primitive_chains
-from .core import VERIFY_ROW_CAP, project_onto_span
 
 
 class InputFormatError(ZonolatError, ValueError):
@@ -145,19 +151,45 @@ def problem_to_json(p: ProblemFile) -> dict:
 
 
 def parse_solution(data: dict) -> SolutionFile:
+    if not isinstance(data, dict):
+        raise InputFormatError("solution file must be a JSON object")
     try:
-        return SolutionFile(
-            closest=tuple(int(x) for x in data["closest"]),
-            distance_sq=parse_rational(data["distance_sq"]),
-            iterations=int(data["iterations"]),
-            lambda_trace=tuple(parse_rational(x) for x in data["lambda_trace"]),
-            certified=bool(data["certified"]),
-            oracle_agreement=data.get("oracle_agreement"),
-            seed=data.get("seed"),
-            tool_version=str(data["tool_version"]),
-        )
+        closest = data["closest"]
+        distance_sq = data["distance_sq"]
+        iterations = data["iterations"]
+        lambda_trace = data["lambda_trace"]
+        certified = data["certified"]
+        tool_version = data["tool_version"]
     except KeyError as exc:
         raise InputFormatError(f"missing required field {exc.args[0]!r}") from exc
+    oracle_agreement = data.get("oracle_agreement")
+    seed = data.get("seed")
+    if not isinstance(closest, list) or not all(_is_integer(x) for x in closest):
+        raise InputFormatError(f"closest must be a list of integers, got {closest!r}")
+    if not _is_integer(iterations):
+        raise InputFormatError(f"iterations must be an integer, got {iterations!r}")
+    if not isinstance(lambda_trace, list):
+        raise InputFormatError(f"lambda_trace must be a list, got {lambda_trace!r}")
+    if not isinstance(certified, bool):
+        raise InputFormatError(f"certified must be a boolean, got {certified!r}")
+    if oracle_agreement is not None and not isinstance(oracle_agreement, bool):
+        raise InputFormatError(
+            f"oracle_agreement must be a boolean or null, got {oracle_agreement!r}"
+        )
+    if seed is not None and not _is_integer(seed):
+        raise InputFormatError(f"seed must be an integer or null, got {seed!r}")
+    if not isinstance(tool_version, str):
+        raise InputFormatError(f"tool_version must be a string, got {tool_version!r}")
+    return SolutionFile(
+        closest=tuple(closest),
+        distance_sq=parse_rational(distance_sq),
+        iterations=iterations,
+        lambda_trace=tuple(parse_rational(x) for x in lambda_trace),
+        certified=certified,
+        oracle_agreement=oracle_agreement,
+        seed=seed,
+        tool_version=tool_version,
+    )
 
 
 def solution_to_json(s: SolutionFile) -> dict:
@@ -180,15 +212,18 @@ def lattice_from_problem(p: ProblemFile) -> ZonotopalLattice:
     return ZonotopalLattice(matrix=matrix, weights=p.g)
 
 
-def _load_problem(path: str) -> ProblemFile:
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_problem(data)
+
+
+def _load_problem(path: str) -> ProblemFile:
+    return parse_problem(_load_json(path))
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -284,13 +319,7 @@ def cmd_construct(args) -> int:
     elif kind == "vfk":
         if args.gram is None:
             raise InputFormatError("vfk construction needs --gram FILE")
-        try:
-            with open(args.gram, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InputFormatError(f"cannot read {args.gram}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{args.gram} is not valid JSON: {exc}") from exc
+        data = _load_json(args.gram)
         rows = data["gram"] if isinstance(data, dict) and "gram" in data else data
         if not isinstance(rows, list):
             raise InputFormatError("gram file must hold a matrix or {'gram': matrix}")
@@ -395,6 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact answers of any size are written: lift Python's limit on
+    # int <-> str conversion while the command runs, where it exists.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (InternalInvariantError, OracleFailureError) as exc:
@@ -403,6 +437,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ZonolatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

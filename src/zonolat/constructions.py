@@ -230,41 +230,20 @@ def obtuse_superbasis_gram(rows: Sequence[Sequence]) -> ObtuseSuperbasisGram:
                     "superbasis condition violated: off-diagonal entries "
                     "must be nonpositive"
                 )
-    minor = [list(gram[i][1:]) for i in range(1, k)]
-    if not _positive_definite(minor):
+    # The checks above make G the Laplacian of its Delone graph, so by the
+    # matrix-tree theorem the basis minor is positive definite exactly when
+    # that graph is connected.
+    if component_count(k, _delone_arcs(gram)) != 1:
         raise InvalidInputError(
             "superbasis condition violated: basis minor is not positive definite"
         )
     return ObtuseSuperbasisGram(gram=gram)
 
 
-def _positive_definite(rows: list[list[Fraction]]) -> bool:
-    """Sylvester criterion with exact leading principal minors."""
-    n = len(rows)
-    for k in range(1, n + 1):
-        if _determinant([row[:k] for row in rows[:k]]) <= 0:
-            return False
-    return True
-
-
-def _determinant(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+def _delone_arcs(gram: Sequence[Sequence[Fraction]]) -> list[tuple[int, int]]:
+    """Arc i -> j for every i < j with G_ij < 0."""
+    k = len(gram)
+    return [(i, j) for i in range(k) for j in range(i + 1, k) if gram[i][j] < 0]
 
 
 def voronoi_first_kind(gram: ObtuseSuperbasisGram
@@ -278,13 +257,8 @@ def voronoi_first_kind(gram: ObtuseSuperbasisGram
     """
     g = gram.gram
     k = gram.size
-    arcs = []
-    weights = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            if g[i][j] < 0:
-                arcs.append((i, j))
-                weights.append(-g[i][j])
+    arcs = _delone_arcs(g)
+    weights = [-g[i][j] for i, j in arcs]
     if component_count(k, arcs) != 1:
         raise InternalInvariantError(
             "Delone graph of a valid obtuse superbasis must be connected"

@@ -334,46 +334,42 @@ def matrix_rank(matrix: TUMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra helpers (small dense systems over Fraction)
+# Exact elimination over Fraction
 # ---------------------------------------------------------------------------
 
 
-def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse of a square rational matrix."""
-    k = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
-           for i, row in enumerate(rows)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            raise InvalidInputError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
+def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination to reduced row echelon form over Fraction.
 
-
-def solve_linear_system(rows: Sequence[Sequence[Fraction]],
-                        rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular rational system exactly."""
-    k = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
+    Every entry is converted to Fraction first, so integer input never
+    divides into floats; the input is left unmodified.  Columns are scanned
+    left to right and the first nonzero entry at or below the current row
+    is the pivot.  Returns the reduced rows (zero rows last) and the pivot
+    column of each nonzero row.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    width = len(a[0]) if a else 0
+    for col in range(width):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
         if piv is None:
-            raise InvalidInputError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][k] for i in range(k)]
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][col]
+        if pv != 1:
+            a[r] = [x / pv for x in a[r]]
+        prow = a[r]
+        nz = [j for j, y in enumerate(prow) if y]
+        for i, row in enumerate(a):
+            f = row[col]
+            if i != r and f:
+                for j in nz:
+                    row[j] -= f * prow[j]
+        pivots.append(col)
+    return a, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +387,18 @@ def _projection_matrix(lattice: ZonotopalLattice) -> tuple[FracVec, ...]:
         zero = tuple(Fraction(0) for _ in range(m))
         return tuple(zero for _ in range(m))
     g = lattice.weights
-    gram = [[inner_product(basis[i], basis[j], g) for j in range(r)] for i in range(r)]
-    ginv = invert_matrix(gram)
-    # P = B^T Ginv B diag(g)
-    bg = [[Fraction(basis[i][b]) * g[b] for b in range(m)] for i in range(r)]
-    gb = [[sum(ginv[i][j] * bg[j][b] for j in range(r)) for b in range(m)]
-          for i in range(r)]
+    # reduce [G | B diag(g)] to [I | G^-1 B diag(g)]; then P = B^T G^-1 B diag(g)
+    aug = [[inner_product(basis[i], basis[j], g) for j in range(r)]
+           + [basis[i][b] * g[b] for b in range(m)] for i in range(r)]
+    reduced, pivots = row_reduce(aug)
+    if pivots != list(range(r)):
+        raise InternalInvariantError("Gram matrix of a kernel basis is singular")
+    gb = [row[r:] for row in reduced]
     rows = []
     for a in range(m):
         rows.append(tuple(
-            sum(Fraction(basis[i][a]) * gb[i][b] for i in range(r))
+            sum((basis[i][a] * gb[i][b] for i in range(r) if basis[i][a]),
+                Fraction(0))
             for b in range(m)
         ))
     return tuple(rows)

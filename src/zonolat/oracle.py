@@ -25,11 +25,10 @@ from .core import (
     ghouila_houri_ok,
     inner_product,
     int_vec,
-    invert_matrix,
     kernel_basis,
     primitive_chain,
     project_onto_span,
-    solve_linear_system,
+    row_reduce,
 )
 from .errors import (
     InternalInvariantError,
@@ -50,7 +49,6 @@ COEFF_BOX_CAP = 8
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _ternary_kernel_vectors(matrix: TUMatrix) -> tuple[IntVec, ...]:
     """All nonzero x in {-1,0,+1}^m with M x = 0, in lexicographic order."""
     n, m = matrix.n, matrix.m
@@ -198,9 +196,14 @@ def is_strict_voronoi_by_coset(v: Sequence, lattice: ZonotopalLattice) -> bool:
     hess = [[inner_product(doubled[i], doubled[j], g) for j in range(r)]
             for i in range(r)]
     lin = [inner_product(vv, doubled[i], g) for i in range(r)]
-    center = solve_linear_system(hess, [-w for w in lin])
+    # reduce [H | -lin | I] to [I | center | H^-1]
+    identity = [[int(i == j) for j in range(r)] for i in range(r)]
+    reduced, pivots = row_reduce([hess[i] + [-lin[i]] + identity[i] for i in range(r)])
+    if pivots != list(range(r)):
+        raise InternalInvariantError("Hessian of a kernel basis is singular")
+    center = [row[r] for row in reduced]
+    hinv = [row[r + 1:] for row in reduced]
     qmin = target + sum(w * a for w, a in zip(lin, center))
-    hinv = invert_matrix(hess)
     spread = target - qmin
     ranges = []
     for i in range(r):
@@ -275,7 +278,10 @@ def brute_force_cvp(instance: CVPInstance, radius: int = 1,
     g = lattice.weights
     gram = [[inner_product(basis[i], basis[j], g) for j in range(r)] for i in range(r)]
     rhs = [inner_product(basis[i], instance.target, g) for i in range(r)]
-    alpha_star = solve_linear_system(gram, rhs)
+    reduced, pivots = row_reduce([gram[i] + [rhs[i]] for i in range(r)])
+    if pivots != list(range(r)):
+        raise InternalInvariantError("Gram matrix of a kernel basis is singular")
+    alpha_star = [row[r] for row in reduced]
     # the target is in the span, so the least-squares coefficients are exact
     recon = [Fraction(0)] * lattice.m
     for a, b in zip(alpha_star, basis):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import solve_linear_system
+from .core import row_reduce
 from .errors import DimensionError, InternalInvariantError, InvalidInputError
 
 OPTIMAL = "optimal"
@@ -276,47 +276,23 @@ def _bland(tab, rhs, basis, red, allowed: int) -> str:
 
 
 def _certify_optimal(c, a, b, basis, x, opt):
-    """Strong-duality self check: reconstruct duals and verify exactly."""
-    rows_used = _independent_rows(a, basis)
-    bt = [[Fraction(a[i][j]) for i in rows_used] for j in basis]
-    cb = [c[j] for j in basis]
-    try:
-        y = solve_linear_system(
-            [[bt[r][s] for s in range(len(rows_used))] for r in range(len(basis))],
-            cb,
-        )
-    except InvalidInputError as exc:
-        raise InternalInvariantError("optimal basis matrix is singular") from exc
+    """Strong-duality self check: reconstruct duals and verify exactly.
+
+    Reducing [B^T | c_B], the basis columns of a transposed next to their
+    costs, selects independent rows of a (the pivot columns) and solves for
+    their duals; the other rows, such as those phase 1 dropped as
+    redundant, get dual 0.
+    """
+    nrows = len(a)
+    reduced, pivots = row_reduce([[a[i][j] for i in range(nrows)] + [c[j]]
+                                  for j in basis])
+    if len(pivots) < len(basis) or nrows in pivots:
+        raise InternalInvariantError("optimal basis matrix is singular")
+    duals = [(i, row[nrows]) for i, row in zip(pivots, reduced)]
     for j in range(len(c)):
-        reduced = c[j] - sum(y[s] * a[i][j] for s, i in enumerate(rows_used))
-        if reduced < 0:
+        reduced_cost = c[j] - sum(y * a[i][j] for i, y in duals)
+        if reduced_cost < 0:
             raise InternalInvariantError("duality check failed: negative reduced cost")
-    dual_obj = sum(y[s] * b[i] for s, i in enumerate(rows_used))
+    dual_obj = sum(y * b[i] for i, y in duals)
     if dual_obj != opt:
         raise InternalInvariantError("duality check failed: objective mismatch")
-
-
-def _independent_rows(a, basis) -> list[int]:
-    """Pick rows making the basis columns square and nonsingular.
-
-    Rows dropped as redundant during phase 1 must be skipped; greedy exact
-    elimination over the basis columns selects an independent row set.
-    """
-    k = len(basis)
-    work: list[tuple[list[Fraction], int]] = []
-    chosen: list[int] = []
-    for i in range(len(a)):
-        row = [Fraction(a[i][j]) for j in basis]
-        for prow, piv in work:
-            if row[piv]:
-                f = row[piv] / prow[piv]
-                row = [x - f * y for x, y in zip(row, prow)]
-        piv = next((j for j in range(k) if row[j] != 0), None)
-        if piv is not None:
-            work.append((row, piv))
-            chosen.append(i)
-            if len(chosen) == k:
-                break
-    if len(chosen) != k:
-        raise InternalInvariantError("could not select independent rows for duality")
-    return chosen

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from zonolat.cli import (
+    InputFormatError,
     SolutionFile,
+    _load_problem,
     main,
     parse_problem,
     parse_solution,
@@ -70,6 +73,32 @@ def test_solution_roundtrip():
         tool_version="0.1.0",
     )
     assert parse_solution(solution_to_json(s)) == s
+
+
+SOLUTION = {
+    "closest": [1, 0, -1],
+    "distance_sq": "19/50",
+    "iterations": 1,
+    "lambda_trace": ["1/5", "0"],
+    "certified": True,
+    "seed": None,
+    "tool_version": "0.1.0",
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("closest", [True, 1.7]),
+    ("closest", 5),
+    ("iterations", 2.9),
+    ("certified", "no"),
+    ("oracle_agreement", 1),
+    ("seed", "7"),
+    ("tool_version", 1),
+])
+def test_parse_solution_rejects_wrong_types(field, value):
+    assert parse_solution(SOLUTION).closest == (1, 0, -1)
+    with pytest.raises(InputFormatError):
+        parse_solution(dict(SOLUTION, **{field: value}))
 
 
 def test_solve_worked_example(capsys, a2_file):
@@ -255,3 +284,28 @@ def test_solve_huge_target(tmp_path, capsys):
     assert main(["solve", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["lambda_trace"][-1] == "0"
+
+
+def test_solve_writes_answers_beyond_the_digit_limit(tmp_path, capsys):
+    # the answer (10^5000, -10^5000, 0) is reached in one step; writing it
+    # exceeds Python's default 4300-digit int-to-str limit
+    data = dict(A2_PROBLEM, t=["1e5000", "-1e5000", "0"])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    assert main(["solve", str(path)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    text = capsys.readouterr().out
+    start = text.index('"closest": [') + len('"closest": [')
+    closest = [e.strip() for e in text[start:text.index("]", start)].split(",")]
+    assert closest == ["1" + "0" * 5000, "-1" + "0" * 5000, "0"]
+
+
+def test_solve_rejects_huge_json_integer(tmp_path, capsys):
+    path = tmp_path / "huge_m.json"
+    text = json.dumps(A2_PROBLEM).replace('"m": 3', '"m": ' + "1" * 5000)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputFormatError, match="not valid JSON"):
+        _load_problem(str(path))  # under the default digit limit
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

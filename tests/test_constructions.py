@@ -143,8 +143,45 @@ def test_vfk_gram_validation_messages():
         obtuse_superbasis_gram([[1, 1, -2], [1, 1, -2], [-2, -2, 4]])
     with pytest.raises(InvalidInputError, match="positive definite"):
         obtuse_superbasis_gram([[0, 0], [0, 0]])
+    with pytest.raises(InvalidInputError, match="positive definite"):
+        obtuse_superbasis_gram([[1, -1, 0], [-1, 1, 0], [0, 0, 0]])
     with pytest.raises(InvalidInputError, match="symmetric"):
         obtuse_superbasis_gram([[1, -1], [0, 0]])
+
+
+def _cofactor_det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * e * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, e in enumerate(rows[0]) if e)
+
+
+def test_vfk_accepts_exactly_sylvester_laplacians():
+    rng = random.Random(20261018)
+    verdicts = []
+    for _ in range(150):
+        k = rng.randint(2, 6)
+        gram = [[F(0)] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                if rng.random() < 0.45:
+                    w = F(rng.randint(1, 6), rng.randint(1, 4))
+                    gram[i][j] = gram[j][i] = -w
+                    gram[i][i] += w
+                    gram[j][j] += w
+        minor = [row[1:] for row in gram[1:]]
+        definite = all(_cofactor_det([row[:s] for row in minor[:s]]) > 0
+                       for s in range(1, k))
+        try:
+            obtuse_superbasis_gram(gram)
+            accepted = True
+        except InvalidInputError as exc:
+            assert "positive definite" in str(exc)
+            accepted = False
+        assert accepted == definite
+        verdicts.append(accepted)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,15 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import a2
-from zonolat import InvalidInputError, cvp_instance, lp_problem, solve_lp
+from zonolat import (
+    InternalInvariantError,
+    InvalidInputError,
+    cvp_instance,
+    lp_problem,
+    solve_lp,
+)
 from zonolat.mmcc import lambda_lp
-from zonolat.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
+from zonolat.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _certify_optimal
 
 
 def test_min_x_at_least_three():
@@ -173,3 +179,15 @@ def test_degenerate_redundant_rows():
 def test_bounds_validation():
     with pytest.raises(Exception):
         lp_problem([1], [], [], lower=[F(1)])
+
+
+@pytest.mark.parametrize("a, c", [
+    ([[1, 1], [2, 2]], [1, 1]),  # basis columns (1, 2) twice: singular
+    ([[1, 1]], [1, 2]),  # one row, two basis columns with unequal costs
+])
+def test_certify_optimal_rejects_bad_basis(a, c):
+    a = [[F(x) for x in row] for row in a]
+    c = [F(x) for x in c]
+    b = [F(1)] * len(a)
+    with pytest.raises(InternalInvariantError, match="singular"):
+        _certify_optimal(c, a, b, [0, 1], [F(0), F(0)], F(0))
