@@ -5,8 +5,8 @@ totally unimodular matrix, measured by a weighted inner product.  The
 package provides constructors for the classic families (graphic and
 cographic lattices, lattices of Voronoi's first kind, A_n and the tensor
 products A_m (x) A_n), an iterative exact solver driven by minimum mean
-cost improvement steps, and an independent brute-force oracle that
-certifies every answer.
+cost improvement steps that certifies every answer with the duals of its
+last LP, and an independent brute-force oracle for small instances.
 """
 
 __version__ = "0.1.0"
@@ -45,16 +45,15 @@ from .mmcc import (
     CVPInstance,
     CVPSolution,
     IterationRecord,
-    SolveOptions,
     compute_lambda,
     cost,
     cvp_instance,
+    dual_certificate_holds,
     left_derivative,
     min_mean_voronoi_vector,
     right_derivative,
     saturating_step,
     solve_cvp,
-    step_size,
     stopping_data,
 )
 from .oracle import (
@@ -74,6 +73,5 @@ from .errors import (
     InvalidInputError,
     OracleFailureError,
     SizeCapError,
-    StepSizeError,
     ZonolatError,
 )

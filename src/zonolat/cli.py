@@ -321,7 +321,7 @@ def cmd_construct(args) -> int:
             raise InputFormatError("vfk construction needs --gram FILE")
         data = _load_json(args.gram)
         rows = data["gram"] if isinstance(data, dict) and "gram" in data else data
-        if not isinstance(rows, list):
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise InputFormatError("gram file must hold a matrix or {'gram': matrix}")
         gram = obtuse_superbasis_gram(
             [[parse_rational(x) for x in row] for row in rows]

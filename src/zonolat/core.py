@@ -31,6 +31,8 @@ FracVec = tuple[Fraction, ...]
 
 #: Exhaustive Ghouila-Houri verification is refused above this row count.
 VERIFY_ROW_CAP = 20
+#: Entries kept by each per-lattice cache; the least recently used goes first.
+LATTICE_CACHE_SIZE = 128
 
 
 def frac_vec(xs: Iterable) -> FracVec:
@@ -281,7 +283,7 @@ def primitive_chain(coords: Sequence, lattice: ZonotopalLattice) -> PrimitiveCha
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def kernel_basis(matrix: TUMatrix) -> tuple[IntVec, ...]:
     """integer_kernel(matrix), cached per matrix."""
     return integer_kernel(matrix)
@@ -377,7 +379,7 @@ def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _projection_matrix(lattice: ZonotopalLattice) -> tuple[FracVec, ...]:
     """m x m matrix P with P t = g-orthogonal projection of t onto ker M."""
     basis = kernel_basis(lattice.matrix)

@@ -17,10 +17,6 @@ class SizeCapError(ZonolatError, ValueError):
     """An exhaustive routine was asked to run beyond its configured cap."""
 
 
-class StepSizeError(ZonolatError):
-    """The step-length interval contains no integer."""
-
-
 class InternalInvariantError(ZonolatError, RuntimeError):
     """A runtime self-check failed; indicates a bug, never bad input."""
 

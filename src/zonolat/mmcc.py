@@ -5,7 +5,8 @@ a target t in the span of L, the solver minimizes the separable objective
 w(v) = sum_i g_i (v_i - t_i)^2 over v in L.  Starting from the origin it
 repeatedly cancels a strict Voronoi vector of minimum mean cost until the
 progress measure lambda(v) hits zero exactly, which happens if and only if
-v is a closest lattice vector.
+v is a closest lattice vector.  The duals of the last lambda LP then give
+a certificate of that, checked before the answer is returned.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ from .core import (
     primitive_chain,
     project_onto_span,
 )
-from .errors import (
-    InternalInvariantError,
-    InvalidInputError,
-    StepSizeError,
-)
+from .errors import InternalInvariantError, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -103,12 +100,6 @@ class CVPSolution:
 
 
 @dataclass(frozen=True)
-class SolveOptions:
-    certify: bool = True
-    enumeration_cap: int = 14
-
-
-@dataclass(frozen=True)
 class StoppingData:
     K: int
     delta: Fraction
@@ -130,6 +121,27 @@ def left_derivative(i: int, v_i: int, instance: CVPInstance) -> Fraction:
     """w_i(v_i) - w_i(v_i - 1) = g_i (2 (v_i - t_i) - 1)."""
     g = instance.weights[i]
     return g * (2 * (Fraction(v_i) - instance.target[i]) - 1)
+
+
+def dual_certificate_holds(v: Sequence, y: Sequence, instance: CVPInstance) -> bool:
+    """c_i^-(v_i) <= (M^T y)_i <= c_i^+(v_i) for every i, exactly.
+
+    Such a y proves v closest: every w_i(x) - (M^T y)_i x is a convex
+    function of the integer x, minimized at v_i, and (M^T y).(u - v) =
+    y.M(u - v) = 0 for every lattice vector u (Rockafellar, Network Flows
+    and Monotropic Optimization, 1984).  This holds for any integer M.
+    """
+    rows = instance.lattice.matrix.entries
+    if len(y) != len(rows):
+        return False
+    mty = [Fraction(0)] * instance.m
+    for y_r, row in zip(y, rows):
+        if y_r:
+            for i, e in enumerate(row):
+                if e:
+                    mty[i] += e * y_r
+    return all(left_derivative(i, v[i], instance) <= a <= right_derivative(i, v[i], instance)
+               for i, a in enumerate(mty))
 
 
 def cost(v: Sequence, u: PrimitiveChain, instance: CVPInstance) -> Fraction:
@@ -260,27 +272,6 @@ def _is_circuit(columns: list[int], matrix: TUMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def step_size(lam: Fraction, instance: CVPInstance) -> int:
-    """Minimum integer in the interval [max_i lam/g_i, min_i lam/g_i + 1].
-
-    With spread-out weights the intersection can be empty (StepSizeError),
-    and even when it is not, the value roughly doubles the line-search
-    minimizer, which can stall progress to an arithmetic zigzag.  The main
-    loop therefore steps by saturating_step instead; this operation is kept
-    for callers that want the interval rule itself.
-    """
-    if lam <= 0:
-        raise InvalidInputError("step size requires lambda > 0")
-    lo = max(lam / g for g in instance.weights)
-    hi = min(lam / g + 1 for g in instance.weights)
-    delta = math.ceil(lo)
-    if delta > hi:
-        raise StepSizeError(f"no integer in step interval [{lo}, {hi}]")
-    if delta < 1:
-        raise InternalInvariantError("step size must be positive")
-    return delta
-
-
 def saturating_step(lam: Fraction, u: PrimitiveChain,
                     instance: CVPInstance) -> int:
     """Smallest integer step making the canceled chain nonnegative-cost.
@@ -332,8 +323,7 @@ def stopping_data(instance: CVPInstance,
 # ---------------------------------------------------------------------------
 
 
-def solve_cvp(instance: CVPInstance,
-              options: SolveOptions | None = None) -> CVPSolution:
+def solve_cvp(instance: CVPInstance) -> CVPSolution:
     """Walk from the origin to a closest lattice vector.
 
     Each iteration cancels a minimum mean strict Voronoi vector by the
@@ -346,8 +336,12 @@ def solve_cvp(instance: CVPInstance,
     lambda rises (test_fallback_unit_step_regression).  A unit step never
     does that, so the step is then retried with length one, warm-started
     from the LP at v.
+
+    At lambda = 0 the answer is certified by the duals y of the M rows of
+    the last lambda LP, the one solved at the answer: dual feasibility
+    reads c_i^- + opt <= (M^T y)_i <= c_i^+ - opt with opt >= 0, so
+    dual_certificate_holds(v, y) must hold, and a failure is a bug.
     """
-    opts = options or SolveOptions()
     m = instance.m
     warm = WarmStart()
     v: IntVec = (0,) * m
@@ -388,17 +382,13 @@ def solve_cvp(instance: CVPInstance,
             distance_sq=dist_next, step_fallback=fallback,
         ))
         v, dist, lam = v_next, dist_next, lam_next
-    certified = False
-    if opts.certify and m <= opts.enumeration_cap:
-        from . import oracle  # deferred: oracle imports this module
-
-        if not oracle.certify_closest(v, instance):
-            raise InternalInvariantError(
-                "lambda reached zero but the Voronoi certificate failed"
-            )
-        certified = True
+    y = warm.result.duals[:instance.lattice.matrix.n]
+    if not dual_certificate_holds(v, y, instance):
+        raise InternalInvariantError(
+            "lambda reached zero but the duals of its LP do not certify the answer"
+        )
     return CVPSolution(closest=v, distance_sq=dist, trace=tuple(records),
-                       certified=certified)
+                       certified=True)
 
 
 def _attempt(v: IntVec, u: PrimitiveChain, delta: int, instance: CVPInstance,

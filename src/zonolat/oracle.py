@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .core import (
+    LATTICE_CACHE_SIZE,
     IntVec,
     PrimitiveChain,
     TUMatrix,
@@ -90,7 +91,7 @@ def _ternary_kernel_vectors(matrix: TUMatrix) -> tuple[IntVec, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _primitive_chain_coords(matrix: TUMatrix) -> tuple[IntVec, ...]:
     candidates = _ternary_kernel_vectors(matrix)
     masks = []

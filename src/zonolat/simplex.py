@@ -1,10 +1,11 @@
 """Exact two-phase simplex over rationals with Bland's pivoting rule.
 
-Minimizes c.x subject to equality constraints A x = b, per-variable lower
-bounds of 0 or -infinity, and upper bounds of +infinity or a finite
-rational.  All arithmetic is fractions.Fraction, so optimality,
-infeasibility and unboundedness are decided exactly, and identical inputs
-always produce the identical pivot sequence and vertex.
+Minimizes c.x subject to equality constraints A x = b, x >= 0 and
+per-variable upper bounds of +infinity or a finite rational.  All
+arithmetic is fractions.Fraction, so optimality, infeasibility and
+unboundedness are decided exactly, and identical inputs always produce the
+identical pivot sequence and vertex.  Every optimal solve also returns
+duals that the solver checks prove its optimum.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LPProblem:
-    """min c.x  s.t.  A x = b,  lower <= x <= upper.
+    """min c.x  s.t.  A x = b,  0 <= x <= upper.
 
-    lower entries are Fraction(0) or None (-infinity); upper entries are a
-    finite Fraction or None (+infinity).
+    upper entries are a finite Fraction or None (+infinity).
     """
 
     c: tuple[Fraction, ...]
     A: tuple[tuple[Fraction, ...], ...]
     b: tuple[Fraction, ...]
-    lower: tuple[Fraction | None, ...]
     upper: tuple[Fraction | None, ...]
 
     def __post_init__(self):
@@ -41,14 +40,10 @@ class LPProblem:
             raise DimensionError("constraint row length does not match objective")
         if len(self.b) != len(self.A):
             raise DimensionError("right-hand side length does not match row count")
-        if len(self.lower) != n or len(self.upper) != n:
-            raise DimensionError("bound vectors must match the variable count")
-        for lo in self.lower:
-            if lo is not None and lo != 0:
-                raise InvalidInputError("lower bounds are restricted to 0 or None")
-        for lo, up in zip(self.lower, self.upper):
-            if up is not None and lo is not None and up < lo:
-                raise InvalidInputError("upper bound below lower bound")
+        if len(self.upper) != n:
+            raise DimensionError("bound vector must match the variable count")
+        if any(up is not None and up < 0 for up in self.upper):
+            raise InvalidInputError("upper bound below lower bound 0")
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ class Tableau:
     for any other objective over the same constraints.
     """
 
-    constraints: tuple  # (A, b, lower, upper) of the problem it solved
+    constraints: tuple  # (A, b, upper) of the problem it solved
     rows: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
     basis: tuple[int, ...]
@@ -72,21 +67,22 @@ class LPResult:
     vertex: tuple[Fraction, ...] | None
     #: final tableau of an optimal solve, the warm start of solve_lp
     tableau: Tableau | None = field(default=None, compare=False, repr=False)
+    #: optimal duals y of an optimal solve, one per row of A (0 for a row
+    #: phase 1 dropped as redundant); those of the upper-bound rows are left
+    #: out, so A^T y <= c and b.y == optimum when no variable has one
+    duals: tuple[Fraction, ...] | None = field(default=None, compare=False,
+                                               repr=False)
 
 
 def lp_problem(c: Iterable, A: Iterable[Iterable], b: Iterable,
-               lower: Sequence | None = None,
                upper: Sequence | None = None) -> LPProblem:
-    """Convenience constructor; defaults are x >= 0 with no upper bounds."""
+    """Convenience constructor; the default is no upper bounds."""
     cv = tuple(Fraction(x) for x in c)
     av = tuple(tuple(Fraction(x) for x in row) for row in A)
     bv = tuple(Fraction(x) for x in b)
-    n = len(cv)
-    lov = (tuple(None if x is None else Fraction(x) for x in lower)
-           if lower is not None else (Fraction(0),) * n)
     upv = (tuple(None if x is None else Fraction(x) for x in upper)
-           if upper is not None else (None,) * n)
-    return LPProblem(c=cv, A=av, b=bv, lower=lov, upper=upv)
+           if upper is not None else (None,) * len(cv))
+    return LPProblem(c=cv, A=av, b=bv, upper=upv)
 
 
 def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
@@ -97,7 +93,7 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     so phase 1 is skipped and phase 2 reprices that basis for p.c.  The
     start is read, never modified, so one result can seed several solves.
     """
-    constraints = (p.A, p.b, p.lower, p.upper)
+    constraints = (p.A, p.b, p.upper)
     warm = None
     if start is not None:
         if start.tableau is None or start.tableau.constraints != constraints:
@@ -105,21 +101,15 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
                 "start must be an optimal result for the same A, b and bounds"
             )
         warm = start.tableau
-    (c, a, b), col_of = _to_standard_form(p)
+    c, a, b = _to_standard_form(p)
     res = _simplex_standard(c, a, b, warm)
     if res[0] != OPTIMAL:
         return LPResult(status=res[0], optimum=None, vertex=None)
-    _, opt, x, tab, rhs, basis = res
-    vertex = []
-    for pos, neg in col_of:
-        val = x[pos]
-        if neg is not None:
-            val = val - x[neg]
-        vertex.append(val)
+    _, opt, x, duals, tab, rhs, basis = res
     tableau = Tableau(constraints=constraints, rows=tuple(map(tuple, tab)),
                       rhs=tuple(rhs), basis=tuple(basis))
-    return LPResult(status=OPTIMAL, optimum=opt, vertex=tuple(vertex),
-                    tableau=tableau)
+    return LPResult(status=OPTIMAL, optimum=opt, vertex=tuple(x[:len(p.c)]),
+                    tableau=tableau, duals=tuple(duals[:len(p.A)]))
 
 
 # ---------------------------------------------------------------------------
@@ -130,41 +120,17 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
 def _to_standard_form(p: LPProblem):
     """Rewrite as min c.y, A y = b, y >= 0.
 
-    Free variables split into a difference of two nonnegative columns;
-    finite upper bounds become extra rows with a slack column.
+    The columns of p come first, in order.  Each finite upper bound
+    x_j <= u becomes an extra row x_j + s = u with its own slack column s.
     """
-    cols: list[list[Fraction]] = []
-    c_std: list[Fraction] = []
-    col_of: list[tuple[int, int | None]] = []
-    nrows = len(p.A)
-    ups: list[tuple[int, Fraction]] = [
-        (j, u) for j, u in enumerate(p.upper) if u is not None
-    ]
-    total_rows = nrows + len(ups)
-
-    def new_col(obj: Fraction, body: dict[int, Fraction]) -> int:
-        col = [Fraction(0)] * total_rows
-        for i, v in body.items():
-            col[i] = v
-        cols.append(col)
-        c_std.append(obj)
-        return len(cols) - 1
-
-    up_row = {j: nrows + k for k, (j, _) in enumerate(ups)}
-    for j in range(len(p.c)):
-        body = {i: p.A[i][j] for i in range(nrows) if p.A[i][j]}
-        if j in up_row:
-            body[up_row[j]] = Fraction(1)
-        pos = new_col(p.c[j], body)
-        neg = None
-        if p.lower[j] is None:
-            neg = new_col(-p.c[j], {i: -v for i, v in body.items()})
-        col_of.append((pos, neg))
-    for j, _u in ups:
-        new_col(Fraction(0), {up_row[j]: Fraction(1)})  # slack for x_j <= u
-    b_std = list(p.b) + [u for _, u in ups]
-    a_rows = [[cols[j][i] for j in range(len(cols))] for i in range(total_rows)]
-    return (c_std, a_rows, b_std), col_of
+    ups = [(j, u) for j, u in enumerate(p.upper) if u is not None]
+    zeros = [Fraction(0)] * len(ups)
+    a_rows = [list(row) + zeros for row in p.A]
+    for k, (j, _u) in enumerate(ups):
+        row = [Fraction(0)] * (len(p.c) + len(ups))
+        row[j] = row[len(p.c) + k] = Fraction(1)
+        a_rows.append(row)
+    return list(p.c) + zeros, a_rows, list(p.b) + [u for _, u in ups]
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +167,8 @@ def _simplex_standard(c: list[Fraction], a: list[list[Fraction]],
     for i, bi in enumerate(basis):
         x[bi] = rhs[i]
     opt = sum((ci * xi for ci, xi in zip(c, x) if ci and xi), Fraction(0))
-    _certify_optimal(c, a, b, basis, x, opt)
-    return (OPTIMAL, opt, x, tab, rhs, basis)
+    duals = _certify_optimal(c, a, b, basis, x, opt)
+    return (OPTIMAL, opt, x, duals, tab, rhs, basis)
 
 
 def _phase_one(a: list[list[Fraction]], b: list[Fraction], nvar: int):
@@ -275,8 +241,9 @@ def _bland(tab, rhs, basis, red, allowed: int) -> str:
         _pivot(tab, rhs, basis, red, best[1], enter)
 
 
-def _certify_optimal(c, a, b, basis, x, opt):
-    """Strong-duality self check: reconstruct duals and verify exactly.
+def _certify_optimal(c, a, b, basis, x, opt) -> list[Fraction]:
+    """Strong-duality self check: reconstruct the duals, verify them exactly
+    and return them, one per row of a.
 
     Reducing [B^T | c_B], the basis columns of a transposed next to their
     costs, selects independent rows of a (the pivot columns) and solves for
@@ -288,11 +255,14 @@ def _certify_optimal(c, a, b, basis, x, opt):
                                   for j in basis])
     if len(pivots) < len(basis) or nrows in pivots:
         raise InternalInvariantError("optimal basis matrix is singular")
-    duals = [(i, row[nrows]) for i, row in zip(pivots, reduced)]
+    duals = [Fraction(0)] * nrows
+    for i, row in zip(pivots, reduced):
+        duals[i] = row[nrows]
     for j in range(len(c)):
-        reduced_cost = c[j] - sum(y * a[i][j] for i, y in duals)
+        reduced_cost = c[j] - sum(duals[i] * a[i][j] for i in pivots)
         if reduced_cost < 0:
             raise InternalInvariantError("duality check failed: negative reduced cost")
-    dual_obj = sum(y * b[i] for i, y in duals)
+    dual_obj = sum(duals[i] * b[i] for i in pivots)
     if dual_obj != opt:
         raise InternalInvariantError("duality check failed: objective mismatch")
+    return duals

@@ -220,6 +220,14 @@ def test_construct_vfk_invalid_gram(tmp_path, capsys):
     assert "sum to zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gram", [[1, 2], [[2, -1], 5]])
+def test_construct_vfk_rejects_non_list_rows(tmp_path, capsys, gram):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(gram), encoding="utf-8")
+    assert main(["construct", "vfk", "--gram", str(path)]) == 1
+    assert "gram file must hold a matrix" in capsys.readouterr().err
+
+
 def test_construct_output_file(tmp_path):
     out = tmp_path / "an2.json"
     assert main(["construct", "an", "--n", "2", "-o", str(out)]) == 0

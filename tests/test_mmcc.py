@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -9,24 +10,26 @@ import pytest
 
 from conftest import a2, corpus_small
 from zonolat import (
+    InternalInvariantError,
     InvalidInputError,
-    StepSizeError,
     brute_force_cvp,
+    certify_closest,
     compute_lambda,
     cost,
     cvp_instance,
+    digraph,
+    dual_certificate_holds,
     enumerate_primitive_chains,
+    graphic_lattice,
     kernel_basis,
     min_mean_voronoi_vector,
     primitive_chain,
     simplex,
     solve_cvp,
-    step_size,
     stopping_data,
     tensor_lattice,
 )
 from zonolat.mmcc import (
-    SolveOptions,
     lambda_lp,
     left_derivative,
     right_derivative,
@@ -168,28 +171,6 @@ def test_min_mean_tie_is_deterministic_minimizer():
     assert F(cost((0, 0, 0), u, inst), len(u.support)) == best
 
 
-def test_step_size_examples():
-    inst = a2_instance()
-    assert step_size(F(1, 5), inst) == 1
-    two = cvp_instance(a2(), (0, 0, 0), project=False)
-    assert step_size(F(2), two) == 2
-    from zonolat import ZonotopalLattice, tu_matrix
-
-    lat = ZonotopalLattice(matrix=tu_matrix([[1, 1]]), weights=(1, 1))
-    pair = cvp_instance(lat, (0, 0), project=False)
-    assert step_size(F(5, 2), pair) == 3
-
-
-def test_step_size_empty_interval():
-    from zonolat import ZonotopalLattice, tu_matrix
-
-    lat = ZonotopalLattice(matrix=tu_matrix([[1, 1]]), weights=(1, F(1, 3)))
-    inst = cvp_instance(lat, (0, 0), project=False)
-    # lam/g = (1, 3): the interval [3, 2] holds no integer
-    with pytest.raises(StepSizeError):
-        step_size(F(1), inst)
-
-
 def test_stopping_data_k_values():
     integer = cvp_instance(a2(), (2, -1, -1), project=False)
     assert stopping_data(integer).K == 1
@@ -293,7 +274,7 @@ def test_one_lp_per_iteration(monkeypatch):
 
 def test_warm_lambda_lp_matches_cold_at_every_iterate():
     for inst in _corpus_instances():
-        sol = solve_cvp(inst, SolveOptions(certify=False))
+        sol = solve_cvp(inst)
         prev = None
         for v in [(0,) * inst.m] + [r.v for r in sol.trace]:
             p = lambda_lp(v, inst)
@@ -332,3 +313,66 @@ def test_fallback_unit_step_regression():
     assert [r.index for r in fallback] == [2]
     assert fallback[0].lam == F(1667, 168) and fallback[0].step == 1
     assert sol.distance_sq == inst.distance_sq(brute_force_cvp(inst))
+
+
+def _lp_duals(v, inst):
+    """Duals of the M rows of the cold lambda LP at v."""
+    return simplex.solve_lp(lambda_lp(v, inst)).duals[:inst.lattice.matrix.n]
+
+
+def test_every_answer_certified_and_agrees_with_facets():
+    # the dual certificate against the facet one: both accept every answer,
+    # and at the origin the LP duals certify exactly when the facets do
+    rng = random.Random(1301)
+    for lat in corpus_small():
+        origin = (0,) * lat.m
+        for _ in range(3):
+            inst = cvp_instance(
+                lat,
+                [F(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(lat.m)],
+                project=True,
+            )
+            sol = solve_cvp(inst)
+            assert sol.certified
+            assert certify_closest(sol.closest, inst)
+            assert dual_certificate_holds(sol.closest, _lp_duals(sol.closest, inst), inst)
+            assert (dual_certificate_holds(origin, _lp_duals(origin, inst), inst)
+                    == certify_closest(origin, inst))
+
+
+def test_large_graphic_answer_certified():
+    # m = 18 > 14, beyond facet enumeration
+    rng = random.Random(16)
+    arcs = [(i, (i + 1) % 8) for i in range(8)]
+    while len(arcs) < 18:
+        arcs.append(tuple(rng.sample(range(8), 2)))
+    lat = graphic_lattice(digraph(8, arcs))
+    inst = cvp_instance(
+        lat, [F(rng.randint(-30, 30), rng.randint(1, 5)) for _ in arcs], project=True
+    )
+    sol = solve_cvp(inst)
+    assert sol.iterations > 0 and sol.certified
+    assert compute_lambda(sol.closest, inst)[0] == 0
+
+
+def test_dual_certificate_rejects_tampered_duals():
+    inst = a2_instance()
+    v = (1, 0, -1)
+    y = _lp_duals(v, inst)
+    assert dual_certificate_holds(v, y, inst)
+    assert not dual_certificate_holds(v, (y[0] + 1,), inst)
+    assert not dual_certificate_holds(v, y + (F(0),), inst)
+    # no y certifies the origin: it needs y <= -2/5 and y >= 0
+    assert not dual_certificate_holds((0, 0, 0), y, inst)
+
+
+def test_solve_raises_on_wrong_duals(monkeypatch):
+    solve_lp = simplex.solve_lp
+
+    def tampered(p, start=None):
+        res = solve_lp(p, start)
+        return dataclasses.replace(res, duals=tuple(y + 1000 for y in res.duals))
+
+    monkeypatch.setattr(simplex, "solve_lp", tampered)
+    with pytest.raises(InternalInvariantError, match="do not certify"):
+        solve_cvp(a2_instance())

@@ -1,4 +1,5 @@
-"""Static guard: no float arithmetic anywhere in the package source."""
+"""Static guards on the package source: no float arithmetic anywhere, and
+no cache without an integer bound on its size."""
 
 from __future__ import annotations
 
@@ -29,6 +30,41 @@ def _violations(tree: ast.AST) -> list[tuple[int, str]]:
     return out
 
 
+def _is_int(node) -> bool:
+    return (isinstance(node, ast.Constant) and isinstance(node.value, int)
+            and not isinstance(node.value, bool))
+
+
+def _int_constants(trees) -> set[str]:
+    """Module-level names assigned an integer literal."""
+    names = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and _is_int(node.value):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _cache_violations(tree: ast.AST, sizes: set[str]) -> list[tuple[int, str]]:
+    """Every use of functools.cache, and every lru_cache whose maxsize is
+    neither an integer literal nor one of the integer constants `sizes`."""
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    out = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name not in ("cache", "lru_cache"):
+            continue
+        call = calls.get(id(node))
+        size = None
+        if name == "lru_cache" and call is not None:
+            size = call.args[0] if call.args else next(
+                (k.value for k in call.keywords if k.arg == "maxsize"), None)
+        if not (_is_int(size) or isinstance(size, ast.Name) and size.id in sizes):
+            out.append((node.lineno, f"{name} without an integer maxsize"))
+    return out
+
+
 def test_guard_catches_floats():
     code = "import math\nfrom math import log2\nx = 0.5\ny = float(3) + math.sqrt(2)\n"
     found = {what for _, what in _violations(ast.parse(code))}
@@ -42,4 +78,27 @@ def test_no_floats_in_source():
     bad = [f"{path.name}:{line}: {what}"
            for path in files
            for line, what in _violations(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not bad, "\n".join(bad)
+
+
+def test_guard_catches_unbounded_caches():
+    code = ("import functools\nfrom functools import cache, lru_cache\nSIZE = 8\n"
+            "@lru_cache(maxsize=None)\ndef a(): pass\n"
+            "@cache\ndef b(): pass\n"
+            "@functools.lru_cache\ndef c(): pass\n"
+            "@lru_cache(maxsize=OTHER)\ndef d(): pass\n"
+            "@lru_cache(maxsize=SIZE)\ndef e(): pass\n"
+            "@functools.lru_cache(64)\ndef f(): pass\n")
+    tree = ast.parse(code)
+    found = _cache_violations(tree, _int_constants([tree]))
+    assert sorted(line for line, _ in found) == [4, 6, 8, 10]
+
+
+def test_no_unbounded_caches_in_source():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    sizes = _int_constants(trees.values())
+    bad = [f"{name}:{line}: {what}"
+           for name, tree in trees.items()
+           for line, what in _cache_violations(tree, sizes)]
     assert not bad, "\n".join(bad)

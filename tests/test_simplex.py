@@ -20,6 +20,15 @@ from zonolat.mmcc import lambda_lp
 from zonolat.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _certify_optimal
 
 
+def _assert_duals_prove_optimum(p, r):
+    """A^T y <= c and b.y == optimum, for an LP without upper bounds."""
+    y = r.duals
+    assert len(y) == len(p.A)
+    for j, cj in enumerate(p.c):
+        assert sum(yi * row[j] for yi, row in zip(y, p.A)) <= cj
+    assert sum(yi * bi for yi, bi in zip(y, p.b)) == r.optimum
+
+
 def test_min_x_at_least_three():
     # min x s.t. x - s = 3, s >= 0
     p = lp_problem([1, 0], [[1, -1]], [3])
@@ -27,6 +36,8 @@ def test_min_x_at_least_three():
     assert r.status == OPTIMAL
     assert r.optimum == 3
     assert r.vertex == (3, 0)
+    assert r.duals == (1,)
+    _assert_duals_prove_optimum(p, r)
 
 
 def _a2_instance():
@@ -38,6 +49,7 @@ def test_lambda_lp_a2_optimum():
     r = solve_lp(p)
     assert r.status == OPTIMAL
     assert r.optimum == F(-1, 5)
+    _assert_duals_prove_optimum(p, r)
 
 
 def test_contradictory_equalities_infeasible():
@@ -54,12 +66,9 @@ def test_upper_bound_column():
     p = lp_problem([-1], [], [], upper=[5])
     r = solve_lp(p)
     assert r.status == OPTIMAL and r.optimum == -5 and r.vertex == (5,)
-
-
-def test_free_variable():
-    p = lp_problem([1], [[1]], [-7], lower=[None])
-    r = solve_lp(p)
-    assert r.status == OPTIMAL and r.optimum == -7 and r.vertex == (-7,)
+    assert r.duals == ()  # the upper-bound row's dual is left out
+    with pytest.raises(InvalidInputError):
+        lp_problem([-1], [], [], upper=[-1])
 
 
 def test_warm_start_reprices_basis():
@@ -71,6 +80,7 @@ def test_warm_start_reprices_basis():
     cold = solve_lp(q)
     warm = solve_lp(q, start=first)
     assert warm.status == OPTIMAL and warm.optimum == cold.optimum == F(1, 5)
+    _assert_duals_prove_optimum(q, warm)
     assert solve_lp(p, start=first) == first
     assert first.tableau == solve_lp(p).tableau
 
@@ -167,6 +177,7 @@ def test_random_lps_against_basis_enumeration():
         assert got.status == status, (A, b, c)
         if status == OPTIMAL:
             assert got.optimum == best, (A, b, c)
+            _assert_duals_prove_optimum(lp_problem(c, A, b), got)
 
 
 def test_degenerate_redundant_rows():
@@ -174,11 +185,8 @@ def test_degenerate_redundant_rows():
     p = lp_problem([1, 1], [[1, 1], [1, 1]], [2, 2])
     r = solve_lp(p)
     assert r.status == OPTIMAL and r.optimum == 2
-
-
-def test_bounds_validation():
-    with pytest.raises(Exception):
-        lp_problem([1], [], [], lower=[F(1)])
+    assert 0 in r.duals  # the row phase 1 dropped
+    _assert_duals_prove_optimum(p, r)
 
 
 @pytest.mark.parametrize("a, c", [
