@@ -34,10 +34,11 @@ from .core import (
 )
 from .errors import (
     InternalInvariantError,
+    InvalidInputError,
     OracleFailureError,
     ZonolatError,
 )
-from .mmcc import cvp_instance, solve_cvp
+from .mmcc import CVPInstance, CVPSolution, cvp_instance, solve_cvp
 from .oracle import brute_force_cvp, check_tu, enumerate_primitive_chains
 
 
@@ -244,7 +245,7 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args.file)
     lattice = lattice_from_problem(problem)
     instance = cvp_instance(lattice, problem.t, project=not args.no_project)
-    solution = solve_cvp(instance)
+    solution = _solve(instance)
     agreement = None
     if args.oracle:
         reference = brute_force_cvp(instance)
@@ -261,6 +262,23 @@ def cmd_solve(args) -> int:
     ))
     _emit(payload, args.trace)
     return 0
+
+
+def _solve(instance: CVPInstance) -> CVPSolution:
+    """solve_cvp, with a failed self-check on an asserted matrix blamed on
+    the assertion when the exhaustive TU check refutes it.
+
+    The solver's invariants rest on total unimodularity, so a false
+    "tu_mode": "assert" is bad input (exit 1), not a solver bug (exit 2).
+    """
+    try:
+        return solve_cvp(instance)
+    except InternalInvariantError as exc:
+        matrix = instance.lattice.matrix
+        if (matrix.tu_status == "asserted" and matrix.n <= VERIFY_ROW_CAP
+                and not check_tu(matrix)):
+            raise InvalidInputError("matrix asserted totally unimodular is not") from exc
+        raise
 
 
 def _parse_arcs(text: str) -> list[tuple[int, int]]:

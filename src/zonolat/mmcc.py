@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import simplex
 from .core import (
+    LATTICE_CACHE_SIZE,
     FracVec,
     IntVec,
     PrimitiveChain,
@@ -169,14 +171,22 @@ def lambda_lp(v: Sequence, instance: CVPInstance) -> simplex.LPProblem:
     m = instance.m
     obj = [right_derivative(i, v[i], instance) for i in range(m)]
     obj += [-left_derivative(i, v[i], instance) for i in range(m)]
-    rows = []
-    rhs = []
-    for row in instance.lattice.matrix.entries:
-        rows.append([Fraction(e) for e in row] + [Fraction(-e) for e in row])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * (2 * m))
-    rhs.append(Fraction(1))
-    return simplex.lp_problem(obj, rows, rhs)
+    A, b, upper = _lambda_constraints(instance.lattice.matrix)
+    return simplex.LPProblem(c=tuple(obj), A=A, b=b, upper=upper)
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _lambda_constraints(matrix: TUMatrix) -> tuple:
+    """(A, b, upper) shared by every lambda LP over M: [M, -M; 1^T] x = (0, 1).
+
+    One object per matrix also makes the warm start's same-constraints
+    check an identity comparison.
+    """
+    rows = tuple(tuple(Fraction(e) for e in row) + tuple(Fraction(-e) for e in row)
+                 for row in matrix.entries)
+    rows += ((Fraction(1),) * (2 * matrix.m),)
+    rhs = (Fraction(0),) * matrix.n + (Fraction(1),)
+    return rows, rhs, (None,) * (2 * matrix.m)
 
 
 @dataclass

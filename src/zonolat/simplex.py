@@ -1,15 +1,25 @@
-"""Exact two-phase simplex over rationals with Bland's pivoting rule.
+"""Exact two-phase simplex with Bland's rule on an integer-preserving tableau.
 
 Minimizes c.x subject to equality constraints A x = b, x >= 0 and
-per-variable upper bounds of +infinity or a finite rational.  All
-arithmetic is fractions.Fraction, so optimality, infeasibility and
-unboundedness are decided exactly, and identical inputs always produce the
-identical pivot sequence and vertex.  Every optimal solve also returns
-duals that the solver checks prove its optimum.
+per-variable upper bounds of +infinity or a finite rational.  A and b are
+multiplied by one positive integer and c by another, which makes every
+datum a Python int and changes no pivot choice.  The tableau then holds
+den * B^-1 A and den * B^-1 b over one positive common denominator
+den = |det B| of the basis matrix B, so all its entries are ints: a pivot
+multiplies and subtracts and then divides by the old den, and that
+division is exact because every entry is a subdeterminant of the data
+(Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  No gcd is taken
+inside the pivot loop.  Optimality, infeasibility and unboundedness are
+decided exactly, and identical inputs always produce the identical pivot
+sequence and vertex.  fractions.Fraction appears only at the interface:
+the optimum, the vertex and the duals.  Every optimal solve also checks,
+in integers, that its vertex is feasible and that its duals prove the
+optimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -47,16 +57,36 @@ class LPProblem:
 
 
 @dataclass(frozen=True)
-class Tableau:
-    """An optimal basis in canonical form: B^-1 A, B^-1 b and the basic columns.
+class StandardForm:
+    """The constraints of an LPProblem as min c.y, A y = b, y >= 0, in ints.
 
-    None of it depends on the objective, so it is a feasible starting basis
-    for any other objective over the same constraints.
+    `rows` and `rhs` are `scale` times A and b, where `scale` is the lcm of
+    the denominators of A, b and the bounds; each finite upper bound x_j <= u
+    adds a row x_j + s = u, scaled alike, with its own slack column s.
+    `columns` holds the nonzero entries (row, value) of each column.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+    scale: int
+
+
+@dataclass(frozen=True)
+class Tableau:
+    """An optimal basis in canonical form over one common denominator.
+
+    `rows` and `rhs` are den * B^-1 A and den * B^-1 b for the basis matrix
+    B of `form`, with den = |det B| > 0, so every entry is an int.  None of
+    it depends on the objective, so it is a feasible starting basis for any
+    other objective over the same constraints.
     """
 
     constraints: tuple  # (A, b, upper) of the problem it solved
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    form: StandardForm
+    rows: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
+    den: int
     basis: tuple[int, ...]
 
 
@@ -90,26 +120,39 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
 
     `start` is an optimal result of an earlier solve with the same A, b and
     bounds.  Its final tableau stays primal feasible whatever the objective,
-    so phase 1 is skipped and phase 2 reprices that basis for p.c.  The
-    start is read, never modified, so one result can seed several solves.
+    so phase 1 is skipped and phase 2 reprices that basis for p.c; the
+    scaled constraints it carries are reused.  The start is read, never
+    modified, so one result can seed several solves.
     """
     constraints = (p.A, p.b, p.upper)
     warm = None
-    if start is not None:
+    if start is None:
+        form = _standard_form(p)
+    else:
         if start.tableau is None or start.tableau.constraints != constraints:
             raise InvalidInputError(
                 "start must be an optimal result for the same A, b and bounds"
             )
         warm = start.tableau
-    c, a, b = _to_standard_form(p)
-    res = _simplex_standard(c, a, b, warm)
+        form = warm.form
+    cscale = _lcm_of_denominators(p.c)
+    c = [x.numerator * (cscale // x.denominator) for x in p.c]
+    c += [0] * (len(form.columns) - len(c))
+    res = _simplex_standard(c, form, warm)
     if res[0] != OPTIMAL:
         return LPResult(status=res[0], optimum=None, vertex=None)
-    _, opt, x, duals, tab, rhs, basis = res
-    tableau = Tableau(constraints=constraints, rows=tuple(map(tuple, tab)),
-                      rhs=tuple(rhs), basis=tuple(basis))
-    return LPResult(status=OPTIMAL, optimum=opt, vertex=tuple(x[:len(p.c)]),
-                    tableau=tableau, duals=tuple(duals[:len(p.A)]))
+    _, tab, rhs, den, basis, duals = res
+    x = [Fraction(0)] * len(p.c)
+    for bi, xi in zip(basis, rhs):
+        if bi < len(x):
+            x[bi] = Fraction(xi, den)
+    opt = Fraction(sum(c[bi] * xi for bi, xi in zip(basis, rhs)), den * cscale)
+    # the form's duals price scale * A against cscale * c
+    unscale = Fraction(form.scale, cscale)
+    tableau = Tableau(constraints=constraints, form=form, rows=tuple(map(tuple, tab)),
+                      rhs=tuple(rhs), den=den, basis=tuple(basis))
+    return LPResult(status=OPTIMAL, optimum=opt, vertex=tuple(x), tableau=tableau,
+                    duals=tuple(y * unscale for y in duals[:len(p.A)]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,152 +160,200 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
 # ---------------------------------------------------------------------------
 
 
-def _to_standard_form(p: LPProblem):
-    """Rewrite as min c.y, A y = b, y >= 0.
+def _lcm_of_denominators(values: Iterable) -> int:
+    return math.lcm(*(x.denominator for x in values))
 
-    The columns of p come first, in order.  Each finite upper bound
-    x_j <= u becomes an extra row x_j + s = u with its own slack column s.
+
+def _standard_form(p: LPProblem) -> StandardForm:
+    """Rewrite the constraints of p as A y = b, y >= 0 over the ints.
+
+    The columns of p come first, in order, then one slack per finite upper
+    bound.  Every row is multiplied by the same positive integer: that
+    leaves B^-1 A and B^-1 b of every structural basis unchanged, and in
+    phase 1 it only rescales the artificial variables and their objective
+    by that integer, so every pivot choice stays the same.
     """
+    nvar = len(p.c)
     ups = [(j, u) for j, u in enumerate(p.upper) if u is not None]
-    zeros = [Fraction(0)] * len(ups)
-    a_rows = [list(row) + zeros for row in p.A]
+    scale = math.lcm(_lcm_of_denominators(p.b), _lcm_of_denominators(u for _, u in ups),
+                     *(_lcm_of_denominators(row) for row in p.A))
+
+    def scaled(x) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    zeros = [0] * len(ups)
+    rows = [[scaled(x) for x in row] + zeros for row in p.A]
     for k, (j, _u) in enumerate(ups):
-        row = [Fraction(0)] * (len(p.c) + len(ups))
-        row[j] = row[len(p.c) + k] = Fraction(1)
-        a_rows.append(row)
-    return list(p.c) + zeros, a_rows, list(p.b) + [u for _, u in ups]
+        row = [0] * (nvar + len(ups))
+        row[j] = row[nvar + k] = scale
+        rows.append(row)
+    columns = tuple(tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
+                    for j in range(nvar + len(ups)))
+    return StandardForm(rows=tuple(map(tuple, rows)),
+                        rhs=tuple(scaled(x) for x in list(p.b) + [u for _, u in ups]),
+                        columns=columns, scale=scale)
 
 
 # ---------------------------------------------------------------------------
-# Core tableau simplex (min c.x, A x = b, x >= 0)
+# Core tableau simplex (min c.x, A x = b, x >= 0, all ints)
 # ---------------------------------------------------------------------------
 
 
-def _simplex_standard(c: list[Fraction], a: list[list[Fraction]],
-                      b: list[Fraction], warm: Tableau | None = None):
-    """Solve min c.x, a x = b, x >= 0; phase 2 starts from `warm` if given.
+def _simplex_standard(c: list[int], form: StandardForm, warm: Tableau | None = None):
+    """Solve min c.x, A x = b, x >= 0 for the form; phase 2 starts from `warm`.
 
-    Pivots replace tableau rows instead of editing them, so copying the
-    outer lists of `warm` leaves it intact.
+    The reduced-cost row is kept over the tableau's denominator too:
+    den * c_j - c_B . (den B^-1 A)_j.  Pivots replace tableau rows instead
+    of editing them, so copying the outer lists of `warm` leaves it intact.
     """
     nvar = len(c)
     if warm is None:
-        feasible = _phase_one(a, b, nvar)
+        feasible = _phase_one(form, nvar)
         if feasible is None:
             return (INFEASIBLE,)
-        tab, rhs, basis = feasible
+        tab, rhs, den, basis = feasible
     else:
-        tab, rhs, basis = list(warm.rows), list(warm.rhs), list(warm.basis)
-    red = list(c)
+        tab, rhs, den, basis = list(warm.rows), list(warm.rhs), warm.den, list(warm.basis)
+    red = [den * cj for cj in c]
     for i, bi in enumerate(basis):
-        if c[bi]:
-            f = c[bi]
-            for j in range(nvar):
-                red[j] -= f * tab[i][j]
-    status = _bland(tab, rhs, basis, red, nvar)
+        f = c[bi]
+        if f:
+            red = [r - f * t for r, t in zip(red, tab[i])]
+    status, den = _bland(tab, rhs, basis, red, den, nvar)
     if status == UNBOUNDED:
         return (UNBOUNDED,)
-
-    x = [Fraction(0)] * nvar
-    for i, bi in enumerate(basis):
-        x[bi] = rhs[i]
-    opt = sum((ci * xi for ci, xi in zip(c, x) if ci and xi), Fraction(0))
-    duals = _certify_optimal(c, a, b, basis, x, opt)
-    return (OPTIMAL, opt, x, duals, tab, rhs, basis)
+    duals = _certify_optimal(form, c, basis, rhs, den)
+    return (OPTIMAL, tab, rhs, den, basis, duals)
 
 
-def _phase_one(a: list[list[Fraction]], b: list[Fraction], nvar: int):
-    """A feasible basis of a x = b, x >= 0 as (rows, rhs, basis) in canonical form.
+def _phase_one(form: StandardForm, nvar: int):
+    """A feasible basis of A x = b, x >= 0 as (rows, rhs, den, basis) in canonical form.
 
     Redundant rows are dropped; None when the system is infeasible.
     """
-    rows = [list(r) for r in a]
-    rhs = list(b)
+    rows = [list(r) for r in form.rows]
+    rhs = list(form.rhs)
     for i in range(len(rows)):
         if rhs[i] < 0:
             rows[i] = [-x for x in rows[i]]
             rhs[i] = -rhs[i]
     m = len(rows)
 
-    # tableau over columns [structural | artificial], artificial basis;
-    # minimize the sum of artificials
-    tab = [rows[i] + [Fraction(int(k == i)) for k in range(m)] for i in range(m)]
+    # tableau over columns [structural | artificial], artificial basis
+    # (det 1); minimize the sum of artificials
+    tab = [rows[i] + [int(k == i) for k in range(m)] for i in range(m)]
     basis = [nvar + i for i in range(m)]
-    red = [-sum(tab[i][j] for i in range(m)) for j in range(nvar)]
-    red += [Fraction(0)] * m
-    if _bland(tab, rhs, basis, red, nvar + m) != OPTIMAL:
+    red = [-sum(tab[i][j] for i in range(m)) for j in range(nvar)] + [0] * m
+    status, den = _bland(tab, rhs, basis, red, 1, nvar + m)
+    if status != OPTIMAL:
         raise InternalInvariantError("phase-1 objective is bounded by zero")
     if any(rhs[i] for i in range(len(tab)) if basis[i] >= nvar):
         return None
 
-    # drive artificial variables out of the basis; drop redundant rows
+    # drive artificial variables out of the basis; drop redundant rows.  A
+    # dropped row's artificial is basic, so den is also |det B| of the rest.
     for i in range(len(tab) - 1, -1, -1):
         if basis[i] >= nvar:
             enter = next((j for j in range(nvar) if tab[i][j] != 0), None)
             if enter is None:
                 del tab[i], rhs[i], basis[i]
             else:
-                _pivot(tab, rhs, basis, None, i, enter)
-    return [row[:nvar] for row in tab], rhs, basis
+                den = _pivot(tab, rhs, basis, None, den, i, enter)
+    return [row[:nvar] for row in tab], rhs, den, basis
 
 
-def _pivot(tab, rhs, basis, red, r: int, jc: int) -> None:
-    """Make column jc basic in row r; rows are replaced, never edited."""
-    pv = tab[r][jc]
-    tab[r] = [x / pv for x in tab[r]]
-    rhs[r] /= pv
-    for i in range(len(tab)):
-        if i != r and tab[i][jc]:
-            f = tab[i][jc]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
-            rhs[i] -= f * rhs[r]
-    if red is not None and red[jc]:
+def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
+    """Make column jc basic in row r and return the new denominator.
+
+    Row r stays as it is and its entry p becomes the denominator; every
+    other row x, the rhs and the reduced costs become (x p - f y) // den,
+    where y is row r and f the entry of x in column jc.  The division is
+    exact: the result is a subdeterminant of the data (Cramer's rule;
+    Edmonds 1967, Bareiss 1968).  A negative p (phase 1 driving out an
+    artificial) negates row r first, so the denominator stays positive.
+    Rows are replaced, never edited; with p == den a row whose entry f is
+    0 is left as it is.
+    """
+    prow, prhs = tab[r], rhs[r]
+    p = prow[jc]
+    if p < 0:
+        p = -p
+        prow = tab[r] = [-y for y in prow]
+        prhs = rhs[r] = -prhs
+    for i, row in enumerate(tab):
+        f = row[jc]
+        if i != r and (f or p != den):
+            tab[i] = [(x * p - f * y) // den for x, y in zip(row, prow)]
+            rhs[i] = (rhs[i] * p - f * prhs) // den
+    if red is not None and (red[jc] or p != den):
         f = red[jc]
-        for j, y in enumerate(tab[r]):
-            red[j] -= f * y
+        red[:] = [(x * p - f * y) // den for x, y in zip(red, prow)]
     basis[r] = jc
+    return p
 
 
-def _bland(tab, rhs, basis, red, allowed: int) -> str:
-    """Pivot by Bland's rule over the first `allowed` columns until optimal."""
+def _bland(tab, rhs, basis, red, den: int, allowed: int) -> tuple[str, int]:
+    """Pivot by Bland's rule over the first `allowed` columns until optimal.
+
+    Returns the status and the final denominator.  The ratio test compares
+    rhs_i / a_i by cross-multiplication, ties going to the lower basic index.
+    """
     while True:
         enter = next((j for j in range(allowed) if red[j] < 0), None)
         if enter is None:
-            return OPTIMAL
+            return OPTIMAL, den
         best = None
-        for i in range(len(tab)):
-            if tab[i][enter] > 0:
-                ratio = rhs[i] / tab[i][enter]
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                if best is None:
+                    best = i
+                    continue
+                lhs, rhs_best = rhs[i] * tab[best][enter], rhs[best] * a
+                if lhs < rhs_best or lhs == rhs_best and basis[i] < basis[best]:
+                    best = i
         if best is None:
-            return UNBOUNDED
-        _pivot(tab, rhs, basis, red, best[1], enter)
+            return UNBOUNDED, den
+        den = _pivot(tab, rhs, basis, red, den, best, enter)
 
 
-def _certify_optimal(c, a, b, basis, x, opt) -> list[Fraction]:
-    """Strong-duality self check: reconstruct the duals, verify them exactly
-    and return them, one per row of a.
+def _certify_optimal(form: StandardForm, c: list[int], basis, rhs, den: int) -> list[Fraction]:
+    """Exact optimality proof of a basic solution of the form: check it and
+    return its duals, one per row of the form.
 
-    Reducing [B^T | c_B], the basis columns of a transposed next to their
-    costs, selects independent rows of a (the pivot columns) and solves for
-    their duals; the other rows, such as those phase 1 dropped as
-    redundant, get dual 0.
+    The solution x is rhs / den on the basic columns and 0 elsewhere.
+    Primal: x >= 0 and A x == b (the upper bounds are rows of the form).
+    Dual: reducing [B^T | c_B], the basis columns next to their costs,
+    selects independent rows of A (the pivot columns) and solves for their
+    duals y; the other rows, such as those phase 1 dropped as redundant,
+    get dual 0.  Every reduced cost c_j - (A^T y)_j must be >= 0 and b.y
+    must equal c.x.  The checks compare ints, with y = Y / D over the lcm
+    D of its denominators, and each takes O(nnz A).
     """
-    nrows = len(a)
-    reduced, pivots = row_reduce([[a[i][j] for i in range(nrows)] + [c[j]]
-                                  for j in basis])
+    rows, b, columns = form.rows, form.rhs, form.columns
+    nrows = len(rows)
+    if den <= 0 or any(xi < 0 for xi in rhs):
+        raise InternalInvariantError("primal check failed: basic solution is negative")
+    ax = [0] * nrows
+    for bi, xi in zip(basis, rhs):
+        if xi:
+            for i, a in columns[bi]:
+                ax[i] += a * xi
+    if any(s != bi * den for s, bi in zip(ax, b)):
+        raise InternalInvariantError("primal check failed: A x != b")
+
+    reduced, pivots = row_reduce([[row[j] for row in rows] + [c[j]] for j in basis])
     if len(pivots) < len(basis) or nrows in pivots:
         raise InternalInvariantError("optimal basis matrix is singular")
     duals = [Fraction(0)] * nrows
     for i, row in zip(pivots, reduced):
         duals[i] = row[nrows]
-    for j in range(len(c)):
-        reduced_cost = c[j] - sum(duals[i] * a[i][j] for i in pivots)
-        if reduced_cost < 0:
+    dscale = _lcm_of_denominators(duals)
+    y = [d.numerator * (dscale // d.denominator) for d in duals]
+    for cj, column in zip(c, columns):
+        if dscale * cj < sum(y[i] * a for i, a in column):
             raise InternalInvariantError("duality check failed: negative reduced cost")
-    dual_obj = sum(duals[i] * b[i] for i in pivots)
-    if dual_obj != opt:
+    primal = sum(c[bi] * xi for bi, xi in zip(basis, rhs))  # c.x = primal / den
+    if sum(yi * bi for yi, bi in zip(y, b)) * den != primal * dscale:
         raise InternalInvariantError("duality check failed: objective mismatch")
     return duals

@@ -146,6 +146,17 @@ def test_solve_rejects_non_tu(tmp_path, capsys):
     assert "not totally unimodular" in capsys.readouterr().err
 
 
+def test_solve_rejects_false_tu_assertion(tmp_path, capsys):
+    # not TU: the kernel is spanned by (1, 2, -1).  The solver's self-check
+    # fails on it, and the exhaustive check blames the assertion: exit 1
+    data = {"m": 3, "n": 2, "M": [[1, 0, 1], [-1, 1, 1]], "g": [1, 1, 1],
+            "t": [-8, -5, 4], "tu_mode": "assert"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    assert "asserted totally unimodular is not" in capsys.readouterr().err
+
+
 def test_solve_no_project_requires_span(tmp_path, capsys):
     data = dict(A2_PROBLEM, t=[1, 0, 0])
     path = tmp_path / "p.json"
@@ -257,6 +268,20 @@ def test_internal_error_maps_to_exit_2(monkeypatch, a2_file, capsys):
 
     monkeypatch.setattr("zonolat.cli.solve_cvp", boom)
     assert main(["solve", a2_file]) == 2
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_internal_error_on_true_tu_assertion_maps_to_exit_2(monkeypatch, tmp_path, capsys):
+    # A_2 is TU, so an internal error on it stays a bug even when asserted
+    from zonolat.errors import InternalInvariantError
+
+    def boom(*args, **kwargs):
+        raise InternalInvariantError("lambda increased at unit step")
+
+    path = tmp_path / "a2-assert.json"
+    path.write_text(json.dumps(dict(A2_PROBLEM, tu_mode="assert")), encoding="utf-8")
+    monkeypatch.setattr("zonolat.cli.solve_cvp", boom)
+    assert main(["solve", str(path)]) == 2
     assert "internal error" in capsys.readouterr().err
 
 

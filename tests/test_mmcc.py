@@ -14,6 +14,7 @@ from zonolat import (
     InvalidInputError,
     brute_force_cvp,
     certify_closest,
+    cographic_lattice,
     compute_lambda,
     cost,
     cvp_instance,
@@ -376,3 +377,53 @@ def test_solve_raises_on_wrong_duals(monkeypatch):
     monkeypatch.setattr(simplex, "solve_lp", tampered)
     with pytest.raises(InternalInvariantError, match="do not certify"):
         solve_cvp(a2_instance())
+
+
+def _seeded_instance(build, seed, vertices, arcs):
+    """A random connected digraph lattice; weights 1 or 2 and half-integer
+    targets leave ties between chains that only the pivot order breaks."""
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(vertices) for b in range(a + 1, vertices)]
+    rng.shuffle(pairs)
+    tree = [(rng.randrange(k), k) for k in range(1, vertices)]
+    chosen = tree + [q for q in pairs if q not in tree][:arcs - len(tree)]
+    d = digraph(vertices, [(b, a) if rng.random() < 0.5 else (a, b) for a, b in chosen])
+    g = [rng.randint(1, 2) for _ in range(arcs)]
+    t = [F(rng.randint(-12, 12), rng.randint(1, 2)) for _ in range(arcs)]
+    return cvp_instance(build(d, g), t)
+
+
+#: (u.coords, step, lam, step_fallback) of every iteration, recorded from
+#: the rational-tableau simplex.  Entering the last improving column, or
+#: breaking ratio ties by the higher basic index, changes both records.
+GOLDEN_GRAPHIC_M22 = [
+    ((-1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, -1, 0), 7, "133/6", False),
+    ((0, -1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1, 1, 0, 0, 0), 5, "17", False),
+    ((0, 0, 0, 1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0), 5, "69/5", False),
+    ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0), 3, "17/3", False),
+    ((0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, -1, 0, 0), 2, "15/4", False),
+    ((0, 1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0), 2, "11/3", False),
+    ((0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0), 1, "11/4", False),
+    ((0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0), 1, "9/4", False),
+    ((1, 0, 0, 0, 0, 0, 0, 0, 0, -1, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1), 1, "1", False),
+    ((0, -1, 0, 0, 1, -1, 0, -1, 0, 0, 0, -1, 0, 1, -1, 0, 0, 1, 0, 0, 0, 0), 1, "3/8", False),
+]
+GOLDEN_COGRAPHIC_M14 = [
+    ((0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0), 11, "65/2", False),
+    ((1, 0, 0, -1, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0), 4, "49/4", False),
+    ((0, -1, 0, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0), 3, "23/3", False),
+    ((0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0), 2, "16/3", False),
+    ((0, 0, 1, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0, 0), 2, "4", False),
+    ((0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0), 2, "7/3", False),
+    ((0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1), 1, "1", False),
+    ((0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0), 1, "1", False),
+]
+
+
+@pytest.mark.parametrize("build, seed, vertices, arcs, golden", [
+    (graphic_lattice, 30, 11, 22, GOLDEN_GRAPHIC_M22),
+    (cographic_lattice, 11, 9, 14, GOLDEN_COGRAPHIC_M14),
+])
+def test_iteration_record_golden(build, seed, vertices, arcs, golden):
+    sol = solve_cvp(_seeded_instance(build, seed, vertices, arcs))
+    assert [(r.u.coords, r.step, str(r.lam), r.step_fallback) for r in sol.trace] == golden

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -14,10 +15,17 @@ from zonolat import (
     InvalidInputError,
     cvp_instance,
     lp_problem,
+    simplex,
     solve_lp,
 )
 from zonolat.mmcc import lambda_lp
-from zonolat.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _certify_optimal
+from zonolat.simplex import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    _certify_optimal,
+    _standard_form,
+)
 
 
 def _assert_duals_prove_optimum(p, r):
@@ -189,13 +197,128 @@ def test_degenerate_redundant_rows():
     _assert_duals_prove_optimum(p, r)
 
 
+def test_random_fractional_lps_against_basis_enumeration():
+    # fractional A, b, c and upper bounds: the standard form scales A and b
+    # (and the bound rows) by one integer and c by another
+    rng = random.Random(4321)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        m = rng.randint(1, min(3, n))
+        A = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+             for _ in range(m - 1)]
+        A.append([F(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(n)])
+        b = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m - 1)]
+        b.append(F(rng.randint(1, 4), rng.randint(1, 5)))
+        c = [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n)]
+        upper = [F(rng.randint(1, 5), rng.randint(1, 4)) if rng.random() < 0.3 else None
+                 for _ in range(n)]
+        got = solve_lp(lp_problem(c, A, b, upper=upper))
+        # the oracle sees each bound x_j <= u as a row x_j + s = u
+        bounded = [(j, u) for j, u in enumerate(upper) if u is not None]
+        wide = [row + [F(0)] * len(bounded) for row in A]
+        for k, (j, _u) in enumerate(bounded):
+            row = [F(0)] * (n + len(bounded))
+            row[j] = row[n + k] = F(1)
+            wide.append(row)
+        status, best = _enumerate_optimum(c + [F(0)] * len(bounded), wide,
+                                          b + [u for _, u in bounded])
+        assert got.status == status, (A, b, c, upper)
+        if status == OPTIMAL:
+            assert got.optimum == best, (A, b, c, upper)
+            if not bounded:
+                _assert_duals_prove_optimum(lp_problem(c, A, b), got)
+
+
+def test_integer_tableau_a2_lambda_lp():
+    # den * B^-1 A and den * B^-1 b as ints over den > 0; the rationals
+    # they stand for are the rational tableau of the same basis
+    inst = _a2_instance()
+    expected = {  # v: (B^-1 A, B^-1 b, basis)
+        (0, 0, 0): ([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], [F(1, 2)] * 2, (0, 5)),
+        (1, 0, -1): ([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], [F(1, 2)] * 2, (2, 3)),
+    }
+    for v, (rows, rhs, basis) in expected.items():
+        t = solve_lp(lambda_lp(v, inst)).tableau
+        assert t.den == 2  # |det B| for B = [[1, -1], [1, 1]], both times
+        assert all(type(x) is int for row in t.rows for x in row)
+        assert all(type(x) is int for x in t.rhs)
+        assert [[F(x, t.den) for x in row] for row in t.rows] == rows
+        assert [F(x, t.den) for x in t.rhs] == rhs
+        assert t.basis == basis
+
+
+def test_negative_drive_out_pivot_keeps_den_positive(monkeypatch):
+    # rows 0 and 1 are negatives of each other with b = 0: phase 1 ends with
+    # their artificials basic at zero, drives row 1's out on its entry -1
+    # and drops row 0 as redundant
+    c, A, b = [3, -1, 1], [[0, 1, -1], [0, -1, 1], [1, 1, 1]], [0, 0, 2]
+    drive_out = []
+    pivot = simplex._pivot
+
+    def spy(tab, rhs, basis, red, den, r, jc):
+        if red is None:
+            drive_out.append(tab[r][jc])
+        return pivot(tab, rhs, basis, red, den, r, jc)
+
+    monkeypatch.setattr(simplex, "_pivot", spy)
+    p = lp_problem(c, A, b)
+    r = solve_lp(p)
+    assert any(e < 0 for e in drive_out)
+    assert r.status == OPTIMAL and r.tableau.den > 0
+    assert len(r.tableau.rows) == 2  # one of the opposite rows was dropped
+    # the oracle needs full row rank: leave out row 0, the negative of row 1
+    assert (OPTIMAL, r.optimum) == _enumerate_optimum(c, A[1:], b[1:]) == (OPTIMAL, 0)
+    _assert_duals_prove_optimum(p, r)
+
+
+@pytest.mark.parametrize("rhs", [
+    [1, 2],  # 1 . x = 3/2
+    [2, 0],  # M (x+ - x-) = 1
+])
+def test_certify_optimal_rejects_infeasible_solution(rhs):
+    t = solve_lp(lambda_lp((0, 0, 0), _a2_instance())).tableau
+    with pytest.raises(InternalInvariantError, match="primal check failed: A x"):
+        _certify_optimal(t.form, [0] * 6, list(t.basis), rhs, t.den)
+
+
+def test_certify_optimal_rejects_suboptimal_basis():
+    # x1 = x5 = 1/2 is a feasible basic solution of the A_2 lambda LP at the
+    # origin, with cost 7/10 against the optimum -1/5: column 0 prices out
+    p = lambda_lp((0, 0, 0), _a2_instance())
+    form = _standard_form(p)
+    c = [int(5 * x) for x in p.c]  # the costs have denominator 5
+    assert c == [5 * x for x in p.c]
+    _certify_optimal(form, c, [0, 5], [1, 1], 2)  # the optimal basis passes
+    with pytest.raises(InternalInvariantError, match="negative reduced cost"):
+        _certify_optimal(form, c, [1, 5], [1, 1], 2)
+
+
+def test_certify_optimal_rejects_negative_solution():
+    # x1 = -1 solves x0 - x1 = 1 but is not >= 0
+    form = _standard_form(lp_problem([0, 0], [[1, -1]], [1]))
+    with pytest.raises(InternalInvariantError, match="primal check failed: basic"):
+        _certify_optimal(form, [0, 0], [1], [-1], 1)
+
+
+def test_warm_start_from_corrupted_tableau_raises():
+    # pivots keep a corrupted rhs inconsistent with b, so the primal check
+    # of the warm solve catches it
+    p = lambda_lp((0, 0, 0), _a2_instance())
+    first = solve_lp(p)
+    bad = dataclasses.replace(first.tableau, rhs=(first.tableau.rhs[0] + 1,)
+                              + first.tableau.rhs[1:])
+    start = dataclasses.replace(first, tableau=bad)
+    with pytest.raises(InternalInvariantError, match="primal check failed"):
+        solve_lp(lambda_lp((1, 0, -1), _a2_instance()), start=start)
+
+
 @pytest.mark.parametrize("a, c", [
     ([[1, 1], [2, 2]], [1, 1]),  # basis columns (1, 2) twice: singular
     ([[1, 1]], [1, 2]),  # one row, two basis columns with unequal costs
 ])
 def test_certify_optimal_rejects_bad_basis(a, c):
-    a = [[F(x) for x in row] for row in a]
-    c = [F(x) for x in c]
-    b = [F(1)] * len(a)
+    # b = A (1, 0), so x = (1, 0) passes the primal check and only the dual
+    # reconstruction can fail
+    b = [row[0] for row in a]
     with pytest.raises(InternalInvariantError, match="singular"):
-        _certify_optimal(c, a, b, [0, 1], [F(0), F(0)], F(0))
+        _certify_optimal(_standard_form(lp_problem(c, a, b)), c, [0, 1], [1, 0], 1)
