@@ -28,7 +28,9 @@ from .core import (
     VERIFY_ROW_CAP,
     FracVec,
     IntVec,
+    TUMatrix,
     ZonotopalLattice,
+    heller_tompkins,
     project_onto_span,
     tu_matrix,
 )
@@ -264,9 +266,18 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _tu_verdict(matrix: TUMatrix) -> bool | None:
+    """TU verdict by Heller-Tompkins, else by the exhaustive check within
+    VERIFY_ROW_CAP rows; None when neither can decide."""
+    verdict = heller_tompkins(matrix.entries)
+    if verdict is None and matrix.n <= VERIFY_ROW_CAP:
+        verdict = check_tu(matrix)
+    return verdict
+
+
 def _solve(instance: CVPInstance) -> CVPSolution:
     """solve_cvp, with a failed self-check on an asserted matrix blamed on
-    the assertion when the exhaustive TU check refutes it.
+    the assertion when a TU test refutes it.
 
     The solver's invariants rest on total unimodularity, so a false
     "tu_mode": "assert" is bad input (exit 1), not a solver bug (exit 2).
@@ -275,8 +286,7 @@ def _solve(instance: CVPInstance) -> CVPSolution:
         return solve_cvp(instance)
     except InternalInvariantError as exc:
         matrix = instance.lattice.matrix
-        if (matrix.tu_status == "asserted" and matrix.n <= VERIFY_ROW_CAP
-                and not check_tu(matrix)):
+        if matrix.tu_status == "asserted" and _tu_verdict(matrix) is False:
             raise InvalidInputError("matrix asserted totally unimodular is not") from exc
         raise
 
@@ -380,7 +390,7 @@ def cmd_check(args) -> int:
     problem = _load_problem(args.file)
     matrix = tu_matrix(problem.M, mode="assert", width=problem.m)
     lattice = ZonotopalLattice(matrix=matrix, weights=problem.g)
-    tu_verdict = check_tu(matrix) if matrix.n <= VERIFY_ROW_CAP else None
+    tu_verdict = _tu_verdict(matrix)
     projected = project_onto_span(problem.t, lattice)
     payload = {
         "m": problem.m,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -29,7 +30,7 @@ Rational = Fraction
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
 
-#: Exhaustive Ghouila-Houri verification is refused above this row count.
+#: The exhaustive Ghouila-Houri fallback is refused above this row count.
 VERIFY_ROW_CAP = 20
 #: Entries kept by each per-lattice cache; the least recently used goes first.
 LATTICE_CACHE_SIZE = 128
@@ -73,11 +74,56 @@ def inner_product(x: Sequence, y: Sequence, g: Sequence) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def heller_tompkins(rows: Sequence[Sequence[int]]) -> bool | None:
+    """Exact TU verdict for a matrix with at most two nonzeros per column.
+
+    Heller & Tompkins (1956): such a {-1,0,+1} matrix is totally unimodular
+    iff its rows can be 2-coloured so that the two nonzeros of a column lie
+    in different colour classes when they have the same sign and in the
+    same class when their signs differ.  The colouring is found by sign
+    propagation, a bipartiteness check in O(nnz).  An entry outside
+    {-1,0,+1} is a 1 x 1 minor that refutes TU.  Returns None, undecided,
+    when some column has three or more nonzeros.
+    """
+    n = len(rows)
+    if any(e not in (-1, 0, 1) for row in rows for e in row):
+        return False
+    # adjacency[i] holds (k, parity): rows i and k must get different
+    # colours when parity is 1 and the same colour when it is 0
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for column in zip(*rows):
+        nz = [i for i, e in enumerate(column) if e]
+        if len(nz) > 2:
+            return None
+        if len(nz) == 2:
+            i, k = nz
+            parity = 1 if column[i] == column[k] else 0
+            adjacency[i].append((k, parity))
+            adjacency[k].append((i, parity))
+    colour: list[int | None] = [None] * n
+    for root in range(n):
+        if colour[root] is not None:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for k, parity in adjacency[i]:
+                want = colour[i] ^ parity
+                if colour[k] is None:
+                    colour[k] = want
+                    stack.append(k)
+                elif colour[k] != want:
+                    return False
+    return True
+
+
 def ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
     """Exhaustive Ghouila-Houri test: every row subset admits a +-1 signing
     whose column sums all lie in {-1, 0, +1}.
 
-    Exponential in the row count; callers enforce VERIFY_ROW_CAP.
+    Exponential in the row count.  `tu_matrix` runs it only on matrices
+    that `heller_tompkins` cannot decide, and only up to VERIFY_ROW_CAP rows.
     """
     n = len(rows)
     if n == 0:
@@ -121,8 +167,9 @@ def _signing_exists(sub: list[Sequence[int]], m: int) -> bool:
 class TUMatrix:
     """A {-1,0,+1} matrix together with its total-unimodularity status.
 
-    tu_status is "verified" (exhaustive Ghouila-Houri check passed) or
-    "asserted" (caller vouches; only the entry range is checked).
+    tu_status is "verified" (proved TU by Heller-Tompkins or by the
+    exhaustive Ghouila-Houri check) or "asserted" (caller vouches; only the
+    entry range is checked).
     """
 
     n: int
@@ -154,9 +201,11 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
               width: int | None = None) -> TUMatrix:
     """Build a TUMatrix under the given verification policy.
 
-    mode "verify" runs the exhaustive Ghouila-Houri check (refused above
-    VERIFY_ROW_CAP rows), "assert" trusts the caller, "auto" verifies when
-    the row count permits and asserts otherwise.  `width` is required for
+    mode "verify" decides TU by Heller-Tompkins when every column has at
+    most two nonzeros, at any size, and otherwise by the exhaustive
+    Ghouila-Houri check, which is refused above VERIFY_ROW_CAP rows.
+    "assert" trusts the caller.  "auto" verifies whenever one of the two
+    tests can decide and asserts otherwise.  `width` is required for
     matrices with zero rows.
     """
     entries = tuple(tuple(int(e) for e in row) for row in rows)
@@ -169,21 +218,23 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
         m = len(entries[0])
         if width is not None and width != m:
             raise DimensionError(f"declared width {width} != row length {m}")
-    if mode == "auto":
-        mode = "verify" if n <= VERIFY_ROW_CAP else "assert"
-    if mode == "verify":
-        if n > VERIFY_ROW_CAP:
+    if mode not in ("verify", "assert", "auto"):
+        raise InvalidInputError(f"unknown TU mode {mode!r}")
+    status = "asserted"
+    if mode != "assert":
+        verdict = heller_tompkins(entries)
+        if verdict is None and n <= VERIFY_ROW_CAP:
+            verdict = ghouila_houri_ok(entries)
+        elif verdict is None and mode == "verify":
             raise SizeCapError(
                 f"exhaustive TU verification capped at {VERIFY_ROW_CAP} rows "
-                f"(got {n}); load with mode='assert'"
+                f"(got {n}) for a matrix with three or more nonzeros in a "
+                f"column; load with mode='assert'"
             )
-        if not ghouila_houri_ok(entries):
+        if verdict is False:
             raise InvalidInputError("matrix is not totally unimodular")
-        status = "verified"
-    elif mode == "assert":
-        status = "asserted"
-    else:
-        raise InvalidInputError(f"unknown TU mode {mode!r}")
+        if verdict:
+            status = "verified"
     return TUMatrix(n=n, m=m, entries=entries, tu_status=status)
 
 
@@ -379,31 +430,10 @@ def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def _projection_matrix(lattice: ZonotopalLattice) -> tuple[FracVec, ...]:
-    """m x m matrix P with P t = g-orthogonal projection of t onto ker M."""
-    basis = kernel_basis(lattice.matrix)
-    m = lattice.m
-    r = len(basis)
-    if r == 0:
-        zero = tuple(Fraction(0) for _ in range(m))
-        return tuple(zero for _ in range(m))
-    g = lattice.weights
-    # reduce [G | B diag(g)] to [I | G^-1 B diag(g)]; then P = B^T G^-1 B diag(g)
-    aug = [[inner_product(basis[i], basis[j], g) for j in range(r)]
-           + [basis[i][b] * g[b] for b in range(m)] for i in range(r)]
-    reduced, pivots = row_reduce(aug)
-    if pivots != list(range(r)):
-        raise InternalInvariantError("Gram matrix of a kernel basis is singular")
-    gb = [row[r:] for row in reduced]
-    rows = []
-    for a in range(m):
-        rows.append(tuple(
-            sum((basis[i][a] * gb[i][b] for i in range(r) if basis[i][a]),
-                Fraction(0))
-            for b in range(m)
-        ))
-    return tuple(rows)
+def _integral_multiple(xs: FracVec) -> tuple[list[int], int]:
+    """(d * xs, d) for d the least common denominator of xs."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
@@ -411,14 +441,28 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
 
     Returns t' in ker M with (t - t', z)_g = 0 for every kernel vector z;
     idempotent; exact.  A zero kernel projects everything to the origin.
+    With B the kernel basis and G = B diag(g) B^T its Gram matrix, one
+    elimination of [G | B diag(g) t] gives z = G^-1 B diag(g) t, and
+    t' = B^T z.  The system is set up in integers, from the integral
+    multiples a g and c t: (a G) z = B diag(a g) (c t) / c.
     """
     if len(t) != lattice.m:
         raise DimensionError(f"target length {len(t)} != coordinate count {lattice.m}")
     tv = frac_vec(t)
-    proj = _projection_matrix(lattice)
+    basis = kernel_basis(lattice.matrix)
+    r = len(basis)
+    ag, _ = _integral_multiple(lattice.weights)
+    ct, c = _integral_multiple(tv)
+    weighted = [[w * e for w, e in zip(ag, b)] for b in basis]
+    aug = [[sum(w * e for w, e in zip(wb, b) if e) for b in basis]
+           + [sum(w * x for w, x in zip(wb, ct) if w)] for wb in weighted]
+    reduced, pivots = row_reduce(aug)
+    if pivots != list(range(r)):
+        raise InternalInvariantError("Gram matrix of a kernel basis is singular")
+    z = [row[r] / c for row in reduced]
     return tuple(
-        sum(p * x for p, x in zip(row, tv) if p and x) or Fraction(0)
-        for row in proj
+        sum((zi * b[a] for zi, b in zip(z, basis) if zi and b[a]), Fraction(0))
+        for a in range(lattice.m)
     )
 
 

@@ -157,6 +157,45 @@ def test_solve_rejects_false_tu_assertion(tmp_path, capsys):
     assert "asserted totally unimodular is not" in capsys.readouterr().err
 
 
+def _incidence_problem(tu_mode):
+    """A 30-vertex cycle with three chords: 30 rows, above the exhaustive cap."""
+    arcs = [(v, (v + 1) % 30) for v in range(30)] + [(0, 15), (5, 20), (10, 25)]
+    rows = [[0] * len(arcs) for _ in range(30)]
+    for j, (tail, head) in enumerate(arcs):
+        rows[tail][j] = -1
+        rows[head][j] = 1
+    return {"m": len(arcs), "n": 30, "M": rows, "g": ["1"] * len(arcs),
+            "t": [f"{(7 * j) % 11 - 5}/{1 + j % 4}" for j in range(len(arcs))],
+            "tu_mode": tu_mode}
+
+
+def test_solve_verifies_incidence_matrix_above_the_cap(tmp_path, capsys):
+    path = tmp_path / "cycle30.json"
+    path.write_text(json.dumps(_incidence_problem("verify")), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True
+
+
+def test_check_decides_tu_above_the_cap(tmp_path, capsys):
+    path = tmp_path / "cycle30.json"
+    path.write_text(json.dumps(_incidence_problem("assert")), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["tu"] is True
+
+
+def test_solve_rejects_false_tu_assertion_above_the_cap(tmp_path, capsys):
+    # the non-TU matrix above padded with zero rows to 22: Heller-Tompkins
+    # still refutes the assertion, so the failed self-check exits 1, not 2
+    data = {"m": 3, "n": 22, "M": [[1, 0, 1], [-1, 1, 1]] + [[0, 0, 0]] * 20,
+            "g": [1, 1, 1], "t": [-8, -5, 4], "tu_mode": "assert"}
+    path = tmp_path / "bad22.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    assert "asserted totally unimodular is not" in capsys.readouterr().err
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["tu"] is False
+
+
 def test_solve_no_project_requires_span(tmp_path, capsys):
     data = dict(A2_PROBLEM, t=[1, 0, 0])
     path = tmp_path / "p.json"

@@ -8,23 +8,40 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import a2, corpus_small, triangle_digraph
+from conftest import a2, corpus_small, k4_digraph, triangle_digraph
 from zonolat import (
     DimensionError,
     InvalidInputError,
     SizeCapError,
+    a_n_lattice,
     chain,
+    cographic_lattice,
     conformal_decompose,
+    digraph,
     enumerate_primitive_chains,
+    graphic_lattice,
     incidence_matrix,
     inner_product,
     kernel_basis,
     matrix_rank,
+    obtuse_superbasis_gram,
     project_onto_span,
     support,
+    tensor_lattice,
     tu_matrix,
+    voronoi_first_kind,
 )
-from zonolat.core import ghouila_houri_ok, row_reduce
+from zonolat.core import ghouila_houri_ok, heller_tompkins, row_reduce
+
+
+def _random_connected_digraph(rng, vertices, arcs):
+    """A random spanning tree plus random extra arcs, no self-loops."""
+    out = [(rng.randrange(k), k) if rng.random() < 0.5 else (k, rng.randrange(k))
+           for k in range(1, vertices)]
+    while len(out) < arcs:
+        a, b = rng.sample(range(vertices), 2)
+        out.append((a, b))
+    return digraph(vertices, out)
 
 
 def test_inner_product_examples():
@@ -147,6 +164,41 @@ def test_project_idempotent_and_orthogonal():
                 assert inner_product(residual, b, lat.weights) == 0
 
 
+def _k5_vfk(rng):
+    gram = [[F(0)] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i + 1, 5):
+            w = F(rng.randint(1, 6), rng.randint(1, 3))
+            gram[i][j] = gram[j][i] = -w
+            gram[i][i] += w
+            gram[j][j] += w
+    return voronoi_first_kind(obtuse_superbasis_gram(gram))[0]
+
+
+def test_project_idempotent_and_orthogonal_at_benchmark_size():
+    rng = random.Random(24)
+
+    def weights(m):
+        return [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(m)]
+
+    lattices = [
+        graphic_lattice(_random_connected_digraph(rng, 12, 24), weights(24)),
+        cographic_lattice(_random_connected_digraph(rng, 9, 14), weights(14)),
+        _k5_vfk(rng),
+    ]
+    assert [lat.m for lat in lattices] == [24, 14, 10]
+    for lat in lattices:
+        basis = kernel_basis(lat.matrix)
+        assert basis
+        t = [F(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(lat.m)]
+        p = project_onto_span(t, lat)
+        assert all(s == 0 for s in lat.matrix.apply(p))
+        assert project_onto_span(p, lat) == p
+        residual = [a - b for a, b in zip(t, p)]
+        for b in basis:
+            assert inner_product(residual, b, lat.weights) == 0
+
+
 def test_project_zero_kernel_returns_zero():
     from zonolat import ZonotopalLattice
 
@@ -237,10 +289,77 @@ def test_tu_matrix_assert_mode_keeps_status():
 
 
 def test_tu_matrix_verify_cap():
-    rows = [[0] * 3 for _ in range(25)]
+    # column 0 has 25 nonzeros, so only the exhaustive check could decide
+    rows = [[1, 0, 0] for _ in range(25)]
     with pytest.raises(SizeCapError):
         tu_matrix(rows, mode="verify")
     assert tu_matrix(rows, mode="auto").tu_status == "asserted"
+
+
+def test_tu_matrix_verifies_incidence_matrix_above_the_cap():
+    # a directed path on 25 vertices: Heller-Tompkins decides at any size
+    rows = [[0] * 24 for _ in range(25)]
+    for j in range(24):
+        rows[j][j] = -1
+        rows[j + 1][j] = 1
+    assert tu_matrix(rows, mode="verify").tu_status == "verified"
+
+
+def _two_per_column_matrices(n, m):
+    """Every {-1,0,+1} n x m matrix with at most two nonzeros per column."""
+    columns = [c for c in itertools.product((-1, 0, 1), repeat=n)
+               if sum(1 for e in c if e) <= 2]
+    for cols in itertools.product(columns, repeat=m):
+        yield [[col[i] for col in cols] for i in range(n)]
+
+
+def test_heller_tompkins_matches_ghouila_houri_exhaustively():
+    sizes = [(n, m) for n in range(1, 4) for m in range(1, 4)] + [(4, 1), (4, 2)]
+    count = 0
+    for n, m in sizes:
+        for rows in _two_per_column_matrices(n, m):
+            assert heller_tompkins(rows) == ghouila_houri_ok(rows), rows
+            count += 1
+    # 3, 9, 19 and 33 admissible columns for 1, 2, 3 and 4 rows
+    assert count == (3 + 3 ** 2 + 3 ** 3) + (9 + 9 ** 2 + 9 ** 3) \
+        + (19 + 19 ** 2 + 19 ** 3) + (33 + 33 ** 2)
+
+
+def test_heller_tompkins_matches_ghouila_houri_random():
+    rng = random.Random(1956)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        m = rng.randint(1, 8)
+        rows = [[0] * m for _ in range(n)]
+        for j in range(m):
+            for i in rng.sample(range(n), min(n, rng.randint(0, 2))):
+                rows[i][j] = rng.choice((-1, 1))
+        assert heller_tompkins(rows) == ghouila_houri_ok(rows), rows
+
+
+def test_heller_tompkins_rejects_and_defers():
+    assert heller_tompkins([[1, 1], [1, -1]]) is False
+    with pytest.raises(InvalidInputError, match="not totally unimodular"):
+        tu_matrix([[1, 1], [1, -1]], mode="verify")
+    assert heller_tompkins([[1], [1], [1]]) is None
+    assert heller_tompkins([[1, 0], [-1, 1], [0, 1], [0, -1]]) is None
+    assert heller_tompkins([]) is True
+
+
+def test_families_never_run_the_exhaustive_check(monkeypatch):
+    def spy(rows):
+        raise AssertionError("ghouila_houri_ok called")
+
+    monkeypatch.setattr("zonolat.core.ghouila_houri_ok", spy)
+    assert incidence_matrix(k4_digraph()).tu_status == "verified"
+    assert a_n_lattice(3).matrix.tu_status == "verified"
+    assert tensor_lattice(2, 3).matrix.tu_status == "verified"
+
+
+def test_graphic_lattice_verified_at_33_vertices():
+    lat = graphic_lattice(_random_connected_digraph(random.Random(33), 33, 64))
+    assert (lat.matrix.n, lat.m) == (33, 64)
+    assert lat.matrix.tu_status == "verified"
 
 
 def _det(rows):
