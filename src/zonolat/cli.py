@@ -322,14 +322,17 @@ def _parse_weights(text: str | None, m: int) -> FracVec:
 
 
 def _problem_from_lattice(name: str, lattice: ZonotopalLattice) -> ProblemFile:
+    """The lattice as a problem file, "verify" only where a loader can decide M."""
+    matrix = lattice.matrix
+    decidable = heller_tompkins(matrix.entries) is not None or matrix.n <= VERIFY_ROW_CAP
     return ProblemFile(
         name=name,
         m=lattice.m,
-        n=lattice.matrix.n,
-        M=lattice.matrix.entries,
+        n=matrix.n,
+        M=matrix.entries,
         g=lattice.weights,
         t=tuple(Fraction(0) for _ in range(lattice.m)),
-        tu_mode="verify" if lattice.matrix.tu_status == "verified" else "assert",
+        tu_mode="verify" if matrix.tu_status == "verified" and decidable else "assert",
     )
 
 

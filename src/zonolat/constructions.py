@@ -171,9 +171,11 @@ def cographic_lattice(d: Digraph, g: Sequence | None = None) -> ZonotopalLattice
     """Lattice of integral cuts of d, as ker C for the fundamental-cycle
     matrix C of a deterministic spanning forest.
 
-    C has one row per non-forest arc (a network matrix, hence totally
-    unimodular) and its kernel is the orthogonal complement of the cycle
-    space; primitive chains are the signed bonds of d.
+    C has one row per non-forest arc; up to column order it is [I | N^T]
+    for the network matrix N of the forest, so it is totally unimodular
+    (Tutte 1965) and "verified" by construction at any size.  Its kernel is
+    the orthogonal complement of the cycle space; primitive chains are the
+    signed bonds of d.
     """
     weights = frac_vec(g) if g is not None else _default_weights(d)
     if len(weights) != len(d.arcs):
@@ -192,8 +194,8 @@ def cographic_lattice(d: Digraph, g: Sequence | None = None) -> ZonotopalLattice
             row[aidx] = sgn
         if any(sum(e * x for e, x in zip(vrow, row) if e) for vrow in inc):
             raise InternalInvariantError("fundamental cycle is not a circulation")
-        rows.append(row)
-    matrix = tu_matrix(rows, mode="auto", width=m)
+        rows.append(tuple(row))
+    matrix = TUMatrix(n=len(rows), m=m, entries=tuple(rows), tu_status="verified")
     return ZonotopalLattice(matrix=matrix, weights=weights)
 
 
@@ -350,8 +352,8 @@ def minor(lattice: ZonotopalLattice, delete: Sequence[int] = (),
     """Deletion and contraction of coordinate sets (disjoint, 0-based).
 
     Deletion drops the columns; contraction pivots each column to a single
-    +-1 entry (total unimodularity is preserved by pivoting) and removes
-    the pivot row together with the column.  A coordinate whose column is
+    +-1 entry and removes the pivot row with the column; both preserve TU,
+    so the minor keeps the tu_status.  A coordinate whose column is
     identically zero is free, so contraction simply drops it.
     """
     dset = set(int(i) for i in delete)
@@ -382,6 +384,7 @@ def minor(lattice: ZonotopalLattice, delete: Sequence[int] = (),
             del row[p]
         del alive[p]
     rows = [row for row in rows if any(row)]
-    matrix = tu_matrix(rows, mode="auto", width=len(alive))
+    matrix = TUMatrix(n=len(rows), m=len(alive), entries=tuple(map(tuple, rows)),
+                      tu_status=lattice.matrix.tu_status)
     weights = tuple(lattice.weights[j] for j in alive)
     return ZonotopalLattice(matrix=matrix, weights=weights)

@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
+from . import simplex
 from .errors import (
     DimensionError,
     InternalInvariantError,
@@ -167,9 +168,10 @@ def _signing_exists(sub: list[Sequence[int]], m: int) -> bool:
 class TUMatrix:
     """A {-1,0,+1} matrix together with its total-unimodularity status.
 
-    tu_status is "verified" (proved TU by Heller-Tompkins or by the
-    exhaustive Ghouila-Houri check) or "asserted" (caller vouches; only the
-    entry range is checked).
+    tu_status is "verified" (proved TU by Heller-Tompkins, by the
+    exhaustive Ghouila-Houri check, or by construction, such as the network
+    matrix of a spanning forest and its minors) or "asserted" (caller
+    vouches; only the entry range is checked).
     """
 
     n: int
@@ -204,9 +206,8 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
     mode "verify" decides TU by Heller-Tompkins when every column has at
     most two nonzeros, at any size, and otherwise by the exhaustive
     Ghouila-Houri check, which is refused above VERIFY_ROW_CAP rows.
-    "assert" trusts the caller.  "auto" verifies whenever one of the two
-    tests can decide and asserts otherwise.  `width` is required for
-    matrices with zero rows.
+    "assert" trusts the caller.  `width` is required for matrices with zero
+    rows.
     """
     entries = tuple(tuple(int(e) for e in row) for row in rows)
     n = len(entries)
@@ -218,23 +219,22 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
         m = len(entries[0])
         if width is not None and width != m:
             raise DimensionError(f"declared width {width} != row length {m}")
-    if mode not in ("verify", "assert", "auto"):
+    if mode not in ("verify", "assert"):
         raise InvalidInputError(f"unknown TU mode {mode!r}")
     status = "asserted"
-    if mode != "assert":
+    if mode == "verify":
         verdict = heller_tompkins(entries)
-        if verdict is None and n <= VERIFY_ROW_CAP:
-            verdict = ghouila_houri_ok(entries)
-        elif verdict is None and mode == "verify":
+        if verdict is None and n > VERIFY_ROW_CAP:
             raise SizeCapError(
                 f"exhaustive TU verification capped at {VERIFY_ROW_CAP} rows "
                 f"(got {n}) for a matrix with three or more nonzeros in a "
                 f"column; load with mode='assert'"
             )
-        if verdict is False:
+        if verdict is None:
+            verdict = ghouila_houri_ok(entries)
+        if not verdict:
             raise InvalidInputError("matrix is not totally unimodular")
-        if verdict:
-            status = "verified"
+        status = "verified"
     return TUMatrix(n=n, m=m, entries=entries, tu_status=status)
 
 
@@ -501,8 +501,6 @@ def conformal_decompose(v: Sequence | Chain,
 
 
 def _extract_primitive(cur: list[int], lattice: ZonotopalLattice) -> IntVec:
-    from . import simplex  # deferred: simplex has no dependency back on core
-
     supp = sorted(i for i, c in enumerate(cur) if c)
     sigma = {i: (1 if cur[i] > 0 else -1) for i in supp}
     k = len(supp)

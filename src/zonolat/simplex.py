@@ -12,9 +12,9 @@ division is exact because every entry is a subdeterminant of the data
 inside the pivot loop.  Optimality, infeasibility and unboundedness are
 decided exactly, and identical inputs always produce the identical pivot
 sequence and vertex.  fractions.Fraction appears only at the interface:
-the optimum, the vertex and the duals.  Every optimal solve also checks,
-in integers, that its vertex is feasible and that its duals prove the
-optimum.
+the optimum, the vertex and the duals, read off phase 1's artificial
+columns.  Every optimal solve also checks, in integers, that its vertex
+is feasible and that its duals prove the optimum.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import row_reduce
 from .errors import DimensionError, InternalInvariantError, InvalidInputError
 
 OPTIMAL = "optimal"
@@ -76,10 +75,12 @@ class StandardForm:
 class Tableau:
     """An optimal basis in canonical form over one common denominator.
 
-    `rows` and `rhs` are den * B^-1 A and den * B^-1 b for the basis matrix
-    B of `form`, with den = |det B| > 0, so every entry is an int.  None of
-    it depends on the objective, so it is a feasible starting basis for any
-    other objective over the same constraints.
+    `rows` and `rhs` are den * B^-1 [A | I] and den * B^-1 b for the rows
+    A, b of `form`, each negated where b_i < 0 (I holds phase 1's artificial
+    columns), and the basis matrix B of those rows, with den = |det B| > 0,
+    so every entry is an int.  None of it depends on the objective, so it
+    is a feasible starting basis for any other objective over the same
+    constraints.
     """
 
     constraints: tuple  # (A, b, upper) of the problem it solved
@@ -203,8 +204,11 @@ def _simplex_standard(c: list[int], form: StandardForm, warm: Tableau | None = N
     """Solve min c.x, A x = b, x >= 0 for the form; phase 2 starts from `warm`.
 
     The reduced-cost row is kept over the tableau's denominator too:
-    den * c_j - c_B . (den B^-1 A)_j.  Pivots replace tableau rows instead
-    of editing them, so copying the outer lists of `warm` leaves it intact.
+    den * c_j - c_B . (den B^-1 A)_j.  On the artificial columns, which
+    never enter, it reads -den c_B B^-1: den times the duals, negated, of
+    the sign-adjusted rows, and 0 for a row phase 1 dropped.  Pivots
+    replace tableau rows instead of editing them, so copying the outer
+    lists of `warm` leaves it intact.
     """
     nvar = len(c)
     if warm is None:
@@ -214,7 +218,7 @@ def _simplex_standard(c: list[int], form: StandardForm, warm: Tableau | None = N
         tab, rhs, den, basis = feasible
     else:
         tab, rhs, den, basis = list(warm.rows), list(warm.rhs), warm.den, list(warm.basis)
-    red = [den * cj for cj in c]
+    red = [den * cj for cj in c] + [0] * len(form.rhs)
     for i, bi in enumerate(basis):
         f = c[bi]
         if f:
@@ -222,14 +226,18 @@ def _simplex_standard(c: list[int], form: StandardForm, warm: Tableau | None = N
     status, den = _bland(tab, rhs, basis, red, den, nvar)
     if status == UNBOUNDED:
         return (UNBOUNDED,)
-    duals = _certify_optimal(form, c, basis, rhs, den)
+    # Y_i = -s_i red[nvar + i], with s_i = -1 where phase 1 negated row i
+    y = [r if bi < 0 else -r for bi, r in zip(form.rhs, red[nvar:])]
+    duals = _certify_optimal(form, c, basis, rhs, den, y)
     return (OPTIMAL, tab, rhs, den, basis, duals)
 
 
 def _phase_one(form: StandardForm, nvar: int):
     """A feasible basis of A x = b, x >= 0 as (rows, rhs, den, basis) in canonical form.
 
-    Redundant rows are dropped; None when the system is infeasible.
+    Rows with b_i < 0 are negated and one artificial column per row
+    follows the structural ones.  Redundant rows are dropped; None when the
+    system is infeasible.
     """
     rows = [list(r) for r in form.rows]
     rhs = list(form.rhs)
@@ -259,7 +267,7 @@ def _phase_one(form: StandardForm, nvar: int):
                 del tab[i], rhs[i], basis[i]
             else:
                 den = _pivot(tab, rhs, basis, None, den, i, enter)
-    return [row[:nvar] for row in tab], rhs, den, basis
+    return tab, rhs, den, basis
 
 
 def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
@@ -317,43 +325,30 @@ def _bland(tab, rhs, basis, red, den: int, allowed: int) -> tuple[str, int]:
         den = _pivot(tab, rhs, basis, red, den, best, enter)
 
 
-def _certify_optimal(form: StandardForm, c: list[int], basis, rhs, den: int) -> list[Fraction]:
+def _certify_optimal(form: StandardForm, c: list[int], basis, rhs, den: int,
+                     y: list[int]) -> list[Fraction]:
     """Exact optimality proof of a basic solution of the form: check it and
-    return its duals, one per row of the form.
+    return its duals y / den, one per row of the form.
 
     The solution x is rhs / den on the basic columns and 0 elsewhere.
     Primal: x >= 0 and A x == b (the upper bounds are rows of the form).
-    Dual: reducing [B^T | c_B], the basis columns next to their costs,
-    selects independent rows of A (the pivot columns) and solves for their
-    duals y; the other rows, such as those phase 1 dropped as redundant,
-    get dual 0.  Every reduced cost c_j - (A^T y)_j must be >= 0 and b.y
-    must equal c.x.  The checks compare ints, with y = Y / D over the lcm
-    D of its denominators, and each takes O(nnz A).
+    Dual: every reduced cost den * c_j - (A^T y)_j must be >= 0 and b.y
+    must equal den * c.x.  Any y that passes proves x optimal, however it
+    was computed.  The checks compare ints and each takes O(nnz A).
     """
-    rows, b, columns = form.rows, form.rhs, form.columns
-    nrows = len(rows)
+    b, columns = form.rhs, form.columns
     if den <= 0 or any(xi < 0 for xi in rhs):
         raise InternalInvariantError("primal check failed: basic solution is negative")
-    ax = [0] * nrows
+    ax = [0] * len(b)
     for bi, xi in zip(basis, rhs):
         if xi:
             for i, a in columns[bi]:
                 ax[i] += a * xi
     if any(s != bi * den for s, bi in zip(ax, b)):
         raise InternalInvariantError("primal check failed: A x != b")
-
-    reduced, pivots = row_reduce([[row[j] for row in rows] + [c[j]] for j in basis])
-    if len(pivots) < len(basis) or nrows in pivots:
-        raise InternalInvariantError("optimal basis matrix is singular")
-    duals = [Fraction(0)] * nrows
-    for i, row in zip(pivots, reduced):
-        duals[i] = row[nrows]
-    dscale = _lcm_of_denominators(duals)
-    y = [d.numerator * (dscale // d.denominator) for d in duals]
     for cj, column in zip(c, columns):
-        if dscale * cj < sum(y[i] * a for i, a in column):
+        if den * cj < sum(y[i] * a for i, a in column):
             raise InternalInvariantError("duality check failed: negative reduced cost")
-    primal = sum(c[bi] * xi for bi, xi in zip(basis, rhs))  # c.x = primal / den
-    if sum(yi * bi for yi, bi in zip(y, b)) * den != primal * dscale:
+    if sum(yi * bi for yi, bi in zip(y, b)) != sum(c[bi] * xi for bi, xi in zip(basis, rhs)):
         raise InternalInvariantError("duality check failed: objective mismatch")
-    return duals
+    return [Fraction(yi, den) for yi in y]

@@ -250,6 +250,16 @@ def test_construct_graphic_and_cographic(capsys):
     assert c["n"] == 1  # one fundamental cycle row
 
 
+def test_construct_cographic_above_the_cap_asserts(capsys):
+    # K_8 has 28 arcs and 21 fundamental cycles: the lattice is verified by
+    # construction, but a loader could not decide the file, so it asserts
+    arcs = ",".join(f"{i}-{j}" for i in range(8) for j in range(i + 1, 8))
+    assert main(["construct", "cographic", "--vertices", "8", "--arcs", arcs]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 21
+    assert out["tu_mode"] == "assert"
+
+
 def test_construct_vfk(tmp_path, capsys):
     gram = {"gram": [["1", "-1/2", "-1/2"],
                      ["-1/2", "1", "-1/2"],

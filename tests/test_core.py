@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -293,7 +294,6 @@ def test_tu_matrix_verify_cap():
     rows = [[1, 0, 0] for _ in range(25)]
     with pytest.raises(SizeCapError):
         tu_matrix(rows, mode="verify")
-    assert tu_matrix(rows, mode="auto").tu_status == "asserted"
 
 
 def test_tu_matrix_verifies_incidence_matrix_above_the_cap():
@@ -354,12 +354,28 @@ def test_families_never_run_the_exhaustive_check(monkeypatch):
     assert incidence_matrix(k4_digraph()).tu_status == "verified"
     assert a_n_lattice(3).matrix.tu_status == "verified"
     assert tensor_lattice(2, 3).matrix.tu_status == "verified"
+    assert cographic_lattice(k4_digraph()).matrix.tu_status == "verified"
+    gram = obtuse_superbasis_gram([[3, -1, -1, -1], [-1, 3, -1, -1],
+                                   [-1, -1, 3, -1], [-1, -1, -1, 3]])
+    assert voronoi_first_kind(gram)[0].matrix.tu_status == "verified"
 
 
 def test_graphic_lattice_verified_at_33_vertices():
     lat = graphic_lattice(_random_connected_digraph(random.Random(33), 33, 64))
     assert (lat.matrix.n, lat.m) == (33, 64)
     assert lat.matrix.tu_status == "verified"
+
+
+def test_cographic_lattice_verified_at_33_vertices():
+    # 32 rows, some forest arc's column with three or more nonzeros:
+    # neither Heller-Tompkins nor the capped exhaustive check could decide
+    d = _random_connected_digraph(random.Random(33), 33, 64)
+    start = time.perf_counter()
+    lat = cographic_lattice(d)
+    assert time.perf_counter() - start < 1
+    assert (lat.matrix.n, lat.m) == (32, 64)
+    assert lat.matrix.tu_status == "verified"
+    assert heller_tompkins(lat.matrix.entries) is None
 
 
 def _det(rows):

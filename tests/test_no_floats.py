@@ -1,5 +1,6 @@
-"""Static guards on the package source: no float arithmetic anywhere, and
-no cache without an integer bound on its size."""
+"""Static guards on the package source: no float arithmetic anywhere, no
+cache without an integer bound on its size, and no import of core from
+simplex."""
 
 from __future__ import annotations
 
@@ -102,3 +103,37 @@ def test_no_unbounded_caches_in_source():
            for name, tree in trees.items()
            for line, what in _cache_violations(tree, sizes)]
     assert not bad, "\n".join(bad)
+
+
+def _core_imports(tree: ast.AST) -> list[int]:
+    """Lines that import the core module or a name from it, relatively or
+    through the package."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                module = module.removeprefix("zonolat").removeprefix(".")
+            names = [module] if module else [a.name for a in node.names]
+            if "core" in names or module.startswith("core."):
+                out.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name == "zonolat.core" or a.name.startswith("zonolat.core.")
+                   for a in node.names):
+                out.append(node.lineno)
+    return out
+
+
+def test_guard_catches_core_imports():
+    code = ("from .core import row_reduce\nfrom . import core\n"
+            "from zonolat.core import TUMatrix\nimport zonolat.core\n"
+            "from zonolat import core\nfrom .errors import DimensionError\n"
+            "from . import errors\nimport math\n")
+    assert _core_imports(ast.parse(code)) == [1, 2, 3, 4, 5]
+
+
+def test_simplex_does_not_import_core():
+    # core's conformal extraction solves LPs, so simplex stays below core;
+    # its duals come off its own tableau
+    tree = ast.parse((SOURCE / "simplex.py").read_text(encoding="utf-8"))
+    assert _core_imports(tree) == []

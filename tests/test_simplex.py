@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from zonolat import (
     cvp_instance,
     lp_problem,
     simplex,
+    solve_cvp,
     solve_lp,
 )
 from zonolat.mmcc import lambda_lp
@@ -230,8 +232,9 @@ def test_random_fractional_lps_against_basis_enumeration():
 
 
 def test_integer_tableau_a2_lambda_lp():
-    # den * B^-1 A and den * B^-1 b as ints over den > 0; the rationals
-    # they stand for are the rational tableau of the same basis
+    # den * B^-1 [A | I] and den * B^-1 b as ints over den > 0; the
+    # rationals they stand for are the rational tableau of the same basis,
+    # and the artificial block is den * B^-1
     inst = _a2_instance()
     expected = {  # v: (B^-1 A, B^-1 b, basis)
         (0, 0, 0): ([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], [F(1, 2)] * 2, (0, 5)),
@@ -242,9 +245,25 @@ def test_integer_tableau_a2_lambda_lp():
         assert t.den == 2  # |det B| for B = [[1, -1], [1, 1]], both times
         assert all(type(x) is int for row in t.rows for x in row)
         assert all(type(x) is int for x in t.rhs)
-        assert [[F(x, t.den) for x in row] for row in t.rows] == rows
+        assert [[F(x, t.den) for x in row[:6]] for row in t.rows] == rows
         assert [F(x, t.den) for x in t.rhs] == rhs
         assert t.basis == basis
+        inverse = [list(row[6:]) for row in t.rows]
+        assert inverse == [[1, 1], [-1, 1]]  # den * B^-1
+        b_matrix = [[row[j] for j in basis] for row in t.form.rows]
+        assert [[sum(x * y for x, y in zip(inv_row, col)) for col in zip(*b_matrix)]
+                for inv_row in inverse] == [[t.den, 0], [0, t.den]]
+
+
+def test_negated_row_duals():
+    # min x0 s.t. -x0 + x1 = -3: phase 1 negates the row, and its dual keeps
+    # the sign of the row as given
+    p = lp_problem([1, 0], [[-1, 1]], [-3])
+    r = solve_lp(p)
+    assert r.status == OPTIMAL
+    assert r.optimum == 3 and r.vertex == (3, 0)
+    assert r.duals == (-1,)
+    _assert_duals_prove_optimum(p, r)
 
 
 def test_negative_drive_out_pivot_keeps_den_positive(monkeypatch):
@@ -271,33 +290,45 @@ def test_negative_drive_out_pivot_keeps_den_positive(monkeypatch):
     _assert_duals_prove_optimum(p, r)
 
 
+def _a2_optimum():
+    """The A_2 lambda LP at the origin with its costs scaled to ints, and
+    the integer duals Y (over den = 2) of its optimal basis (0, 5)."""
+    p = lambda_lp((0, 0, 0), _a2_instance())
+    c = [int(5 * x) for x in p.c]  # the costs have denominator 5
+    assert c == [5 * x for x in p.c]
+    r = solve_lp(p)
+    y = [int(2 * 5 * d) for d in r.duals]
+    assert y == [2 * 5 * d for d in r.duals] == [-2, -2]
+    return _standard_form(p), c, y
+
+
 @pytest.mark.parametrize("rhs", [
     [1, 2],  # 1 . x = 3/2
     [2, 0],  # M (x+ - x-) = 1
 ])
 def test_certify_optimal_rejects_infeasible_solution(rhs):
-    t = solve_lp(lambda_lp((0, 0, 0), _a2_instance())).tableau
+    form, c, y = _a2_optimum()
     with pytest.raises(InternalInvariantError, match="primal check failed: A x"):
-        _certify_optimal(t.form, [0] * 6, list(t.basis), rhs, t.den)
+        _certify_optimal(form, c, [0, 5], rhs, 2, y)
 
 
 def test_certify_optimal_rejects_suboptimal_basis():
     # x1 = x5 = 1/2 is a feasible basic solution of the A_2 lambda LP at the
-    # origin, with cost 7/10 against the optimum -1/5: column 0 prices out
-    p = lambda_lp((0, 0, 0), _a2_instance())
-    form = _standard_form(p)
-    c = [int(5 * x) for x in p.c]  # the costs have denominator 5
-    assert c == [5 * x for x in p.c]
-    _certify_optimal(form, c, [0, 5], [1, 1], 2)  # the optimal basis passes
+    # origin, with cost 7/10 against the optimum -1/5
+    form, c, y = _a2_optimum()
+    assert _certify_optimal(form, c, [0, 5], [1, 1], 2, y) == [F(-1), F(-1)]
+    with pytest.raises(InternalInvariantError, match="objective mismatch"):
+        _certify_optimal(form, c, [1, 5], [1, 1], 2, y)
+    # the basis's own duals, Y = (7, 7), price out column 0
     with pytest.raises(InternalInvariantError, match="negative reduced cost"):
-        _certify_optimal(form, c, [1, 5], [1, 1], 2)
+        _certify_optimal(form, c, [1, 5], [1, 1], 2, [7, 7])
 
 
 def test_certify_optimal_rejects_negative_solution():
     # x1 = -1 solves x0 - x1 = 1 but is not >= 0
     form = _standard_form(lp_problem([0, 0], [[1, -1]], [1]))
     with pytest.raises(InternalInvariantError, match="primal check failed: basic"):
-        _certify_optimal(form, [0, 0], [1], [-1], 1)
+        _certify_optimal(form, [0, 0], [1], [-1], 1, [0])
 
 
 def test_warm_start_from_corrupted_tableau_raises():
@@ -312,13 +343,26 @@ def test_warm_start_from_corrupted_tableau_raises():
         solve_lp(lambda_lp((1, 0, -1), _a2_instance()), start=start)
 
 
-@pytest.mark.parametrize("a, c", [
-    ([[1, 1], [2, 2]], [1, 1]),  # basis columns (1, 2) twice: singular
-    ([[1, 1]], [1, 2]),  # one row, two basis columns with unequal costs
-])
-def test_certify_optimal_rejects_bad_basis(a, c):
-    # b = A (1, 0), so x = (1, 0) passes the primal check and only the dual
-    # reconstruction can fail
-    b = [row[0] for row in a]
-    with pytest.raises(InternalInvariantError, match="singular"):
-        _certify_optimal(_standard_form(lp_problem(c, a, b)), c, [0, 1], [1, 0], 1)
+@pytest.mark.parametrize("i, step", [(0, -1), (0, 1), (1, -1), (1, 1)])
+def test_certify_optimal_rejects_tampered_duals(i, step):
+    # the optimal basis with one dual numerator off by one no longer proves
+    # the optimum
+    form, c, y = _a2_optimum()
+    y[i] += step
+    with pytest.raises(InternalInvariantError,
+                       match="negative reduced cost|objective mismatch"):
+        _certify_optimal(form, c, [0, 5], [1, 1], 2, y)
+
+
+def test_solve_cvp_never_reeliminates(monkeypatch):
+    # the duals come off the tableau: once the instance is prepared, solving
+    # it runs no Fraction elimination
+    inst = cvp_instance(a2(), (F(7, 10), F(-1, 5), F(-1, 2)))
+
+    def spy(rows):
+        raise AssertionError("row_reduce called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zonolat") and hasattr(module, "row_reduce"):
+            monkeypatch.setattr(module, "row_reduce", spy)
+    assert solve_cvp(inst).certified
