@@ -28,11 +28,11 @@ from .core import (
     VERIFY_ROW_CAP,
     FracVec,
     IntVec,
-    TUMatrix,
     ZonotopalLattice,
     heller_tompkins,
     project_onto_span,
     tu_matrix,
+    tu_verdict,
 )
 from .errors import (
     InternalInvariantError,
@@ -41,7 +41,7 @@ from .errors import (
     ZonolatError,
 )
 from .mmcc import CVPInstance, CVPSolution, cvp_instance, solve_cvp
-from .oracle import brute_force_cvp, check_tu, enumerate_primitive_chains
+from .oracle import brute_force_cvp, enumerate_primitive_chains
 
 
 class InputFormatError(ZonolatError, ValueError):
@@ -266,15 +266,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _tu_verdict(matrix: TUMatrix) -> bool | None:
-    """TU verdict by Heller-Tompkins, else by the exhaustive check within
-    VERIFY_ROW_CAP rows; None when neither can decide."""
-    verdict = heller_tompkins(matrix.entries)
-    if verdict is None and matrix.n <= VERIFY_ROW_CAP:
-        verdict = check_tu(matrix)
-    return verdict
-
-
 def _solve(instance: CVPInstance) -> CVPSolution:
     """solve_cvp, with a failed self-check on an asserted matrix blamed on
     the assertion when a TU test refutes it.
@@ -286,7 +277,7 @@ def _solve(instance: CVPInstance) -> CVPSolution:
         return solve_cvp(instance)
     except InternalInvariantError as exc:
         matrix = instance.lattice.matrix
-        if matrix.tu_status == "asserted" and _tu_verdict(matrix) is False:
+        if matrix.tu_status == "asserted" and tu_verdict(matrix.entries) is False:
             raise InvalidInputError("matrix asserted totally unimodular is not") from exc
         raise
 
@@ -393,13 +384,12 @@ def cmd_check(args) -> int:
     problem = _load_problem(args.file)
     matrix = tu_matrix(problem.M, mode="assert", width=problem.m)
     lattice = ZonotopalLattice(matrix=matrix, weights=problem.g)
-    tu_verdict = _tu_verdict(matrix)
     projected = project_onto_span(problem.t, lattice)
     payload = {
         "m": problem.m,
         "n": problem.n,
         "tu_mode": problem.tu_mode,
-        "tu": tu_verdict,
+        "tu": tu_verdict(matrix.entries),
         "rank": lattice.rank(),
         "t_in_span": tuple(projected) == problem.t,
     }

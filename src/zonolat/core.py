@@ -4,8 +4,9 @@ A lattice here is the set of integer points in the kernel of a totally
 unimodular matrix M in {-1,0,+1}^{n x m}, equipped with the weighted inner
 product (x, y)_g = sum_i g_i x_i y_i for positive rational weights g.
 
-Everything runs on `fractions.Fraction`; there are no floats and therefore
-no tolerances anywhere in this package.
+Rationals are `fractions.Fraction`; kernel bases and projections are
+eliminated fraction-free on Python ints by `simplex.eliminate`.  There are
+no floats and therefore no tolerances anywhere in this package.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
     """Exhaustive Ghouila-Houri test: every row subset admits a +-1 signing
     whose column sums all lie in {-1, 0, +1}.
 
-    Exponential in the row count.  `tu_matrix` runs it only on matrices
+    Exponential in the row count.  `tu_verdict` runs it only on matrices
     that `heller_tompkins` cannot decide, and only up to VERIFY_ROW_CAP rows.
     """
     n = len(rows)
@@ -199,13 +200,22 @@ class TUMatrix:
         )
 
 
+def tu_verdict(rows: Sequence[Sequence[int]]) -> bool | None:
+    """TU verdict by Heller-Tompkins, else by the exhaustive Ghouila-Houri
+    check within VERIFY_ROW_CAP rows; None when neither can decide."""
+    verdict = heller_tompkins(rows)
+    if verdict is None and len(rows) <= VERIFY_ROW_CAP:
+        verdict = ghouila_houri_ok(rows)
+    return verdict
+
+
 def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
               width: int | None = None) -> TUMatrix:
     """Build a TUMatrix under the given verification policy.
 
-    mode "verify" decides TU by Heller-Tompkins when every column has at
-    most two nonzeros, at any size, and otherwise by the exhaustive
-    Ghouila-Houri check, which is refused above VERIFY_ROW_CAP rows.
+    mode "verify" takes the verdict of `tu_verdict`: Heller-Tompkins at
+    any size when every column has at most two nonzeros, otherwise the
+    exhaustive check, refused above VERIFY_ROW_CAP rows (SizeCapError).
     "assert" trusts the caller.  `width` is required for matrices with zero
     rows.
     """
@@ -223,15 +233,13 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
         raise InvalidInputError(f"unknown TU mode {mode!r}")
     status = "asserted"
     if mode == "verify":
-        verdict = heller_tompkins(entries)
-        if verdict is None and n > VERIFY_ROW_CAP:
+        verdict = tu_verdict(entries)
+        if verdict is None:
             raise SizeCapError(
                 f"exhaustive TU verification capped at {VERIFY_ROW_CAP} rows "
                 f"(got {n}) for a matrix with three or more nonzeros in a "
                 f"column; load with mode='assert'"
             )
-        if verdict is None:
-            verdict = ghouila_houri_ok(entries)
         if not verdict:
             raise InvalidInputError("matrix is not totally unimodular")
         status = "verified"
@@ -336,93 +344,32 @@ def primitive_chain(coords: Sequence, lattice: ZonotopalLattice) -> PrimitiveCha
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def kernel_basis(matrix: TUMatrix) -> tuple[IntVec, ...]:
-    """integer_kernel(matrix), cached per matrix."""
-    return integer_kernel(matrix)
+    """Integral basis of ker(matrix), one vector per free column; cached.
 
-
-def integer_kernel(matrix: TUMatrix) -> tuple[IntVec, ...]:
-    """Integral basis of ker(matrix) /\\ Z^m.
-
-    Hermite-style column reduction: unimodular column operations (swap,
-    negate, add an integer multiple) tracked on an identity block.  Columns
-    of the tracking block whose image column became zero form a lattice
-    basis of the integer kernel, for any integer input matrix.
+    Read off the fraction-free reduction den * R of the matrix by
+    simplex.eliminate: the vector of a free column f has x_f = den and
+    x_p = -(den R)[i][f] at the pivot column p of row i, 0 elsewhere.  On a
+    totally unimodular matrix den = 1, so the basis restricted to the free
+    coordinates is the identity and it is a lattice basis of
+    ker(matrix) /\\ Z^m.  On an asserted matrix that is not TU den can
+    exceed 1; the vectors still span ker(matrix) over the rationals, which
+    is all that rank and projection need.
     """
-    n, m = matrix.n, matrix.m
-    acols = [list(matrix.column(j)) for j in range(m)]
-    ucols = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    c = 0
-    for i in range(n):
-        while True:
-            nz = [j for j in range(c, m) if acols[j][i] != 0]
-            if not nz:
-                break
-            if len(nz) == 1:
-                j = nz[0]
-                acols[c], acols[j] = acols[j], acols[c]
-                ucols[c], ucols[j] = ucols[j], ucols[c]
-                if acols[c][i] < 0:
-                    acols[c] = [-e for e in acols[c]]
-                    ucols[c] = [-e for e in ucols[c]]
-                c += 1
-                break
-            j0 = min(nz, key=lambda j: (abs(acols[j][i]), j))
-            p = acols[j0][i]
-            for j in nz:
-                if j == j0:
-                    continue
-                q = acols[j][i] // p
-                if q:
-                    acols[j] = [a - q * b for a, b in zip(acols[j], acols[j0])]
-                    ucols[j] = [a - q * b for a, b in zip(ucols[j], ucols[j0])]
-    basis = tuple(tuple(ucols[j]) for j in range(c, m))
-    for b in basis:
-        if any(s != 0 for s in matrix.apply(b)):
+    rows, _, pivots, den = simplex.eliminate(matrix.entries)
+    basis = []
+    for f in sorted(set(range(matrix.m)) - set(pivots)):
+        x = [0] * matrix.m
+        x[f] = den
+        for row, p in zip(rows, pivots):
+            x[p] = -row[f]
+        if any(matrix.apply(x)):
             raise InternalInvariantError("kernel basis vector fails M b = 0")
-    return basis
+        basis.append(tuple(x))
+    return tuple(basis)
 
 
 def matrix_rank(matrix: TUMatrix) -> int:
     return matrix.m - len(kernel_basis(matrix))
-
-
-# ---------------------------------------------------------------------------
-# Exact elimination over Fraction
-# ---------------------------------------------------------------------------
-
-
-def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination to reduced row echelon form over Fraction.
-
-    Every entry is converted to Fraction first, so integer input never
-    divides into floats; the input is left unmodified.  Columns are scanned
-    left to right and the first nonzero entry at or below the current row
-    is the pivot.  Returns the reduced rows (zero rows last) and the pivot
-    column of each nonzero row.
-    """
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    width = len(a[0]) if a else 0
-    for col in range(width):
-        r = len(pivots)
-        if r == len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][col]
-        if pv != 1:
-            a[r] = [x / pv for x in a[r]]
-        prow = a[r]
-        nz = [j for j, y in enumerate(prow) if y]
-        for i, row in enumerate(a):
-            f = row[col]
-            if i != r and f:
-                for j in nz:
-                    row[j] -= f * prow[j]
-        pivots.append(col)
-    return a, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +388,10 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
 
     Returns t' in ker M with (t - t', z)_g = 0 for every kernel vector z;
     idempotent; exact.  A zero kernel projects everything to the origin.
-    With B the kernel basis and G = B diag(g) B^T its Gram matrix, one
-    elimination of [G | B diag(g) t] gives z = G^-1 B diag(g) t, and
-    t' = B^T z.  The system is set up in integers, from the integral
-    multiples a g and c t: (a G) z = B diag(a g) (c t) / c.
+    With B the kernel basis and G = B diag(g) B^T its Gram matrix,
+    t' = B^T z for z = G^-1 B diag(g) t.  In integers, from the integral
+    multiples a g and c t, (a G) z = h / c with h = B diag(a g) (c t), and
+    simplex.eliminate of [a G | h] leaves den * (a G)^-1 h = den c z.
     """
     if len(t) != lattice.m:
         raise DimensionError(f"target length {len(t)} != coordinate count {lattice.m}")
@@ -454,16 +401,13 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
     ag, _ = _integral_multiple(lattice.weights)
     ct, c = _integral_multiple(tv)
     weighted = [[w * e for w, e in zip(ag, b)] for b in basis]
-    aug = [[sum(w * e for w, e in zip(wb, b) if e) for b in basis]
-           + [sum(w * x for w, x in zip(wb, ct) if w)] for wb in weighted]
-    reduced, pivots = row_reduce(aug)
+    gram = [[sum(w * e for w, e in zip(wb, b) if e) for b in basis] for wb in weighted]
+    h = [sum(w * x for w, x in zip(wb, ct) if w) for wb in weighted]
+    _, h, pivots, den = simplex.eliminate(gram, h)
     if pivots != list(range(r)):
         raise InternalInvariantError("Gram matrix of a kernel basis is singular")
-    z = [row[r] / c for row in reduced]
-    return tuple(
-        sum((zi * b[a] for zi, b in zip(z, basis) if zi and b[a]), Fraction(0))
-        for a in range(lattice.m)
-    )
+    return tuple(Fraction(sum(hi * b[a] for hi, b in zip(h, basis) if hi and b[a]), den * c)
+                 for a in range(lattice.m))
 
 
 # ---------------------------------------------------------------------------

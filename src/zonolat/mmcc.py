@@ -28,7 +28,6 @@ from .core import (
     frac_vec,
     inner_product,
     int_vec,
-    integer_kernel,
     matrix_rank,
     primitive_chain,
     project_onto_span,
@@ -271,10 +270,8 @@ def min_mean_voronoi_vector(v: Sequence, instance: CVPInstance,
 
 def _is_circuit(columns: list[int], matrix: TUMatrix) -> bool:
     """rank M[:, columns] = |columns| - 1, i.e. a one-dimensional kernel."""
-    sub = TUMatrix(n=matrix.n, m=len(columns),
-                   entries=tuple(tuple(row[j] for j in columns) for row in matrix.entries),
-                   tu_status="asserted")  # a submatrix of a TU matrix is TU
-    return len(integer_kernel(sub)) == 1
+    sub = [[row[j] for j in columns] for row in matrix.entries]
+    return len(simplex.eliminate(sub)[2]) == len(columns) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ characterization of strict Voronoi vectors, enumeration CVP with facet
 certification, cube-projection sampling for the Voronoi cell, and the
 exhaustive totally-unimodular check.  Nothing here relies on the simplex
 or on the iterative solver, so agreement between the two routes is a real
-cross-check.
+cross-check: its linear systems go through its own Fraction Gauss-Jordan
+`row_reduce`, not the solver's `simplex.eliminate`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .core import (
     kernel_basis,
     primitive_chain,
     project_onto_span,
-    row_reduce,
 )
 from .errors import (
     InternalInvariantError,
@@ -43,6 +43,45 @@ from .mmcc import CVPInstance
 ENUMERATION_CAP = 14
 #: Coefficient-box CVP enumeration is refused beyond this lattice rank.
 COEFF_BOX_CAP = 8
+
+
+# ---------------------------------------------------------------------------
+# Exact elimination over Fraction
+# ---------------------------------------------------------------------------
+
+
+def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination to reduced row echelon form over Fraction.
+
+    Every entry is converted to Fraction first, so integer input never
+    divides into floats; the input is left unmodified.  Columns are scanned
+    left to right and the first nonzero entry at or below the current row
+    is the pivot.  Returns the reduced rows (zero rows last) and the pivot
+    column of each nonzero row.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    width = len(a[0]) if a else 0
+    for col in range(width):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][col]
+        if pv != 1:
+            a[r] = [x / pv for x in a[r]]
+        prow = a[r]
+        nz = [j for j, y in enumerate(prow) if y]
+        for i, row in enumerate(a):
+            f = row[col]
+            if i != r and f:
+                for j in nz:
+                    row[j] -= f * prow[j]
+        pivots.append(col)
+    return a, pivots
 
 
 # ---------------------------------------------------------------------------

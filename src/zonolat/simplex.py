@@ -15,6 +15,9 @@ sequence and vertex.  fractions.Fraction appears only at the interface:
 the optimum, the vertex and the duals, read off phase 1's artificial
 columns.  Every optimal solve also checks, in integers, that its vertex
 is feasible and that its duals prove the optimum.
+`eliminate` runs the same pivot as a fraction-free Gauss-Jordan reduction,
+the one exact elimination of the solver: kernel bases, projections and
+circuit tests.
 """
 
 from __future__ import annotations
@@ -278,7 +281,8 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
     where y is row r and f the entry of x in column jc.  The division is
     exact: the result is a subdeterminant of the data (Cramer's rule;
     Edmonds 1967, Bareiss 1968).  A negative p (phase 1 driving out an
-    artificial) negates row r first, so the denominator stays positive.
+    artificial, or `eliminate`) negates row r first, so the denominator
+    stays positive.  `red` is None when there is no objective.
     Rows are replaced, never edited; with p == den a row whose entry f is
     0 is left as it is.
     """
@@ -298,6 +302,31 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
         red[:] = [(x * p - f * y) // den for x, y in zip(red, prow)]
     basis[r] = jc
     return p
+
+
+def eliminate(rows: Sequence[Sequence[int]], rhs: Sequence[int] | None = None):
+    """Fraction-free Gauss-Jordan elimination of [rows | rhs], in ints.
+
+    Columns are scanned left to right; the first nonzero entry at or below
+    the current row is swapped up and pivoted on by `_pivot`.  Returns den
+    times the reduced row echelon form (zero rows last) as (rows, rhs), the
+    pivot column of each nonzero row, and den, the |det| of the pivot block:
+    1 on a totally unimodular matrix.  `rhs` defaults to zeros; the input
+    is left unmodified.
+    """
+    tab = [list(row) for row in rows]
+    rhs = [0] * len(tab) if rhs is None else list(rhs)
+    basis = [None] * len(tab)  # _pivot records each pivot column here
+    den, r = 1, 0
+    for col in range(len(tab[0]) if tab else 0):
+        piv = next((i for i in range(r, len(tab)) if tab[i][col]), None)
+        if piv is None:
+            continue
+        tab[r], tab[piv] = tab[piv], tab[r]
+        rhs[r], rhs[piv] = rhs[piv], rhs[r]
+        den = _pivot(tab, rhs, basis, None, den, r, col)
+        r += 1
+    return tab, rhs, basis[:r], den
 
 
 def _bland(tab, rhs, basis, red, den: int, allowed: int) -> tuple[str, int]:

@@ -309,6 +309,19 @@ def test_check_command(capsys, a2_file):
     assert out["rank"] == 2
 
 
+def test_check_asserted_non_tu_matrix(tmp_path, capsys):
+    # its kernel basis comes off a pivot block of determinant -2 (den = 2)
+    data = {"m": 3, "n": 2, "M": [[1, 1, 0], [1, -1, 1]], "g": [1, 1, 1],
+            "t": [1, -1, -2], "tu_mode": "assert"}
+    path = tmp_path / "den2.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["tu"] is False
+    assert out["rank"] == 1
+    assert out["t_in_span"] is True
+
+
 def test_internal_error_maps_to_exit_2(monkeypatch, a2_file, capsys):
     from zonolat.errors import InternalInvariantError
 

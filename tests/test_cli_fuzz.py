@@ -1,9 +1,10 @@
 """CLI fuzzing: small generated files, well formed or not, never raise.
 
-`zonolat solve` must answer every file with exit code 0 or 1: none of them
-may report an internal error, not even one whose matrix is falsely asserted
-totally unimodular.  `zonolat construct vfk --gram` must answer with 0, 1
-or 2.  Examples are derandomized, so every run checks the same files.
+`zonolat solve` and `zonolat check` must answer every file with exit code
+0 or 1: none of them may report an internal error, not even one whose
+matrix is falsely asserted totally unimodular.  `zonolat construct vfk
+--gram` must answer with 0, 1 or 2.  Examples are derandomized, so every
+run checks the same files.
 """
 
 from __future__ import annotations
@@ -80,6 +81,14 @@ def _run(tmp_path_factory, argv_head, data) -> int:
 @given(data=problem_files())
 def test_solve_never_raises(tmp_path_factory, data):
     assert _run(tmp_path_factory, ["solve"], data) in (0, 1)
+
+
+@FUZZ
+@given(data=problem_files())
+def test_check_never_raises(tmp_path_factory, data):
+    # rank and span membership come off the kernel basis, whose denominator
+    # exceeds 1 on an asserted matrix that is not TU
+    assert _run(tmp_path_factory, ["check"], data) in (0, 1)
 
 
 @FUZZ

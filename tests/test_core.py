@@ -32,7 +32,8 @@ from zonolat import (
     tu_matrix,
     voronoi_first_kind,
 )
-from zonolat.core import ghouila_houri_ok, heller_tompkins, row_reduce
+from zonolat.core import ghouila_houri_ok, heller_tompkins
+from zonolat.oracle import row_reduce
 
 
 def _random_connected_digraph(rng, vertices, arcs):
@@ -110,32 +111,27 @@ def test_kernel_basis_sum_zero_integral_span():
 
 def test_kernel_vectors_satisfy_mx_zero():
     for lat in corpus_small():
-        for b in kernel_basis(lat.matrix):
+        basis = kernel_basis(lat.matrix)
+        for b in basis:
             assert all(s == 0 for s in lat.matrix.apply(b))
-        assert len(kernel_basis(lat.matrix)) == lat.m - matrix_rank(lat.matrix)
+        assert len(basis) == lat.m - matrix_rank(lat.matrix)
+        # restricted to the free (non-pivot) coordinates the basis is the
+        # identity, so every integer kernel vector is an integer combination
+        _, pivots = row_reduce(lat.matrix.entries)
+        free = [j for j in range(lat.m) if j not in pivots]
+        assert [[b[f] for f in free] for b in basis] == [
+            [int(i == k) for k in range(len(free))] for i in range(len(free))
+        ]
 
 
-def test_row_reduce_rank_deficient():
-    rows = [[1, 2, 3], [2, 4, 7], [3, 6, 10]]
-    reduced, pivots = row_reduce(rows)
-    assert pivots == [0, 2]
-    assert reduced == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
+def test_kernel_basis_of_asserted_non_tu_matrix():
+    # the pivot block [[1, 1], [1, -1]] has determinant -2, so den = 2: the
+    # vector still spans the rational kernel, which is all rank needs
+    from zonolat import ZonotopalLattice
 
-
-def test_row_reduce_leaves_input_unmodified():
-    rows = [[0, 2, 4], [3, 1, 1]]
-    snapshot = [list(r) for r in rows]
-    reduced, pivots = row_reduce(rows)
-    assert rows == snapshot
-    assert pivots == [0, 1]
-    assert reduced == [[1, 0, F(-1, 3)], [0, 1, 2]]
-
-
-def test_row_reduce_int_input_yields_fractions():
-    reduced, _ = row_reduce([[2, 1], [1, 3], [7, 5]])
-    assert all(type(x) is F for row in reduced for x in row)
-    assert row_reduce([[3, 1]])[0] == [[1, F(1, 3)]]
-    assert row_reduce([]) == ([], [])
+    m = tu_matrix([[1, 1, 0], [1, -1, 1]], mode="assert")
+    assert kernel_basis(m) in (((1, -1, -2),), ((-1, 1, 2),))
+    assert ZonotopalLattice(matrix=m, weights=(1, 1, 1)).rank() == 1
 
 
 def test_project_examples():
@@ -198,6 +194,39 @@ def test_project_idempotent_and_orthogonal_at_benchmark_size():
         residual = [a - b for a, b in zip(t, p)]
         for b in basis:
             assert inner_product(residual, b, lat.weights) == 0
+
+
+def _fraction_projection(t, lat):
+    """The projection B^T G^-1 B diag(g) t by the oracle's Fraction
+    Gauss-Jordan elimination."""
+    basis = kernel_basis(lat.matrix)
+    r = len(basis)
+    g = lat.weights
+    aug = [[inner_product(bi, bj, g) for bj in basis] + [inner_product(bi, t, g)]
+           for bi in basis]
+    reduced, pivots = row_reduce(aug)
+    assert pivots == list(range(r))
+    z = [row[r] for row in reduced]
+    return tuple(sum((zi * b[a] for zi, b in zip(z, basis)), F(0))
+                 for a in range(lat.m))
+
+
+def test_project_matches_fraction_elimination():
+    rng = random.Random(1009)
+
+    def weights(m):
+        return [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m)]
+
+    lattices = corpus_small() + [
+        graphic_lattice(_random_connected_digraph(rng, 12, 24), weights(24)),
+        cographic_lattice(_random_connected_digraph(rng, 9, 14), weights(14)),
+    ]
+    assert [lat.m for lat in lattices[-2:]] == [24, 14]
+    for lat in lattices:
+        for _ in range(3):
+            t = [F(rng.randint(-10**9, 10**9), rng.randint(1, 1000))
+                 for _ in range(lat.m)]
+            assert project_onto_span(t, lat) == _fraction_projection(t, lat)
 
 
 def test_project_zero_kernel_returns_zero():

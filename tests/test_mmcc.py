@@ -31,6 +31,7 @@ from zonolat import (
     tensor_lattice,
 )
 from zonolat.mmcc import (
+    _is_circuit,
     lambda_lp,
     left_derivative,
     right_derivative,
@@ -427,3 +428,14 @@ GOLDEN_COGRAPHIC_M14 = [
 def test_iteration_record_golden(build, seed, vertices, arcs, golden):
     sol = solve_cvp(_seeded_instance(build, seed, vertices, arcs))
     assert [(r.u.coords, r.step, str(r.lam), r.step_fallback) for r in sol.trace] == golden
+
+
+def test_is_circuit_on_cycles_and_forests():
+    # two disjoint directed triangles: arcs 0-2 and 3-5
+    matrix = graphic_lattice(digraph(6, [(0, 1), (1, 2), (2, 0),
+                                         (3, 4), (4, 5), (5, 3)])).matrix
+    assert _is_circuit([0, 1, 2], matrix)
+    assert _is_circuit([3, 4, 5], matrix)
+    assert not _is_circuit([0, 1, 2, 3, 4, 5], matrix)  # two cycles
+    assert not _is_circuit([0, 1, 3, 4], matrix)  # a forest
+    assert not _is_circuit([2], matrix)  # a single arc

@@ -1,6 +1,6 @@
 """Static guards on the package source: no float arithmetic anywhere, no
-cache without an integer bound on its size, and no import of core from
-simplex."""
+cache without an integer bound on its size, no import of core from
+simplex, and no import of the oracle from the solver modules."""
 
 from __future__ import annotations
 
@@ -105,20 +105,20 @@ def test_no_unbounded_caches_in_source():
     assert not bad, "\n".join(bad)
 
 
-def _core_imports(tree: ast.AST) -> list[int]:
-    """Lines that import the core module or a name from it, relatively or
-    through the package."""
+def _imports_from(tree: ast.AST, module: str) -> list[int]:
+    """Lines that import the package module `module` or a name from it,
+    relatively or through the package."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
+            source = node.module or ""
             if node.level == 0:
-                module = module.removeprefix("zonolat").removeprefix(".")
-            names = [module] if module else [a.name for a in node.names]
-            if "core" in names or module.startswith("core."):
+                source = source.removeprefix("zonolat").removeprefix(".")
+            names = [source] if source else [a.name for a in node.names]
+            if module in names or source.startswith(module + "."):
                 out.append(node.lineno)
         elif isinstance(node, ast.Import):
-            if any(a.name == "zonolat.core" or a.name.startswith("zonolat.core.")
+            if any(a.name == f"zonolat.{module}" or a.name.startswith(f"zonolat.{module}.")
                    for a in node.names):
                 out.append(node.lineno)
     return out
@@ -129,11 +129,26 @@ def test_guard_catches_core_imports():
             "from zonolat.core import TUMatrix\nimport zonolat.core\n"
             "from zonolat import core\nfrom .errors import DimensionError\n"
             "from . import errors\nimport math\n")
-    assert _core_imports(ast.parse(code)) == [1, 2, 3, 4, 5]
+    assert _imports_from(ast.parse(code), "core") == [1, 2, 3, 4, 5]
+
+
+def test_guard_catches_oracle_imports():
+    code = ("from .oracle import row_reduce\nfrom . import oracle\n"
+            "from zonolat.oracle import check_tu\nimport zonolat.oracle\n"
+            "from zonolat import oracle\nfrom .core import TUMatrix\n"
+            "from . import simplex\nimport zonolat.core\n")
+    assert _imports_from(ast.parse(code), "oracle") == [1, 2, 3, 4, 5]
 
 
 def test_simplex_does_not_import_core():
     # core's conformal extraction solves LPs, so simplex stays below core;
     # its duals come off its own tableau
     tree = ast.parse((SOURCE / "simplex.py").read_text(encoding="utf-8"))
-    assert _core_imports(tree) == []
+    assert _imports_from(tree, "core") == []
+
+
+def test_solver_does_not_import_oracle():
+    # the oracle's Fraction reference elimination stays off the solve path
+    for name in ("core", "simplex", "mmcc", "constructions"):
+        tree = ast.parse((SOURCE / f"{name}.py").read_text(encoding="utf-8"))
+        assert _imports_from(tree, "oracle") == [], name

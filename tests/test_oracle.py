@@ -30,6 +30,7 @@ from zonolat import (
     voronoi_cell,
     voronoi_relevant_count,
 )
+from zonolat.oracle import row_reduce
 
 A2_TARGET = (F(7, 10), F(-1, 5), F(-1, 2))
 
@@ -157,6 +158,29 @@ def test_check_tu():
     with pytest.raises(SizeCapError):
         check_tu([[0]] * 25)
     assert not check_tu([[2]])
+
+
+def test_row_reduce_rank_deficient():
+    rows = [[1, 2, 3], [2, 4, 7], [3, 6, 10]]
+    reduced, pivots = row_reduce(rows)
+    assert pivots == [0, 2]
+    assert reduced == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
+
+
+def test_row_reduce_leaves_input_unmodified():
+    rows = [[0, 2, 4], [3, 1, 1]]
+    snapshot = [list(r) for r in rows]
+    reduced, pivots = row_reduce(rows)
+    assert rows == snapshot
+    assert pivots == [0, 1]
+    assert reduced == [[1, 0, F(-1, 3)], [0, 1, 2]]
+
+
+def test_row_reduce_int_input_yields_fractions():
+    reduced, _ = row_reduce([[2, 1], [1, 3], [7, 5]])
+    assert all(type(x) is F for row in reduced for x in row)
+    assert row_reduce([[3, 1]])[0] == [[1, F(1, 3)]]
+    assert row_reduce([]) == ([], [])
 
 
 def test_relevant_count_weight_invariant():

@@ -21,12 +21,14 @@ from zonolat import (
     solve_lp,
 )
 from zonolat.mmcc import lambda_lp
+from zonolat.oracle import row_reduce
 from zonolat.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     _certify_optimal,
     _standard_form,
+    eliminate,
 )
 
 
@@ -355,14 +357,51 @@ def test_certify_optimal_rejects_tampered_duals(i, step):
 
 
 def test_solve_cvp_never_reeliminates(monkeypatch):
-    # the duals come off the tableau: once the instance is prepared, solving
-    # it runs no Fraction elimination
-    inst = cvp_instance(a2(), (F(7, 10), F(-1, 5), F(-1, 2)))
-
+    # the duals come off the tableau and the projection of the set-up runs on
+    # eliminate: neither preparing nor solving an instance runs a Fraction
+    # elimination
     def spy(rows):
         raise AssertionError("row_reduce called")
 
     for name, module in list(sys.modules.items()):
         if name.startswith("zonolat") and hasattr(module, "row_reduce"):
             monkeypatch.setattr(module, "row_reduce", spy)
+    inst = cvp_instance(a2(), (F(7, 10), F(-1, 5), F(-1, 2)))
     assert solve_cvp(inst).certified
+
+
+def test_eliminate_worked_example():
+    rows = [[0, 2, 4], [3, 1, 1]]
+    out, rhs, pivots, den = eliminate(rows, [2, 5])
+    assert rows == [[0, 2, 4], [3, 1, 1]]  # input unmodified
+    assert (out, rhs, pivots, den) == ([[6, 0, -2], [0, 6, 12]], [8, 6], [0, 1], 6)
+    assert eliminate([]) == ([], [], [], 1)
+    assert eliminate([[0, 0], [0, 0]])[2:] == ([], 1)
+
+
+def test_eliminate_is_den_times_the_fraction_reduction():
+    # den * RREF, on random consistent integer systems of full and deficient
+    # rank, against the oracle's Fraction Gauss-Jordan reduction; on a
+    # nonsingular square matrix den is |det|
+    rng = random.Random(31)
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        x = [rng.randint(-4, 4) for _ in range(m)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        out, b, pivots, den = eliminate(rows, rhs)
+        reduced, ref_pivots = row_reduce([r + [y] for r, y in zip(rows, rhs)])
+        assert pivots == ref_pivots
+        for i in range(n):
+            assert [F(y, den) for y in out[i] + [b[i]]] == reduced[i]
+        if n == m and len(pivots) == n:
+            assert den == abs(_det(rows))
+
+
+def _det(a):
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j] * _det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)) if a[0][j])
