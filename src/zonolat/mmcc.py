@@ -81,7 +81,6 @@ class IterationRecord:
     u: PrimitiveChain
     step: int
     distance_sq: Fraction
-    step_fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -131,9 +130,11 @@ def dual_certificate_holds(v: Sequence, y: Sequence, instance: CVPInstance) -> b
     function of the integer x, minimized at v_i, and (M^T y).(u - v) =
     y.M(u - v) = 0 for every lattice vector u (Rockafellar, Network Flows
     and Monotropic Optimization, 1984).  This holds for any integer M.
+    False when v is not an integer vector of length m or y does not have
+    one entry per row of M; lattice membership of v is not checked.
     """
     rows = instance.lattice.matrix.entries
-    if len(y) != len(rows):
+    if len(y) != len(rows) or len(v) != instance.m or any(type(a) is not int for a in v):
         return False
     mty = [Fraction(0)] * instance.m
     for y_r, row in zip(y, rows):
@@ -281,18 +282,31 @@ def _is_circuit(columns: list[int], matrix: TUMatrix) -> bool:
 
 def saturating_step(lam: Fraction, u: PrimitiveChain,
                     instance: CVPInstance) -> int:
-    """Smallest integer step making the canceled chain nonnegative-cost.
+    """Integer step D = min(ceil(lam p / 2S), 1 + floor(lam / g_max)) along u.
 
-    c(v + D u, u) = c(v, u) + 2 D sum_{supp u} g_i, so D >= lam p / (2 S)
-    with p = |supp u| and S the support weight sum saturates u; the ceiling
-    of that threshold is also an exact discrete line-search minimizer of
-    w(v + D u).  It always exists, keeps the descent strict, and preserves
-    the geometric decrease of lambda.
+    p = |supp u|, S is the weight sum and g_max the largest weight on
+    supp u.  Both terms are at least 1 when lam > 0.  The step keeps the
+    cycle-canceling invariant (Goldberg & Tarjan, JACM 1989; Karzanov &
+    McCormick, SIAM J. Comput. 1997):
+
+    - The duals y of the lambda LP at v, with bound -lam on the sum row,
+      price every arc of u at exactly -lam (complementary slackness).
+    - At v + D u the forward arc of i in supp u costs 2 D g_i more, and
+      its reverse arc costs lam - 2 (D - 1) g_i >= -lam against y; arcs
+      off supp u do not change.  So y stays feasible with bound -lam,
+      the LP optimum at v + D u is at least -lam, and lambda cannot rise.
+    - c(v + D u, u) = c(v, u) + 2 D S, so w(v + D u) - w(v) =
+      D (-lam p + (D - 1) S), negative because D - 1 < lam p / 2S: the
+      squared distance falls strictly.
+
+    The first term alone would saturate u, the exact line-search minimizer
+    of w along u; the cap can make the step shorter.  No bound on how fast
+    lambda falls is proven for this rule.
     """
     p = len(u.support)
     s = sum(instance.weights[i] for i in u.support)
-    delta = math.ceil(Fraction(lam * p, 2 * s))
-    return max(1, delta)
+    g_max = max(instance.weights[i] for i in u.support)
+    return min(math.ceil(Fraction(lam * p, 2 * s)), 1 + math.floor(lam / g_max))
 
 
 def stopping_data(instance: CVPInstance,
@@ -301,10 +315,12 @@ def stopping_data(instance: CVPInstance,
 
     K is the lcm of the denominators of g_i and of 2 g_i t_i, so K times any
     cost is an integer; any positive lambda is then at least 1/(K m), and
-    delta = 1/(2 K m) sits strictly below it.  The cap combines the
-    geometric decrease of lambda (factor 1 - 1/(2m) every m - rank(M)
-    iterations) with a safety margin; exact arithmetic stops at lambda = 0
-    long before.  `lam0` is lambda at the origin, solved here if omitted.
+    delta = 1/(2 K m) sits strictly below it.  The cap assumes a geometric
+    decrease of lambda (factor 1 - 1/(2m) every m - rank(M) iterations)
+    and adds a safety margin.  That decrease is not proven for the step of
+    saturating_step; acceptance criterion 7 tests it on a seeded corpus,
+    and a walk past the cap raises.  `lam0` is lambda at the origin,
+    solved here if omitted.
     """
     m = instance.m
     K = 1
@@ -334,15 +350,10 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
     """Walk from the origin to a closest lattice vector.
 
     Each iteration cancels a minimum mean strict Voronoi vector by the
-    saturating line-search step and solves one lambda LP at the new point,
+    step of saturating_step and solves one lambda LP at the new point,
     warm-started from the previous one; that LP's vertex is the next chain.
-    Every iteration strictly decreases the squared distance and never
-    increases lambda; both are asserted.  The saturating step minimizes w
-    along u as a whole, but on a heavy coordinate of u it can overshoot
-    until stepping that coordinate back costs less than -lambda, and
-    lambda rises (test_fallback_unit_step_regression).  A unit step never
-    does that, so the step is then retried with length one, warm-started
-    from the LP at v.
+    saturating_step proves that every step strictly decreases the squared
+    distance and never increases lambda; both are asserted.
 
     At lambda = 0 the answer is certified by the duals y of the M rows of
     the last lambda LP, the one solved at the answer: dual feasibility
@@ -367,18 +378,13 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
                 f"stopping-rule inconsistency: 0 < lambda = {lam} < 1/(K m)"
             )
         u = min_mean_voronoi_vector(v, instance, lam, vertex)
-        fallback = False
-        at_v = warm.result
         delta = saturating_step(lam, u, instance)
-        v_next, dist_next, lam_next, vertex = _attempt(v, u, delta, instance, warm)
-        if delta > 1 and (lam_next > lam or dist_next >= dist):
-            delta = 1
-            fallback = True
-            warm.result = at_v
-            v_next, dist_next, lam_next, vertex = _attempt(v, u, 1, instance, warm)
+        v_next = tuple(a + delta * b for a, b in zip(v, u.coords))
+        dist_next = instance.distance_sq(v_next)
+        lam_next, vertex = compute_lambda(v_next, instance, warm)
         if lam_next > lam:
             raise InternalInvariantError(
-                f"lambda increased from {lam} to {lam_next} at unit step"
+                f"lambda increased from {lam} to {lam_next} at step {delta}"
             )
         if dist_next >= dist:
             raise InternalInvariantError(
@@ -386,7 +392,7 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
             )
         records.append(IterationRecord(
             index=len(records) + 1, v=v_next, lam=lam, u=u, step=delta,
-            distance_sq=dist_next, step_fallback=fallback,
+            distance_sq=dist_next,
         ))
         v, dist, lam = v_next, dist_next, lam_next
     y = warm.result.duals[:instance.lattice.matrix.n]
@@ -396,11 +402,3 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
         )
     return CVPSolution(closest=v, distance_sq=dist, trace=tuple(records),
                        certified=True)
-
-
-def _attempt(v: IntVec, u: PrimitiveChain, delta: int, instance: CVPInstance,
-             warm: WarmStart) -> tuple[IntVec, Fraction, Fraction, FracVec]:
-    v_next = tuple(a + delta * b for a, b in zip(v, u.coords))
-    dist_next = instance.distance_sq(v_next)
-    lam_next, vertex = compute_lambda(v_next, instance, warm)
-    return v_next, dist_next, lam_next, vertex

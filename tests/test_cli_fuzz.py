@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zonolat.cli import main
@@ -77,8 +77,18 @@ def _run(tmp_path_factory, argv_head, data) -> int:
     return main([*argv_head, str(path)])
 
 
+#: A verified file on which the origin walk once ran past its iteration cap.
+CAP_EXCEEDED = {
+    "m": 6, "n": 2, "M": [[0, 0, 1, 1, -1, 0], [0, -1, 0, 0, -1, 1]],
+    "g": [5, "5/6", 15, 6, 1, 1],
+    "t": ["-24956/29", "5013/7", -146291, "-1684/46", 0, 0],
+    "tu_mode": "verify",
+}
+
+
 @FUZZ
 @given(data=problem_files())
+@example(data=CAP_EXCEEDED)
 def test_solve_never_raises(tmp_path_factory, data):
     assert _run(tmp_path_factory, ["solve"], data) in (0, 1)
 

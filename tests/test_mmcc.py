@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -269,8 +270,7 @@ def test_one_lp_per_iteration(monkeypatch):
     for inst in _corpus_instances():
         calls.clear()
         sol = solve_cvp(inst)
-        fallbacks = sum(r.step_fallback for r in sol.trace)
-        assert len(calls) == sol.iterations + 1 + fallbacks
+        assert len(calls) == sol.iterations + 1
         assert calls.count(True) == 1
 
 
@@ -293,9 +293,17 @@ def test_warm_lambda_lp_matches_cold_at_every_iterate():
             prev = warm
 
 
-def test_fallback_unit_step_regression():
-    # a cographic lattice (m = 13) where the saturating step at iteration 2
-    # raises lambda from 1667/168 to 445/42; the unit-step retry recovers
+def _saturating(rec, g):
+    """ceil(lam p / 2S) for the chain of an iteration record."""
+    support = rec.u.support
+    return math.ceil(rec.lam * len(support) / (2 * sum(g[i] for i in support)))
+
+
+def test_step_cap_binds_on_heavy_coordinate():
+    # a cographic lattice (m = 13) where the saturating step 3 at iteration 2
+    # would price the reverse arc of coordinate 5 (g = 6) below -lambda and
+    # raise lambda from 1667/168 to 445/42; the cap 1 + floor(lam / g_max)
+    # shortens it to 2
     from zonolat import ZonotopalLattice, tu_matrix
 
     rows = [
@@ -311,10 +319,40 @@ def test_fallback_unit_step_regression():
     lat = ZonotopalLattice(matrix=tu_matrix(rows), weights=g)
     inst = cvp_instance(lat, t, project=True)
     sol = solve_cvp(inst)
-    fallback = [r for r in sol.trace if r.step_fallback]
-    assert [r.index for r in fallback] == [2]
-    assert fallback[0].lam == F(1667, 168) and fallback[0].step == 1
+    rec = sol.trace[1]
+    assert rec.lam == F(1667, 168)
+    cap = 1 + math.floor(rec.lam / max(g[i] for i in rec.u.support))
+    assert rec.step == cap == 2 < _saturating(rec, g) == 3
     assert sol.distance_sq == inst.distance_sq(brute_force_cvp(inst))
+
+
+def test_step_keeps_duals_feasible():
+    # the invariant behind saturating_step: the duals of the LP at v, with
+    # bound -lambda, price the arcs of u at exactly -lambda and stay
+    # feasible for the LP at v + step * u
+    rng = random.Random(2)
+    records = capped = 0
+    for base in corpus_small():
+        for _ in range(3):
+            g = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(base.m)]
+            inst = cvp_instance(
+                type(base)(matrix=base.matrix, weights=g),
+                [F(rng.randint(-100, 100), rng.randint(1, 7)) for _ in range(base.m)],
+                project=True,
+            )
+            v = (0,) * inst.m
+            for rec in solve_cvp(inst).trace:
+                y = _lp_duals(v, inst) + (-rec.lam,)
+                arcs = list(rec.u.positive_part) + [inst.m + i for i in rec.u.negative_part]
+                for p, tight in ((lambda_lp(v, inst), arcs), (lambda_lp(rec.v, inst), ())):
+                    reduced = [c - sum(row[j] * y_r for row, y_r in zip(p.A, y))
+                               for j, c in enumerate(p.c)]
+                    assert all(r >= 0 for r in reduced)
+                    assert all(reduced[j] == 0 for j in tight)
+                records += 1
+                capped += rec.step < _saturating(rec, g)
+                v = rec.v
+    assert records > 50 and capped > 0
 
 
 def _lp_duals(v, inst):
@@ -368,6 +406,15 @@ def test_dual_certificate_rejects_tampered_duals():
     assert not dual_certificate_holds((0, 0, 0), y, inst)
 
 
+def test_dual_certificate_rejects_malformed_v():
+    inst = a2_instance()
+    y = _lp_duals((1, 0, -1), inst)
+    assert not dual_certificate_holds((1, 0), y, inst)
+    assert not dual_certificate_holds((1, 0, -1, 0), y, inst)
+    assert not dual_certificate_holds((1, 0, F(-1)), y, inst)
+    assert not dual_certificate_holds((1, 0, "-1"), y, inst)
+
+
 def test_solve_raises_on_wrong_duals(monkeypatch):
     solve_lp = simplex.solve_lp
 
@@ -394,30 +441,30 @@ def _seeded_instance(build, seed, vertices, arcs):
     return cvp_instance(build(d, g), t)
 
 
-#: (u.coords, step, lam, step_fallback) of every iteration, recorded from
+#: (u.coords, step, lam) of every iteration, recorded from
 #: the rational-tableau simplex.  Entering the last improving column, or
 #: breaking ratio ties by the higher basic index, changes both records.
 GOLDEN_GRAPHIC_M22 = [
-    ((-1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, -1, 0), 7, "133/6", False),
-    ((0, -1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1, 1, 0, 0, 0), 5, "17", False),
-    ((0, 0, 0, 1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0), 5, "69/5", False),
-    ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0), 3, "17/3", False),
-    ((0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, -1, 0, 0), 2, "15/4", False),
-    ((0, 1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0), 2, "11/3", False),
-    ((0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0), 1, "11/4", False),
-    ((0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0), 1, "9/4", False),
-    ((1, 0, 0, 0, 0, 0, 0, 0, 0, -1, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1), 1, "1", False),
-    ((0, -1, 0, 0, 1, -1, 0, -1, 0, 0, 0, -1, 0, 1, -1, 0, 0, 1, 0, 0, 0, 0), 1, "3/8", False),
+    ((-1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, -1, 0), 7, "133/6"),
+    ((0, -1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1, 1, 0, 0, 0), 5, "17"),
+    ((0, 0, 0, 1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0), 5, "69/5"),
+    ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0), 3, "17/3"),
+    ((0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, -1, 0, 0), 2, "15/4"),
+    ((0, 1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0), 2, "11/3"),
+    ((0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0), 1, "11/4"),
+    ((0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0), 1, "9/4"),
+    ((1, 0, 0, 0, 0, 0, 0, 0, 0, -1, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1), 1, "1"),
+    ((0, -1, 0, 0, 1, -1, 0, -1, 0, 0, 0, -1, 0, 1, -1, 0, 0, 1, 0, 0, 0, 0), 1, "3/8"),
 ]
 GOLDEN_COGRAPHIC_M14 = [
-    ((0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0), 11, "65/2", False),
-    ((1, 0, 0, -1, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0), 4, "49/4", False),
-    ((0, -1, 0, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0), 3, "23/3", False),
-    ((0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0), 2, "16/3", False),
-    ((0, 0, 1, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0, 0), 2, "4", False),
-    ((0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0), 2, "7/3", False),
-    ((0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1), 1, "1", False),
-    ((0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0), 1, "1", False),
+    ((0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0), 11, "65/2"),
+    ((1, 0, 0, -1, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0), 4, "49/4"),
+    ((0, -1, 0, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0), 3, "23/3"),
+    ((0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0), 2, "16/3"),
+    ((0, 0, 1, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0, 0), 2, "4"),
+    ((0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0), 2, "7/3"),
+    ((0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1), 1, "1"),
+    ((0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0), 1, "1"),
 ]
 
 
@@ -427,7 +474,7 @@ GOLDEN_COGRAPHIC_M14 = [
 ])
 def test_iteration_record_golden(build, seed, vertices, arcs, golden):
     sol = solve_cvp(_seeded_instance(build, seed, vertices, arcs))
-    assert [(r.u.coords, r.step, str(r.lam), r.step_fallback) for r in sol.trace] == golden
+    assert [(r.u.coords, r.step, str(r.lam)) for r in sol.trace] == golden
 
 
 def test_is_circuit_on_cycles_and_forests():
