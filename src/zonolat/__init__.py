@@ -51,6 +51,7 @@ from .mmcc import (
     dual_certificate_holds,
     left_derivative,
     min_mean_voronoi_vector,
+    proximity_start,
     right_derivative,
     saturating_step,
     solve_cvp,

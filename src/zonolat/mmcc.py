@@ -2,11 +2,13 @@
 
 Given a lattice L = ker M /\\ Z^m (M totally unimodular) with weights g and
 a target t in the span of L, the solver minimizes the separable objective
-w(v) = sum_i g_i (v_i - t_i)^2 over v in L.  Starting from the origin it
-repeatedly cancels a strict Voronoi vector of minimum mean cost until the
-progress measure lambda(v) hits zero exactly, which happens if and only if
-v is a closest lattice vector.  The duals of the last lambda LP then give
-a certificate of that, checked before the answer is returned.
+w(v) = sum_i g_i (v_i - t_i)^2 over v in L.  Starting from the origin, or
+from the closest lattice vector of the unit box around t when one box LP
+shows that start to be better, it repeatedly cancels a strict Voronoi
+vector of minimum mean cost until the progress measure lambda(v) hits zero
+exactly, which happens if and only if v is a closest lattice vector.  The
+duals of the last lambda LP then give a certificate of that, checked
+before the answer is returned.
 """
 
 from __future__ import annotations
@@ -75,10 +77,17 @@ def cvp_instance(lattice: ZonotopalLattice, target: Sequence,
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One step of solve_cvp.
+
+    `u` is None for the box step, the jump from the origin straight to
+    proximity_start's vertex `v` (then `step` is 1); every other record
+    steps from the previous iterate to `v` = previous + step * u.
+    """
+
     index: int
     v: IntVec                 # iterate after this step
     lam: Fraction             # lambda at the point the step left
-    u: PrimitiveChain
+    u: PrimitiveChain | None  # None for the box step
     step: int
     distance_sq: Fraction
 
@@ -131,10 +140,13 @@ def dual_certificate_holds(v: Sequence, y: Sequence, instance: CVPInstance) -> b
     y.M(u - v) = 0 for every lattice vector u (Rockafellar, Network Flows
     and Monotropic Optimization, 1984).  This holds for any integer M.
     False when v is not an integer vector of length m or y does not have
-    one entry per row of M; lattice membership of v is not checked.
+    one int or Fraction entry per row of M; lattice membership of v is not
+    checked.
     """
     rows = instance.lattice.matrix.entries
     if len(y) != len(rows) or len(v) != instance.m or any(type(a) is not int for a in v):
+        return False
+    if any(type(a) not in (int, Fraction) for a in y):
         return False
     mty = [Fraction(0)] * instance.m
     for y_r, row in zip(y, rows):
@@ -342,18 +354,71 @@ def stopping_data(instance: CVPInstance,
 
 
 # ---------------------------------------------------------------------------
+# Proximity start
+# ---------------------------------------------------------------------------
+
+
+def proximity_start(instance: CVPInstance) -> IntVec:
+    """The closest lattice vector in the unit box [floor t, ceil t], by one LP.
+
+    F is the set of coordinates with a non-integer t_i; off F the box fixes
+    v_i = t_i.  With v = floor(t) + z the lattice vectors of the box are
+    the integer points of {z : M[:, F] z = -M floor(t), 0 <= z <= 1}, a
+    polytope that holds t - floor(t) (M t = 0) and whose vertices are
+    integral when M is totally unimodular.  On {floor t_j, ceil t_j} the
+    term w_j is linear with slope c_j = right_derivative(j, floor t_j), so
+    w(floor t + z) = w(floor t) + c.z at every such vertex and the LP
+    min c.z gives the closest lattice vector of the box (Hochbaum &
+    Shanthikumar, J. ACM 1990, put a closest vector near t).  An integral
+    t is returned as it is.  A vertex that is not integral or not in the
+    lattice raises InternalInvariantError: M is then not TU.
+    """
+    t = instance.target
+    base = [math.floor(x) for x in t]
+    free = [j for j, x in enumerate(t) if x.denominator != 1]
+    if free:
+        rows = instance.lattice.matrix.entries
+        res = simplex.solve_lp(simplex.LPProblem(
+            c=tuple(right_derivative(j, base[j], instance) for j in free),
+            A=tuple(tuple(Fraction(row[j]) for j in free) for row in rows),
+            b=tuple(Fraction(-sum(e * x for e, x in zip(row, base) if e)) for row in rows),
+            upper=(Fraction(1),) * len(free),
+        ))
+        if res.status != simplex.OPTIMAL:
+            raise InternalInvariantError(f"box LP reported {res.status}")
+        for j, z in zip(free, res.vertex):
+            if z.denominator != 1:
+                raise InternalInvariantError(f"box LP vertex has entry {z}")
+            base[j] += z.numerator
+    v0 = tuple(base)
+    if not instance.lattice.contains(v0):
+        raise InternalInvariantError("box LP vertex is not a lattice vector")
+    return v0
+
+
+# ---------------------------------------------------------------------------
 # Main loop
 # ---------------------------------------------------------------------------
 
 
 def solve_cvp(instance: CVPInstance) -> CVPSolution:
-    """Walk from the origin to a closest lattice vector.
+    """Walk to a closest lattice vector, from the origin or from the box.
 
-    Each iteration cancels a minimum mean strict Voronoi vector by the
-    step of saturating_step and solves one lambda LP at the new point,
-    warm-started from the previous one; that LP's vertex is the next chain.
-    saturating_step proves that every step strictly decreases the squared
-    distance and never increases lambda; both are asserted.
+    The cold lambda LP is solved at the origin.  When lambda(0) >= g_max,
+    the largest weight, and proximity_start's vertex v0 is strictly closer
+    than the origin, one box step jumps to v0 (recorded with u = None and
+    lam = lambda(0)); otherwise the walk starts at the origin.  The box
+    step keeps lambda from rising: at a point of the box |v_i - t_i| < 1,
+    so every arc costs more than -g_i (c_i^+ = g_i (2 (v_i - t_i) + 1) and
+    -c_i^- = g_i (1 - 2 (v_i - t_i))), every chain's mean cost exceeds
+    -g_max, and lambda(v0) < g_max <= lambda(0).
+
+    Each iteration then cancels a minimum mean strict Voronoi vector by
+    the step of saturating_step and solves one lambda LP at the new point,
+    warm-started from the previous one (the LP at v0 from the origin's);
+    that LP's vertex is the next chain.  saturating_step proves that every
+    step strictly decreases the squared distance and never increases
+    lambda; both are asserted for every record, the box step included.
 
     At lambda = 0 the answer is certified by the duals y of the M rows of
     the last lambda LP, the one solved at the answer: dual feasibility
@@ -367,6 +432,19 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
     lam, vertex = compute_lambda(v, instance, warm)
     sd = stopping_data(instance, lam)
     records: list[IterationRecord] = []
+    if lam >= max(instance.weights):
+        v_next = proximity_start(instance)
+        dist_next = instance.distance_sq(v_next)
+        if dist_next < dist:
+            lam_next, vertex = compute_lambda(v_next, instance, warm)
+            if lam_next >= lam:
+                raise InternalInvariantError(
+                    f"box step left lambda at {lam_next} >= lambda(0) = {lam}"
+                )
+            records.append(IterationRecord(
+                index=1, v=v_next, lam=lam, u=None, step=1, distance_sq=dist_next,
+            ))
+            v, dist, lam = v_next, dist_next, lam_next
     while lam > 0:
         if len(records) >= sd.iteration_cap:
             raise InternalInvariantError(

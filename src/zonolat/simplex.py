@@ -64,7 +64,8 @@ class StandardForm:
 
     `rows` and `rhs` are `scale` times A and b, where `scale` is the lcm of
     the denominators of A, b and the bounds; each finite upper bound x_j <= u
-    adds a row x_j + s = u, scaled alike, with its own slack column s.
+    adds a row x_j + s = u, scaled alike, with its own slack column s; the
+    `slacks` bound rows and their slack columns come last.
     `columns` holds the nonzero entries (row, value) of each column.
     """
 
@@ -72,6 +73,7 @@ class StandardForm:
     rhs: tuple[int, ...]
     columns: tuple[tuple[tuple[int, int], ...], ...]
     scale: int
+    slacks: int = 0
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def _standard_form(p: LPProblem) -> StandardForm:
                     for j in range(nvar + len(ups)))
     return StandardForm(rows=tuple(map(tuple, rows)),
                         rhs=tuple(scaled(x) for x in list(p.b) + [u for _, u in ups]),
-                        columns=columns, scale=scale)
+                        columns=columns, scale=scale, slacks=len(ups))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +241,9 @@ def _phase_one(form: StandardForm, nvar: int):
     """A feasible basis of A x = b, x >= 0 as (rows, rhs, den, basis) in canonical form.
 
     Rows with b_i < 0 are negated and one artificial column per row
-    follows the structural ones.  Redundant rows are dropped; None when the
-    system is infeasible.
+    follows the structural ones; the slack of each bound row starts basic
+    in place of that row's artificial.  Redundant rows are dropped; None
+    when the system is infeasible.
     """
     rows = [list(r) for r in form.rows]
     rhs = list(form.rhs)
@@ -251,11 +254,17 @@ def _phase_one(form: StandardForm, nvar: int):
     m = len(rows)
 
     # tableau over columns [structural | artificial], artificial basis
-    # (det 1); minimize the sum of artificials
+    # (det 1); minimize the sum of artificials.  The slack column of a
+    # bound row has one nonzero, scale > 0, in that row, whose rhs is >= 0,
+    # so it replaces the row's artificial at once: one pivot that, when
+    # scale is 1, touches no other row.
     tab = [rows[i] + [int(k == i) for k in range(m)] for i in range(m)]
     basis = [nvar + i for i in range(m)]
     red = [-sum(tab[i][j] for i in range(m)) for j in range(nvar)] + [0] * m
-    status, den = _bland(tab, rhs, basis, red, 1, nvar + m)
+    den = 1
+    for k in range(1, form.slacks + 1):
+        den = _pivot(tab, rhs, basis, red, den, m - k, nvar - k)
+    status, den = _bland(tab, rhs, basis, red, den, nvar + m)
     if status != OPTIMAL:
         raise InternalInvariantError("phase-1 objective is bounded by zero")
     if any(rhs[i] for i in range(len(tab)) if basis[i] >= nvar):

@@ -146,15 +146,30 @@ def test_solve_rejects_non_tu(tmp_path, capsys):
     assert "not totally unimodular" in capsys.readouterr().err
 
 
+#: Not TU: the kernel is spanned by (1, 2, -1), not a primitive chain.
+NON_TU_M = [[1, 0, 1], [-1, 1, 1]]
+#: lambda(0) = 4/5 < max g = 1, so the walk starts at the origin, and its
+#: first chain, (1, 2, -1) rescaled, fails the solver's self-check
+NON_TU_TARGET = ["3/5", "6/5", "-3/5"]
+#: lambda(0) >= 1: the box LP's unique optimal vertex is the closest
+#: vector -4 (1, 2, -1), and the duals certify it whatever M is
+NON_TU_BOXED_TARGET = ["-19/5", "-38/5", "19/5"]
+
+
 def test_solve_rejects_false_tu_assertion(tmp_path, capsys):
-    # not TU: the kernel is spanned by (1, 2, -1).  The solver's self-check
-    # fails on it, and the exhaustive check blames the assertion: exit 1
-    data = {"m": 3, "n": 2, "M": [[1, 0, 1], [-1, 1, 1]], "g": [1, 1, 1],
-            "t": [-8, -5, 4], "tu_mode": "assert"}
+    # the failed self-check is blamed on the assertion by the exhaustive
+    # check: exit 1
+    data = {"m": 3, "n": 2, "M": NON_TU_M, "g": [1, 1, 1],
+            "t": NON_TU_TARGET, "tu_mode": "assert"}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["solve", str(path)]) == 1
     assert "asserted totally unimodular is not" in capsys.readouterr().err
+    path.write_text(json.dumps(dict(data, t=NON_TU_BOXED_TARGET)), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["closest"] == [-4, -8, 4] and out["certified"] is True
+    assert out["distance_sq"] == "6/25" and out["iterations"] == 1
 
 
 def _incidence_problem(tu_mode):
@@ -186,12 +201,15 @@ def test_check_decides_tu_above_the_cap(tmp_path, capsys):
 def test_solve_rejects_false_tu_assertion_above_the_cap(tmp_path, capsys):
     # the non-TU matrix above padded with zero rows to 22: Heller-Tompkins
     # still refutes the assertion, so the failed self-check exits 1, not 2
-    data = {"m": 3, "n": 22, "M": [[1, 0, 1], [-1, 1, 1]] + [[0, 0, 0]] * 20,
-            "g": [1, 1, 1], "t": [-8, -5, 4], "tu_mode": "assert"}
+    data = {"m": 3, "n": 22, "M": NON_TU_M + [[0, 0, 0]] * 20,
+            "g": [1, 1, 1], "t": NON_TU_TARGET, "tu_mode": "assert"}
     path = tmp_path / "bad22.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["solve", str(path)]) == 1
     assert "asserted totally unimodular is not" in capsys.readouterr().err
+    path.write_text(json.dumps(dict(data, t=NON_TU_BOXED_TARGET)), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["closest"] == [-4, -8, 4]
     assert main(["check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["tu"] is False
 

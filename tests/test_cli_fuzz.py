@@ -85,10 +85,15 @@ CAP_EXCEEDED = {
     "tu_mode": "verify",
 }
 
+#: A far target: the origin walk took one iteration per bit of it (16609).
+FAR_A2 = {"m": 3, "n": 1, "M": [[1, 1, 1]], "g": [1, 1, 1],
+          "t": ["1e5000", "0", "0"], "tu_mode": "verify"}
+
 
 @FUZZ
 @given(data=problem_files())
 @example(data=CAP_EXCEEDED)
+@example(data=FAR_A2)
 def test_solve_never_raises(tmp_path_factory, data):
     assert _run(tmp_path_factory, ["solve"], data) in (0, 1)
 

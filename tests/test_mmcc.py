@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -25,13 +26,18 @@ from zonolat import (
     graphic_lattice,
     kernel_basis,
     min_mean_voronoi_vector,
+    mmcc,
     primitive_chain,
+    proximity_start,
+    saturating_step,
     simplex,
     solve_cvp,
     stopping_data,
     tensor_lattice,
 )
 from zonolat.mmcc import (
+    IterationRecord,
+    WarmStart,
     _is_circuit,
     lambda_lp,
     left_derivative,
@@ -258,7 +264,8 @@ def _corpus_instances():
 
 
 def test_one_lp_per_iteration(monkeypatch):
-    # one cold LP at the origin, then one warm LP per step taken
+    # one cold lambda LP at the origin, one cold box LP when the box step
+    # is taken, then one warm lambda LP per record
     calls = []
     solve_lp = simplex.solve_lp
 
@@ -267,11 +274,15 @@ def test_one_lp_per_iteration(monkeypatch):
         return solve_lp(p, start)
 
     monkeypatch.setattr(simplex, "solve_lp", counting)
+    boxed = 0
     for inst in _corpus_instances():
         calls.clear()
         sol = solve_cvp(inst)
-        assert len(calls) == sol.iterations + 1
-        assert calls.count(True) == 1
+        box = bool(sol.trace) and sol.trace[0].u is None
+        boxed += box
+        assert len(calls) == 1 + box + sol.iterations
+        assert calls.count(True) == 1 + box
+    assert boxed > 0
 
 
 def test_warm_lambda_lp_matches_cold_at_every_iterate():
@@ -291,6 +302,24 @@ def test_warm_lambda_lp_matches_cold_at_every_iterate():
                 assert (F(cost(v, u_warm, inst), len(u_warm.support))
                         == F(cost(v, u_cold, inst), len(u_cold.support)))
             prev = warm
+
+
+def _origin_walk(inst):
+    """The paper's walk from the origin, with no box step: compute_lambda
+    (warm-started, as in solve_cvp), min_mean_voronoi_vector and
+    saturating_step until lambda = 0.  Returns its iteration records."""
+    warm = WarmStart()
+    v = (0,) * inst.m
+    lam, vertex = compute_lambda(v, inst, warm)
+    records = []
+    while lam > 0:
+        u = min_mean_voronoi_vector(v, inst, lam, vertex)
+        step = saturating_step(lam, u, inst)
+        v = tuple(a + step * b for a, b in zip(v, u.coords))
+        records.append(IterationRecord(index=len(records) + 1, v=v, lam=lam, u=u,
+                                       step=step, distance_sq=inst.distance_sq(v)))
+        lam, vertex = compute_lambda(v, inst, warm)
+    return records
 
 
 def _saturating(rec, g):
@@ -318,12 +347,12 @@ def test_step_cap_binds_on_heavy_coordinate():
          F(1, 2), -9, F(-16, 3)]
     lat = ZonotopalLattice(matrix=tu_matrix(rows), weights=g)
     inst = cvp_instance(lat, t, project=True)
-    sol = solve_cvp(inst)
-    rec = sol.trace[1]
+    trace = _origin_walk(inst)
+    rec = trace[1]
     assert rec.lam == F(1667, 168)
     cap = 1 + math.floor(rec.lam / max(g[i] for i in rec.u.support))
     assert rec.step == cap == 2 < _saturating(rec, g) == 3
-    assert sol.distance_sq == inst.distance_sq(brute_force_cvp(inst))
+    assert trace[-1].distance_sq == inst.distance_sq(brute_force_cvp(inst))
 
 
 def test_step_keeps_duals_feasible():
@@ -341,7 +370,7 @@ def test_step_keeps_duals_feasible():
                 project=True,
             )
             v = (0,) * inst.m
-            for rec in solve_cvp(inst).trace:
+            for rec in _origin_walk(inst):
                 y = _lp_duals(v, inst) + (-rec.lam,)
                 arcs = list(rec.u.positive_part) + [inst.m + i for i in rec.u.negative_part]
                 for p, tight in ((lambda_lp(v, inst), arcs), (lambda_lp(rec.v, inst), ())):
@@ -415,6 +444,12 @@ def test_dual_certificate_rejects_malformed_v():
     assert not dual_certificate_holds((1, 0, "-1"), y, inst)
 
 
+@pytest.mark.parametrize("entry", [None, 0.0, "x"])
+def test_dual_certificate_rejects_non_rational_entries(entry):
+    # None and 0.0 would pass as a zero dual; "x" would reach the arithmetic
+    assert not dual_certificate_holds((1, 0, -1), (entry,), a2_instance())
+
+
 def test_solve_raises_on_wrong_duals(monkeypatch):
     solve_lp = simplex.solve_lp
 
@@ -473,8 +508,8 @@ GOLDEN_COGRAPHIC_M14 = [
     (cographic_lattice, 11, 9, 14, GOLDEN_COGRAPHIC_M14),
 ])
 def test_iteration_record_golden(build, seed, vertices, arcs, golden):
-    sol = solve_cvp(_seeded_instance(build, seed, vertices, arcs))
-    assert [(r.u.coords, r.step, str(r.lam)) for r in sol.trace] == golden
+    trace = _origin_walk(_seeded_instance(build, seed, vertices, arcs))
+    assert [(r.u.coords, r.step, str(r.lam)) for r in trace] == golden
 
 
 def test_is_circuit_on_cycles_and_forests():
@@ -486,3 +521,68 @@ def test_is_circuit_on_cycles_and_forests():
     assert not _is_circuit([0, 1, 2, 3, 4, 5], matrix)  # two cycles
     assert not _is_circuit([0, 1, 3, 4], matrix)  # a forest
     assert not _is_circuit([2], matrix)  # a single arc
+
+
+def _box_instances():
+    """Targets far enough from the origin that solve_cvp takes the box step."""
+    rng = random.Random(97)
+    return [
+        cvp_instance(
+            lat,
+            [F(rng.randint(-100, 100), rng.randint(1, 7)) for _ in range(lat.m)],
+            project=True,
+        )
+        for lat in corpus_small()
+        for _ in range(2)
+    ]
+
+
+def test_proximity_start_is_closest_in_the_box():
+    for inst in _box_instances():
+        v0 = proximity_start(inst)
+        lo = [math.floor(x) for x in inst.target]
+        hi = [math.ceil(x) for x in inst.target]
+        assert all(type(a) is int for a in v0)
+        assert inst.lattice.contains(v0)
+        assert all(a <= x <= b for a, x, b in zip(lo, v0, hi))
+        box = [v for v in itertools.product(*({a, b} for a, b in zip(lo, hi)))
+               if inst.lattice.contains(v)]
+        assert inst.distance_sq(v0) == min(inst.distance_sq(v) for v in box)
+
+
+def test_proximity_start_of_integral_target_is_the_target():
+    for lat in corpus_small():
+        t = tuple(sum((-1) ** k * (k + 2) * x for k, x in enumerate(col))
+                  for col in zip(*kernel_basis(lat.matrix)))
+        assert proximity_start(cvp_instance(lat, t, project=False)) == t
+
+
+def test_box_step_is_skipped_unless_closer(monkeypatch):
+    # a start no closer than the origin is refused: the walk then starts at
+    # the origin, as the paper's does, and reaches the same distance
+    boxed = 0
+    for inst in _box_instances():
+        sol = solve_cvp(inst)
+        boxed += sol.trace[0].u is None
+        b = kernel_basis(inst.lattice.matrix)[0]
+        far = max((tuple(k * x for x in b) for k in (-100, 100)), key=inst.distance_sq)
+        for start in ((0,) * inst.m, far):
+            assert inst.distance_sq(start) >= inst.distance_sq((0,) * inst.m)
+            monkeypatch.setattr(mmcc, "proximity_start", lambda _inst, s=start: s)
+            walked = solve_cvp(inst)
+            assert all(r.u is not None for r in walked.trace)
+            assert walked.distance_sq == sol.distance_sq
+            assert walked.certified
+        monkeypatch.undo()
+    assert boxed == len(_box_instances())
+
+
+def test_far_target_solves_from_the_box():
+    # from the origin this target took 16609 iterations: each saturating
+    # step halves the one before
+    inst = cvp_instance(a2(), (10**5000, 0, 0))
+    sol = solve_cvp(inst)
+    assert sol.iterations <= 2 and sol.certified
+    assert sol.trace[0].u is None
+    assert all(abs(a - x) < 1 for a, x in zip(sol.closest, inst.target))
+    assert sol.lambda_trace()[0] == compute_lambda((0, 0, 0), inst)[0]

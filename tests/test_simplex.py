@@ -83,6 +83,24 @@ def test_upper_bound_column():
         lp_problem([-1], [], [], upper=[-1])
 
 
+def test_bound_row_slacks_start_basic(monkeypatch):
+    # each bound row's slack replaces its artificial in one pivot, so an LP
+    # whose optimum is the all-slack basis needs no further pivot
+    from zonolat import simplex
+
+    pivots = []
+    pivot = simplex._pivot
+
+    def counting(tab, rhs, basis, red, den, r, jc):
+        pivots.append(jc)
+        return pivot(tab, rhs, basis, red, den, r, jc)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    r = solve_lp(lp_problem([1, 2, F(1, 3)], [], [], upper=[3, F(1, 2), 7]))
+    assert r.status == OPTIMAL and r.optimum == 0 and r.vertex == (0, 0, 0)
+    assert pivots == [5, 4, 3]  # the slack columns, last row first
+
+
 def test_warm_start_reprices_basis():
     # same constraints, new costs: the warm solve skips phase 1 and must
     # reach the cold optimum; the start itself is left untouched
