@@ -223,6 +223,8 @@ def _load_json(path: str):
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path} is nested too deeply to parse") from exc
 
 
 def _load_problem(path: str) -> ProblemFile:
@@ -232,8 +234,11 @@ def _load_problem(path: str) -> ProblemFile:
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -451,17 +451,13 @@ def _extract_primitive(cur: list[int], lattice: ZonotopalLattice) -> IntVec:
     matrix = lattice.matrix
     # variables: y_j = sigma_j x_j for j in supp, then one slack for the
     # normalization row sum y + s = 1
-    nvar = k + 1
-    c_obj = [Fraction(-1)] * k + [Fraction(0)]
-    rows = []
-    rhs = []
-    for row in matrix.entries:
-        rows.append([Fraction(sigma[j] * row[j]) for j in supp] + [Fraction(0)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * k + [Fraction(1)])
-    rhs.append(Fraction(1))
-    upper = [Fraction(abs(cur[j])) for j in supp] + [None]
-    prob = simplex.lp_problem(c_obj, rows, rhs, upper=upper)
+    rows = tuple(tuple(sigma[j] * row[j] for j in supp) + (0,) for row in matrix.entries)
+    prob = simplex.LPProblem(
+        c=(-1,) * k + (0,),
+        A=rows + ((1,) * (k + 1),),
+        b=(0,) * matrix.n + (1,),
+        upper=tuple(abs(cur[j]) for j in supp) + (None,),
+    )
     res = simplex.solve_lp(prob)
     if res.status != simplex.OPTIMAL or res.optimum != -1:
         raise InternalInvariantError(
@@ -471,13 +467,12 @@ def _extract_primitive(cur: list[int], lattice: ZonotopalLattice) -> IntVec:
     ymax = max(ys)
     if ymax <= 0:
         raise InternalInvariantError("conformal extraction LP returned a zero vertex")
+    if any(y not in (0, ymax) for y in ys):
+        raise InternalInvariantError(
+            "conformal extraction vertex is not a rescaled primitive chain"
+        )
     out = [0] * len(cur)
     for j, y in zip(supp, ys):
-        q = y / ymax
-        if q == 1:
+        if y:
             out[j] = sigma[j]
-        elif q != 0:
-            raise InternalInvariantError(
-                "conformal extraction vertex is not a rescaled primitive chain"
-            )
     return tuple(out)

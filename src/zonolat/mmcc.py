@@ -14,7 +14,7 @@ before the answer is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -28,21 +28,29 @@ from .core import (
     TUMatrix,
     ZonotopalLattice,
     frac_vec,
-    inner_product,
     int_vec,
     matrix_rank,
     primitive_chain,
     project_onto_span,
 )
-from .errors import InternalInvariantError, InvalidInputError
+from .errors import DimensionError, InternalInvariantError, InvalidInputError
 
 
 @dataclass(frozen=True)
 class CVPInstance:
-    """A lattice plus a rational target already lying in its span."""
+    """A lattice plus a rational target already lying in its span.
+
+    K, the lcm of the denominators of g_i and 2 g_i t_i, is the one integer
+    scale of the solver: G = K g and H = 2 K g t are ints, and so is K times
+    every derivative (see _scaled_slopes).  w0 is w(0) = sum_i g_i t_i^2.
+    """
 
     lattice: ZonotopalLattice
     target: FracVec
+    K: int = field(init=False, repr=False, compare=False)
+    G: IntVec = field(init=False, repr=False, compare=False)
+    H: IntVec = field(init=False, repr=False, compare=False)
+    w0: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "target", frac_vec(self.target))
@@ -54,6 +62,17 @@ class CVPInstance:
             raise InvalidInputError(
                 "target is not in the span of the lattice; project it first"
             )
+        # g_i = p/q and t_i = a/b in lowest terms, so 2 g_i t_i = 2pa/(qb);
+        # w(0) = sum_i H_i t_i / 2K, over the lcm L of the b's
+        terms = [(g.numerator, g.denominator, t.numerator, t.denominator)
+                 for g, t in zip(self.weights, self.target)]
+        K = math.lcm(*(math.lcm(q, q * b // math.gcd(2 * p * a, q * b)) for p, q, a, b in terms))
+        H = tuple(2 * K * p * a // (q * b) for p, q, a, b in terms)
+        L = math.lcm(*(b for *_, b in terms))
+        w0 = Fraction(sum(h * a * (L // b) for h, (_, _, a, b) in zip(H, terms)), 2 * K * L)
+        for name, value in (("K", K), ("G", tuple(K // q * p for p, q, _, _ in terms)),
+                            ("H", H), ("w0", w0)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -64,8 +83,11 @@ class CVPInstance:
         return self.lattice.weights
 
     def distance_sq(self, v: Sequence) -> Fraction:
-        diff = [Fraction(a) - b for a, b in zip(v, self.target)]
-        return inner_product(diff, diff, self.weights)
+        """w(v) = w(0) + (sum_i G_i v_i^2 - H_i v_i) / K for an integer v."""
+        if len(v) != self.m:
+            raise DimensionError(f"vector length {len(v)} != coordinate count {self.m}")
+        s = sum(g * x * x - h * x for g, h, x in zip(self.G, self.H, v) if x)
+        return self.w0 + Fraction(s, self.K)
 
 
 def cvp_instance(lattice: ZonotopalLattice, target: Sequence,
@@ -110,8 +132,6 @@ class CVPSolution:
 
 @dataclass(frozen=True)
 class StoppingData:
-    K: int
-    delta: Fraction
     iteration_cap: int
 
 
@@ -120,16 +140,21 @@ class StoppingData:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_slopes(i: int, v_i: int, instance: CVPInstance) -> tuple[int, int]:
+    """(K c_i^-(v_i), K c_i^+(v_i)) = G_i (2 v_i -/+ 1) - H_i, in ints."""
+    g = instance.G[i]
+    s = 2 * g * v_i - instance.H[i]
+    return s - g, s + g
+
+
 def right_derivative(i: int, v_i: int, instance: CVPInstance) -> Fraction:
-    """w_i(v_i + 1) - w_i(v_i) = g_i (2 (v_i - t_i) + 1)."""
-    g = instance.weights[i]
-    return g * (2 * (Fraction(v_i) - instance.target[i]) + 1)
+    """c_i^+(v_i) = w_i(v_i + 1) - w_i(v_i) = g_i (2 (v_i - t_i) + 1)."""
+    return Fraction(_scaled_slopes(i, v_i, instance)[1], instance.K)
 
 
 def left_derivative(i: int, v_i: int, instance: CVPInstance) -> Fraction:
-    """w_i(v_i) - w_i(v_i - 1) = g_i (2 (v_i - t_i) - 1)."""
-    g = instance.weights[i]
-    return g * (2 * (Fraction(v_i) - instance.target[i]) - 1)
+    """c_i^-(v_i) = w_i(v_i) - w_i(v_i - 1) = g_i (2 (v_i - t_i) - 1)."""
+    return Fraction(_scaled_slopes(i, v_i, instance)[0], instance.K)
 
 
 def dual_certificate_holds(v: Sequence, y: Sequence, instance: CVPInstance) -> bool:
@@ -141,31 +166,29 @@ def dual_certificate_holds(v: Sequence, y: Sequence, instance: CVPInstance) -> b
     and Monotropic Optimization, 1984).  This holds for any integer M.
     False when v is not an integer vector of length m or y does not have
     one int or Fraction entry per row of M; lattice membership of v is not
-    checked.
+    checked.  With d the lcm of the denominators of y and Y = d y, the test
+    runs in ints: d K c_i^- <= K (M^T Y)_i <= d K c_i^+.
     """
     rows = instance.lattice.matrix.entries
-    if len(y) != len(rows) or len(v) != instance.m or any(type(a) is not int for a in v):
+    if (len(y) != len(rows) or len(v) != instance.m or any(type(a) is not int for a in v)
+            or any(type(a) not in (int, Fraction) for a in y)):
         return False
-    if any(type(a) not in (int, Fraction) for a in y):
-        return False
-    mty = [Fraction(0)] * instance.m
-    for y_r, row in zip(y, rows):
-        if y_r:
+    d = math.lcm(*(a.denominator for a in y))
+    mty = [0] * instance.m
+    for Y, row in zip((a.numerator * (d // a.denominator) for a in y), rows):
+        if Y:
             for i, e in enumerate(row):
                 if e:
-                    mty[i] += e * y_r
-    return all(left_derivative(i, v[i], instance) <= a <= right_derivative(i, v[i], instance)
-               for i, a in enumerate(mty))
+                    mty[i] += e * Y
+    slopes = (_scaled_slopes(i, x, instance) for i, x in enumerate(v))
+    return all(d * lo <= instance.K * a <= d * hi for a, (lo, hi) in zip(mty, slopes))
 
 
 def cost(v: Sequence, u: PrimitiveChain, instance: CVPInstance) -> Fraction:
     """Exact change of w when stepping from v to v + u."""
-    total = Fraction(0)
-    for i in u.positive_part:
-        total += right_derivative(i, v[i], instance)
-    for i in u.negative_part:
-        total -= left_derivative(i, v[i], instance)
-    return total
+    total = sum(_scaled_slopes(i, v[i], instance)[1] for i in u.positive_part)
+    total -= sum(_scaled_slopes(i, v[i], instance)[0] for i in u.negative_part)
+    return Fraction(total, instance.K)
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +197,18 @@ def cost(v: Sequence, u: PrimitiveChain, instance: CVPInstance) -> Fraction:
 
 
 def lambda_lp(v: Sequence, instance: CVPInstance) -> simplex.LPProblem:
-    """LP whose optimum is -lambda(v) whenever lambda(v) > 0.
+    """LP whose optimum is -K lambda(v) whenever lambda(v) > 0.
 
-    Variables are x+ then x- (m each):
-        min  sum_i c_i^+(v_i) x_i^+ - c_i^-(v_i) x_i^-
+    Variables are x+ then x- (m each), and the costs are K times the
+    derivatives, so every datum is an int:
+        min  sum_i K c_i^+(v_i) x_i^+ - K c_i^-(v_i) x_i^-
         s.t. M (x+ - x-) = 0,  sum_i (x_i^+ + x_i^-) = 1,  x+, x- >= 0.
+    Its duals are K times those of the LP in the paper's units.
     """
-    m = instance.m
-    obj = [right_derivative(i, v[i], instance) for i in range(m)]
-    obj += [-left_derivative(i, v[i], instance) for i in range(m)]
+    slopes = [_scaled_slopes(i, x, instance) for i, x in enumerate(v)]
+    obj = tuple(hi for _, hi in slopes) + tuple(-lo for lo, _ in slopes)
     A, b, upper = _lambda_constraints(instance.lattice.matrix)
-    return simplex.LPProblem(c=tuple(obj), A=A, b=b, upper=upper)
+    return simplex.LPProblem(c=obj, A=A, b=b, upper=upper)
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
@@ -194,11 +218,9 @@ def _lambda_constraints(matrix: TUMatrix) -> tuple:
     One object per matrix also makes the warm start's same-constraints
     check an identity comparison.
     """
-    rows = tuple(tuple(Fraction(e) for e in row) + tuple(Fraction(-e) for e in row)
-                 for row in matrix.entries)
-    rows += ((Fraction(1),) * (2 * matrix.m),)
-    rhs = (Fraction(0),) * matrix.n + (Fraction(1),)
-    return rows, rhs, (None,) * (2 * matrix.m)
+    rows = tuple(row + tuple(-e for e in row) for row in matrix.entries)
+    rows += ((1,) * (2 * matrix.m),)
+    return rows, (0,) * matrix.n + (1,), (None,) * (2 * matrix.m)
 
 
 @dataclass
@@ -215,7 +237,7 @@ class WarmStart:
 
 def compute_lambda(v: Sequence, instance: CVPInstance,
                    warm: WarmStart | None = None) -> tuple[Fraction, FracVec]:
-    """lambda(v) = max(0, -opt) plus the optimal LP vertex.
+    """lambda(v) = max(0, -opt / K) plus the optimal LP vertex.
 
     With `warm`, the LP starts from warm.result and its own result is
     stored there for the next call.
@@ -229,7 +251,7 @@ def compute_lambda(v: Sequence, instance: CVPInstance,
         raise InternalInvariantError(f"lambda LP reported {res.status}")
     if warm is not None:
         warm.result = res
-    lam = max(Fraction(0), -res.optimum)
+    lam = max(Fraction(0), -res.optimum / instance.K)
     return lam, res.vertex
 
 
@@ -260,15 +282,9 @@ def min_mean_voronoi_vector(v: Sequence, instance: CVPInstance,
     scale = max(abs(d) for d in diff)
     if scale == 0:
         raise InternalInvariantError("optimal LP vertex rescaled to zero")
-    coords = []
-    for d in diff:
-        q = d / scale
-        if q not in (-1, 0, 1):
-            raise InternalInvariantError(
-                "optimal LP vertex is not a rescaled primitive chain"
-            )
-        coords.append(int(q))
-    u = primitive_chain(coords, instance.lattice)
+    if any(d not in (-scale, 0, scale) for d in diff):
+        raise InternalInvariantError("optimal LP vertex is not a rescaled primitive chain")
+    u = primitive_chain([(d > 0) - (d < 0) for d in diff], instance.lattice)
     if not _is_circuit(sorted(u.support), instance.lattice.matrix):
         raise InternalInvariantError(
             f"support of {u.coords} is not a circuit: rank M[:, supp] != |supp| - 1"
@@ -323,26 +339,22 @@ def saturating_step(lam: Fraction, u: PrimitiveChain,
 
 def stopping_data(instance: CVPInstance,
                   lam0: Fraction | None = None) -> StoppingData:
-    """Integrality scale K, threshold delta, and a bug-detecting iteration cap.
+    """A bug-detecting iteration cap.
 
-    K is the lcm of the denominators of g_i and of 2 g_i t_i, so K times any
-    cost is an integer; any positive lambda is then at least 1/(K m), and
-    delta = 1/(2 K m) sits strictly below it.  The cap assumes a geometric
-    decrease of lambda (factor 1 - 1/(2m) every m - rank(M) iterations)
-    and adds a safety margin.  That decrease is not proven for the step of
+    K times any cost is an integer (see CVPInstance), so any positive
+    lambda is at least 1/(K m), and delta = 1/(2 K m) sits strictly below
+    it.  The cap assumes a geometric decrease of lambda (factor 1 - 1/(2m)
+    every m - rank(M) iterations) from lam0 down to delta and adds a
+    safety margin.  That decrease is not proven for the step of
     saturating_step; acceptance criterion 7 tests it on a seeded corpus,
     and a walk past the cap raises.  `lam0` is lambda at the origin,
     solved here if omitted.
     """
     m = instance.m
-    K = 1
-    for g, t in zip(instance.weights, instance.target):
-        K = math.lcm(K, g.denominator, (2 * g * t).denominator)
-    delta = Fraction(1, 2 * K * m)
     if lam0 is None:
         lam0, _ = compute_lambda((0,) * m, instance)
     blocks = 0
-    ratio = lam0 * 2 * K * m  # lam0 / delta
+    ratio = lam0 * 2 * instance.K * m  # lam0 / delta
     if ratio > 1:
         # (1 - 1/(2m))^(2m b) < e^-b, and ratio < 2^bits <= e^bits, so
         # 2m bits blocks bring lambda below delta
@@ -350,7 +362,7 @@ def stopping_data(instance: CVPInstance,
         blocks = 2 * m * bits
     block_len = m - matrix_rank(instance.lattice.matrix)
     cap = max(1, block_len) * blocks + m + 16
-    return StoppingData(K=K, delta=delta, iteration_cap=cap)
+    return StoppingData(iteration_cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +380,9 @@ def proximity_start(instance: CVPInstance) -> IntVec:
     integral when M is totally unimodular.  On {floor t_j, ceil t_j} the
     term w_j is linear with slope c_j = right_derivative(j, floor t_j), so
     w(floor t + z) = w(floor t) + c.z at every such vertex and the LP
-    min c.z gives the closest lattice vector of the box (Hochbaum &
-    Shanthikumar, J. ACM 1990, put a closest vector near t).  An integral
-    t is returned as it is.  A vertex that is not integral or not in the
+    min K c.z, in ints, gives the closest lattice vector of the box
+    (Hochbaum & Shanthikumar, J. ACM 1990, put a closest vector near t).
+    An integral t is returned as it is.  A vertex that is not integral or not in the
     lattice raises InternalInvariantError: M is then not TU.
     """
     t = instance.target
@@ -379,10 +391,10 @@ def proximity_start(instance: CVPInstance) -> IntVec:
     if free:
         rows = instance.lattice.matrix.entries
         res = simplex.solve_lp(simplex.LPProblem(
-            c=tuple(right_derivative(j, base[j], instance) for j in free),
-            A=tuple(tuple(Fraction(row[j]) for j in free) for row in rows),
-            b=tuple(Fraction(-sum(e * x for e, x in zip(row, base) if e)) for row in rows),
-            upper=(Fraction(1),) * len(free),
+            c=tuple(_scaled_slopes(j, base[j], instance)[1] for j in free),
+            A=tuple(tuple(row[j] for j in free) for row in rows),
+            b=tuple(-sum(e * x for e, x in zip(row, base) if e) for row in rows),
+            upper=(1,) * len(free),
         ))
         if res.status != simplex.OPTIMAL:
             raise InternalInvariantError(f"box LP reported {res.status}")
@@ -421,9 +433,9 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
     lambda; both are asserted for every record, the box step included.
 
     At lambda = 0 the answer is certified by the duals y of the M rows of
-    the last lambda LP, the one solved at the answer: dual feasibility
-    reads c_i^- + opt <= (M^T y)_i <= c_i^+ - opt with opt >= 0, so
-    dual_certificate_holds(v, y) must hold, and a failure is a bug.
+    the last lambda LP, the one solved at the answer, over K: dual
+    feasibility reads c_i^- + opt <= (M^T y)_i <= c_i^+ - opt with opt >= 0,
+    so dual_certificate_holds(v, y) must hold, and a failure is a bug.
     """
     m = instance.m
     warm = WarmStart()
@@ -450,7 +462,7 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
             raise InternalInvariantError(
                 f"iteration cap {sd.iteration_cap} exceeded; lambda = {lam}"
             )
-        if lam * sd.K * m < 1:
+        if lam * instance.K * m < 1:
             # positive lambda below 1/(K m) contradicts K-integrality of costs
             raise InternalInvariantError(
                 f"stopping-rule inconsistency: 0 < lambda = {lam} < 1/(K m)"
@@ -473,7 +485,7 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
             distance_sq=dist_next,
         ))
         v, dist, lam = v_next, dist_next, lam_next
-    y = warm.result.duals[:instance.lattice.matrix.n]
+    y = tuple(d / instance.K for d in warm.result.duals[:instance.lattice.matrix.n])
     if not dual_certificate_holds(v, y, instance):
         raise InternalInvariantError(
             "lambda reached zero but the duals of its LP do not certify the answer"

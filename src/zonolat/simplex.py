@@ -1,13 +1,12 @@
 """Exact two-phase simplex with Bland's rule on an integer-preserving tableau.
 
 Minimizes c.x subject to equality constraints A x = b, x >= 0 and
-per-variable upper bounds of +infinity or a finite rational.  A and b are
-multiplied by one positive integer and c by another, which makes every
-datum a Python int and changes no pivot choice.  The tableau then holds
-den * B^-1 A and den * B^-1 b over one positive common denominator
-den = |det B| of the basis matrix B, so all its entries are ints: a pivot
-multiplies and subtracts and then divides by the old den, and that
-division is exact because every entry is a subdeterminant of the data
+per-variable upper bounds of +infinity or a finite integer; every datum is
+a Python int, and callers with rational data clear its denominators first.
+The tableau holds den * B^-1 A and den * B^-1 b over one positive common
+denominator den = |det B| of the basis matrix B, so all its entries are
+ints: a pivot multiplies and subtracts and then divides by the old den, and
+that division is exact because every entry is a subdeterminant of the data
 (Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  No gcd is taken
 inside the pivot loop.  Optimality, infeasibility and unboundedness are
 decided exactly, and identical inputs always produce the identical pivot
@@ -22,9 +21,9 @@ circuit tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, InternalInvariantError, InvalidInputError
@@ -36,15 +35,15 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LPProblem:
-    """min c.x  s.t.  A x = b,  0 <= x <= upper.
+    """min c.x  s.t.  A x = b,  0 <= x <= upper, over ints.
 
-    upper entries are a finite Fraction or None (+infinity).
+    upper entries are a finite int or None (+infinity).
     """
 
-    c: tuple[Fraction, ...]
-    A: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
-    upper: tuple[Fraction | None, ...]
+    c: tuple[int, ...]
+    A: tuple[tuple[int, ...], ...]
+    b: tuple[int, ...]
+    upper: tuple[int | None, ...]
 
     def __post_init__(self):
         n = len(self.c)
@@ -54,25 +53,26 @@ class LPProblem:
             raise DimensionError("right-hand side length does not match row count")
         if len(self.upper) != n:
             raise DimensionError("bound vector must match the variable count")
-        if any(up is not None and up < 0 for up in self.upper):
+        finite = [up for up in self.upper if up is not None]
+        if not set(map(type, chain(self.c, self.b, finite, *self.A))) <= {int}:
+            raise InvalidInputError("LP data must be ints")
+        if any(up < 0 for up in finite):
             raise InvalidInputError("upper bound below lower bound 0")
 
 
 @dataclass(frozen=True)
 class StandardForm:
-    """The constraints of an LPProblem as min c.y, A y = b, y >= 0, in ints.
+    """The constraints of an LPProblem as min c.y, A y = b, y >= 0.
 
-    `rows` and `rhs` are `scale` times A and b, where `scale` is the lcm of
-    the denominators of A, b and the bounds; each finite upper bound x_j <= u
-    adds a row x_j + s = u, scaled alike, with its own slack column s; the
-    `slacks` bound rows and their slack columns come last.
-    `columns` holds the nonzero entries (row, value) of each column.
+    `rows` and `rhs` are A and b; each finite upper bound x_j <= u adds a
+    row x_j + s = u with its own slack column s; the `slacks` bound rows and
+    their slack columns come last.  `columns` holds the nonzero entries
+    (row, value) of each column.
     """
 
     rows: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
     columns: tuple[tuple[tuple[int, int], ...], ...]
-    scale: int
     slacks: int = 0
 
 
@@ -112,13 +112,20 @@ class LPResult:
 
 def lp_problem(c: Iterable, A: Iterable[Iterable], b: Iterable,
                upper: Sequence | None = None) -> LPProblem:
-    """Convenience constructor; the default is no upper bounds."""
-    cv = tuple(Fraction(x) for x in c)
-    av = tuple(tuple(Fraction(x) for x in row) for row in A)
-    bv = tuple(Fraction(x) for x in b)
-    upv = (tuple(None if x is None else Fraction(x) for x in upper)
+    """Convenience constructor; the default is no upper bounds.  Integral
+    ints and Fractions become ints; any other entry raises InvalidInputError."""
+    cv = tuple(map(_integer, c))
+    av = tuple(tuple(map(_integer, row)) for row in A)
+    bv = tuple(map(_integer, b))
+    upv = (tuple(None if x is None else _integer(x) for x in upper)
            if upper is not None else (None,) * len(cv))
     return LPProblem(c=cv, A=av, b=bv, upper=upv)
+
+
+def _integer(x) -> int:
+    if isinstance(x, (int, Fraction)) and int(x) == x:
+        return int(x)
+    raise InvalidInputError(f"LP data must be integral, got {x!r}")
 
 
 def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
@@ -127,7 +134,7 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     `start` is an optimal result of an earlier solve with the same A, b and
     bounds.  Its final tableau stays primal feasible whatever the objective,
     so phase 1 is skipped and phase 2 reprices that basis for p.c; the
-    scaled constraints it carries are reused.  The start is read, never
+    standard form it carries is reused.  The start is read, never
     modified, so one result can seed several solves.
     """
     constraints = (p.A, p.b, p.upper)
@@ -141,9 +148,7 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
             )
         warm = start.tableau
         form = warm.form
-    cscale = _lcm_of_denominators(p.c)
-    c = [x.numerator * (cscale // x.denominator) for x in p.c]
-    c += [0] * (len(form.columns) - len(c))
+    c = list(p.c) + [0] * form.slacks
     res = _simplex_standard(c, form, warm)
     if res[0] != OPTIMAL:
         return LPResult(status=res[0], optimum=None, vertex=None)
@@ -152,13 +157,11 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     for bi, xi in zip(basis, rhs):
         if bi < len(x):
             x[bi] = Fraction(xi, den)
-    opt = Fraction(sum(c[bi] * xi for bi, xi in zip(basis, rhs)), den * cscale)
-    # the form's duals price scale * A against cscale * c
-    unscale = Fraction(form.scale, cscale)
+    opt = Fraction(sum(c[bi] * xi for bi, xi in zip(basis, rhs)), den)
     tableau = Tableau(constraints=constraints, form=form, rows=tuple(map(tuple, tab)),
                       rhs=tuple(rhs), den=den, basis=tuple(basis))
     return LPResult(status=OPTIMAL, optimum=opt, vertex=tuple(x), tableau=tableau,
-                    duals=tuple(y * unscale for y in duals[:len(p.A)]))
+                    duals=tuple(duals[:len(p.A)]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,38 +169,22 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
 # ---------------------------------------------------------------------------
 
 
-def _lcm_of_denominators(values: Iterable) -> int:
-    return math.lcm(*(x.denominator for x in values))
-
-
 def _standard_form(p: LPProblem) -> StandardForm:
-    """Rewrite the constraints of p as A y = b, y >= 0 over the ints.
+    """Rewrite the constraints of p as A y = b, y >= 0.
 
     The columns of p come first, in order, then one slack per finite upper
-    bound.  Every row is multiplied by the same positive integer: that
-    leaves B^-1 A and B^-1 b of every structural basis unchanged, and in
-    phase 1 it only rescales the artificial variables and their objective
-    by that integer, so every pivot choice stays the same.
+    bound.
     """
     nvar = len(p.c)
     ups = [(j, u) for j, u in enumerate(p.upper) if u is not None]
-    scale = math.lcm(_lcm_of_denominators(p.b), _lcm_of_denominators(u for _, u in ups),
-                     *(_lcm_of_denominators(row) for row in p.A))
-
-    def scaled(x) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    zeros = [0] * len(ups)
-    rows = [[scaled(x) for x in row] + zeros for row in p.A]
-    for k, (j, _u) in enumerate(ups):
-        row = [0] * (nvar + len(ups))
-        row[j] = row[nvar + k] = scale
-        rows.append(row)
+    width = nvar + len(ups)
+    rows = [list(row) + [0] * len(ups) for row in p.A]
+    rows += [[int(i in (j, nvar + k)) for i in range(width)] for k, (j, _) in enumerate(ups)]
     columns = tuple(tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
-                    for j in range(nvar + len(ups)))
+                    for j in range(width))
     return StandardForm(rows=tuple(map(tuple, rows)),
-                        rhs=tuple(scaled(x) for x in list(p.b) + [u for _, u in ups]),
-                        columns=columns, scale=scale, slacks=len(ups))
+                        rhs=tuple(p.b) + tuple(u for _, u in ups),
+                        columns=columns, slacks=len(ups))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +242,9 @@ def _phase_one(form: StandardForm, nvar: int):
 
     # tableau over columns [structural | artificial], artificial basis
     # (det 1); minimize the sum of artificials.  The slack column of a
-    # bound row has one nonzero, scale > 0, in that row, whose rhs is >= 0,
-    # so it replaces the row's artificial at once: one pivot that, when
-    # scale is 1, touches no other row.
+    # bound row has one nonzero, 1, in that row, whose rhs is >= 0, so it
+    # replaces the row's artificial at once: one pivot that touches no
+    # other row.
     tab = [rows[i] + [int(k == i) for k in range(m)] for i in range(m)]
     basis = [nvar + i for i in range(m)]
     red = [-sum(tab[i][j] for i in range(m)) for j in range(nvar)] + [0] * m

@@ -238,6 +238,27 @@ def test_malformed_json(tmp_path, capsys):
     assert main(["solve", str(path)]) == 1
 
 
+@pytest.mark.parametrize("command", [["solve"], ["check"], ["construct", "vfk", "--gram"]])
+def test_deeply_nested_json(tmp_path, capsys, command):
+    # the json decoder recurses once per level and gives up with RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(command + [str(path)]) == 1
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_solve_trace_to_directory(tmp_path, a2_file, capsys):
+    assert main(["solve", a2_file, "--trace", str(tmp_path)]) == 1
+    assert f"error: cannot write {tmp_path}" in capsys.readouterr().err
+
+
+def test_construct_output_in_missing_directory(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert main(["construct", "an", "--n", "2", "-o", str(path)]) == 1
+    assert f"error: cannot write {path}" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_construct_an(capsys):
     assert main(["construct", "an", "--n", "2"]) == 0
     out = json.loads(capsys.readouterr().out)

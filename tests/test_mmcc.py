@@ -104,6 +104,38 @@ def test_cost_identity_random():
             assert inst.distance_sq(vu) - inst.distance_sq(v) == cost(v, u, inst)
 
 
+def test_integer_scale_matches_rational_formulas():
+    # the instance's ints K, G, H against the paper's rational formulas,
+    # over random weights, targets and integer points
+    rng = random.Random(11)
+    checked = 0
+    for base in corpus_small():
+        chains = enumerate_primitive_chains(base)
+        for _ in range(4):
+            g = [F(rng.randint(1, 40), rng.randint(1, 12)) for _ in range(base.m)]
+            lat = type(base)(matrix=base.matrix, weights=g)
+            inst = cvp_instance(
+                lat, [F(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(lat.m)],
+                project=True,
+            )
+            t = inst.target
+            assert inst.K == math.lcm(*(x.denominator for x in g),
+                                      *((2 * gi * ti).denominator for gi, ti in zip(g, t)))
+            for _ in range(5):
+                v = [rng.randint(-9, 9) for _ in range(lat.m)]
+                assert inst.distance_sq(v) == sum(gi * (vi - ti) ** 2
+                                                  for gi, vi, ti in zip(g, v, t))
+                for i in range(lat.m):
+                    assert right_derivative(i, v[i], inst) == g[i] * (2 * (v[i] - t[i]) + 1)
+                    assert left_derivative(i, v[i], inst) == g[i] * (2 * (v[i] - t[i]) - 1)
+                for u in chains[:6]:
+                    vu = [a + b for a, b in zip(v, u.coords)]
+                    assert cost(v, u, inst) == sum(
+                        gi * ((a - ti) ** 2 - (b - ti) ** 2) for gi, a, b, ti in zip(g, vu, v, t))
+                checked += 1
+    assert checked > 50
+
+
 def test_compute_lambda_examples():
     inst = a2_instance()
     lam0, _ = compute_lambda((0, 0, 0), inst)
@@ -182,15 +214,16 @@ def test_min_mean_tie_is_deterministic_minimizer():
 
 def test_stopping_data_k_values():
     integer = cvp_instance(a2(), (2, -1, -1), project=False)
-    assert stopping_data(integer).K == 1
+    assert integer.K == 1
     halves = cvp_instance(a2((F(1, 2), F(1, 2), F(1, 2))), (2, -1, -1),
                           project=False)
-    assert stopping_data(halves).K == 2
+    assert halves.K == 2
     # K is the lcm of the denominators of g_i and of 2 g_i t_i:
     # here 2 t = (7/5, -2/5, -1) and g = 1, so K = 5
-    sd = stopping_data(a2_instance())
-    assert sd.K == 5
-    assert sd.delta == F(1, 2 * 5 * 3)
+    inst = a2_instance()
+    assert inst.K == 5
+    assert (inst.G, inst.H) == ((5, 5, 5), (7, -2, -5))
+    assert stopping_data(inst).iteration_cap > 0
 
 
 def test_solve_cvp_worked_a2():
@@ -294,7 +327,7 @@ def test_warm_lambda_lp_matches_cold_at_every_iterate():
             cold = simplex.solve_lp(p)
             warm = simplex.solve_lp(p, start=prev or cold)
             assert warm.optimum == cold.optimum
-            lam = max(F(0), -cold.optimum)
+            lam = max(F(0), -cold.optimum / inst.K)
             if lam > 0:
                 # extraction asserts the circuit and the mean -lam itself
                 u_warm = min_mean_voronoi_vector(v, inst, lam, warm.vertex)
@@ -374,7 +407,8 @@ def test_step_keeps_duals_feasible():
                 y = _lp_duals(v, inst) + (-rec.lam,)
                 arcs = list(rec.u.positive_part) + [inst.m + i for i in rec.u.negative_part]
                 for p, tight in ((lambda_lp(v, inst), arcs), (lambda_lp(rec.v, inst), ())):
-                    reduced = [c - sum(row[j] * y_r for row, y_r in zip(p.A, y))
+                    # p.c is K times the costs
+                    reduced = [c - inst.K * sum(row[j] * y_r for row, y_r in zip(p.A, y))
                                for j, c in enumerate(p.c)]
                     assert all(r >= 0 for r in reduced)
                     assert all(reduced[j] == 0 for j in tight)
@@ -385,8 +419,10 @@ def test_step_keeps_duals_feasible():
 
 
 def _lp_duals(v, inst):
-    """Duals of the M rows of the cold lambda LP at v."""
-    return simplex.solve_lp(lambda_lp(v, inst)).duals[:inst.lattice.matrix.n]
+    """Duals of the M rows of the cold lambda LP at v, in the units of the
+    costs: the LP's own are K times larger."""
+    duals = simplex.solve_lp(lambda_lp(v, inst)).duals[:inst.lattice.matrix.n]
+    return tuple(y / inst.K for y in duals)
 
 
 def test_every_answer_certified_and_agrees_with_facets():

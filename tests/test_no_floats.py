@@ -1,6 +1,7 @@
 """Static guards on the package source: no float arithmetic anywhere, no
 cache without an integer bound on its size, no import of core from
-simplex, and no import of the oracle from the solver modules."""
+simplex, no rescaling inside simplex, and no import of the oracle from the
+solver modules."""
 
 from __future__ import annotations
 
@@ -145,6 +146,33 @@ def test_simplex_does_not_import_core():
     # its duals come off its own tableau
     tree = ast.parse((SOURCE / "simplex.py").read_text(encoding="utf-8"))
     assert _imports_from(tree, "core") == []
+
+
+def _rescaling(tree: ast.AST) -> list[tuple[int, str]]:
+    """Reads of .numerator or .denominator, and every use of lcm."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator", "lcm"):
+            out.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.Name) and node.id == "lcm":
+            out.append((node.lineno, "lcm"))
+        elif isinstance(node, ast.ImportFrom):
+            out.extend((node.lineno, f"import {a.name}") for a in node.names if a.name == "lcm")
+    return out
+
+
+def test_guard_catches_rescaling():
+    code = ("import math\nfrom math import lcm\nd = x.denominator\n"
+            "n = x.numerator * 2\ns = math.lcm(1, 2)\nt = lcm(3)\nu = x.den\n")
+    assert sorted(_rescaling(ast.parse(code))) == [
+        (2, "import lcm"), (3, ".denominator"), (4, ".numerator"), (5, ".lcm"), (6, "lcm")]
+
+
+def test_simplex_does_not_rescale():
+    # the simplex takes ints only: callers clear their denominators once
+    # (the instance's scale K), so no per-LP lcm pass can creep back
+    tree = ast.parse((SOURCE / "simplex.py").read_text(encoding="utf-8"))
+    assert _rescaling(tree) == []
 
 
 def test_solver_does_not_import_oracle():

@@ -7,6 +7,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -14,6 +15,7 @@ from conftest import a2
 from zonolat import (
     InternalInvariantError,
     InvalidInputError,
+    LPProblem,
     cvp_instance,
     lp_problem,
     simplex,
@@ -57,11 +59,38 @@ def _a2_instance():
 
 
 def test_lambda_lp_a2_optimum():
-    p = lambda_lp((0, 0, 0), _a2_instance())
+    # the optimum is -K lambda(0), with K = 5 and lambda(0) = 1/5
+    inst = _a2_instance()
+    p = lambda_lp((0, 0, 0), inst)
     r = solve_lp(p)
     assert r.status == OPTIMAL
-    assert r.optimum == F(-1, 5)
+    assert r.optimum == -inst.K * F(1, 5)
     _assert_duals_prove_optimum(p, r)
+
+
+@pytest.mark.parametrize("where, bad", [
+    (where, bad) for where in ("c", "A", "b", "upper") for bad in (F(1, 2), "1", 1.0, None)
+    if (where, bad) != ("upper", None)  # None is +infinity there
+])
+def test_non_integral_data_rejected(where, bad):
+    # _pivot's floor division would silently truncate a Fraction, so both
+    # constructors refuse any entry that is not an int
+    data = {"c": [1, 0], "A": [[1, -1]], "b": [3], "upper": [2, None]}
+    if where == "A":
+        data["A"] = [[bad, -1]]
+    else:
+        data[where] = [bad] + data[where][1:]
+    with pytest.raises(InvalidInputError):
+        lp_problem(data["c"], data["A"], data["b"], upper=data["upper"])
+    with pytest.raises(InvalidInputError):
+        LPProblem(c=tuple(data["c"]), A=tuple(map(tuple, data["A"])), b=tuple(data["b"]),
+                  upper=tuple(data["upper"]))
+
+
+def test_integral_fractions_become_ints():
+    p = lp_problem([F(2), 0], [[F(4, 2), -1]], [F(3)], upper=[F(6, 3), None])
+    assert all(type(x) is int for x in p.c + p.A[0] + p.b + p.upper[:1])
+    assert solve_lp(p).optimum == 3
 
 
 def test_contradictory_equalities_infeasible():
@@ -96,7 +125,7 @@ def test_bound_row_slacks_start_basic(monkeypatch):
         return pivot(tab, rhs, basis, red, den, r, jc)
 
     monkeypatch.setattr(simplex, "_pivot", counting)
-    r = solve_lp(lp_problem([1, 2, F(1, 3)], [], [], upper=[3, F(1, 2), 7]))
+    r = solve_lp(lp_problem([1, 2, 1], [], [], upper=[3, 1, 7]))
     assert r.status == OPTIMAL and r.optimum == 0 and r.vertex == (0, 0, 0)
     assert pivots == [5, 4, 3]  # the slack columns, last row first
 
@@ -104,12 +133,14 @@ def test_bound_row_slacks_start_basic(monkeypatch):
 def test_warm_start_reprices_basis():
     # same constraints, new costs: the warm solve skips phase 1 and must
     # reach the cold optimum; the start itself is left untouched
-    p = lambda_lp((0, 0, 0), _a2_instance())
+    inst = _a2_instance()
+    p = lambda_lp((0, 0, 0), inst)
     first = solve_lp(p)
-    q = lambda_lp((1, 0, -1), _a2_instance())
+    q = lambda_lp((1, 0, -1), inst)
     cold = solve_lp(q)
     warm = solve_lp(q, start=first)
-    assert warm.status == OPTIMAL and warm.optimum == cold.optimum == F(1, 5)
+    # lambda(1, 0, -1) = 0: the optimum is K times the least mean cost 1/5
+    assert warm.status == OPTIMAL and warm.optimum == cold.optimum == inst.K * F(1, 5)
     _assert_duals_prove_optimum(q, warm)
     assert solve_lp(p, start=first) == first
     assert first.tableau == solve_lp(p).tableau
@@ -192,6 +223,25 @@ def _enumerate_optimum(c, A, b):
     return OPTIMAL, best
 
 
+def _integral_lp(c, A, b, upper=None):
+    """A rational LP in ints, and the factor f with optimum = (its optimum) / f.
+
+    The substitution x = x' / s, with s the lcm of the denominators of b and
+    the bounds, makes s b and s u integral; each row and c are then scaled by
+    the lcm of their own denominators.
+    """
+    upper = upper or [None] * len(c)
+    s = lcm(*(x.denominator for x in b), *(u.denominator for u in upper if u is not None))
+    rows, rhs = [], []
+    for row, bi in zip(A, b):
+        r = lcm(*(x.denominator for x in row))
+        rows.append([x * r for x in row])
+        rhs.append(bi * s * r)
+    cs = lcm(*(x.denominator for x in c))
+    bounds = [None if u is None else u * s for u in upper]
+    return lp_problem([x * cs for x in c], rows, rhs, upper=bounds), cs * s
+
+
 def test_random_lps_against_basis_enumeration():
     rng = random.Random(1234)
     for _ in range(40):
@@ -202,12 +252,13 @@ def test_random_lps_against_basis_enumeration():
         A.append([F(1)] * n)
         b = [F(0)] * (m - 1) + [F(rng.randint(1, 4))]
         c = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
-        got = solve_lp(lp_problem(c, A, b))
+        p, factor = _integral_lp(c, A, b)
+        got = solve_lp(p)
         status, best = _enumerate_optimum(c, A, b)
         assert got.status == status, (A, b, c)
         if status == OPTIMAL:
-            assert got.optimum == best, (A, b, c)
-            _assert_duals_prove_optimum(lp_problem(c, A, b), got)
+            assert got.optimum / factor == best, (A, b, c)
+            _assert_duals_prove_optimum(p, got)
 
 
 def test_degenerate_redundant_rows():
@@ -220,8 +271,7 @@ def test_degenerate_redundant_rows():
 
 
 def test_random_fractional_lps_against_basis_enumeration():
-    # fractional A, b, c and upper bounds: the standard form scales A and b
-    # (and the bound rows) by one integer and c by another
+    # fractional A, b, c and upper bounds, cleared to ints by _integral_lp
     rng = random.Random(4321)
     for _ in range(40):
         n = rng.randint(2, 5)
@@ -234,7 +284,8 @@ def test_random_fractional_lps_against_basis_enumeration():
         c = [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n)]
         upper = [F(rng.randint(1, 5), rng.randint(1, 4)) if rng.random() < 0.3 else None
                  for _ in range(n)]
-        got = solve_lp(lp_problem(c, A, b, upper=upper))
+        p, factor = _integral_lp(c, A, b, upper)
+        got = solve_lp(p)
         # the oracle sees each bound x_j <= u as a row x_j + s = u
         bounded = [(j, u) for j, u in enumerate(upper) if u is not None]
         wide = [row + [F(0)] * len(bounded) for row in A]
@@ -246,9 +297,9 @@ def test_random_fractional_lps_against_basis_enumeration():
                                           b + [u for _, u in bounded])
         assert got.status == status, (A, b, c, upper)
         if status == OPTIMAL:
-            assert got.optimum == best, (A, b, c, upper)
+            assert got.optimum / factor == best, (A, b, c, upper)
             if not bounded:
-                _assert_duals_prove_optimum(lp_problem(c, A, b), got)
+                _assert_duals_prove_optimum(p, got)
 
 
 def test_integer_tableau_a2_lambda_lp():
@@ -311,15 +362,14 @@ def test_negative_drive_out_pivot_keeps_den_positive(monkeypatch):
 
 
 def _a2_optimum():
-    """The A_2 lambda LP at the origin with its costs scaled to ints, and
-    the integer duals Y (over den = 2) of its optimal basis (0, 5)."""
+    """The A_2 lambda LP at the origin, whose costs are K = 5 times the
+    derivatives, and the integer duals Y (over den = 2) of its optimal basis
+    (0, 5)."""
     p = lambda_lp((0, 0, 0), _a2_instance())
-    c = [int(5 * x) for x in p.c]  # the costs have denominator 5
-    assert c == [5 * x for x in p.c]
     r = solve_lp(p)
-    y = [int(2 * 5 * d) for d in r.duals]
-    assert y == [2 * 5 * d for d in r.duals] == [-2, -2]
-    return _standard_form(p), c, y
+    y = [int(2 * d) for d in r.duals]
+    assert y == [2 * d for d in r.duals] == [-2, -2]
+    return _standard_form(p), list(p.c), y
 
 
 @pytest.mark.parametrize("rhs", [
