@@ -109,62 +109,35 @@ def graphic_lattice(d: Digraph, g: Sequence | None = None) -> ZonotopalLattice:
     return ZonotopalLattice(matrix=incidence_matrix(d), weights=weights)
 
 
-def _dfs_forest(d: Digraph) -> list[int]:
-    """Spanning forest arc indices, chosen by lowest-index depth-first search."""
+def _dfs_forest(d: Digraph) -> tuple[list[int | None], list[int]]:
+    """Spanning forest chosen by lowest-index depth-first search, as the
+    parent arc (None at a root) and the depth of every vertex.
+
+    Each root is the lowest vertex of its component, and each vertex scans
+    its arcs in index order.  The search keeps its own stack, so a deep
+    forest needs no recursion.
+    """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(d.vertex_count)]
     for idx, (tail, head) in enumerate(d.arcs):
         adj[tail].append((idx, head))
         adj[head].append((idx, tail))
-    for lst in adj:
-        lst.sort()
-    visited = [False] * d.vertex_count
-    tree: list[int] = []
-
-    def visit(v: int):
-        visited[v] = True
-        for idx, w in adj[v]:
-            if not visited[w]:
-                tree.append(idx)
-                visit(w)
-
+    parent: list[int | None] = [None] * d.vertex_count
+    depth = [-1] * d.vertex_count
     for root in range(d.vertex_count):
-        if not visited[root]:
-            visit(root)
-    return sorted(tree)
-
-
-def _tree_path(d: Digraph, tree: list[int], start: int, goal: int
-               ) -> list[tuple[int, int]]:
-    """Forest path as (arc index, +-1 traversal direction) pairs."""
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(d.vertex_count)]
-    for idx in tree:
-        tail, head = d.arcs[idx]
-        adj[tail].append((idx, head, 1))
-        adj[head].append((idx, tail, -1))
-    for lst in adj:
-        lst.sort()
-    prev: dict[int, tuple[int, int, int]] = {}
-    stack = [start]
-    seen = {start}
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            break
-        for idx, w, sgn in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                prev[w] = (v, idx, sgn)
-                stack.append(w)
-    if goal not in seen:
-        raise InternalInvariantError("forest path lookup failed")
-    path = []
-    v = goal
-    while v != start:
-        pv, idx, sgn = prev[v]
-        path.append((idx, sgn))
-        v = pv
-    path.reverse()
-    return path
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, arcs = stack[-1]
+            for idx, w in arcs:
+                if depth[w] < 0:
+                    parent[w], depth[w] = idx, depth[v] + 1
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+    return parent, depth
 
 
 def cographic_lattice(d: Digraph, g: Sequence | None = None) -> ZonotopalLattice:
@@ -175,24 +148,42 @@ def cographic_lattice(d: Digraph, g: Sequence | None = None) -> ZonotopalLattice
     for the network matrix N of the forest, so it is totally unimodular
     (Tutte 1965) and "verified" by construction at any size.  Its kernel is
     the orthogonal complement of the cycle space; primitive chains are the
-    signed bonds of d.
+    signed bonds of d.  The row of arc (tail, head) is +1 there and walks
+    the forest path from head back to tail: both ends climb to their
+    common ancestor, and each forest arc gets +1 when the path runs along
+    it, -1 when against it.
     """
     weights = frac_vec(g) if g is not None else _default_weights(d)
     if len(weights) != len(d.arcs):
         raise DimensionError("weight length does not match the arc count")
     m = len(d.arcs)
-    tree = _dfs_forest(d)
-    tree_set = set(tree)
+    parent, depth = _dfs_forest(d)
+    tree = set(parent)
     rows = []
-    inc = _incidence_rows(d)
     for idx, (tail, head) in enumerate(d.arcs):
-        if idx in tree_set:
+        if idx in tree:
             continue
         row = [0] * m
         row[idx] = 1
-        for aidx, sgn in _tree_path(d, tree, head, tail):
-            row[aidx] = sgn
-        if any(sum(e * x for e, x in zip(vrow, row) if e) for vrow in inc):
+        cycle = [idx]
+        a, b = head, tail  # the path runs from a up, then down to b
+        while a != b:
+            if depth[a] >= depth[b]:
+                j = parent[a]
+                t, h = d.arcs[j]
+                row[j] = 1 if t == a else -1  # along the arc when it leaves a
+                a = h if t == a else t
+            else:
+                j = parent[b]
+                t, h = d.arcs[j]
+                row[j] = 1 if h == b else -1  # along the arc when it enters b
+                b = t if h == b else h
+            cycle.append(j)
+        net = [0] * d.vertex_count
+        for j in cycle:
+            net[d.arcs[j][0]] -= row[j]
+            net[d.arcs[j][1]] += row[j]
+        if any(net):
             raise InternalInvariantError("fundamental cycle is not a circulation")
         rows.append(tuple(row))
     matrix = TUMatrix(n=len(rows), m=m, entries=tuple(rows), tu_status="verified")

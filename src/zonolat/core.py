@@ -319,6 +319,21 @@ class PrimitiveChain:
         return PrimitiveChain(tuple(-c for c in self.coords))
 
 
+def chain_signs(values: Sequence) -> IntVec:
+    """The signs of an LP vertex that is a primitive chain rescaled.
+
+    The nonzero entries (ints or Fractions) must share one magnitude; a
+    zero vector or mixed magnitudes raise InternalInvariantError.  This is
+    the one place a chain is read off an LP vertex.
+    """
+    scale = max(map(abs, values), default=0)
+    if scale == 0:
+        raise InternalInvariantError("LP vertex is zero: no chain to read off")
+    if any(x not in (-scale, 0, scale) for x in values):
+        raise InternalInvariantError("LP vertex is not a rescaled primitive chain")
+    return tuple((x > 0) - (x < 0) for x in values)
+
+
 def chain(coords: Sequence, lattice: ZonotopalLattice) -> Chain:
     v = int_vec(coords)
     if not lattice.contains(v):
@@ -420,10 +435,10 @@ def conformal_decompose(v: Sequence | Chain,
     """Write a lattice vector as a sum of sign-compatible primitive chains.
 
     Repeatedly extracts one primitive chain supported inside the current
-    vector and matching its signs, then subtracts it.  Each extraction runs
-    the exact LP  max sum_i sigma_i x_i  over  Mx = 0, 0 <= sigma_i x_i <=
-    |v_i|, x zero off supp(v), sum sigma_i x_i <= 1;  total unimodularity
-    makes every optimal vertex a scalar multiple of a primitive chain.
+    vector and matching its signs, then subtracts it.  Each extraction is
+    one exact feasibility LP whose basic solutions are circuits
+    (_extract_primitive); total unimodularity makes each one a scalar
+    multiple of a primitive chain.
     """
     coords = v.coords if isinstance(v, Chain) else int_vec(v)
     if not lattice.contains(coords):
@@ -445,34 +460,26 @@ def conformal_decompose(v: Sequence | Chain,
 
 
 def _extract_primitive(cur: list[int], lattice: ZonotopalLattice) -> IntVec:
-    supp = sorted(i for i, c in enumerate(cur) if c)
-    sigma = {i: (1 if cur[i] > 0 else -1) for i in supp}
-    k = len(supp)
-    matrix = lattice.matrix
-    # variables: y_j = sigma_j x_j for j in supp, then one slack for the
-    # normalization row sum y + s = 1
-    rows = tuple(tuple(sigma[j] * row[j] for j in supp) + (0,) for row in matrix.entries)
-    prob = simplex.LPProblem(
-        c=(-1,) * k + (0,),
-        A=rows + ((1,) * (k + 1),),
-        b=(0,) * matrix.n + (1,),
-        upper=tuple(abs(cur[j]) for j in supp) + (None,),
-    )
-    res = simplex.solve_lp(prob)
-    if res.status != simplex.OPTIMAL or res.optimum != -1:
-        raise InternalInvariantError(
-            f"conformal extraction LP returned {res.status} / {res.optimum}"
-        )
-    ys = res.vertex[:k]
-    ymax = max(ys)
-    if ymax <= 0:
-        raise InternalInvariantError("conformal extraction LP returned a zero vertex")
-    if any(y not in (0, ymax) for y in ys):
-        raise InternalInvariantError(
-            "conformal extraction vertex is not a rescaled primitive chain"
-        )
+    """A primitive chain conformal to the nonzero lattice vector cur.
+
+    With S = supp(cur) and sigma its signs, any basic solution of the
+    feasibility LP  M[:, S] diag(sigma) y = 0,  1.y = 1,  y >= 0  is a
+    circuit scaled to sum one: the LP holds |cur| / sum |cur|, and a vertex
+    of a pointed cone cut by 1.y = 1 lies on an extreme ray, which has
+    minimal support.  sigma times its signs is the chain.
+    """
+    supp = [i for i, c in enumerate(cur) if c]
+    sigma = [1 if cur[j] > 0 else -1 for j in supp]
+    rows = tuple(tuple(s * row[j] for s, j in zip(sigma, supp)) for row in lattice.matrix.entries)
+    res = simplex.solve_lp(simplex.LPProblem(
+        c=(0,) * len(supp),
+        A=rows + ((1,) * len(supp),),
+        b=(0,) * len(rows) + (1,),
+        upper=(None,) * len(supp),
+    ))
+    if res.status != simplex.OPTIMAL:
+        raise InternalInvariantError(f"conformal extraction LP returned {res.status}")
     out = [0] * len(cur)
-    for j, y in zip(supp, ys):
-        if y:
-            out[j] = sigma[j]
+    for j, s, y in zip(supp, sigma, chain_signs(res.vertex)):
+        out[j] = s * y
     return tuple(out)

@@ -27,6 +27,7 @@ from .core import (
     PrimitiveChain,
     TUMatrix,
     ZonotopalLattice,
+    chain_signs,
     frac_vec,
     int_vec,
     matrix_rank,
@@ -223,36 +224,22 @@ def _lambda_constraints(matrix: TUMatrix) -> tuple:
     return rows, (0,) * matrix.n + (1,), (None,) * (2 * matrix.m)
 
 
-@dataclass
-class WarmStart:
-    """Lambda-LP state carried from one LP of an instance to the next.
-
-    Every lambda LP of an instance has the same constraints, so the optimal
-    tableau of the last one (`result`) is a feasible start for the next and
-    phase 1 runs once per instance (see simplex.solve_lp).
-    """
-
-    result: simplex.LPResult | None = None
-
-
 def compute_lambda(v: Sequence, instance: CVPInstance,
-                   warm: WarmStart | None = None) -> tuple[Fraction, FracVec]:
-    """lambda(v) = max(0, -opt / K) plus the optimal LP vertex.
+                   start: simplex.LPResult | None = None
+                   ) -> tuple[Fraction, simplex.LPResult]:
+    """lambda(v) = max(0, -opt / K) plus the optimal result of lambda_lp(v).
 
-    With `warm`, the LP starts from warm.result and its own result is
-    stored there for the next call.
+    Every lambda LP of an instance has the same constraints, so `start`,
+    the result of an earlier call on the same instance, is a feasible
+    start: phase 1 then runs once per instance (see simplex.solve_lp).
     """
     vv = int_vec(v)
     if not instance.lattice.contains(vv):
         raise InvalidInputError(f"{vv} is not a lattice member")
-    start = warm.result if warm is not None else None
     res = simplex.solve_lp(lambda_lp(vv, instance), start)
     if res.status != simplex.OPTIMAL:
         raise InternalInvariantError(f"lambda LP reported {res.status}")
-    if warm is not None:
-        warm.result = res
-    lam = max(Fraction(0), -res.optimum / instance.K)
-    return lam, res.vertex
+    return max(Fraction(0), -res.optimum / instance.K), res
 
 
 def min_mean_voronoi_vector(v: Sequence, instance: CVPInstance,
@@ -269,7 +256,8 @@ def min_mean_voronoi_vector(v: Sequence, instance: CVPInstance,
     """
     vv = int_vec(v)
     if vertex is None:
-        found, vertex = compute_lambda(vv, instance)
+        found, res = compute_lambda(vv, instance)
+        vertex = res.vertex
         if lam is not None and lam != found:
             raise InternalInvariantError(f"lambda mismatch: given {lam}, LP found {found}")
         lam = found
@@ -278,13 +266,8 @@ def min_mean_voronoi_vector(v: Sequence, instance: CVPInstance,
     if lam <= 0:
         raise InvalidInputError("lambda(v) = 0: no improving vector exists")
     m = instance.m
-    diff = [vertex[i] - vertex[m + i] for i in range(m)]
-    scale = max(abs(d) for d in diff)
-    if scale == 0:
-        raise InternalInvariantError("optimal LP vertex rescaled to zero")
-    if any(d not in (-scale, 0, scale) for d in diff):
-        raise InternalInvariantError("optimal LP vertex is not a rescaled primitive chain")
-    u = primitive_chain([(d > 0) - (d < 0) for d in diff], instance.lattice)
+    u = primitive_chain(chain_signs([vertex[i] - vertex[m + i] for i in range(m)]),
+                        instance.lattice)
     if not _is_circuit(sorted(u.support), instance.lattice.matrix):
         raise InternalInvariantError(
             f"support of {u.coords} is not a circuit: rank M[:, supp] != |supp| - 1"
@@ -438,17 +421,16 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
     so dual_certificate_holds(v, y) must hold, and a failure is a bug.
     """
     m = instance.m
-    warm = WarmStart()
     v: IntVec = (0,) * m
     dist = instance.distance_sq(v)
-    lam, vertex = compute_lambda(v, instance, warm)
+    lam, res = compute_lambda(v, instance)
     sd = stopping_data(instance, lam)
     records: list[IterationRecord] = []
     if lam >= max(instance.weights):
         v_next = proximity_start(instance)
         dist_next = instance.distance_sq(v_next)
         if dist_next < dist:
-            lam_next, vertex = compute_lambda(v_next, instance, warm)
+            lam_next, res = compute_lambda(v_next, instance, res)
             if lam_next >= lam:
                 raise InternalInvariantError(
                     f"box step left lambda at {lam_next} >= lambda(0) = {lam}"
@@ -467,11 +449,11 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
             raise InternalInvariantError(
                 f"stopping-rule inconsistency: 0 < lambda = {lam} < 1/(K m)"
             )
-        u = min_mean_voronoi_vector(v, instance, lam, vertex)
+        u = min_mean_voronoi_vector(v, instance, lam, res.vertex)
         delta = saturating_step(lam, u, instance)
         v_next = tuple(a + delta * b for a, b in zip(v, u.coords))
         dist_next = instance.distance_sq(v_next)
-        lam_next, vertex = compute_lambda(v_next, instance, warm)
+        lam_next, res = compute_lambda(v_next, instance, res)
         if lam_next > lam:
             raise InternalInvariantError(
                 f"lambda increased from {lam} to {lam_next} at step {delta}"
@@ -485,7 +467,7 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
             distance_sq=dist_next,
         ))
         v, dist, lam = v_next, dist_next, lam_next
-    y = tuple(d / instance.K for d in warm.result.duals[:instance.lattice.matrix.n])
+    y = tuple(d / instance.K for d in res.duals[:instance.lattice.matrix.n])
     if not dual_certificate_holds(v, y, instance):
         raise InternalInvariantError(
             "lambda reached zero but the duals of its LP do not certify the answer"

@@ -3,6 +3,8 @@
 Minimizes c.x subject to equality constraints A x = b, x >= 0 and
 per-variable upper bounds of +infinity or a finite integer; every datum is
 a Python int, and callers with rational data clear its denominators first.
+The tableau is the only copy of the constraints besides the caller's
+problem: each finite bound u_j is a tableau row x_j + s_j = u_j.
 The tableau holds den * B^-1 A and den * B^-1 b over one positive common
 denominator den = |det B| of the basis matrix B, so all its entries are
 ints: a pivot multiplies and subtracts and then divides by the old den, and
@@ -13,7 +15,8 @@ decided exactly, and identical inputs always produce the identical pivot
 sequence and vertex.  fractions.Fraction appears only at the interface:
 the optimum, the vertex and the duals, read off phase 1's artificial
 columns.  Every optimal solve also checks, in integers, that its vertex
-is feasible and that its duals prove the optimum.
+is feasible and that its duals, those of the bounds included, prove the
+optimum.
 `eliminate` runs the same pivot as a fraction-free Gauss-Jordan reduction,
 the one exact elimination of the solver: kernel bases, projections and
 circuit tests.
@@ -61,35 +64,19 @@ class LPProblem:
 
 
 @dataclass(frozen=True)
-class StandardForm:
-    """The constraints of an LPProblem as min c.y, A y = b, y >= 0.
-
-    `rows` and `rhs` are A and b; each finite upper bound x_j <= u adds a
-    row x_j + s = u with its own slack column s; the `slacks` bound rows and
-    their slack columns come last.  `columns` holds the nonzero entries
-    (row, value) of each column.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
-    columns: tuple[tuple[tuple[int, int], ...], ...]
-    slacks: int = 0
-
-
-@dataclass(frozen=True)
 class Tableau:
     """An optimal basis in canonical form over one common denominator.
 
     `rows` and `rhs` are den * B^-1 [A | I] and den * B^-1 b for the rows
-    A, b of `form`, each negated where b_i < 0 (I holds phase 1's artificial
-    columns), and the basis matrix B of those rows, with den = |det B| > 0,
-    so every entry is an int.  None of it depends on the objective, so it
-    is a feasible starting basis for any other objective over the same
-    constraints.
+    A, b that _phase_one writes (the problem's rows, each negated where
+    b_i < 0, then one row x_j + s_j = u_j per finite bound; I holds the
+    artificial columns), and the basis matrix B of those rows, with
+    den = |det B| > 0, so every entry is an int.  None of it depends on the
+    objective, so it is a feasible starting basis for any other objective
+    over the same constraints.
     """
 
     constraints: tuple  # (A, b, upper) of the problem it solved
-    form: StandardForm
     rows: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
     den: int
@@ -133,111 +120,75 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
 
     `start` is an optimal result of an earlier solve with the same A, b and
     bounds.  Its final tableau stays primal feasible whatever the objective,
-    so phase 1 is skipped and phase 2 reprices that basis for p.c; the
-    standard form it carries is reused.  The start is read, never
-    modified, so one result can seed several solves.
-    """
-    constraints = (p.A, p.b, p.upper)
-    warm = None
-    if start is None:
-        form = _standard_form(p)
-    else:
-        if start.tableau is None or start.tableau.constraints != constraints:
-            raise InvalidInputError(
-                "start must be an optimal result for the same A, b and bounds"
-            )
-        warm = start.tableau
-        form = warm.form
-    c = list(p.c) + [0] * form.slacks
-    res = _simplex_standard(c, form, warm)
-    if res[0] != OPTIMAL:
-        return LPResult(status=res[0], optimum=None, vertex=None)
-    _, tab, rhs, den, basis, duals = res
-    x = [Fraction(0)] * len(p.c)
-    for bi, xi in zip(basis, rhs):
-        if bi < len(x):
-            x[bi] = Fraction(xi, den)
-    opt = Fraction(sum(c[bi] * xi for bi, xi in zip(basis, rhs)), den)
-    tableau = Tableau(constraints=constraints, form=form, rows=tuple(map(tuple, tab)),
-                      rhs=tuple(rhs), den=den, basis=tuple(basis))
-    return LPResult(status=OPTIMAL, optimum=opt, vertex=tuple(x), tableau=tableau,
-                    duals=tuple(duals[:len(p.A)]))
+    so phase 1 is skipped and phase 2 reprices that basis for p.c.  The
+    start is read, never modified, so one result can seed several solves.
 
-
-# ---------------------------------------------------------------------------
-# Standard-form conversion
-# ---------------------------------------------------------------------------
-
-
-def _standard_form(p: LPProblem) -> StandardForm:
-    """Rewrite the constraints of p as A y = b, y >= 0.
-
-    The columns of p come first, in order, then one slack per finite upper
-    bound.
-    """
-    nvar = len(p.c)
-    ups = [(j, u) for j, u in enumerate(p.upper) if u is not None]
-    width = nvar + len(ups)
-    rows = [list(row) + [0] * len(ups) for row in p.A]
-    rows += [[int(i in (j, nvar + k)) for i in range(width)] for k, (j, _) in enumerate(ups)]
-    columns = tuple(tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
-                    for j in range(width))
-    return StandardForm(rows=tuple(map(tuple, rows)),
-                        rhs=tuple(p.b) + tuple(u for _, u in ups),
-                        columns=columns, slacks=len(ups))
-
-
-# ---------------------------------------------------------------------------
-# Core tableau simplex (min c.x, A x = b, x >= 0, all ints)
-# ---------------------------------------------------------------------------
-
-
-def _simplex_standard(c: list[int], form: StandardForm, warm: Tableau | None = None):
-    """Solve min c.x, A x = b, x >= 0 for the form; phase 2 starts from `warm`.
-
-    The reduced-cost row is kept over the tableau's denominator too:
+    Phase 2 keeps the reduced-cost row over the tableau's denominator too:
     den * c_j - c_B . (den B^-1 A)_j.  On the artificial columns, which
     never enter, it reads -den c_B B^-1: den times the duals, negated, of
     the sign-adjusted rows, and 0 for a row phase 1 dropped.  Pivots
     replace tableau rows instead of editing them, so copying the outer
-    lists of `warm` leaves it intact.
+    lists of the start leaves it intact.
     """
-    nvar = len(c)
-    if warm is None:
-        feasible = _phase_one(form, nvar)
+    constraints = (p.A, p.b, p.upper)
+    if start is None:
+        feasible = _phase_one(p)
         if feasible is None:
-            return (INFEASIBLE,)
+            return LPResult(status=INFEASIBLE, optimum=None, vertex=None)
         tab, rhs, den, basis = feasible
     else:
+        warm = start.tableau
+        if warm is None or warm.constraints != constraints:
+            raise InvalidInputError(
+                "start must be an optimal result for the same A, b and bounds"
+            )
         tab, rhs, den, basis = list(warm.rows), list(warm.rhs), warm.den, list(warm.basis)
-    red = [den * cj for cj in c] + [0] * len(form.rhs)
+    bounds = tuple(u for u in p.upper if u is not None)
+    c = list(p.c) + [0] * len(bounds)  # the slacks of the bound rows cost 0
+    nvar = len(c)
+    red = [den * cj for cj in c] + [0] * (len(p.b) + len(bounds))
     for i, bi in enumerate(basis):
         f = c[bi]
         if f:
             red = [r - f * t for r, t in zip(red, tab[i])]
     status, den = _bland(tab, rhs, basis, red, den, nvar)
     if status == UNBOUNDED:
-        return (UNBOUNDED,)
+        return LPResult(status=UNBOUNDED, optimum=None, vertex=None)
     # Y_i = -s_i red[nvar + i], with s_i = -1 where phase 1 negated row i
-    y = [r if bi < 0 else -r for bi, r in zip(form.rhs, red[nvar:])]
-    duals = _certify_optimal(form, c, basis, rhs, den, y)
-    return (OPTIMAL, tab, rhs, den, basis, duals)
+    y = [r if bi < 0 else -r for bi, r in zip(p.b + bounds, red[nvar:])]
+    duals = _certify_optimal(p, basis, rhs, den, y)
+    x = [Fraction(0)] * len(p.c)
+    for bi, xi in zip(basis, rhs):
+        if bi < len(x):
+            x[bi] = Fraction(xi, den)
+    opt = Fraction(sum(c[bi] * xi for bi, xi in zip(basis, rhs)), den)
+    tableau = Tableau(constraints=constraints, rows=tuple(map(tuple, tab)),
+                      rhs=tuple(rhs), den=den, basis=tuple(basis))
+    return LPResult(status=OPTIMAL, optimum=opt, vertex=tuple(x), tableau=tableau,
+                    duals=tuple(duals[:len(p.A)]))
 
 
-def _phase_one(form: StandardForm, nvar: int):
-    """A feasible basis of A x = b, x >= 0 as (rows, rhs, den, basis) in canonical form.
+# ---------------------------------------------------------------------------
+# Core tableau simplex (all ints)
+# ---------------------------------------------------------------------------
 
-    Rows with b_i < 0 are negated and one artificial column per row
-    follows the structural ones; the slack of each bound row starts basic
-    in place of that row's artificial.  Redundant rows are dropped; None
-    when the system is infeasible.
+
+def _phase_one(p: LPProblem):
+    """A feasible basis of p's constraints as (rows, rhs, den, basis) in canonical form.
+
+    The tableau's rows are A x = b, then one row x_j + s_j = u_j per finite
+    bound u_j, in order of j.  Its columns are x, then the slacks s in the
+    same order, then one artificial per row.  Rows with b_i < 0 are
+    negated, and the slack of each bound row starts basic in place of that
+    row's artificial.  Redundant rows are dropped; None when the system is
+    infeasible.
     """
-    rows = [list(r) for r in form.rows]
-    rhs = list(form.rhs)
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
+    bounded = [j for j, u in enumerate(p.upper) if u is not None]
+    n, k = len(p.c), len(bounded)
+    nvar = n + k
+    rows = [[-a if bi < 0 else a for a in row] + [0] * k for row, bi in zip(p.A, p.b)]
+    rows += [[int(i in (j, n + s)) for i in range(nvar)] for s, j in enumerate(bounded)]
+    rhs = [abs(bi) for bi in p.b] + [p.upper[j] for j in bounded]
     m = len(rows)
 
     # tableau over columns [structural | artificial], artificial basis
@@ -245,12 +196,12 @@ def _phase_one(form: StandardForm, nvar: int):
     # bound row has one nonzero, 1, in that row, whose rhs is >= 0, so it
     # replaces the row's artificial at once: one pivot that touches no
     # other row.
-    tab = [rows[i] + [int(k == i) for k in range(m)] for i in range(m)]
+    tab = [rows[i] + [int(q == i) for q in range(m)] for i in range(m)]
     basis = [nvar + i for i in range(m)]
     red = [-sum(tab[i][j] for i in range(m)) for j in range(nvar)] + [0] * m
     den = 1
-    for k in range(1, form.slacks + 1):
-        den = _pivot(tab, rhs, basis, red, den, m - k, nvar - k)
+    for s in range(1, k + 1):
+        den = _pivot(tab, rhs, basis, red, den, m - s, nvar - s)
     status, den = _bland(tab, rhs, basis, red, den, nvar + m)
     if status != OPTIMAL:
         raise InternalInvariantError("phase-1 objective is bounded by zero")
@@ -350,30 +301,46 @@ def _bland(tab, rhs, basis, red, den: int, allowed: int) -> tuple[str, int]:
         den = _pivot(tab, rhs, basis, red, den, best, enter)
 
 
-def _certify_optimal(form: StandardForm, c: list[int], basis, rhs, den: int,
-                     y: list[int]) -> list[Fraction]:
-    """Exact optimality proof of a basic solution of the form: check it and
-    return its duals y / den, one per row of the form.
+def _certify_optimal(p: LPProblem, basis, rhs, den: int, y: list[int]) -> list[Fraction]:
+    """Exact optimality proof of a basic solution of p: check it and return
+    its duals y / den, one per row of A and then one per finite bound.
 
-    The solution x is rhs / den on the basic columns and 0 elsewhere.
-    Primal: x >= 0 and A x == b (the upper bounds are rows of the form).
-    Dual: every reduced cost den * c_j - (A^T y)_j must be >= 0 and b.y
-    must equal den * c.x.  Any y that passes proves x optimal, however it
-    was computed.  The checks compare ints and each takes O(nnz A).
+    The basic columns hold rhs / den and every other column 0; x is that
+    solution on the variables of p.  With w_j the dual of the bound row
+    x_j + s_j = u_j (none for an unbounded j), the checks are the problem
+    as written, row by row:
+    - primal: x >= 0, A x == b and x <= upper;
+    - dual: den * c_j - (A^T y)_j - w_j >= 0 for every j, and every
+      w_j <= 0 (the reduced cost of s_j);
+    - b.y + upper.w == den * c.x.
+    Any y that passes proves x optimal, however it was computed.  The
+    checks compare ints.
     """
-    b, columns = form.rhs, form.columns
+    n = len(p.c)
     if den <= 0 or any(xi < 0 for xi in rhs):
         raise InternalInvariantError("primal check failed: basic solution is negative")
-    ax = [0] * len(b)
+    x = [0] * n  # den * x
     for bi, xi in zip(basis, rhs):
-        if xi:
-            for i, a in columns[bi]:
-                ax[i] += a * xi
-    if any(s != bi * den for s, bi in zip(ax, b)):
+        if bi < n:
+            x[bi] = xi
+    basic = [(j, xj) for j, xj in enumerate(x) if xj]
+    if any(sum(row[j] * xj for j, xj in basic) != bi * den for row, bi in zip(p.A, p.b)):
         raise InternalInvariantError("primal check failed: A x != b")
-    for cj, column in zip(c, columns):
-        if den * cj < sum(y[i] * a for i, a in column):
-            raise InternalInvariantError("duality check failed: negative reduced cost")
-    if sum(yi * bi for yi, bi in zip(y, b)) != sum(c[bi] * xi for bi, xi in zip(basis, rhs)):
+    bounded = [(j, u) for j, u in enumerate(p.upper) if u is not None]
+    if any(x[j] > u * den for j, u in bounded):
+        raise InternalInvariantError("primal check failed: x above its upper bound")
+    w = y[len(p.A):]
+    if any(wj > 0 for wj in w):
+        raise InternalInvariantError("duality check failed: positive bound dual")
+    red = [den * cj for cj in p.c]
+    for yi, row in zip(y, p.A):
+        if yi:
+            red = [r - yi * a for r, a in zip(red, row)]
+    for (j, _), wj in zip(bounded, w):
+        red[j] -= wj
+    if any(r < 0 for r in red):
+        raise InternalInvariantError("duality check failed: negative reduced cost")
+    dual = sum(yi * bi for yi, bi in zip(y, p.b)) + sum(u * wj for (_, u), wj in zip(bounded, w))
+    if dual != sum(cj * xj for cj, xj in zip(p.c, x)):
         raise InternalInvariantError("duality check failed: objective mismatch")
     return [Fraction(yi, den) for yi in y]

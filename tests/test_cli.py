@@ -289,6 +289,15 @@ def test_construct_graphic_and_cographic(capsys):
     assert c["n"] == 1  # one fundamental cycle row
 
 
+def test_construct_cographic_long_cycle(capsys):
+    # a 1501-cycle: the forest is one path of 1500 arcs, deeper than the
+    # default recursion limit
+    arcs = ",".join(f"{i}-{i + 1}" for i in range(1500)) + ",1500-0"
+    assert main(["construct", "cographic", "--vertices", "1501", "--arcs", arcs]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 1 and out["M"] == [[1] * 1501]
+
+
 def test_construct_cographic_above_the_cap_asserts(capsys):
     # K_8 has 28 arcs and 21 fundamental cycles: the lattice is verified by
     # construction, but a loader could not decide the file, so it asserts

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -99,6 +100,34 @@ def test_cographic_orthogonal_to_cycles():
         for v in kernel_basis(cyc.matrix):
             assert inner_product(u, v, ones) == 0
     assert cut.rank() + cyc.rank() == cut.m
+
+
+NINE_VERTEX_ARCS = [(7, 5), (4, 2), (2, 0), (5, 8), (7, 1), (5, 8), (0, 6), (2, 7),
+                    (6, 2), (2, 3), (0, 1), (2, 8), (1, 6), (1, 4), (6, 1), (4, 3)]
+
+
+@pytest.mark.parametrize("d, rows", [
+    (k4_digraph(), ["-+0-00", "-0+-0-", "000-+-"]),
+    # parallel and antiparallel arcs, and vertices of degree one
+    (digraph(9, NINE_VERTEX_ARCS), [
+        "000-0+0000000000", "0++000+00000-+00", "0+00+00+00000+00",
+        "0-000000+000+-00", "0+0000000+00000-", "0++0000000+00+00",
+        "-+0-+000000+0+00", "000000000000+0+0",
+    ]),
+])
+def test_cographic_fundamental_cycles_pinned(d, rows):
+    # the fundamental-cycle matrix of the lowest-index depth-first forest,
+    # entry by entry, so that problem files built from it stay the same
+    sign = {"-": -1, "0": 0, "+": 1}
+    expected = tuple(tuple(sign[e] for e in row) for row in rows)
+    assert cographic_lattice(d).matrix.entries == expected
+
+
+def test_cographic_long_cycle_needs_no_recursion():
+    n = 3 * sys.getrecursionlimit()
+    arcs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+    lat = cographic_lattice(digraph(n, arcs))
+    assert lat.matrix.entries == ((1,) * (n - 1) + (1,),)
 
 
 # ---------------------------------------------------------------------------

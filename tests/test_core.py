@@ -12,6 +12,7 @@ import pytest
 from conftest import a2, corpus_small, k4_digraph, triangle_digraph
 from zonolat import (
     DimensionError,
+    InternalInvariantError,
     InvalidInputError,
     SizeCapError,
     a_n_lattice,
@@ -32,7 +33,7 @@ from zonolat import (
     tu_matrix,
     voronoi_first_kind,
 )
-from zonolat.core import ghouila_houri_ok, heller_tompkins
+from zonolat.core import chain_signs, ghouila_houri_ok, heller_tompkins
 from zonolat.oracle import row_reduce
 
 
@@ -291,6 +292,18 @@ def test_conformal_properties_random():
                     total[i] += p.coords[i]
             assert tuple(total) == tuple(v)
             assert len(parts) <= sum(abs(x) for x in v)
+
+
+def test_chain_signs():
+    assert chain_signs([2, 0, -2]) == (1, 0, -1)
+    assert chain_signs((F(1, 3), F(0), F(-1, 3), F(1, 3))) == (1, 0, -1, 1)
+    assert chain_signs([F(0), F(1, 2), F(1, 2)]) == (0, 1, 1)
+    for values in ([0, 0, 0], [], [F(0), F(0)]):
+        with pytest.raises(InternalInvariantError, match="zero"):
+            chain_signs(values)
+    for values in ([1, 0, -2], [F(1, 2), F(1, 3)], [2, F(-1)]):
+        with pytest.raises(InternalInvariantError, match="not a rescaled primitive chain"):
+            chain_signs(values)
 
 
 def test_conformal_rejects_non_member():

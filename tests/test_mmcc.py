@@ -37,7 +37,6 @@ from zonolat import (
 )
 from zonolat.mmcc import (
     IterationRecord,
-    WarmStart,
     _is_circuit,
     lambda_lp,
     left_derivative,
@@ -341,17 +340,16 @@ def _origin_walk(inst):
     """The paper's walk from the origin, with no box step: compute_lambda
     (warm-started, as in solve_cvp), min_mean_voronoi_vector and
     saturating_step until lambda = 0.  Returns its iteration records."""
-    warm = WarmStart()
     v = (0,) * inst.m
-    lam, vertex = compute_lambda(v, inst, warm)
+    lam, res = compute_lambda(v, inst)
     records = []
     while lam > 0:
-        u = min_mean_voronoi_vector(v, inst, lam, vertex)
+        u = min_mean_voronoi_vector(v, inst, lam, res.vertex)
         step = saturating_step(lam, u, inst)
         v = tuple(a + step * b for a, b in zip(v, u.coords))
         records.append(IterationRecord(index=len(records) + 1, v=v, lam=lam, u=u,
                                        step=step, distance_sq=inst.distance_sq(v)))
-        lam, vertex = compute_lambda(v, inst, warm)
+        lam, res = compute_lambda(v, inst, res)
     return records
 
 

@@ -29,7 +29,6 @@ from zonolat.simplex import (
     OPTIMAL,
     UNBOUNDED,
     _certify_optimal,
-    _standard_form,
     eliminate,
 )
 
@@ -321,7 +320,7 @@ def test_integer_tableau_a2_lambda_lp():
         assert t.basis == basis
         inverse = [list(row[6:]) for row in t.rows]
         assert inverse == [[1, 1], [-1, 1]]  # den * B^-1
-        b_matrix = [[row[j] for j in basis] for row in t.form.rows]
+        b_matrix = [[row[j] for j in basis] for row in lambda_lp(v, inst).A]
         assert [[sum(x * y for x, y in zip(inv_row, col)) for col in zip(*b_matrix)]
                 for inv_row in inverse] == [[t.den, 0], [0, t.den]]
 
@@ -369,7 +368,7 @@ def _a2_optimum():
     r = solve_lp(p)
     y = [int(2 * d) for d in r.duals]
     assert y == [2 * d for d in r.duals] == [-2, -2]
-    return _standard_form(p), list(p.c), y
+    return p, y
 
 
 @pytest.mark.parametrize("rhs", [
@@ -377,28 +376,28 @@ def _a2_optimum():
     [2, 0],  # M (x+ - x-) = 1
 ])
 def test_certify_optimal_rejects_infeasible_solution(rhs):
-    form, c, y = _a2_optimum()
+    p, y = _a2_optimum()
     with pytest.raises(InternalInvariantError, match="primal check failed: A x"):
-        _certify_optimal(form, c, [0, 5], rhs, 2, y)
+        _certify_optimal(p, [0, 5], rhs, 2, y)
 
 
 def test_certify_optimal_rejects_suboptimal_basis():
     # x1 = x5 = 1/2 is a feasible basic solution of the A_2 lambda LP at the
     # origin, with cost 7/10 against the optimum -1/5
-    form, c, y = _a2_optimum()
-    assert _certify_optimal(form, c, [0, 5], [1, 1], 2, y) == [F(-1), F(-1)]
+    p, y = _a2_optimum()
+    assert _certify_optimal(p, [0, 5], [1, 1], 2, y) == [F(-1), F(-1)]
     with pytest.raises(InternalInvariantError, match="objective mismatch"):
-        _certify_optimal(form, c, [1, 5], [1, 1], 2, y)
+        _certify_optimal(p, [1, 5], [1, 1], 2, y)
     # the basis's own duals, Y = (7, 7), price out column 0
     with pytest.raises(InternalInvariantError, match="negative reduced cost"):
-        _certify_optimal(form, c, [1, 5], [1, 1], 2, [7, 7])
+        _certify_optimal(p, [1, 5], [1, 1], 2, [7, 7])
 
 
 def test_certify_optimal_rejects_negative_solution():
     # x1 = -1 solves x0 - x1 = 1 but is not >= 0
-    form = _standard_form(lp_problem([0, 0], [[1, -1]], [1]))
+    p = lp_problem([0, 0], [[1, -1]], [1])
     with pytest.raises(InternalInvariantError, match="primal check failed: basic"):
-        _certify_optimal(form, [0, 0], [1], [-1], 1, [0])
+        _certify_optimal(p, [1], [-1], 1, [0])
 
 
 def test_warm_start_from_corrupted_tableau_raises():
@@ -417,11 +416,49 @@ def test_warm_start_from_corrupted_tableau_raises():
 def test_certify_optimal_rejects_tampered_duals(i, step):
     # the optimal basis with one dual numerator off by one no longer proves
     # the optimum
-    form, c, y = _a2_optimum()
+    p, y = _a2_optimum()
     y[i] += step
     with pytest.raises(InternalInvariantError,
                        match="negative reduced cost|objective mismatch"):
-        _certify_optimal(form, c, [0, 5], [1, 1], 2, y)
+        _certify_optimal(p, [0, 5], [1, 1], 2, y)
+
+
+def _bounded_lp():
+    """min -x0 - 2 x1  s.t.  x0 + x1 = 3, x1 <= 2: the optimum -5 at x = (1, 2),
+    proved by the dual y = -1 of the row and w = -1 of the bound."""
+    p = lp_problem([-1, -2], [[1, 1]], [3], upper=[None, 2])
+    r = solve_lp(p)
+    assert r.status == OPTIMAL and r.optimum == -5 and r.vertex == (1, 2)
+    assert r.duals == (-1,)
+    return p
+
+
+def test_certify_optimal_checks_bounds_through_their_duals():
+    p = _bounded_lp()
+    # basis x0, x1 with the bound's slack at 0; the duals (y, w) = (-1, -1)
+    assert _certify_optimal(p, [0, 1], [1, 2], 1, [-1, -1]) == [F(-1), F(-1)]
+    # x = (0, 3) satisfies A x = b and x >= 0 but not x1 <= 2
+    with pytest.raises(InternalInvariantError, match="x above its upper bound"):
+        _certify_optimal(p, [0, 1], [0, 3], 1, [-1, -1])
+
+
+def test_certify_optimal_rejects_positive_bound_dual():
+    # min x1 over the same constraints has its optimum 0 at x = (3, 0); the
+    # vertex (1, 2) of cost 2 passes every other check with (y, w) = (0, 1)
+    p = lp_problem([0, 1], [[1, 1]], [3], upper=[None, 2])
+    assert _certify_optimal(p, [0, 2], [3, 2], 1, [0, 0]) == [0, 0]
+    with pytest.raises(InternalInvariantError, match="positive bound dual"):
+        _certify_optimal(p, [0, 1], [1, 2], 1, [0, 1])
+
+
+def test_certify_optimal_bound_dual_off_by_one():
+    # w = -2 keeps every reduced cost >= 0 but breaks b.y + u.w == c.x;
+    # w = 0 prices out x1
+    p = _bounded_lp()
+    with pytest.raises(InternalInvariantError, match="objective mismatch"):
+        _certify_optimal(p, [0, 1], [1, 2], 1, [-1, -2])
+    with pytest.raises(InternalInvariantError, match="negative reduced cost"):
+        _certify_optimal(p, [0, 1], [1, 2], 1, [-1, 0])
 
 
 def test_solve_cvp_never_reeliminates(monkeypatch):

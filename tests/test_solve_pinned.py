@@ -1,0 +1,158 @@
+"""`zonolat solve` output pinned byte for byte on a seeded corpus.
+
+Each problem's stdout is hashed (the first 16 hex digits of its sha256)
+and compared with the hash recorded when the corpus was added, so a
+refactor that must not change answers is checked here.  The corpus mixes
+graphic, cographic and VFK lattices (Voronoi's first kind) with far
+targets, so the box step runs, one far target whose walk goes on with a
+chain step, and the A_2 worked example, whose walk starts at the origin.
+A deliberate change of the output re-pins: run
+`PYTHONPATH=src python tests/test_solve_pinned.py` and paste its table.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import random
+import tempfile
+from contextlib import redirect_stdout
+from fractions import Fraction
+from hashlib import sha256
+from pathlib import Path
+
+import pytest
+
+from zonolat import (
+    ZonotopalLattice,
+    cographic_lattice,
+    cvp_instance,
+    digraph,
+    graphic_lattice,
+    obtuse_superbasis_gram,
+    solve_cvp,
+    tu_matrix,
+    voronoi_first_kind,
+)
+from zonolat.cli import main
+
+PINNED = {
+    "a2-worked": "42b144be326118ac",
+    "cographic-0": "5cd3fed33cceda34",
+    "cographic-1": "b86490d52fd7a114",
+    "cographic-2": "0b3fd8e2e8d0e121",
+    "cographic-3": "f3779bbc0899369e",
+    "cographic-walk": "fb0f015dd6d9a298",
+    "graphic-0": "77238296303c8b46",
+    "graphic-1": "7602666a2eca1cce",
+    "graphic-2": "b066ed37c7623577",
+    "graphic-3": "c5a89c7d551c3c84",
+    "vfk-0": "c99b28ea8df3c8bf",
+    "vfk-1": "6b94c0db1500fead",
+    "vfk-2": "768669a56d119c0f",
+}
+
+
+def _weight(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 6), rng.randint(1, 3))
+
+
+def _connected_arcs(rng: random.Random, vertices: int, m: int) -> list[tuple[int, int]]:
+    """A random spanning tree plus random arcs, parallel ones allowed."""
+    arcs = []
+    for k in range(1, vertices):
+        other = rng.randrange(k)
+        arcs.append((other, k) if rng.random() < 0.5 else (k, other))
+    while len(arcs) < m:
+        arcs.append(tuple(rng.sample(range(vertices), 2)))
+    rng.shuffle(arcs)
+    return arcs
+
+
+def _problem(name: str, lattice: ZonotopalLattice, target) -> dict:
+    return {
+        "name": name,
+        "m": lattice.m,
+        "n": lattice.matrix.n,
+        "M": [list(row) for row in lattice.matrix.entries],
+        "g": [str(x) for x in lattice.weights],
+        "t": [str(x) for x in target],
+        "tu_mode": "verify",
+    }
+
+
+def _far_target(rng: random.Random, m: int) -> list[Fraction]:
+    return [Fraction(rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 7)) for _ in range(m)]
+
+
+def corpus() -> dict[str, dict]:
+    rng = random.Random("solve-pinned")
+    out = {"a2-worked": {"name": "a2-worked", "m": 3, "n": 1, "M": [[1, 1, 1]],
+                         "g": ["1", "1", "1"], "t": ["7/10", "-1/5", "-1/2"],
+                         "tu_mode": "verify"}}
+    for k in range(4):
+        vertices = 5 + k
+        d = digraph(vertices, _connected_arcs(rng, vertices, 2 * vertices + k))
+        lattice = graphic_lattice(d, [_weight(rng) for _ in d.arcs])
+        out[f"graphic-{k}"] = _problem(f"graphic-{k}", lattice, _far_target(rng, lattice.m))
+    for k in range(4):
+        vertices = 6 + k % 2
+        d = digraph(vertices, _connected_arcs(rng, vertices, vertices + 5))
+        lattice = cographic_lattice(d, [_weight(rng) for _ in d.arcs])
+        out[f"cographic-{k}"] = _problem(f"cographic-{k}", lattice, _far_target(rng, lattice.m))
+    for k in range(3):
+        size = 4 + k % 2
+        gram = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                w = _weight(rng) if rng.random() < 0.8 or j == i + 1 else 0
+                gram[i][j] = gram[j][i] = -w
+                gram[i][i] += w
+                gram[j][j] += w
+        lattice, _ = voronoi_first_kind(obtuse_superbasis_gram(gram))
+        out[f"vfk-{k}"] = _problem(f"vfk-{k}", lattice, _far_target(rng, lattice.m))
+    # walks that go on after the box step are rare; a search over seeds
+    # found this one
+    rng = random.Random("walk-262")
+    d = digraph(7, _connected_arcs(rng, 7, 13))
+    lattice = cographic_lattice(d, [_weight(rng) for _ in d.arcs])
+    out["cographic-walk"] = _problem("cographic-walk", lattice, _far_target(rng, lattice.m))
+    return out
+
+
+CORPUS = corpus()
+
+
+def _stdout_hash(problem: dict, path: Path) -> str:
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["solve", str(path)]) == 0
+    return sha256(out.getvalue().encode()).hexdigest()[:16]
+
+
+def test_pins_cover_the_corpus():
+    assert sorted(PINNED) == sorted(CORPUS)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_solve_output_pinned(name, tmp_path):
+    got = _stdout_hash(CORPUS[name], tmp_path / "problem.json")
+    assert got == PINNED.get(name), f"`zonolat solve` output of {name} changed"
+
+
+def test_corpus_takes_box_and_walk_steps():
+    # every far target starts with the box step; the A_2 example walks from
+    # the origin, and cographic-walk walks on after its box step
+    for name, problem in CORPUS.items():
+        lattice = ZonotopalLattice(matrix=tu_matrix(problem["M"]), weights=problem["g"])
+        trace = solve_cvp(cvp_instance(lattice, problem["t"])).trace
+        assert (trace[0].u is None) == (name != "a2-worked"), name
+        walks = any(rec.u is not None for rec in trace)
+        assert walks == (name in ("a2-worked", "cographic-walk")), name
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CORPUS):
+            print(f'    "{name}": "{_stdout_hash(CORPUS[name], Path(tmp) / "problem.json")}",')
