@@ -19,7 +19,6 @@ from .core import (
     TUMatrix,
     ZonotopalLattice,
     frac_vec,
-    inner_product,
     tu_matrix,
 )
 from .errors import (
@@ -268,12 +267,18 @@ def voronoi_first_kind(gram: ObtuseSuperbasisGram
     for row in superbasis:
         if not lattice.contains(row):
             raise InternalInvariantError("superbasis row is not in the cut lattice")
+    # column a of the superbasis is nonzero only at its arc's two ends, so
+    # it adds g_a s_i s_j to (row i, row j)_g for those ends i, j alone
+    got = [[Fraction(0)] * k for _ in range(k)]
+    for a, (ends, w) in enumerate(zip(d.arcs, lattice.weights)):
+        for i in ends:
+            for j in ends:
+                got[i][j] += w * superbasis[i][a] * superbasis[j][a]
     for i in range(k):
         for j in range(k):
-            got = inner_product(superbasis[i], superbasis[j], lattice.weights)
-            if got != g[i][j]:
+            if got[i][j] != g[i][j]:
                 raise InternalInvariantError(
-                    f"image Gram mismatch at ({i}, {j}): {got} != {g[i][j]}"
+                    f"image Gram mismatch at ({i}, {j}): {got[i][j]} != {g[i][j]}"
                 )
     return lattice, superbasis
 

@@ -332,6 +332,13 @@ def stopping_data(instance: CVPInstance,
     saturating_step; acceptance criterion 7 tests it on a seeded corpus,
     and a walk past the cap raises.  `lam0` is lambda at the origin,
     solved here if omitted.
+
+    The proven bound is only pseudo-polynomial.  With w(v) = |v - t|_g^2,
+    K (w(v) - w(v')) = sum_i G_i (v_i^2 - v'_i^2) - H_i (v_i - v'_i) is an
+    int for integer v and v', and each step lowers w strictly, so by a
+    positive multiple of 1/K: a walk from s takes at most K w(s) steps.
+    After a box step w(v0) < sum_i g_i, as |v0_i - t_i| < 1.  The cap
+    above does not use it.
     """
     m = instance.m
     if lam0 is None:

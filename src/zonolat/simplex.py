@@ -4,7 +4,8 @@ Minimizes c.x subject to equality constraints A x = b, x >= 0 and
 per-variable upper bounds of +infinity or a finite integer; every datum is
 a Python int, and callers with rational data clear its denominators first.
 The tableau is the only copy of the constraints besides the caller's
-problem: each finite bound u_j is a tableau row x_j + s_j = u_j.
+problem: each finite bound u_j is a tableau row x_j + s_j = u_j, which
+starts on its slack s_j, with no artificial column.
 The tableau holds den * B^-1 A and den * B^-1 b over one positive common
 denominator den = |det B| of the basis matrix B, so all its entries are
 ints: a pivot multiplies and subtracts and then divides by the old den, and
@@ -13,7 +14,7 @@ that division is exact because every entry is a subdeterminant of the data
 inside the pivot loop.  Optimality, infeasibility and unboundedness are
 decided exactly, and identical inputs always produce the identical pivot
 sequence and vertex.  fractions.Fraction appears only at the interface:
-the optimum, the vertex and the duals, read off phase 1's artificial
+the optimum, the vertex and the duals, read off the artificial and slack
 columns.  Every optimal solve also checks, in integers, that its vertex
 is feasible and that its duals, those of the bounds included, prove the
 optimum.
@@ -69,11 +70,11 @@ class Tableau:
 
     `rows` and `rhs` are den * B^-1 [A | I] and den * B^-1 b for the rows
     A, b that _phase_one writes (the problem's rows, each negated where
-    b_i < 0, then one row x_j + s_j = u_j per finite bound; I holds the
-    artificial columns), and the basis matrix B of those rows, with
-    den = |det B| > 0, so every entry is an int.  None of it depends on the
-    objective, so it is a feasible starting basis for any other objective
-    over the same constraints.
+    b_i < 0, then one row x_j + s_j = u_j per finite bound; I holds one
+    artificial column per row of A, zero on the bound rows), and the basis
+    matrix B of those rows, with den = |det B| > 0, so every entry is an
+    int.  None of it depends on the objective, so it is a feasible starting
+    basis for any other objective over the same constraints.
     """
 
     constraints: tuple  # (A, b, upper) of the problem it solved
@@ -91,8 +92,8 @@ class LPResult:
     #: final tableau of an optimal solve, the warm start of solve_lp
     tableau: Tableau | None = field(default=None, compare=False, repr=False)
     #: optimal duals y of an optimal solve, one per row of A (0 for a row
-    #: phase 1 dropped as redundant); those of the upper-bound rows are left
-    #: out, so A^T y <= c and b.y == optimum when no variable has one
+    #: phase 1 dropped as redundant); those of the bound rows (their slack
+    #: columns') are left out, so A^T y <= c and b.y == optimum without them
     duals: tuple[Fraction, ...] | None = field(default=None, compare=False,
                                                repr=False)
 
@@ -125,10 +126,10 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
 
     Phase 2 keeps the reduced-cost row over the tableau's denominator too:
     den * c_j - c_B . (den B^-1 A)_j.  On the artificial columns, which
-    never enter, it reads -den c_B B^-1: den times the duals, negated, of
-    the sign-adjusted rows, and 0 for a row phase 1 dropped.  Pivots
-    replace tableau rows instead of editing them, so copying the outer
-    lists of the start leaves it intact.
+    never enter, and the bound rows' slacks it reads -den c_B B^-1: den
+    times the duals, negated, of the sign-adjusted rows, and 0 for a row
+    phase 1 dropped.  Pivots replace tableau rows instead of editing them,
+    so copying the outer lists of the start leaves it intact.
     """
     constraints = (p.A, p.b, p.upper)
     if start is None:
@@ -143,10 +144,10 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
                 "start must be an optimal result for the same A, b and bounds"
             )
         tab, rhs, den, basis = list(warm.rows), list(warm.rhs), warm.den, list(warm.basis)
-    bounds = tuple(u for u in p.upper if u is not None)
-    c = list(p.c) + [0] * len(bounds)  # the slacks of the bound rows cost 0
+    n = len(p.c)
+    c = list(p.c) + [0] * sum(u is not None for u in p.upper)  # slacks cost 0
     nvar = len(c)
-    red = [den * cj for cj in c] + [0] * (len(p.b) + len(bounds))
+    red = [den * cj for cj in c] + [0] * len(p.b)
     for i, bi in enumerate(basis):
         f = c[bi]
         if f:
@@ -154,12 +155,13 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     status, den = _bland(tab, rhs, basis, red, den, nvar)
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, optimum=None, vertex=None)
-    # Y_i = -s_i red[nvar + i], with s_i = -1 where phase 1 negated row i
-    y = [r if bi < 0 else -r for bi, r in zip(p.b + bounds, red[nvar:])]
+    # y_i = -s_i red[nvar + i], with s_i = -1 where phase 1 negated row i,
+    # then the bound duals w = -red[n:nvar] off the slacks
+    y = [r if bi < 0 else -r for bi, r in zip(p.b, red[nvar:])] + [-r for r in red[n:nvar]]
     duals = _certify_optimal(p, basis, rhs, den, y)
-    x = [Fraction(0)] * len(p.c)
+    x = [Fraction(0)] * n
     for bi, xi in zip(basis, rhs):
-        if bi < len(x):
+        if bi < n:
             x[bi] = Fraction(xi, den)
     opt = Fraction(sum(c[bi] * xi for bi, xi in zip(basis, rhs)), den)
     tableau = Tableau(constraints=constraints, rows=tuple(map(tuple, tab)),
@@ -176,33 +178,30 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
 def _phase_one(p: LPProblem):
     """A feasible basis of p's constraints as (rows, rhs, den, basis) in canonical form.
 
-    The tableau's rows are A x = b, then one row x_j + s_j = u_j per finite
-    bound u_j, in order of j.  Its columns are x, then the slacks s in the
-    same order, then one artificial per row.  Rows with b_i < 0 are
-    negated, and the slack of each bound row starts basic in place of that
-    row's artificial.  Redundant rows are dropped; None when the system is
-    infeasible.
+    The tableau's rows are A x = b, each negated where b_i < 0, then one
+    row x_j + s_j = u_j per finite bound u_j, in order of j.  Its columns
+    are x, the slacks s in the same order, and one artificial per row of A.
+    The artificials and the slacks start basic (det 1); phase 1 minimizes
+    the sum of the artificials.  Redundant rows are dropped; None when the
+    system is infeasible.
+
+    An artificial of a bound row would copy its slack: both start as e_row,
+    and row operations keep equal columns equal.  In phase 1 it would cost
+    1 and the slack 0, so its reduced cost would be the slack's plus den,
+    at a higher index: Bland's rule never enters it.  In phase 2 both cost
+    0, so the slack gives the same bound dual.  Leaving the copies out thus
+    changes no other pivot, row or column.
     """
     bounded = [j for j, u in enumerate(p.upper) if u is not None]
-    n, k = len(p.c), len(bounded)
+    n, k, m = len(p.c), len(bounded), len(p.b)
     nvar = n + k
     rows = [[-a if bi < 0 else a for a in row] + [0] * k for row, bi in zip(p.A, p.b)]
     rows += [[int(i in (j, n + s)) for i in range(nvar)] for s, j in enumerate(bounded)]
+    tab = [row + [int(q == i) for q in range(m)] for i, row in enumerate(rows)]
     rhs = [abs(bi) for bi in p.b] + [p.upper[j] for j in bounded]
-    m = len(rows)
-
-    # tableau over columns [structural | artificial], artificial basis
-    # (det 1); minimize the sum of artificials.  The slack column of a
-    # bound row has one nonzero, 1, in that row, whose rhs is >= 0, so it
-    # replaces the row's artificial at once: one pivot that touches no
-    # other row.
-    tab = [rows[i] + [int(q == i) for q in range(m)] for i in range(m)]
-    basis = [nvar + i for i in range(m)]
-    red = [-sum(tab[i][j] for i in range(m)) for j in range(nvar)] + [0] * m
-    den = 1
-    for s in range(1, k + 1):
-        den = _pivot(tab, rhs, basis, red, den, m - s, nvar - s)
-    status, den = _bland(tab, rhs, basis, red, den, nvar + m)
+    basis = [nvar + i for i in range(m)] + [n + s for s in range(k)]
+    red = [-sum(row[j] for row in rows[:m]) for j in range(nvar)] + [0] * m
+    status, den = _bland(tab, rhs, basis, red, 1, nvar + m)
     if status != OPTIMAL:
         raise InternalInvariantError("phase-1 objective is bounded by zero")
     if any(rhs[i] for i in range(len(tab)) if basis[i] >= nvar):

@@ -9,7 +9,9 @@ import pytest
 
 from conftest import k4_digraph, triangle_digraph
 from zonolat import (
+    InternalInvariantError,
     InvalidInputError,
+    ZonotopalLattice,
     a_n_lattice,
     cographic_lattice,
     digraph,
@@ -155,6 +157,23 @@ def test_vfk_a2_dual_complete_delone_graph():
     for i in range(3):
         for j in range(3):
             assert inner_product(rows[i], rows[j], lattice.weights) == gram[i][j]
+
+
+def test_vfk_image_gram_check_catches_a_wrong_weight(monkeypatch):
+    # the check reads the Gram matrix off the lattice's weights, so a cut
+    # lattice with one weight off must fail it
+    from zonolat import constructions
+
+    real = constructions.cographic_lattice
+
+    def perturbed(d, g=None):
+        lattice = real(d, g)
+        weights = (lattice.weights[0] + 1,) + lattice.weights[1:]
+        return ZonotopalLattice(matrix=lattice.matrix, weights=weights)
+
+    monkeypatch.setattr(constructions, "cographic_lattice", perturbed)
+    with pytest.raises(InternalInvariantError, match="image Gram mismatch"):
+        voronoi_first_kind(obtuse_superbasis_gram(A2_GRAM))
 
 
 def test_vfk_gram_validation_messages():

@@ -112,8 +112,9 @@ def test_upper_bound_column():
 
 
 def test_bound_row_slacks_start_basic(monkeypatch):
-    # each bound row's slack replaces its artificial in one pivot, so an LP
-    # whose optimum is the all-slack basis needs no further pivot
+    # each bound row starts on its slack and there is no A row, so phase 1
+    # starts feasible with no artificial; the all-slack basis is also
+    # optimal for c >= 0, so the solve makes no pivot at all
     from zonolat import simplex
 
     pivots = []
@@ -126,7 +127,17 @@ def test_bound_row_slacks_start_basic(monkeypatch):
     monkeypatch.setattr(simplex, "_pivot", counting)
     r = solve_lp(lp_problem([1, 2, 1], [], [], upper=[3, 1, 7]))
     assert r.status == OPTIMAL and r.optimum == 0 and r.vertex == (0, 0, 0)
-    assert pivots == [5, 4, 3]  # the slack columns, last row first
+    assert pivots == []
+
+
+def test_bound_rows_have_no_artificial_column():
+    # columns: 3 variables, 2 slacks (x_0 and x_2 are bounded), and one
+    # artificial per row of A; a bound row gets none
+    r = solve_lp(lp_problem([-1, -1, 0], [[1, 1, 1], [1, -1, 0]], [4, 0],
+                            upper=[3, None, 1]))
+    assert r.status == OPTIMAL and r.optimum == -4
+    rows = r.tableau.rows
+    assert len(rows) == 2 + 2 and {len(row) for row in rows} == {3 + 2 + 2}
 
 
 def test_warm_start_reprices_basis():

@@ -6,6 +6,8 @@ refactor that must not change answers is checked here.  The corpus mixes
 graphic, cographic and VFK lattices (Voronoi's first kind) with far
 targets, so the box step runs, one far target whose walk goes on with a
 chain step, and the A_2 worked example, whose walk starts at the origin.
+The `-tie-` problems have half-integer targets, so every vertex of the box
+LP ties and only the simplex's tie-breaking decides the box step's vertex.
 A deliberate change of the output re-pins: run
 `PYTHONPATH=src python tests/test_solve_pinned.py` and paste its table.
 """
@@ -29,6 +31,7 @@ from zonolat import (
     cvp_instance,
     digraph,
     graphic_lattice,
+    kernel_basis,
     obtuse_superbasis_gram,
     solve_cvp,
     tu_matrix,
@@ -42,6 +45,9 @@ PINNED = {
     "cographic-1": "b86490d52fd7a114",
     "cographic-2": "0b3fd8e2e8d0e121",
     "cographic-3": "f3779bbc0899369e",
+    "cographic-tie-0": "4ebec9d244a57a85",
+    "cographic-tie-1": "78809e35089edef5",
+    "cographic-tie-2": "130e109d7043ef9a",
     "cographic-walk": "fb0f015dd6d9a298",
     "graphic-0": "77238296303c8b46",
     "graphic-1": "7602666a2eca1cce",
@@ -50,6 +56,8 @@ PINNED = {
     "vfk-0": "c99b28ea8df3c8bf",
     "vfk-1": "6b94c0db1500fead",
     "vfk-2": "768669a56d119c0f",
+    "vfk-tie-0": "f3b8eb087f2eca34",
+    "vfk-tie-1": "fa89b86234620268",
 }
 
 
@@ -85,6 +93,16 @@ def _far_target(rng: random.Random, m: int) -> list[Fraction]:
     return [Fraction(rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 7)) for _ in range(m)]
 
 
+def _half_target(rng: random.Random, lattice: ZonotopalLattice) -> list[Fraction]:
+    """Half of a far lattice vector: already in the span, so the projection
+    keeps it, and a half-integer wherever the vector is odd."""
+    t = [0] * lattice.m
+    for b in kernel_basis(lattice.matrix):
+        a = rng.randint(-2 * 10 ** 4, 2 * 10 ** 4)
+        t = [x + a * y for x, y in zip(t, b)]
+    return [Fraction(x, 2) for x in t]
+
+
 def corpus() -> dict[str, dict]:
     rng = random.Random("solve-pinned")
     out = {"a2-worked": {"name": "a2-worked", "m": 3, "n": 1, "M": [[1, 1, 1]],
@@ -111,6 +129,28 @@ def corpus() -> dict[str, dict]:
                 gram[j][j] += w
         lattice, _ = voronoi_first_kind(obtuse_superbasis_gram(gram))
         out[f"vfk-{k}"] = _problem(f"vfk-{k}", lattice, _far_target(rng, lattice.m))
+    # half-integer targets: every box slope right_derivative(j, floor t_j)
+    # is 0, so all box vertices tie and Bland's rule alone picks the box
+    # step's vertex
+    rng = random.Random("solve-pinned-ties")
+    for k in range(3):
+        vertices = 6 + k
+        d = digraph(vertices, _connected_arcs(rng, vertices, vertices + 4 + k))
+        lattice = cographic_lattice(d, [_weight(rng) for _ in d.arcs])
+        out[f"cographic-tie-{k}"] = _problem(f"cographic-tie-{k}", lattice,
+                                             _half_target(rng, lattice))
+    for k in range(2):
+        size = 4 + k
+        gram = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                w = _weight(rng)
+                gram[i][j] = gram[j][i] = -w
+                gram[i][i] += w
+                gram[j][j] += w
+        lattice, _ = voronoi_first_kind(obtuse_superbasis_gram(gram))
+        out[f"vfk-tie-{k}"] = _problem(f"vfk-tie-{k}", lattice,
+                                       _half_target(rng, lattice))
     # walks that go on after the box step are rare; a search over seeds
     # found this one
     rng = random.Random("walk-262")
@@ -143,10 +183,14 @@ def test_solve_output_pinned(name, tmp_path):
 
 def test_corpus_takes_box_and_walk_steps():
     # every far target starts with the box step; the A_2 example walks from
-    # the origin, and cographic-walk walks on after its box step
+    # the origin, and cographic-walk walks on after its box step.  The tie
+    # problems' non-integer target coordinates are all half-integers.
     for name, problem in CORPUS.items():
         lattice = ZonotopalLattice(matrix=tu_matrix(problem["M"]), weights=problem["g"])
-        trace = solve_cvp(cvp_instance(lattice, problem["t"])).trace
+        instance = cvp_instance(lattice, problem["t"])
+        if "-tie-" in name:
+            assert {x.denominator for x in instance.target} == {1, 2}, name
+        trace = solve_cvp(instance).trace
         assert (trace[0].u is None) == (name != "a2-worked"), name
         walks = any(rec.u is not None for rec in trace)
         assert walks == (name in ("a2-worked", "cographic-walk")), name
