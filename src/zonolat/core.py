@@ -46,7 +46,7 @@ def frac_vec(xs: Iterable) -> FracVec:
 def int_vec(xs: Iterable) -> IntVec:
     out = []
     for x in xs:
-        f = Fraction(x)
+        f = x if type(x) is int else Fraction(x)
         if f.denominator != 1:
             raise InvalidInputError(f"expected an integer vector, got entry {x}")
         out.append(int(f))
@@ -278,7 +278,7 @@ class ZonotopalLattice:
         """True iff coords is an integer vector in ker(matrix)."""
         if len(coords) != self.m:
             return False
-        if any(Fraction(c).denominator != 1 for c in coords):
+        if any(type(c) is not int and Fraction(c).denominator != 1 for c in coords):
             return False
         return all(s == 0 for s in self.matrix.apply(coords))
 

@@ -227,7 +227,7 @@ def _lambda_constraints(matrix: TUMatrix) -> tuple:
 def compute_lambda(v: Sequence, instance: CVPInstance,
                    start: simplex.LPResult | None = None
                    ) -> tuple[Fraction, simplex.LPResult]:
-    """lambda(v) = max(0, -opt / K) plus the optimal result of lambda_lp(v).
+    """lambda(v) = max(0, -optimum / (den K)) plus the optimal result of lambda_lp(v).
 
     Every lambda LP of an instance has the same constraints, so `start`,
     the result of an earlier call on the same instance, is a feasible
@@ -239,20 +239,21 @@ def compute_lambda(v: Sequence, instance: CVPInstance,
     res = simplex.solve_lp(lambda_lp(vv, instance), start)
     if res.status != simplex.OPTIMAL:
         raise InternalInvariantError(f"lambda LP reported {res.status}")
-    return max(Fraction(0), -res.optimum / instance.K), res
+    return Fraction(max(0, -res.optimum), res.den * instance.K), res
 
 
 def min_mean_voronoi_vector(v: Sequence, instance: CVPInstance,
                             lam: Fraction | None = None,
-                            vertex: FracVec | None = None) -> PrimitiveChain:
+                            vertex: IntVec | None = None) -> PrimitiveChain:
     """Strict Voronoi vector of minimum mean cost, minimal support, at v.
 
-    `vertex` is the basic optimal vertex of lambda_lp(v) that gave `lam`;
-    both are computed here when the vertex is omitted.  A basic vertex of
-    {[M, -M] x = 0, 1.x = 1, x >= 0} is a circuit of [M, -M] scaled to sum
-    one.  The circuit {i+, i-} has mean cost g_i > 0, so it is never optimal
-    while lambda(v) > 0; every other one is a primitive chain, read off as
-    x+ - x- and rescaled to {-1, 0, +1}.
+    `vertex` is den times the basic optimal vertex of lambda_lp(v) that
+    gave `lam` (an LPResult's vertex); both are computed here when the
+    vertex is omitted.  A basic vertex of {[M, -M] x = 0, 1.x = 1, x >= 0}
+    is a circuit of [M, -M] scaled to sum one.  The circuit {i+, i-} has
+    mean cost g_i > 0, so it is never optimal while lambda(v) > 0; every
+    other one is a primitive chain, read off as x+ - x- and rescaled to
+    {-1, 0, +1}.
     """
     vv = int_vec(v)
     if vertex is None:
@@ -389,9 +390,9 @@ def proximity_start(instance: CVPInstance) -> IntVec:
         if res.status != simplex.OPTIMAL:
             raise InternalInvariantError(f"box LP reported {res.status}")
         for j, z in zip(free, res.vertex):
-            if z.denominator != 1:
-                raise InternalInvariantError(f"box LP vertex has entry {z}")
-            base[j] += z.numerator
+            if z not in (0, res.den):
+                raise InternalInvariantError(f"box LP vertex has entry {z}/{res.den}")
+            base[j] += z // res.den
     v0 = tuple(base)
     if not instance.lattice.contains(v0):
         raise InternalInvariantError("box LP vertex is not a lattice vector")
@@ -474,7 +475,7 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
             distance_sq=dist_next,
         ))
         v, dist, lam = v_next, dist_next, lam_next
-    y = tuple(d / instance.K for d in res.duals[:instance.lattice.matrix.n])
+    y = tuple(Fraction(d, res.den * instance.K) for d in res.duals[:instance.lattice.matrix.n])
     if not dual_certificate_holds(v, y, instance):
         raise InternalInvariantError(
             "lambda reached zero but the duals of its LP do not certify the answer"

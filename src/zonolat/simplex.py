@@ -13,11 +13,11 @@ that division is exact because every entry is a subdeterminant of the data
 (Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  No gcd is taken
 inside the pivot loop.  Optimality, infeasibility and unboundedness are
 decided exactly, and identical inputs always produce the identical pivot
-sequence and vertex.  fractions.Fraction appears only at the interface:
-the optimum, the vertex and the duals, read off the artificial and slack
-columns.  Every optimal solve also checks, in integers, that its vertex
-is feasible and that its duals, those of the bounds included, prove the
-optimum.
+sequence and vertex.  The result speaks ints too: the optimum, the vertex
+and the duals come out as den times their values, read straight off the
+rhs and the reduced-cost row, together with den.  Every optimal solve
+also checks, in integers, that its vertex is feasible and that its duals,
+those of the bounds included, prove the optimum.
 `eliminate` runs the same pivot as a fraction-free Gauss-Jordan reduction,
 the one exact elimination of the solver: kernel bases, projections and
 circuit tests.
@@ -74,7 +74,8 @@ class Tableau:
     artificial column per row of A, zero on the bound rows), and the basis
     matrix B of those rows, with den = |det B| > 0, so every entry is an
     int.  None of it depends on the objective, so it is a feasible starting
-    basis for any other objective over the same constraints.
+    basis for any other objective over the same constraints.  den is also
+    the LPResult's den: its vertex is rhs placed on the basic columns.
     """
 
     constraints: tuple  # (A, b, upper) of the problem it solved
@@ -86,16 +87,18 @@ class Tableau:
 
 @dataclass(frozen=True)
 class LPResult:
+    """The outcome of solve_lp.  An optimal one is in ints over den = |det B|
+    of its final basis: `optimum`, `vertex` and `duals` are den times c.x,
+    the basic optimal vertex x and the duals y, one per row of A (0 for a
+    row phase 1 dropped; the bound rows' are left out, so A^T y <= den c and
+    b.y == optimum without them).  `tableau` is the warm start of solve_lp."""
+
     status: str
-    optimum: Fraction | None
-    vertex: tuple[Fraction, ...] | None
-    #: final tableau of an optimal solve, the warm start of solve_lp
+    optimum: int | None
+    vertex: tuple[int, ...] | None
+    den: int = 1
     tableau: Tableau | None = field(default=None, compare=False, repr=False)
-    #: optimal duals y of an optimal solve, one per row of A (0 for a row
-    #: phase 1 dropped as redundant); those of the bound rows (their slack
-    #: columns') are left out, so A^T y <= c and b.y == optimum without them
-    duals: tuple[Fraction, ...] | None = field(default=None, compare=False,
-                                               repr=False)
+    duals: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
 
 def lp_problem(c: Iterable, A: Iterable[Iterable], b: Iterable,
@@ -158,16 +161,13 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     # y_i = -s_i red[nvar + i], with s_i = -1 where phase 1 negated row i,
     # then the bound duals w = -red[n:nvar] off the slacks
     y = [r if bi < 0 else -r for bi, r in zip(p.b, red[nvar:])] + [-r for r in red[n:nvar]]
-    duals = _certify_optimal(p, basis, rhs, den, y)
-    x = [Fraction(0)] * n
-    for bi, xi in zip(basis, rhs):
-        if bi < n:
-            x[bi] = Fraction(xi, den)
-    opt = Fraction(sum(c[bi] * xi for bi, xi in zip(basis, rhs)), den)
+    _certify_optimal(p, basis, rhs, den, y)
+    at = dict(zip(basis, rhs))
+    x = tuple(at.get(j, 0) for j in range(n))  # den * x
     tableau = Tableau(constraints=constraints, rows=tuple(map(tuple, tab)),
                       rhs=tuple(rhs), den=den, basis=tuple(basis))
-    return LPResult(status=OPTIMAL, optimum=opt, vertex=tuple(x), tableau=tableau,
-                    duals=tuple(duals[:len(p.A)]))
+    return LPResult(status=OPTIMAL, optimum=sum(cj * xj for cj, xj in zip(p.c, x)),
+                    vertex=x, den=den, tableau=tableau, duals=tuple(y[:len(p.A)]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +300,12 @@ def _bland(tab, rhs, basis, red, den: int, allowed: int) -> tuple[str, int]:
         den = _pivot(tab, rhs, basis, red, den, best, enter)
 
 
-def _certify_optimal(p: LPProblem, basis, rhs, den: int, y: list[int]) -> list[Fraction]:
-    """Exact optimality proof of a basic solution of p: check it and return
-    its duals y / den, one per row of A and then one per finite bound.
+def _certify_optimal(p: LPProblem, basis, rhs, den: int, y: list[int]) -> None:
+    """Exact optimality proof of a basic solution of p; raise if it fails.
 
-    The basic columns hold rhs / den and every other column 0; x is that
-    solution on the variables of p.  With w_j the dual of the bound row
+    y is den times the duals, one per row of A and then one per finite
+    bound.  The basic columns hold rhs / den and every other column 0; x is
+    that solution on the variables of p.  With w_j the dual of the bound row
     x_j + s_j = u_j (none for an unbounded j), the checks are the problem
     as written, row by row:
     - primal: x >= 0, A x == b and x <= upper;
@@ -318,10 +318,8 @@ def _certify_optimal(p: LPProblem, basis, rhs, den: int, y: list[int]) -> list[F
     n = len(p.c)
     if den <= 0 or any(xi < 0 for xi in rhs):
         raise InternalInvariantError("primal check failed: basic solution is negative")
-    x = [0] * n  # den * x
-    for bi, xi in zip(basis, rhs):
-        if bi < n:
-            x[bi] = xi
+    at = dict(zip(basis, rhs))
+    x = [at.get(j, 0) for j in range(n)]  # den * x
     basic = [(j, xj) for j, xj in enumerate(x) if xj]
     if any(sum(row[j] * xj for j, xj in basic) != bi * den for row, bi in zip(p.A, p.b)):
         raise InternalInvariantError("primal check failed: A x != b")
@@ -342,4 +340,3 @@ def _certify_optimal(p: LPProblem, basis, rhs, den: int, y: list[int]) -> list[F
     dual = sum(yi * bi for yi, bi in zip(y, p.b)) + sum(u * wj for (_, u), wj in zip(bounded, w))
     if dual != sum(cj * xj for cj, xj in zip(p.c, x)):
         raise InternalInvariantError("duality check failed: objective mismatch")
-    return [Fraction(yi, den) for yi in y]

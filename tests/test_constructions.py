@@ -14,6 +14,7 @@ from zonolat import (
     ZonotopalLattice,
     a_n_lattice,
     cographic_lattice,
+    constructions,
     digraph,
     enumerate_primitive_chains,
     graphic_lattice,
@@ -122,6 +123,23 @@ def test_cographic_fundamental_cycles_pinned(d, rows):
     sign = {"-": -1, "0": 0, "+": 1}
     expected = tuple(tuple(sign[e] for e in row) for row in rows)
     assert cographic_lattice(d).matrix.entries == expected
+
+
+def test_cographic_rejects_a_cycle_that_is_not_a_circulation(monkeypatch):
+    # the forest 0 -(0)- 1 -(1)- 2 with vertex 2 given parent arc 0, which
+    # does not touch it: the path of arc 1 then walks arc 0 twice and
+    # leaves a net flow at vertices 0, 1 and 2
+    dfs_forest = constructions._dfs_forest
+
+    def wrong_parent(d):
+        parent, depth = dfs_forest(d)
+        assert parent == [None, 0, 1]
+        parent[2] = 0
+        return parent, depth
+
+    monkeypatch.setattr(constructions, "_dfs_forest", wrong_parent)
+    with pytest.raises(InternalInvariantError, match="not a circulation"):
+        cographic_lattice(digraph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +300,18 @@ def test_minor_triangle_delete_and_contract():
     assert {c.coords for c in enumerate_primitive_chains(contracted)} == {
         (1, 1), (-1, -1)
     }
+
+
+def test_minor_contraction_drops_a_zeroed_parallel_column():
+    # arcs 0 and 1 are parallel, so contracting arc 1 zeroes column 0 and
+    # contracting it then drops a free coordinate; the result is the graphic
+    # lattice of the graph with vertices 0 and 1 merged
+    lat = graphic_lattice(digraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]))
+    contracted = minor(lat, contract=[0, 1])
+    expected = graphic_lattice(digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)]))
+    assert contracted.m == 4 and contracted.rank() == expected.rank() == 2
+    assert ({c.coords for c in enumerate_primitive_chains(contracted)}
+            == {c.coords for c in enumerate_primitive_chains(expected)})
 
 
 def test_minor_disjointness_required():

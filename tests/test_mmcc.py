@@ -325,8 +325,8 @@ def test_warm_lambda_lp_matches_cold_at_every_iterate():
             p = lambda_lp(v, inst)
             cold = simplex.solve_lp(p)
             warm = simplex.solve_lp(p, start=prev or cold)
-            assert warm.optimum == cold.optimum
-            lam = max(F(0), -cold.optimum / inst.K)
+            assert F(warm.optimum, warm.den) == F(cold.optimum, cold.den)
+            lam = max(F(0), F(-cold.optimum, cold.den * inst.K))
             if lam > 0:
                 # extraction asserts the circuit and the mean -lam itself
                 u_warm = min_mean_voronoi_vector(v, inst, lam, warm.vertex)
@@ -418,9 +418,9 @@ def test_step_keeps_duals_feasible():
 
 def _lp_duals(v, inst):
     """Duals of the M rows of the cold lambda LP at v, in the units of the
-    costs: the LP's own are K times larger."""
-    duals = simplex.solve_lp(lambda_lp(v, inst)).duals[:inst.lattice.matrix.n]
-    return tuple(y / inst.K for y in duals)
+    costs: the LP's own are den K times larger."""
+    res = simplex.solve_lp(lambda_lp(v, inst))
+    return tuple(F(y, res.den * inst.K) for y in res.duals[:inst.lattice.matrix.n])
 
 
 def test_every_answer_certified_and_agrees_with_facets():

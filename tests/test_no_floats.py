@@ -1,7 +1,8 @@
 """Static guards on the package source: no float arithmetic anywhere, no
 cache without an integer bound on its size, no import of core from
-simplex, no rescaling inside simplex, and no import of the oracle from the
-solver modules."""
+simplex, no rescaling inside simplex, no Fraction in simplex outside the
+converter of lp_problem, and no import of the oracle from the solver
+modules."""
 
 from __future__ import annotations
 
@@ -173,6 +174,41 @@ def test_simplex_does_not_rescale():
     # (the instance's scale K), so no per-LP lcm pass can creep back
     tree = ast.parse((SOURCE / "simplex.py").read_text(encoding="utf-8"))
     assert _rescaling(tree) == []
+
+
+def _fraction_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, innermost enclosing def or class, else "<module>") of every
+    use of the name Fraction, as a name or as an attribute."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == "Fraction"
+                    or isinstance(child, ast.Attribute) and child.attr == "Fraction"):
+                out.append((child.lineno, scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if named else scope)
+
+    visit(tree, "<module>")
+    return sorted(out)
+
+
+def test_guard_catches_fraction_uses():
+    code = ("from fractions import Fraction\nimport fractions\n"
+            "class R:\n    x: Fraction\n"
+            "def f(a) -> Fraction:\n    return fractions.Fraction(a)\n"
+            "def g():\n    def h():\n        return Fraction(1)\n    return 'Fraction'\n"
+            "ONE = Fraction(1)\n")
+    assert _fraction_uses(ast.parse(code)) == [(4, "R"), (5, "f"), (6, "f"), (9, "h"),
+                                               (11, "<module>")]
+
+
+def test_simplex_builds_no_fraction():
+    # the LP speaks ints both ways: its result is den-scaled ints, and a
+    # Fraction is only accepted, as an integral input, by lp_problem
+    tree = ast.parse((SOURCE / "simplex.py").read_text(encoding="utf-8"))
+    uses = _fraction_uses(tree)
+    assert uses and {scope for _, scope in uses} <= {"_integer", "lp_problem"}, uses
 
 
 def test_solver_does_not_import_oracle():

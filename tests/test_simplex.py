@@ -34,11 +34,12 @@ from zonolat.simplex import (
 
 
 def _assert_duals_prove_optimum(p, r):
-    """A^T y <= c and b.y == optimum, for an LP without upper bounds."""
+    """A^T y <= den c and b.y == optimum (both den-scaled), for an LP
+    without upper bounds."""
     y = r.duals
     assert len(y) == len(p.A)
     for j, cj in enumerate(p.c):
-        assert sum(yi * row[j] for yi, row in zip(y, p.A)) <= cj
+        assert sum(yi * row[j] for yi, row in zip(y, p.A)) <= r.den * cj
     assert sum(yi * bi for yi, bi in zip(y, p.b)) == r.optimum
 
 
@@ -63,7 +64,7 @@ def test_lambda_lp_a2_optimum():
     p = lambda_lp((0, 0, 0), inst)
     r = solve_lp(p)
     assert r.status == OPTIMAL
-    assert r.optimum == -inst.K * F(1, 5)
+    assert F(r.optimum, r.den) == -inst.K * F(1, 5)
     _assert_duals_prove_optimum(p, r)
 
 
@@ -89,7 +90,8 @@ def test_non_integral_data_rejected(where, bad):
 def test_integral_fractions_become_ints():
     p = lp_problem([F(2), 0], [[F(4, 2), -1]], [F(3)], upper=[F(6, 3), None])
     assert all(type(x) is int for x in p.c + p.A[0] + p.b + p.upper[:1])
-    assert solve_lp(p).optimum == 3
+    r = solve_lp(p)
+    assert F(r.optimum, r.den) == 3
 
 
 def test_contradictory_equalities_infeasible():
@@ -135,7 +137,7 @@ def test_bound_rows_have_no_artificial_column():
     # artificial per row of A; a bound row gets none
     r = solve_lp(lp_problem([-1, -1, 0], [[1, 1, 1], [1, -1, 0]], [4, 0],
                             upper=[3, None, 1]))
-    assert r.status == OPTIMAL and r.optimum == -4
+    assert r.status == OPTIMAL and F(r.optimum, r.den) == -4
     rows = r.tableau.rows
     assert len(rows) == 2 + 2 and {len(row) for row in rows} == {3 + 2 + 2}
 
@@ -150,7 +152,8 @@ def test_warm_start_reprices_basis():
     cold = solve_lp(q)
     warm = solve_lp(q, start=first)
     # lambda(1, 0, -1) = 0: the optimum is K times the least mean cost 1/5
-    assert warm.status == OPTIMAL and warm.optimum == cold.optimum == inst.K * F(1, 5)
+    assert warm.status == OPTIMAL
+    assert F(warm.optimum, warm.den) == F(cold.optimum, cold.den) == inst.K * F(1, 5)
     _assert_duals_prove_optimum(q, warm)
     assert solve_lp(p, start=first) == first
     assert first.tableau == solve_lp(p).tableau
@@ -181,7 +184,7 @@ def test_vertex_is_basic_feasible():
     r = solve_lp(p)
     x = r.vertex
     for row, b in zip(p.A, p.b):
-        assert sum(c * v for c, v in zip(row, x)) == b
+        assert sum(c * v for c, v in zip(row, x)) == b * r.den
     assert all(v >= 0 for v in x)
     assert sum(1 for v in x if v) <= len(p.A)
 
@@ -252,6 +255,12 @@ def _integral_lp(c, A, b, upper=None):
     return lp_problem([x * cs for x in c], rows, rhs, upper=bounds), cs * s
 
 
+def _assert_int_result(r):
+    """An optimal result is den-scaled ints over den >= 1."""
+    assert type(r.optimum) is int and type(r.den) is int and r.den >= 1
+    assert all(type(x) is int for x in r.vertex + r.duals)
+
+
 def test_random_lps_against_basis_enumeration():
     rng = random.Random(1234)
     for _ in range(40):
@@ -267,7 +276,8 @@ def test_random_lps_against_basis_enumeration():
         status, best = _enumerate_optimum(c, A, b)
         assert got.status == status, (A, b, c)
         if status == OPTIMAL:
-            assert got.optimum / factor == best, (A, b, c)
+            _assert_int_result(got)
+            assert F(got.optimum, got.den) / factor == best, (A, b, c)
             _assert_duals_prove_optimum(p, got)
 
 
@@ -307,7 +317,8 @@ def test_random_fractional_lps_against_basis_enumeration():
                                           b + [u for _, u in bounded])
         assert got.status == status, (A, b, c, upper)
         if status == OPTIMAL:
-            assert got.optimum / factor == best, (A, b, c, upper)
+            _assert_int_result(got)
+            assert F(got.optimum, got.den) / factor == best, (A, b, c, upper)
             if not bounded:
                 _assert_duals_prove_optimum(p, got)
 
@@ -367,7 +378,7 @@ def test_negative_drive_out_pivot_keeps_den_positive(monkeypatch):
     assert r.status == OPTIMAL and r.tableau.den > 0
     assert len(r.tableau.rows) == 2  # one of the opposite rows was dropped
     # the oracle needs full row rank: leave out row 0, the negative of row 1
-    assert (OPTIMAL, r.optimum) == _enumerate_optimum(c, A[1:], b[1:]) == (OPTIMAL, 0)
+    assert (OPTIMAL, F(r.optimum, r.den)) == _enumerate_optimum(c, A[1:], b[1:]) == (OPTIMAL, 0)
     _assert_duals_prove_optimum(p, r)
 
 
@@ -377,9 +388,8 @@ def _a2_optimum():
     (0, 5)."""
     p = lambda_lp((0, 0, 0), _a2_instance())
     r = solve_lp(p)
-    y = [int(2 * d) for d in r.duals]
-    assert y == [2 * d for d in r.duals] == [-2, -2]
-    return p, y
+    assert r.den == 2 and r.duals == (-2, -2)
+    return p, list(r.duals)
 
 
 @pytest.mark.parametrize("rhs", [
@@ -396,7 +406,7 @@ def test_certify_optimal_rejects_suboptimal_basis():
     # x1 = x5 = 1/2 is a feasible basic solution of the A_2 lambda LP at the
     # origin, with cost 7/10 against the optimum -1/5
     p, y = _a2_optimum()
-    assert _certify_optimal(p, [0, 5], [1, 1], 2, y) == [F(-1), F(-1)]
+    assert _certify_optimal(p, [0, 5], [1, 1], 2, y) is None
     with pytest.raises(InternalInvariantError, match="objective mismatch"):
         _certify_optimal(p, [1, 5], [1, 1], 2, y)
     # the basis's own duals, Y = (7, 7), price out column 0
@@ -447,7 +457,7 @@ def _bounded_lp():
 def test_certify_optimal_checks_bounds_through_their_duals():
     p = _bounded_lp()
     # basis x0, x1 with the bound's slack at 0; the duals (y, w) = (-1, -1)
-    assert _certify_optimal(p, [0, 1], [1, 2], 1, [-1, -1]) == [F(-1), F(-1)]
+    assert _certify_optimal(p, [0, 1], [1, 2], 1, [-1, -1]) is None
     # x = (0, 3) satisfies A x = b and x >= 0 but not x1 <= 2
     with pytest.raises(InternalInvariantError, match="x above its upper bound"):
         _certify_optimal(p, [0, 1], [0, 3], 1, [-1, -1])
@@ -457,7 +467,7 @@ def test_certify_optimal_rejects_positive_bound_dual():
     # min x1 over the same constraints has its optimum 0 at x = (3, 0); the
     # vertex (1, 2) of cost 2 passes every other check with (y, w) = (0, 1)
     p = lp_problem([0, 1], [[1, 1]], [3], upper=[None, 2])
-    assert _certify_optimal(p, [0, 2], [3, 2], 1, [0, 0]) == [0, 0]
+    assert _certify_optimal(p, [0, 2], [3, 2], 1, [0, 0]) is None
     with pytest.raises(InternalInvariantError, match="positive bound dual"):
         _certify_optimal(p, [0, 1], [1, 2], 1, [0, 1])
 
