@@ -34,7 +34,6 @@ class Digraph:
 
     vertex_count: int
     arcs: tuple[tuple[int, int], ...]
-    arc_weights: FracVec | None = None
 
     def __post_init__(self):
         for tail, head in self.arcs:
@@ -42,43 +41,28 @@ class Digraph:
                 raise InvalidInputError(f"self-loop at vertex {tail} is not allowed")
             if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
                 raise InvalidInputError(f"arc ({tail}, {head}) leaves the vertex range")
-        if self.arc_weights is not None:
-            object.__setattr__(self, "arc_weights", frac_vec(self.arc_weights))
-            if len(self.arc_weights) != len(self.arcs):
-                raise DimensionError("arc weight count does not match the arc count")
-            if any(w <= 0 for w in self.arc_weights):
-                raise InvalidInputError("arc weights must be positive")
 
 
-def digraph(vertex_count: int, arcs: Sequence[tuple[int, int]],
-            arc_weights: Sequence | None = None) -> Digraph:
-    return Digraph(
-        vertex_count=vertex_count,
-        arcs=tuple((int(t), int(h)) for t, h in arcs),
-        arc_weights=None if arc_weights is None else frac_vec(arc_weights),
-    )
+def digraph(vertex_count: int, arcs: Sequence[tuple[int, int]]) -> Digraph:
+    return Digraph(vertex_count=vertex_count, arcs=tuple((int(t), int(h)) for t, h in arcs))
 
 
-def _default_weights(d: Digraph) -> FracVec:
-    if d.arc_weights is not None:
-        return d.arc_weights
-    return tuple(Fraction(1) for _ in d.arcs)
+def _arc_weights(d: Digraph, g: Sequence | None) -> FracVec:
+    """g as one weight per arc of d, all ones when omitted."""
+    weights = frac_vec(g) if g is not None else (Fraction(1),) * len(d.arcs)
+    if len(weights) != len(d.arcs):
+        raise DimensionError("weight length does not match the arc count")
+    return weights
 
 
 def component_count(vertex_count: int, arcs: Sequence[tuple[int, int]]) -> int:
-    parent = list(range(vertex_count))
+    """Connected components of the graph; self-loops join nothing.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for t, h in arcs:
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[rt] = rh
-    return len({find(v) for v in range(vertex_count)})
+    An arc that leaves the vertex range raises InvalidInputError.
+    """
+    kept = [(t, h) for t, h in arcs if t != h or not 0 <= t < vertex_count]
+    parent, _ = _dfs_forest(digraph(vertex_count, kept))
+    return parent.count(None)
 
 
 def _incidence_rows(d: Digraph) -> list[list[int]]:
@@ -102,9 +86,7 @@ def incidence_matrix(d: Digraph) -> TUMatrix:
 def graphic_lattice(d: Digraph, g: Sequence | None = None) -> ZonotopalLattice:
     """Lattice of integral circulations of d; primitive chains are the
     signed simple cycles of the underlying graph."""
-    weights = frac_vec(g) if g is not None else _default_weights(d)
-    if len(weights) != len(d.arcs):
-        raise DimensionError("weight length does not match the arc count")
+    weights = _arc_weights(d, g)
     return ZonotopalLattice(matrix=incidence_matrix(d), weights=weights)
 
 
@@ -152,9 +134,7 @@ def cographic_lattice(d: Digraph, g: Sequence | None = None) -> ZonotopalLattice
     common ancestor, and each forest arc gets +1 when the path runs along
     it, -1 when against it.
     """
-    weights = frac_vec(g) if g is not None else _default_weights(d)
-    if len(weights) != len(d.arcs):
-        raise DimensionError("weight length does not match the arc count")
+    weights = _arc_weights(d, g)
     m = len(d.arcs)
     parent, depth = _dfs_forest(d)
     tree = set(parent)
@@ -261,8 +241,8 @@ def voronoi_first_kind(gram: ObtuseSuperbasisGram
         raise InternalInvariantError(
             "Delone graph of a valid obtuse superbasis must be connected"
         )
-    d = digraph(k, arcs, arc_weights=weights)
-    lattice = cographic_lattice(d)
+    d = digraph(k, arcs)
+    lattice = cographic_lattice(d, weights)
     # every incidence row r_i is in the cut lattice: (M r_i)_c is the net
     # flow of fundamental cycle c at vertex i, and cographic_lattice has
     # asserted that every fundamental cycle is a circulation

@@ -16,12 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from . import simplex
 from .core import (
-    LATTICE_CACHE_SIZE,
     FracVec,
     IntVec,
     PrimitiveChain,
@@ -30,7 +28,6 @@ from .core import (
     chain_signs,
     frac_vec,
     int_vec,
-    matrix_rank,
     primitive_chain,
     project_onto_span,
 )
@@ -44,6 +41,9 @@ class CVPInstance:
     K, the lcm of the denominators of g_i and 2 g_i t_i, is the one integer
     scale of the solver: G = K g and H = 2 K g t are ints, and so is K times
     every derivative (see _scaled_slopes).  w0 is w(0) = sum_i g_i t_i^2.
+    lambda_rows is (A, b, upper) of [M, -M; 1^T] x = (0, 1), shared by
+    every lambda LP of the instance, so the warm start's same-constraints
+    check is an identity comparison.
     """
 
     lattice: ZonotopalLattice
@@ -52,6 +52,7 @@ class CVPInstance:
     G: IntVec = field(init=False, repr=False, compare=False)
     H: IntVec = field(init=False, repr=False, compare=False)
     w0: Fraction = field(init=False, repr=False, compare=False)
+    lambda_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "target", frac_vec(self.target))
@@ -71,8 +72,11 @@ class CVPInstance:
         H = tuple(2 * K * p * a // (q * b) for p, q, a, b in terms)
         L = math.lcm(*(b for *_, b in terms))
         w0 = Fraction(sum(h * a * (L // b) for h, (_, _, a, b) in zip(H, terms)), 2 * K * L)
+        M = self.lattice.matrix
+        rows = tuple(row + tuple(-e for e in row) for row in M.entries) + ((1,) * (2 * M.m),)
+        lambda_rows = (rows, (0,) * M.n + (1,), (None,) * (2 * M.m))
         for name, value in (("K", K), ("G", tuple(K // q * p for p, q, _, _ in terms)),
-                            ("H", H), ("w0", w0)):
+                            ("H", H), ("w0", w0), ("lambda_rows", lambda_rows)):
             object.__setattr__(self, name, value)
 
     @property
@@ -107,7 +111,6 @@ class IterationRecord:
     steps from the previous iterate to `v` = previous + step * u.
     """
 
-    index: int
     v: IntVec                 # iterate after this step
     lam: Fraction             # lambda at the point the step left
     u: PrimitiveChain | None  # None for the box step
@@ -208,20 +211,8 @@ def lambda_lp(v: Sequence, instance: CVPInstance) -> simplex.LPProblem:
     """
     slopes = [_scaled_slopes(i, x, instance) for i, x in enumerate(v)]
     obj = tuple(hi for _, hi in slopes) + tuple(-lo for lo, _ in slopes)
-    A, b, upper = _lambda_constraints(instance.lattice.matrix)
+    A, b, upper = instance.lambda_rows
     return simplex.LPProblem(c=obj, A=A, b=b, upper=upper)
-
-
-@lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def _lambda_constraints(matrix: TUMatrix) -> tuple:
-    """(A, b, upper) shared by every lambda LP over M: [M, -M; 1^T] x = (0, 1).
-
-    One object per matrix also makes the warm start's same-constraints
-    check an identity comparison.
-    """
-    rows = tuple(row + tuple(-e for e in row) for row in matrix.entries)
-    rows += ((1,) * (2 * matrix.m),)
-    return rows, (0,) * matrix.n + (1,), (None,) * (2 * matrix.m)
 
 
 def compute_lambda(v: Sequence, instance: CVPInstance,
@@ -321,39 +312,20 @@ def saturating_step(lam: Fraction, u: PrimitiveChain,
     return min(math.ceil(Fraction(lam * p, 2 * s)), 1 + math.floor(lam / g_max))
 
 
-def stopping_data(instance: CVPInstance,
-                  lam0: Fraction | None = None) -> StoppingData:
-    """A bug-detecting iteration cap.
+def stopping_data(instance: CVPInstance) -> StoppingData:
+    """The proven iteration cap floor(K w(0)).
 
-    K times any cost is an integer (see CVPInstance), so any positive
-    lambda is at least 1/(K m), and delta = 1/(2 K m) sits strictly below
-    it.  The cap assumes a geometric decrease of lambda (factor 1 - 1/(2m)
-    every m - rank(M) iterations) from lam0 down to delta and adds a
-    safety margin.  That decrease is not proven for the step of
-    saturating_step; acceptance criterion 7 tests it on a seeded corpus,
-    and a walk past the cap raises.  `lam0` is lambda at the origin,
-    solved here if omitted.
-
-    The proven bound is only pseudo-polynomial.  With w(v) = |v - t|_g^2,
     K (w(v) - w(v')) = sum_i G_i (v_i^2 - v'_i^2) - H_i (v_i - v'_i) is an
-    int for integer v and v', and each step lowers w strictly, so by a
-    positive multiple of 1/K: a walk from s takes at most K w(s) steps.
-    After a box step w(v0) < sum_i g_i, as |v0_i - t_i| < 1.  The cap
-    above does not use it.
+    int for integer v and v'.  Every step, the box step included, lowers w
+    strictly, so by at least 1/K.  lambda(v) > 0 means some lattice vector
+    v* is closer than v, so K w(v) >= K (w(v) - w(v*)) >= 1.  After j steps
+    with lambda still positive, 1 <= K w(v) <= K w(0) - j, so j < floor(K
+    w(0)): len(records) < cap at every pass of a correct walk, and
+    solve_cvp asserts it.  The bound is pseudo-polynomial; no polynomial
+    one is proven for the step of saturating_step, and acceptance
+    criterion 7 tests a geometric decrease of lambda on a seeded corpus.
     """
-    m = instance.m
-    if lam0 is None:
-        lam0, _ = compute_lambda((0,) * m, instance)
-    blocks = 0
-    ratio = lam0 * 2 * instance.K * m  # lam0 / delta
-    if ratio > 1:
-        # (1 - 1/(2m))^(2m b) < e^-b, and ratio < 2^bits <= e^bits, so
-        # 2m bits blocks bring lambda below delta
-        bits = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 1
-        blocks = 2 * m * bits
-    block_len = m - matrix_rank(instance.lattice.matrix)
-    cap = max(1, block_len) * blocks + m + 16
-    return StoppingData(iteration_cap=cap)
+    return StoppingData(iteration_cap=math.floor(instance.K * instance.w0))
 
 
 # ---------------------------------------------------------------------------
@@ -407,21 +379,20 @@ def proximity_start(instance: CVPInstance) -> IntVec:
 def solve_cvp(instance: CVPInstance) -> CVPSolution:
     """Walk to a closest lattice vector, from the origin or from the box.
 
-    The cold lambda LP is solved at the origin.  When lambda(0) >= g_max,
-    the largest weight, and proximity_start's vertex v0 is strictly closer
-    than the origin, one box step jumps to v0 (recorded with u = None and
-    lam = lambda(0)); otherwise the walk starts at the origin.  The box
-    step keeps lambda from rising: at a point of the box |v_i - t_i| < 1,
-    so every arc costs more than -g_i (c_i^+ = g_i (2 (v_i - t_i) + 1) and
-    -c_i^- = g_i (1 - 2 (v_i - t_i))), every chain's mean cost exceeds
-    -g_max, and lambda(v0) < g_max <= lambda(0).
+    The cold lambda LP is solved at the origin.  On the first pass, when
+    lambda(0) >= g_max, the largest weight, the step is the box step to
+    proximity_start's vertex v0 (recorded with u = None and step 1) if v0
+    is strictly closer than the origin.  The box step lowers lambda
+    strictly: at a point of the box |v_i - t_i| < 1, so every arc costs
+    more than -g_i (c_i^+ = g_i (2 (v_i - t_i) + 1) and -c_i^- = g_i (1 -
+    2 (v_i - t_i))), every chain's mean cost exceeds -g_max, and
+    lambda(v0) < g_max <= lambda(0).
 
-    Each iteration then cancels a minimum mean strict Voronoi vector by
-    the step of saturating_step and solves one lambda LP at the new point,
-    warm-started from the previous one (the LP at v0 from the origin's);
-    that LP's vertex is the next chain.  saturating_step proves that every
-    step strictly decreases the squared distance and never increases
-    lambda; both are asserted for every record, the box step included.
+    Every other step cancels a minimum mean strict Voronoi vector, read off
+    the vertex of the last lambda LP, by the step of saturating_step, which
+    proves that the squared distance falls strictly and lambda does not
+    rise.  After every step one lambda LP is solved at the new point,
+    warm-started from the previous one, and both facts are asserted.
 
     At lambda = 0 the answer is certified by the duals y of the M rows of
     the last lambda LP, the one solved at the answer, over K: dual
@@ -432,48 +403,37 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
     v: IntVec = (0,) * m
     dist = instance.distance_sq(v)
     lam, res = compute_lambda(v, instance)
-    sd = stopping_data(instance, lam)
+    cap = stopping_data(instance).iteration_cap
     records: list[IterationRecord] = []
-    if lam >= max(instance.weights):
-        v_next = proximity_start(instance)
-        dist_next = instance.distance_sq(v_next)
-        if dist_next < dist:
-            lam_next, res = compute_lambda(v_next, instance, res)
-            if lam_next >= lam:
-                raise InternalInvariantError(
-                    f"box step left lambda at {lam_next} >= lambda(0) = {lam}"
-                )
-            records.append(IterationRecord(
-                index=1, v=v_next, lam=lam, u=None, step=1, distance_sq=dist_next,
-            ))
-            v, dist, lam = v_next, dist_next, lam_next
+    box = lam >= max(instance.weights)
     while lam > 0:
-        if len(records) >= sd.iteration_cap:
-            raise InternalInvariantError(
-                f"iteration cap {sd.iteration_cap} exceeded; lambda = {lam}"
-            )
+        if len(records) >= cap:
+            raise InternalInvariantError(f"iteration cap {cap} exceeded; lambda = {lam}")
         if lam * instance.K * m < 1:
             # positive lambda below 1/(K m) contradicts K-integrality of costs
             raise InternalInvariantError(
                 f"stopping-rule inconsistency: 0 < lambda = {lam} < 1/(K m)"
             )
-        u = min_mean_voronoi_vector(v, instance, lam, res.vertex)
-        delta = saturating_step(lam, u, instance)
-        v_next = tuple(a + delta * b for a, b in zip(v, u.coords))
+        if box and instance.distance_sq(v0 := proximity_start(instance)) < dist:
+            u, delta, v_next, kind = None, 1, v0, "the box step"
+        else:
+            u = min_mean_voronoi_vector(v, instance, lam, res.vertex)
+            delta = saturating_step(lam, u, instance)
+            v_next = tuple(a + delta * b for a, b in zip(v, u.coords))
+            kind = f"step {delta}"
+        box = False
         dist_next = instance.distance_sq(v_next)
         lam_next, res = compute_lambda(v_next, instance, res)
-        if lam_next > lam:
+        if lam_next > lam or (u is None and lam_next == lam):
             raise InternalInvariantError(
-                f"lambda increased from {lam} to {lam_next} at step {delta}"
+                f"lambda went from {lam} to {lam_next} at {kind}"
             )
         if dist_next >= dist:
             raise InternalInvariantError(
-                f"squared distance failed to decrease ({dist} -> {dist_next})"
+                f"squared distance failed to decrease ({dist} -> {dist_next}) at {kind}"
             )
-        records.append(IterationRecord(
-            index=len(records) + 1, v=v_next, lam=lam, u=u, step=delta,
-            distance_sq=dist_next,
-        ))
+        records.append(IterationRecord(v=v_next, lam=lam, u=u, step=delta,
+                                       distance_sq=dist_next))
         v, dist, lam = v_next, dist_next, lam_next
     y = tuple(Fraction(d, res.den * instance.K) for d in res.duals[:instance.lattice.matrix.n])
     if not dual_certificate_holds(v, y, instance):

@@ -369,3 +369,11 @@ def test_minor_preserves_weights():
 def test_component_count():
     assert component_count(4, [(0, 1), (2, 3)]) == 2
     assert component_count(3, [(0, 1), (1, 2)]) == 1
+    assert component_count(3, [(1, 1), (0, 2), (2, 2)]) == 2  # self-loops join nothing
+
+
+@pytest.mark.parametrize("arc", [(0, -1), (0, 5), (5, 5)])
+def test_component_count_rejects_arcs_off_the_vertex_range(arc):
+    # (0, -1) once indexed from the end and (0, 5) raised a bare IndexError
+    with pytest.raises(InvalidInputError):
+        component_count(3, [arc])

@@ -225,6 +225,13 @@ def test_stopping_data_k_values():
     assert stopping_data(inst).iteration_cap > 0
 
 
+def test_iteration_cap_is_floor_k_w0():
+    # K = 5 and w(0) = 49/100 + 4/100 + 25/100 = 39/50, so K w(0) = 3.9
+    inst = a2_instance()
+    assert (inst.K, inst.w0) == (5, F(39, 50))
+    assert stopping_data(inst).iteration_cap == 3
+
+
 def test_solve_cvp_worked_a2():
     sol = solve_cvp(a2_instance())
     assert sol.closest == (1, 0, -1)
@@ -347,8 +354,8 @@ def _origin_walk(inst):
         u = min_mean_voronoi_vector(v, inst, lam, res.vertex)
         step = saturating_step(lam, u, inst)
         v = tuple(a + step * b for a, b in zip(v, u.coords))
-        records.append(IterationRecord(index=len(records) + 1, v=v, lam=lam, u=u,
-                                       step=step, distance_sq=inst.distance_sq(v)))
+        records.append(IterationRecord(v=v, lam=lam, u=u, step=step,
+                                       distance_sq=inst.distance_sq(v)))
         lam, res = compute_lambda(v, inst, res)
     return records
 
@@ -620,3 +627,70 @@ def test_far_target_solves_from_the_box():
     assert sol.trace[0].u is None
     assert all(abs(a - x) < 1 for a, x in zip(sol.closest, inst.target))
     assert sol.lambda_trace()[0] == compute_lambda((0, 0, 0), inst)[0]
+
+
+def test_walks_stay_within_the_proven_cap():
+    # each step lowers K w by a positive int, so the k-th iterate has
+    # K w <= K w(0) - k, and no walk takes more than floor(K w(0)) steps
+    for inst in _corpus_instances() + _box_instances():
+        cap = stopping_data(inst).iteration_cap
+        for walk in (_origin_walk(inst), solve_cvp(inst).trace):
+            assert len(walk) <= cap
+            for k, rec in enumerate(walk, 1):
+                assert inst.K * (inst.w0 - rec.distance_sq) >= k
+
+
+def test_box_step_must_lower_lambda(monkeypatch):
+    # the LP at the box vertex reports lambda(0) again: the box step keeps
+    # its strict check, which no correct walk trips
+    real = mmcc.compute_lambda
+    seen = []
+
+    def stuck(v, instance, start=None):
+        lam, res = real(v, instance, start)
+        seen.append(lam)
+        return seen[0], res
+
+    monkeypatch.setattr(mmcc, "compute_lambda", stuck)
+    with pytest.raises(InternalInvariantError, match="box step"):
+        solve_cvp(_box_instances()[0])
+    assert len(seen) == 2
+
+
+def test_lambda_lps_of_one_instance_share_their_rows(monkeypatch):
+    # every lambda LP of an instance reads the instance's rows, so the
+    # warm start's same-constraints check compares one object
+    solve_lp = simplex.solve_lp
+    problems = []
+
+    def recording(p, start=None):
+        problems.append(p)
+        return solve_lp(p, start)
+
+    monkeypatch.setattr(simplex, "solve_lp", recording)
+    for inst in _box_instances()[:4]:
+        problems.clear()
+        sol = solve_cvp(inst)
+        # the box LP bounds its variables by 1, a lambda LP leaves them free
+        rows = [p.A for p in problems if all(u is None for u in p.upper)]
+        assert len(rows) == 1 + sol.iterations
+        assert all(a is inst.lambda_rows[0] for a in rows)
+        assert lambda_lp((0,) * inst.m, inst).A is inst.lambda_rows[0]
+
+
+def test_min_mean_voronoi_vector_rejects_a_wrong_lambda():
+    inst = a2_instance()
+    with pytest.raises(InternalInvariantError, match="lambda mismatch"):
+        min_mean_voronoi_vector((0, 0, 0), inst, lam=F(1, 4))
+
+
+def test_min_mean_voronoi_vector_needs_lambda_with_a_vertex():
+    inst = a2_instance()
+    _, res = compute_lambda((0, 0, 0), inst)
+    with pytest.raises(InvalidInputError, match="must come with its lambda"):
+        min_mean_voronoi_vector((0, 0, 0), inst, vertex=res.vertex)
+
+
+def test_compute_lambda_rejects_a_non_lattice_vector():
+    with pytest.raises(InvalidInputError, match="not a lattice member"):
+        compute_lambda((1, 0, 0), a2_instance())
