@@ -25,12 +25,11 @@ from .constructions import (
     voronoi_first_kind,
 )
 from .core import (
-    VERIFY_ROW_CAP,
     FracVec,
     IntVec,
     ZonotopalLattice,
-    heller_tompkins,
     project_onto_span,
+    tu_decidable,
     tu_matrix,
     tu_verdict,
 )
@@ -320,7 +319,7 @@ def _parse_weights(text: str | None, m: int) -> FracVec:
 def _problem_from_lattice(name: str, lattice: ZonotopalLattice) -> ProblemFile:
     """The lattice as a problem file, "verify" only where a loader can decide M."""
     matrix = lattice.matrix
-    decidable = heller_tompkins(matrix.entries) is not None or matrix.n <= VERIFY_ROW_CAP
+    verify = matrix.tu_status == "verified" and tu_decidable(matrix.entries)
     return ProblemFile(
         name=name,
         m=lattice.m,
@@ -328,7 +327,7 @@ def _problem_from_lattice(name: str, lattice: ZonotopalLattice) -> ProblemFile:
         M=matrix.entries,
         g=lattice.weights,
         t=tuple(Fraction(0) for _ in range(lattice.m)),
-        tu_mode="verify" if matrix.tu_status == "verified" and decidable else "assert",
+        tu_mode="verify" if verify else "assert",
     )
 
 

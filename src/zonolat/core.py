@@ -32,7 +32,8 @@ Rational = Fraction
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
 
-#: The exhaustive Ghouila-Houri fallback is refused above this row count.
+#: The exhaustive Ghouila-Houri fallback is refused above this many rows of
+#: the reduced matrix (`tu_reduce`).
 VERIFY_ROW_CAP = 20
 #: Entries kept by each per-lattice cache; the least recently used goes first.
 LATTICE_CACHE_SIZE = 128
@@ -121,58 +122,73 @@ def heller_tompkins(rows: Sequence[Sequence[int]]) -> bool | None:
 
 
 def ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
-    """Exhaustive Ghouila-Houri test: every row subset admits a +-1 signing
-    whose column sums all lie in {-1, 0, +1}.
+    """Exhaustive Ghouila-Houri test: every nonempty row subset R admits a
+    signing x in {-1,+1}^R with x^T M_R in {-1, 0, +1}^m.
 
-    Exponential in the row count.  `tu_verdict` runs it only on matrices
-    that `heller_tompkins` cannot decide, and only up to VERIFY_ROW_CAP rows.
+    Equivalently, every nonempty support is hit by some x in {-1,0,+1}^n
+    with x^T M in {-1,0,+1}^m.  The walk visits x in reflected ternary Gray
+    order, one coordinate moving by 1 per step, with x_{n-1} kept in
+    {-1, 0} since x and -x pass together: 2 * 3^(n-1) vectors.  x^T M is
+    one int with a w-bit field s_j + 1 + 2^(w-1) per column, w =
+    (n+1).bit_length() + 1, so no field leaves [0, 2^w) and a step adds or
+    subtracts one packed row.  s_j lies in {-1, 0, +1} iff its field has
+    the top bit set, bits 2 to w-2 clear and not both low bits set.  Each
+    support reached is marked in a bytearray.  Exponential in the row
+    count: `tu_verdict` runs it only on the reduced matrix, and only up to
+    VERIFY_ROW_CAP rows.
     """
     n = len(rows)
     if n == 0:
         return True
-    m = len(rows[0])
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        if not _signing_exists([rows[i] for i in idx], m):
-            return False
-    return True
-
-
-def _signing_exists(sub: list[Sequence[int]], m: int) -> bool:
-    k = len(sub)
-    # suffix[p][j] = sum of |entries| of rows p..k-1 in column j; a partial
-    # column sum s can still reach {-1,0,1} iff |s| <= 1 + suffix.
-    suffix = [[0] * m for _ in range(k + 1)]
-    for p in range(k - 1, -1, -1):
-        row = sub[p]
-        nxt = suffix[p + 1]
-        suffix[p] = [nxt[j] + abs(row[j]) for j in range(m)]
-
-    def rec(p: int, sums: list[int]) -> bool:
-        if p == k:
-            return all(-1 <= s <= 1 for s in sums)
-        row = sub[p]
-        rem = suffix[p + 1]
-        for sgn in (1, -1):
-            if p == 0 and sgn == -1:
-                break  # negating a whole signing is again a signing
-            nxt = [s + sgn * e for s, e in zip(sums, row)]
-            if all(abs(s) <= 1 + r for s, r in zip(nxt, rem)):
-                if rec(p + 1, nxt):
-                    return True
+    if any(e not in (-1, 0, 1) for row in rows for e in row):
         return False
-
-    return rec(0, [0] * m)
+    w = (n + 1).bit_length() + 1
+    fields = [w * j for j in range(len(rows[0]))]
+    top = sum(1 << (f + w - 1) for f in fields)
+    middle = sum(((1 << (w - 1)) - 4) << f for f in fields)
+    low = sum(1 << f for f in fields)
+    packed = [sum(e << f for e, f in zip(row, fields) if e) for row in rows]
+    s = top + low - sum(packed)  # x = (-1, ..., -1)
+    support = (1 << n) - 1
+    seen = bytearray(1 << n)
+    seen[0] = 1
+    unseen = support
+    # Knuth's loopless reflected mixed-radix Gray walk (TAOCP 7.2.1.1,
+    # Algorithm H): digit j of x moves by `step[j]`, packed with its sign;
+    # `focus` picks the digit, and a digit reflects at the end of its range
+    moves = [0] * n
+    span = [2] * (n - 1) + [1]
+    step = list(packed)
+    focus = list(range(n + 1))
+    while True:
+        if s & top == top and not s & middle and not s & (s >> 1) & low:
+            if not seen[support]:
+                seen[support] = 1
+                unseen -= 1
+                if not unseen:
+                    return True
+        j = focus[0]
+        if j == n:
+            return False
+        focus[0] = 0
+        s += step[j]
+        support ^= 1 << j
+        moves[j] += 1
+        if moves[j] == span[j]:
+            moves[j] = 0
+            step[j] = -step[j]
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
 
 
 @dataclass(frozen=True)
 class TUMatrix:
     """A {-1,0,+1} matrix together with its total-unimodularity status.
 
-    tu_status is "verified" (proved TU by Heller-Tompkins, by the
-    exhaustive Ghouila-Houri check, or by construction, such as the network
-    matrix of a spanning forest and its minors) or "asserted" (caller
-    vouches; only the entry range is checked).
+    tu_status is "verified" (proved TU by `tu_verdict`, or by
+    construction, such as the network matrix of a spanning forest and its
+    minors) or "asserted" (caller vouches; only the entry range is
+    checked).
     """
 
     n: int
@@ -200,12 +216,74 @@ class TUMatrix:
         )
 
 
-def tu_verdict(rows: Sequence[Sequence[int]]) -> bool | None:
-    """TU verdict by Heller-Tompkins, else by the exhaustive Ghouila-Houri
-    check within VERIFY_ROW_CAP rows; None when neither can decide."""
+def _drop_lines(lines: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The lines with two or more nonzeros, each kept once up to sign."""
+    seen, out = set(), []
+    for line in lines:
+        nonzero = [e for e in line if e]
+        if len(nonzero) < 2:
+            continue
+        key = line if nonzero[0] > 0 else tuple(-e for e in line)
+        if key not in seen:
+            seen.add(key)
+            out.append(line)
+    return out
+
+
+def tu_reduce(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """A matrix that is TU iff the {-1,0,+1} matrix rows is, no larger.
+
+    Deletes, to a fixed point, every row or column with at most one
+    nonzero and every row or column that repeats another up to sign, then
+    transposes to the shorter side (rows <= columns).  Each step keeps TU
+    in both directions (Schrijver, Theory of Linear and Integer
+    Programming, 1986, ch. 19): a square submatrix through a line with one
+    nonzero expands along it to one of the rest, and one through a line
+    and its repeat is singular.  The empty matrix () means TU.
+    """
+    lines = [tuple(row) for row in rows]
+    while lines:
+        kept = _drop_lines(lines)
+        columns = _drop_lines(list(zip(*kept)))
+        if len(kept) == len(lines) and len(columns) == len(lines[0]):
+            return tuple(lines) if len(lines) <= len(columns) else tuple(columns)
+        lines = list(zip(*columns))
+    return ()
+
+
+def _tu_without_search(rows: Sequence[Sequence[int]]) -> tuple[bool | None, tuple]:
+    """The polynomial part of `tu_verdict`: (verdict, ()) when it decides,
+    else (None, the reduced matrix the exhaustive check must decide)."""
     verdict = heller_tompkins(rows)
-    if verdict is None and len(rows) <= VERIFY_ROW_CAP:
-        verdict = ghouila_houri_ok(rows)
+    if verdict is not None:
+        return verdict, ()
+    reduced = tu_reduce(rows)
+    if not reduced:
+        return True, ()
+    verdict = heller_tompkins(reduced)
+    if verdict is None:
+        verdict = heller_tompkins(tuple(zip(*reduced)))
+    return (verdict, ()) if verdict is not None else (None, reduced)
+
+
+def tu_decidable(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff `tu_verdict(rows)` is not None: a polynomial test decides,
+    or the reduced matrix has at most VERIFY_ROW_CAP rows."""
+    verdict, reduced = _tu_without_search(rows)
+    return verdict is not None or len(reduced) <= VERIFY_ROW_CAP
+
+
+def tu_verdict(rows: Sequence[Sequence[int]]) -> bool | None:
+    """Exact TU verdict, or None when the exhaustive check is over its cap.
+
+    In order: the entry range; Heller-Tompkins on M; `tu_reduce`, whose
+    empty result means TU; Heller-Tompkins on the reduced matrix and on its
+    transpose; and only then the exhaustive Ghouila-Houri check on the
+    reduced matrix, within VERIFY_ROW_CAP rows.
+    """
+    verdict, reduced = _tu_without_search(rows)
+    if verdict is None and len(reduced) <= VERIFY_ROW_CAP:
+        verdict = ghouila_houri_ok(reduced)
     return verdict
 
 
@@ -215,9 +293,10 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
 
     mode "verify" takes the verdict of `tu_verdict`: Heller-Tompkins at
     any size when every column has at most two nonzeros, otherwise the
-    exhaustive check, refused above VERIFY_ROW_CAP rows (SizeCapError).
-    "assert" trusts the caller.  `width` is required for matrices with zero
-    rows.
+    TU-preserving reduction and, on what it leaves, Heller-Tompkins or the
+    exhaustive check, refused above VERIFY_ROW_CAP reduced rows
+    (SizeCapError; `tu_decidable` says in advance).  "assert" trusts the
+    caller.  `width` is required for matrices with zero rows.
     """
     entries = tuple(tuple(int(e) for e in row) for row in rows)
     n = len(entries)
@@ -235,10 +314,12 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
     if mode == "verify":
         verdict = tu_verdict(entries)
         if verdict is None:
+            reduced = tu_reduce(entries)
             raise SizeCapError(
-                f"exhaustive TU verification capped at {VERIFY_ROW_CAP} rows "
-                f"(got {n}) for a matrix with three or more nonzeros in a "
-                f"column; load with mode='assert'"
+                f"exhaustive TU verification capped at {VERIFY_ROW_CAP} rows: "
+                f"the {n} x {m} matrix reduces to {len(reduced)} x "
+                f"{len(reduced[0])}, with three or more nonzeros in a line; "
+                f"load with mode='assert'"
             )
         if not verdict:
             raise InvalidInputError("matrix is not totally unimodular")
@@ -402,27 +483,40 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
     """g-orthogonal projection of t onto the span of the lattice.
 
     Returns t' in ker M with (t - t', z)_g = 0 for every kernel vector z;
-    idempotent; exact.  A zero kernel projects everything to the origin.
-    With B the kernel basis and G = B diag(g) B^T its Gram matrix,
-    t' = B^T z for z = G^-1 B diag(g) t.  In integers, from the integral
-    multiples a g and c t, (a G) z = h / c with h = B diag(a g) (c t), and
-    simplex.eliminate of [a G | h] leaves den * (a G)^-1 h = den c z.
+    idempotent; exact.  The residual t - t' is g-orthogonal to ker M, so
+    it is D^-1 M^T y for D = diag(g), and M t' = 0 gives the normal
+    equations (M D^-1 M^T) y = M t over the n rows of M; then
+    t' = t - D^-1 M^T y.  In integers, with u = a D^-1 and c t integral,
+    (M diag(u) M^T) z = M (c t) for z = c y / a, and simplex.eliminate of
+    [M diag(u) M^T | M (c t)] leaves den z on the pivot rows; the free z,
+    from the dependent rows of an incidence matrix, are 0, and
+    den c t' = den (c t) - diag(u) M^T (den z).  No rows give t' = t and
+    a zero kernel gives the origin.
     """
     if len(t) != lattice.m:
         raise DimensionError(f"target length {len(t)} != coordinate count {lattice.m}")
-    tv = frac_vec(t)
-    basis = kernel_basis(lattice.matrix)
-    r = len(basis)
-    ag, _ = _integral_multiple(lattice.weights)
-    ct, c = _integral_multiple(tv)
-    weighted = [[w * e for w, e in zip(ag, b)] for b in basis]
-    gram = [[sum(w * e for w, e in zip(wb, b) if e) for b in basis] for wb in weighted]
-    h = [sum(w * x for w, x in zip(wb, ct) if w) for wb in weighted]
-    _, h, pivots, den = simplex.eliminate(gram, h)
-    if pivots != list(range(r)):
-        raise InternalInvariantError("Gram matrix of a kernel basis is singular")
-    return tuple(Fraction(sum(hi * b[a] for hi, b in zip(h, basis) if hi and b[a]), den * c)
-                 for a in range(lattice.m))
+    ct, c = _integral_multiple(frac_vec(t))
+    a = lcm(*(g.numerator for g in lattice.weights))
+    u = [a // g.numerator * g.denominator for g in lattice.weights]
+    rows = lattice.matrix.entries
+    n = len(rows)
+    normal = [[0] * n for _ in range(n)]
+    for uj, column in zip(u, zip(*rows)):
+        nonzero = [(i, e) for i, e in enumerate(column) if e]
+        for i, e in nonzero:
+            normal_i, ue = normal[i], e * uj
+            for k, f in nonzero:
+                normal_i[k] += ue * f
+    h = [sum(e * x for e, x in zip(row, ct) if e) for row in rows]
+    _, h, pivots, den = simplex.eliminate(normal, h)
+    if any(h[len(pivots):]):
+        raise InternalInvariantError("normal equations of the projection are inconsistent")
+    mz = [0] * lattice.m  # M^T (den z), the free z being 0
+    for p, dz in zip(pivots, h):
+        for j, e in enumerate(rows[p]):
+            if e:
+                mz[j] += e * dz
+    return tuple(Fraction(den * x - uj * s, den * c) for x, uj, s in zip(ct, u, mz))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .core import (
     TUMatrix,
     VERIFY_ROW_CAP,
     ZonotopalLattice,
-    ghouila_houri_ok,
     inner_product,
     int_vec,
     kernel_basis,
@@ -400,7 +399,13 @@ def check_projection_theorem(lattice: ZonotopalLattice, samples: int = 1000,
 
 def check_tu(matrix: TUMatrix | Sequence[Sequence[int]],
              cap: int = VERIFY_ROW_CAP) -> bool:
-    """Exhaustive Ghouila-Houri verdict; refuses above the row cap."""
+    """Exhaustive Ghouila-Houri verdict on the unreduced matrix; refuses
+    above the row cap.
+
+    Every nonempty row subset must admit a +-1 signing whose column sums
+    all lie in {-1, 0, +1}; each subset is searched on its own by
+    `_signing_exists`, independently of `core.ghouila_houri_ok`.
+    """
     rows = matrix.entries if isinstance(matrix, TUMatrix) else tuple(
         tuple(int(e) for e in row) for row in matrix
     )
@@ -410,4 +415,34 @@ def check_tu(matrix: TUMatrix | Sequence[Sequence[int]],
         )
     if any(e not in (-1, 0, 1) for row in rows for e in row):
         return False
-    return ghouila_houri_ok(rows)
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    return all(_signing_exists([rows[i] for i in range(n) if mask >> i & 1], m)
+               for mask in range(1, 1 << n))
+
+
+def _signing_exists(sub: list[Sequence[int]], m: int) -> bool:
+    k = len(sub)
+    # suffix[p][j] = sum of |entries| of rows p..k-1 in column j; a partial
+    # column sum s can still reach {-1,0,1} iff |s| <= 1 + suffix.
+    suffix = [[0] * m for _ in range(k + 1)]
+    for p in range(k - 1, -1, -1):
+        row = sub[p]
+        nxt = suffix[p + 1]
+        suffix[p] = [nxt[j] + abs(row[j]) for j in range(m)]
+
+    def rec(p: int, sums: list[int]) -> bool:
+        if p == k:
+            return all(-1 <= s <= 1 for s in sums)
+        row = sub[p]
+        rem = suffix[p + 1]
+        for sgn in (1, -1):
+            if p == 0 and sgn == -1:
+                break  # negating a whole signing is again a signing
+            nxt = [s + sgn * e for s, e in zip(sums, row)]
+            if all(abs(s) <= 1 + r for s, r in zip(nxt, rem)):
+                if rec(p + 1, nxt):
+                    return True
+        return False
+
+    return rec(0, [0] * m)

@@ -17,6 +17,16 @@ TRIANGLE_ARCS = [(0, 1), (1, 2), (2, 0)]
 K4_ARCS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
+def random_arcs(rng, vertices, arcs):
+    """A random spanning tree plus random extra arcs, no self-loops."""
+    out = [(rng.randrange(k), k) if rng.random() < 0.5 else (k, rng.randrange(k))
+           for k in range(1, vertices)]
+    while len(out) < arcs:
+        a, b = rng.sample(range(vertices), 2)
+        out.append((a, b))
+    return out
+
+
 def triangle_digraph():
     return digraph(3, TRIANGLE_ARCS)
 

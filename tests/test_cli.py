@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import random_arcs
 from zonolat.cli import (
     InputFormatError,
     SolutionFile,
@@ -299,13 +301,47 @@ def test_construct_cographic_long_cycle(capsys):
 
 
 def test_construct_cographic_above_the_cap_asserts(capsys):
-    # K_8 has 28 arcs and 21 fundamental cycles: the lattice is verified by
-    # construction, but a loader could not decide the file, so it asserts
-    arcs = ",".join(f"{i}-{j}" for i in range(8) for j in range(i + 1, 8))
-    assert main(["construct", "cographic", "--vertices", "8", "--arcs", arcs]) == 0
+    # 32 fundamental cycles that reduce to 24 x 26: the lattice is verified
+    # by construction, but a loader could not decide the file, so it asserts
+    arcs = ",".join(f"{a}-{b}" for a, b in random_arcs(random.Random(33), 33, 64))
+    assert main(["construct", "cographic", "--vertices", "33", "--arcs", arcs]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["n"] == 21
+    assert out["n"] == 32
     assert out["tu_mode"] == "assert"
+
+
+def test_construct_cographic_reducing_under_the_cap_verifies(tmp_path, capsys):
+    # a theta graph, 23 paths of length 2 between vertices 0 and 1: its
+    # 22 fundamental cycles are over the cap, but the reduction decides them
+    arcs = ",".join(f"0-{v},{v}-1" for v in range(2, 25))
+    path = tmp_path / "theta.json"
+    assert main(["construct", "cographic", "--vertices", "25", "--arcs", arcs,
+                 "--output", str(path)]) == 0
+    out = json.loads(path.read_text(encoding="utf-8"))
+    assert (out["n"], out["m"], out["tu_mode"]) == (22, 46, "verify")
+    out["t"] = [f"{(5 * j) % 7 - 3}/{1 + j % 3}" for j in range(46)]
+    path.write_text(json.dumps(out), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True
+
+
+@pytest.mark.parametrize("kind", ["graphic", "cographic"])
+def test_solve_builds_no_kernel_basis(tmp_path, capsys, monkeypatch, kind):
+    import zonolat
+
+    def spy(matrix):
+        raise AssertionError("kernel_basis called")
+
+    for module in (zonolat, zonolat.core, zonolat.oracle):
+        monkeypatch.setattr(module, "kernel_basis", spy)
+    path = tmp_path / f"{kind}.json"
+    assert main(["construct", kind, "--vertices", "4", "--output", str(path),
+                 "--arcs", "0-1,0-2,0-3,1-2,1-3,2-3", "--weights", "1,2,1/3,1,5,1"]) == 0
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["t"] = ["7/10", "-1/5", "3", "-1/2", "0", "5/3"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True
 
 
 def test_construct_vfk(tmp_path, capsys):

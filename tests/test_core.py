@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import a2, corpus_small, k4_digraph, triangle_digraph
+from conftest import a2, corpus_small, k4_digraph, random_arcs, triangle_digraph
 from zonolat import (
     DimensionError,
     InternalInvariantError,
@@ -33,18 +33,19 @@ from zonolat import (
     tu_matrix,
     voronoi_first_kind,
 )
-from zonolat.core import chain_signs, ghouila_houri_ok, heller_tompkins
-from zonolat.oracle import row_reduce
+from zonolat.core import (
+    chain_signs,
+    ghouila_houri_ok,
+    heller_tompkins,
+    tu_decidable,
+    tu_reduce,
+    tu_verdict,
+)
+from zonolat.oracle import check_tu, row_reduce
 
 
 def _random_connected_digraph(rng, vertices, arcs):
-    """A random spanning tree plus random extra arcs, no self-loops."""
-    out = [(rng.randrange(k), k) if rng.random() < 0.5 else (k, rng.randrange(k))
-           for k in range(1, vertices)]
-    while len(out) < arcs:
-        a, b = rng.sample(range(vertices), 2)
-        out.append((a, b))
-    return digraph(vertices, out)
+    return digraph(vertices, random_arcs(rng, vertices, arcs))
 
 
 def test_inner_product_examples():
@@ -237,6 +238,13 @@ def test_project_zero_kernel_returns_zero():
     assert project_onto_span((F(5, 7), -3), lat) == (0, 0)
 
 
+def test_project_without_rows_returns_target():
+    from zonolat import ZonotopalLattice
+
+    lat = ZonotopalLattice(matrix=tu_matrix([], width=3), weights=(1, F(2, 3), 5))
+    assert project_onto_span((F(5, 7), -3, 0), lat) == (F(5, 7), -3, 0)
+
+
 # ---------------------------------------------------------------------------
 # Conformal decomposition
 # ---------------------------------------------------------------------------
@@ -332,10 +340,101 @@ def test_tu_matrix_assert_mode_keeps_status():
 
 
 def test_tu_matrix_verify_cap():
-    # column 0 has 25 nonzeros, so only the exhaustive check could decide
-    rows = [[1, 0, 0] for _ in range(25)]
-    with pytest.raises(SizeCapError):
-        tu_matrix(rows, mode="verify")
+    # the 32 x 64 cographic matrix of a 33-vertex digraph reduces to
+    # 24 x 26, still above the cap, and no polynomial test decides it
+    lat = cographic_lattice(_random_connected_digraph(random.Random(33), 33, 64))
+    assert tu_decidable(lat.matrix.entries) is False
+    with pytest.raises(SizeCapError, match="32 x 64 matrix reduces to 24 x 26"):
+        tu_matrix(lat.matrix.entries, mode="verify")
+
+
+def test_tu_matrix_verifies_repeated_unit_rows_above_the_cap():
+    # 25 copies of one unit row: the reduction leaves nothing
+    assert tu_reduce([[1, 0, 0]] * 25) == ()
+    assert tu_matrix([[1, 0, 0]] * 25, mode="verify").tu_status == "verified"
+
+
+#: Two nonzeros in every line and no repeats: a fixed point of tu_reduce.
+#: It is not TU (determinant 2), which the reduction does not look at.
+CORE_3X3 = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+
+
+def _with_column(rows, column):
+    return tuple(row + (e,) for row, e in zip(rows, column))
+
+
+def test_tu_reduce_deletes_lines_with_at_most_one_nonzero():
+    assert tu_reduce(CORE_3X3) == CORE_3X3
+    assert tu_reduce(CORE_3X3 + ((0, 0, -1),)) == CORE_3X3
+    assert tu_reduce(CORE_3X3 + ((0, 0, 0),)) == CORE_3X3
+    assert tu_reduce(_with_column(CORE_3X3, (0, 1, 0))) == CORE_3X3
+    # a path cascades: each deletion leaves another line with one nonzero
+    assert tu_reduce([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]) == ()
+    assert tu_reduce([]) == () and tu_reduce([[]]) == ()
+
+
+def test_tu_reduce_deletes_repeats_up_to_sign():
+    assert tu_reduce(CORE_3X3 + ((-1, -1, 0),)) == CORE_3X3
+    assert tu_reduce(CORE_3X3 + ((0, 1, 1),)) == CORE_3X3
+    assert tu_reduce(_with_column(CORE_3X3, (-1, 0, -1))) == CORE_3X3
+    # [[1, 1], [1, -1]] keeps both rows: they differ in sign in one column
+    assert tu_reduce([[1, 1], [1, -1]]) == ((1, 1), (1, -1))
+
+
+def test_tu_reduce_transposes_to_the_shorter_side():
+    tall = CORE_3X3 + ((1, 1, 1),)
+    assert tu_reduce(tall) == tuple(zip(*tall))
+    assert tu_reduce(tuple(zip(*tall))) == tuple(zip(*tall))
+    assert tu_verdict(tall) is check_tu(tall) is False
+
+
+def _random_matrix(rng, max_rows, max_columns):
+    """A random {-1,0,+1} matrix of at least 2 x 2 within the given shape:
+    half the time uniform with at least a third of its entries nonzero,
+    and otherwise a submatrix of a cographic (so TU) matrix with rows and
+    columns negated and, a third of the time, one entry changed."""
+    n, m = rng.randint(2, max_rows), rng.randint(2, max_columns)
+    if rng.random() < 0.5:
+        density = rng.uniform(1 / 3, 1)
+        return [[rng.choice((-1, 1)) if rng.random() < density else 0
+                 for _ in range(m)] for _ in range(n)]
+    vertices = rng.randint(3, 8)
+    d = _random_connected_digraph(rng, vertices, vertices + rng.randint(n, n + 4))
+    entries = cographic_lattice(d).matrix.entries
+    ri = rng.sample(range(len(entries)), min(n, len(entries)))
+    ci = rng.sample(range(len(entries[0])), min(m, len(entries[0])))
+    rs = [rng.choice((-1, 1)) for _ in ri]
+    cs = [rng.choice((-1, 1)) for _ in ci]
+    rows = [[r * c * entries[i][j] for c, j in zip(cs, ci)] for r, i in zip(rs, ri)]
+    if rng.random() < 1 / 3:
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        rows[i][j] = rng.choice([e for e in (-1, 0, 1) if e != rows[i][j]])
+    return rows
+
+
+def test_tu_verdict_matches_oracle_random():
+    rng = random.Random(1965)
+    verdicts = []
+    for _ in range(600):
+        rows = _random_matrix(rng, 7, 9)
+        verdict = tu_verdict(rows)
+        assert verdict == check_tu(rows), rows
+        assert tu_decidable(rows)
+        assert ghouila_houri_ok(tu_reduce(rows)) == verdict, rows
+        verdicts.append(verdict)
+    # both verdicts are well represented
+    assert 150 < verdicts.count(True) < 450
+
+
+def test_tu_verdict_matches_minor_oracle_random():
+    rng = random.Random(1986)
+    verdicts = []
+    for _ in range(300):
+        rows = _random_matrix(rng, 4, 4)
+        verdict = tu_verdict(rows)
+        assert verdict == _tu_by_minors(rows), rows
+        verdicts.append(verdict)
+    assert 50 < verdicts.count(True) < 250
 
 
 def test_tu_matrix_verifies_incidence_matrix_above_the_cap():
