@@ -12,15 +12,11 @@ last LP, and an independent brute-force oracle for small instances.
 __version__ = "0.1.0"
 
 from .core import (
-    Chain,
     PrimitiveChain,
     Rational,
     TUMatrix,
     ZonotopalLattice,
-    chain,
-    conformal_decompose,
     inner_product,
-    kernel_basis,
     matrix_rank,
     primitive_chain,
     project_onto_span,
@@ -63,8 +59,11 @@ from .oracle import (
     certify_closest,
     check_projection_theorem,
     check_tu,
+    conformal_decompose,
     enumerate_primitive_chains,
     is_strict_voronoi_by_coset,
+    kernel_basis,
+    project,
     voronoi_cell,
     voronoi_relevant_count,
 )

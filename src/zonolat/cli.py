@@ -40,7 +40,7 @@ from .errors import (
     ZonolatError,
 )
 from .mmcc import CVPInstance, CVPSolution, cvp_instance, solve_cvp
-from .oracle import brute_force_cvp, enumerate_primitive_chains
+from .oracle import brute_force_cvp, distance_sq, enumerate_primitive_chains
 
 
 class InputFormatError(ZonolatError, ValueError):
@@ -255,7 +255,7 @@ def cmd_solve(args) -> int:
     agreement = None
     if args.oracle:
         reference = brute_force_cvp(instance)
-        agreement = instance.distance_sq(reference) == solution.distance_sq
+        agreement = distance_sq(reference, instance.target, lattice) == solution.distance_sq
     payload = solution_to_json(SolutionFile(
         closest=solution.closest,
         distance_sq=solution.distance_sq,

@@ -4,16 +4,17 @@ A lattice here is the set of integer points in the kernel of a totally
 unimodular matrix M in {-1,0,+1}^{n x m}, equipped with the weighted inner
 product (x, y)_g = sum_i g_i x_i y_i for positive rational weights g.
 
-Rationals are `fractions.Fraction`; kernel bases and projections are
-eliminated fraction-free on Python ints by `simplex.eliminate`.  There are
-no floats and therefore no tolerances anywhere in this package.
+Rationals are `fractions.Fraction`; rank and projections are eliminated
+fraction-free on Python ints by `simplex.eliminate`.  There are no floats
+and therefore no tolerances anywhere in this package.  This module holds
+what the solver runs; the brute-force references of the tests (kernel
+bases, conformal decomposition) live in `oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -35,8 +36,6 @@ FracVec = tuple[Fraction, ...]
 #: The exhaustive Ghouila-Houri fallback is refused above this many rows of
 #: the reduced matrix (`tu_reduce`).
 VERIFY_ROW_CAP = 20
-#: Entries kept by each per-lattice cache; the least recently used goes first.
-LATTICE_CACHE_SIZE = 128
 
 
 def frac_vec(xs: Iterable) -> FracVec:
@@ -327,6 +326,10 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
     return TUMatrix(n=n, m=m, entries=entries, tu_status=status)
 
 
+def matrix_rank(matrix: TUMatrix) -> int:
+    return len(simplex.eliminate(matrix.entries)[2])
+
+
 # ---------------------------------------------------------------------------
 # Lattices and chains
 # ---------------------------------------------------------------------------
@@ -353,7 +356,7 @@ class ZonotopalLattice:
         return self.matrix.m
 
     def rank(self) -> int:
-        return len(kernel_basis(self.matrix))
+        return self.m - matrix_rank(self.matrix)
 
     def contains(self, coords: Sequence) -> bool:
         """True iff coords is an integer vector in ker(matrix)."""
@@ -368,18 +371,11 @@ class ZonotopalLattice:
 
 
 @dataclass(frozen=True)
-class Chain:
-    """An integer vector of a fixed lattice (membership checked at build)."""
-
-    coords: IntVec
-
-
-@dataclass(frozen=True)
 class PrimitiveChain:
     """A {-1,0,+1} kernel vector of inclusion-minimal support.
 
     Minimality is guaranteed by the construction sites (oracle enumeration,
-    LP vertex rescaling, conformal extraction), not re-verified here.
+    LP vertex rescaling), not re-verified here.
     """
 
     coords: IntVec
@@ -415,13 +411,6 @@ def chain_signs(values: Sequence) -> IntVec:
     return tuple((x > 0) - (x < 0) for x in values)
 
 
-def chain(coords: Sequence, lattice: ZonotopalLattice) -> Chain:
-    v = int_vec(coords)
-    if not lattice.contains(v):
-        raise InvalidInputError(f"{v} is not a member of the lattice")
-    return Chain(v)
-
-
 def primitive_chain(coords: Sequence, lattice: ZonotopalLattice) -> PrimitiveChain:
     v = int_vec(coords)
     if not any(v):
@@ -431,41 +420,6 @@ def primitive_chain(coords: Sequence, lattice: ZonotopalLattice) -> PrimitiveCha
     if not lattice.contains(v):
         raise InvalidInputError(f"{v} is not a member of the lattice")
     return PrimitiveChain(v)
-
-
-# ---------------------------------------------------------------------------
-# Integer kernel basis and rank
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def kernel_basis(matrix: TUMatrix) -> tuple[IntVec, ...]:
-    """Integral basis of ker(matrix), one vector per free column; cached.
-
-    Read off the fraction-free reduction den * R of the matrix by
-    simplex.eliminate: the vector of a free column f has x_f = den and
-    x_p = -(den R)[i][f] at the pivot column p of row i, 0 elsewhere.  On a
-    totally unimodular matrix den = 1, so the basis restricted to the free
-    coordinates is the identity and it is a lattice basis of
-    ker(matrix) /\\ Z^m.  On an asserted matrix that is not TU den can
-    exceed 1; the vectors still span ker(matrix) over the rationals, which
-    is all that rank and projection need.
-    """
-    rows, _, pivots, den = simplex.eliminate(matrix.entries)
-    basis = []
-    for f in sorted(set(range(matrix.m)) - set(pivots)):
-        x = [0] * matrix.m
-        x[f] = den
-        for row, p in zip(rows, pivots):
-            x[p] = -row[f]
-        if any(matrix.apply(x)):
-            raise InternalInvariantError("kernel basis vector fails M b = 0")
-        basis.append(tuple(x))
-    return tuple(basis)
-
-
-def matrix_rank(matrix: TUMatrix) -> int:
-    return matrix.m - len(kernel_basis(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -517,63 +471,3 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
             if e:
                 mz[j] += e * dz
     return tuple(Fraction(den * x - uj * s, den * c) for x, uj, s in zip(ct, u, mz))
-
-
-# ---------------------------------------------------------------------------
-# Conformal decomposition
-# ---------------------------------------------------------------------------
-
-
-def conformal_decompose(v: Sequence | Chain,
-                        lattice: ZonotopalLattice) -> list[PrimitiveChain]:
-    """Write a lattice vector as a sum of sign-compatible primitive chains.
-
-    Repeatedly extracts one primitive chain supported inside the current
-    vector and matching its signs, then subtracts it.  Each extraction is
-    one exact feasibility LP whose basic solutions are circuits
-    (_extract_primitive); total unimodularity makes each one a scalar
-    multiple of a primitive chain.
-    """
-    coords = v.coords if isinstance(v, Chain) else int_vec(v)
-    if not lattice.contains(coords):
-        raise InvalidInputError(f"{tuple(coords)} is not a member of the lattice")
-    parts: list[PrimitiveChain] = []
-    cur = list(coords)
-    budget = sum(abs(c) for c in cur)
-    while any(cur):
-        if budget <= 0:
-            raise InternalInvariantError("conformal extraction failed to terminate")
-        u = _extract_primitive(cur, lattice)
-        parts.append(primitive_chain(u, lattice))
-        cur = [a - b for a, b in zip(cur, u)]
-        for a, b in zip(cur, coords):
-            if a * b < 0 or abs(a) > abs(b):
-                raise InternalInvariantError("conformal part is not sign-compatible")
-        budget -= sum(1 for c in u if c)
-    return parts
-
-
-def _extract_primitive(cur: list[int], lattice: ZonotopalLattice) -> IntVec:
-    """A primitive chain conformal to the nonzero lattice vector cur.
-
-    With S = supp(cur) and sigma its signs, any basic solution of the
-    feasibility LP  M[:, S] diag(sigma) y = 0,  1.y = 1,  y >= 0  is a
-    circuit scaled to sum one: the LP holds |cur| / sum |cur|, and a vertex
-    of a pointed cone cut by 1.y = 1 lies on an extreme ray, which has
-    minimal support.  sigma times its signs is the chain.
-    """
-    supp = [i for i, c in enumerate(cur) if c]
-    sigma = [1 if cur[j] > 0 else -1 for j in supp]
-    rows = tuple(tuple(s * row[j] for s, j in zip(sigma, supp)) for row in lattice.matrix.entries)
-    res = simplex.solve_lp(simplex.LPProblem(
-        c=(0,) * len(supp),
-        A=rows + ((1,) * len(supp),),
-        b=(0,) * len(rows) + (1,),
-        upper=(None,) * len(supp),
-    ))
-    if res.status != simplex.OPTIMAL:
-        raise InternalInvariantError(f"conformal extraction LP returned {res.status}")
-    out = [0] * len(cur)
-    for j, s, y in zip(supp, sigma, chain_signs(res.vertex)):
-        out[j] = s * y
-    return tuple(out)

@@ -134,11 +134,6 @@ class CVPSolution:
         return tuple(r.lam for r in self.trace) + (Fraction(0),)
 
 
-@dataclass(frozen=True)
-class StoppingData:
-    iteration_cap: int
-
-
 # ---------------------------------------------------------------------------
 # Discrete derivatives and costs
 # ---------------------------------------------------------------------------
@@ -188,11 +183,15 @@ def dual_certificate_holds(v: Sequence, y: Sequence, instance: CVPInstance) -> b
     return all(d * lo <= instance.K * a <= d * hi for a, (lo, hi) in zip(mty, slopes))
 
 
+def _scaled_cost(v: Sequence, u: PrimitiveChain, instance: CVPInstance) -> int:
+    """K cost(v, u), an int."""
+    return (sum(_scaled_slopes(i, v[i], instance)[1] for i in u.positive_part)
+            - sum(_scaled_slopes(i, v[i], instance)[0] for i in u.negative_part))
+
+
 def cost(v: Sequence, u: PrimitiveChain, instance: CVPInstance) -> Fraction:
     """Exact change of w when stepping from v to v + u."""
-    total = sum(_scaled_slopes(i, v[i], instance)[1] for i in u.positive_part)
-    total -= sum(_scaled_slopes(i, v[i], instance)[0] for i in u.negative_part)
-    return Fraction(total, instance.K)
+    return Fraction(_scaled_cost(v, u, instance), instance.K)
 
 
 # ---------------------------------------------------------------------------
@@ -234,40 +233,33 @@ def compute_lambda(v: Sequence, instance: CVPInstance,
 
 
 def min_mean_voronoi_vector(v: Sequence, instance: CVPInstance,
-                            lam: Fraction | None = None,
-                            vertex: IntVec | None = None) -> PrimitiveChain:
+                            res: simplex.LPResult | None = None) -> PrimitiveChain:
     """Strict Voronoi vector of minimum mean cost, minimal support, at v.
 
-    `vertex` is den times the basic optimal vertex of lambda_lp(v) that
-    gave `lam` (an LPResult's vertex); both are computed here when the
-    vertex is omitted.  A basic vertex of {[M, -M] x = 0, 1.x = 1, x >= 0}
-    is a circuit of [M, -M] scaled to sum one.  The circuit {i+, i-} has
-    mean cost g_i > 0, so it is never optimal while lambda(v) > 0; every
-    other one is a primitive chain, read off as x+ - x- and rescaled to
-    {-1, 0, +1}.
+    `res` is the LPResult of compute_lambda(v), computed here when omitted;
+    lambda(v) > 0 iff its optimum is negative.  A basic vertex of
+    {[M, -M] x = 0, 1.x = 1, x >= 0} is a circuit of [M, -M] scaled to sum
+    one.  The circuit {i+, i-} has mean cost g_i > 0, so it is never
+    optimal while lambda(v) > 0; every other one is a primitive chain,
+    read off as x+ - x- and rescaled to {-1, 0, +1}.  Its mean cost must
+    be the optimum, -lambda(v): K cost / p == optimum / den, in ints.
     """
     vv = int_vec(v)
-    if vertex is None:
-        found, res = compute_lambda(vv, instance)
-        vertex = res.vertex
-        if lam is not None and lam != found:
-            raise InternalInvariantError(f"lambda mismatch: given {lam}, LP found {found}")
-        lam = found
-    elif lam is None:
-        raise InvalidInputError("an LP vertex must come with its lambda")
-    if lam <= 0:
+    if res is None:
+        res = compute_lambda(vv, instance)[1]
+    if res.optimum >= 0:
         raise InvalidInputError("lambda(v) = 0: no improving vector exists")
-    m = instance.m
-    u = primitive_chain(chain_signs([vertex[i] - vertex[m + i] for i in range(m)]),
-                        instance.lattice)
+    x, m = res.vertex, instance.m
+    u = primitive_chain(chain_signs([x[i] - x[m + i] for i in range(m)]), instance.lattice)
     if not _is_circuit(sorted(u.support), instance.lattice.matrix):
         raise InternalInvariantError(
             f"support of {u.coords} is not a circuit: rank M[:, supp] != |supp| - 1"
         )
-    mean = Fraction(cost(vv, u, instance), len(u.support))
-    if mean != -lam:
+    total, p = _scaled_cost(vv, u, instance), len(u.support)
+    if total * res.den != res.optimum * p:
         raise InternalInvariantError(
-            f"extracted vector has mean cost {mean}, expected {-lam}"
+            f"extracted vector has mean cost {Fraction(total, instance.K * p)}, "
+            f"expected {Fraction(res.optimum, res.den * instance.K)}"
         )
     return u
 
@@ -312,7 +304,7 @@ def saturating_step(lam: Fraction, u: PrimitiveChain,
     return min(math.ceil(Fraction(lam * p, 2 * s)), 1 + math.floor(lam / g_max))
 
 
-def stopping_data(instance: CVPInstance) -> StoppingData:
+def stopping_data(instance: CVPInstance) -> int:
     """The proven iteration cap floor(K w(0)).
 
     K (w(v) - w(v')) = sum_i G_i (v_i^2 - v'_i^2) - H_i (v_i - v'_i) is an
@@ -325,7 +317,7 @@ def stopping_data(instance: CVPInstance) -> StoppingData:
     one is proven for the step of saturating_step, and acceptance
     criterion 7 tests a geometric decrease of lambda on a seeded corpus.
     """
-    return StoppingData(iteration_cap=math.floor(instance.K * instance.w0))
+    return math.floor(instance.K * instance.w0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +395,7 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
     v: IntVec = (0,) * m
     dist = instance.distance_sq(v)
     lam, res = compute_lambda(v, instance)
-    cap = stopping_data(instance).iteration_cap
+    cap = stopping_data(instance)
     records: list[IterationRecord] = []
     box = lam >= max(instance.weights)
     while lam > 0:
@@ -417,7 +409,7 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
         if box and instance.distance_sq(v0 := proximity_start(instance)) < dist:
             u, delta, v_next, kind = None, 1, v0, "the box step"
         else:
-            u = min_mean_voronoi_vector(v, instance, lam, res.vertex)
+            u = min_mean_voronoi_vector(v, instance, res)
             delta = saturating_step(lam, u, instance)
             v_next = tuple(a + delta * b for a, b in zip(v, u.coords))
             kind = f"step {delta}"

@@ -1,12 +1,14 @@
 """Independent brute-force ground truth for every other module.
 
-Primitive-chain enumeration by exhaustive ternary scan, Voronoi's coset
-characterization of strict Voronoi vectors, enumeration CVP with facet
-certification, cube-projection sampling for the Voronoi cell, and the
-exhaustive totally-unimodular check.  Nothing here relies on the simplex
-or on the iterative solver, so agreement between the two routes is a real
-cross-check: its linear systems go through its own Fraction Gauss-Jordan
-`row_reduce`, not the solver's `simplex.eliminate`.
+Kernel bases, projection and conformal decomposition, primitive-chain
+enumeration by exhaustive ternary scan, Voronoi's coset characterization
+of strict Voronoi vectors, enumeration CVP with facet certification,
+cube-projection sampling for the Voronoi cell, and the exhaustive
+totally-unimodular check.  Nothing here reaches the simplex or the
+iterative solver, so agreement between the two routes is a real
+cross-check: every linear system goes through this module's own Fraction
+Gauss-Jordan `row_reduce`, not `simplex.eliminate`, and distances are
+weighted norms, not the solver's scaled integers.
 """
 
 from __future__ import annotations
@@ -15,22 +17,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .core import (
-    LATTICE_CACHE_SIZE,
+    FracVec,
     IntVec,
     PrimitiveChain,
     TUMatrix,
     VERIFY_ROW_CAP,
     ZonotopalLattice,
+    frac_vec,
     inner_product,
     int_vec,
-    kernel_basis,
     primitive_chain,
-    project_onto_span,
 )
 from .errors import (
+    DimensionError,
     InternalInvariantError,
     InvalidInputError,
     OracleFailureError,
@@ -42,10 +45,12 @@ from .mmcc import CVPInstance
 ENUMERATION_CAP = 14
 #: Coefficient-box CVP enumeration is refused beyond this lattice rank.
 COEFF_BOX_CAP = 8
+#: Entries kept by each per-lattice cache; the least recently used goes first.
+LATTICE_CACHE_SIZE = 128
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination over Fraction
+# Exact elimination over Fraction: kernel basis and projection
 # ---------------------------------------------------------------------------
 
 
@@ -81,6 +86,69 @@ def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int
                     row[j] -= f * prow[j]
         pivots.append(col)
     return a, pivots
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def kernel_basis(matrix: TUMatrix) -> tuple[IntVec, ...]:
+    """Integral basis of ker(matrix), one vector per free column; cached.
+
+    Read off the reduced row echelon form R of `row_reduce`: the vector of
+    a free column f has x_f = d and x_p = -d R[i][f] at the pivot column p
+    of row i, 0 elsewhere, for d the lcm of the denominators of column f.
+    On a totally unimodular matrix d = 1, so the basis restricted to the
+    free coordinates is the identity and it is a lattice basis of
+    ker(matrix) /\\ Z^m.  On an asserted matrix that is not TU d can
+    exceed 1; the vectors still span ker(matrix) over the rationals.
+    """
+    reduced, pivots = row_reduce(matrix.entries)
+    basis = []
+    for f in sorted(set(range(matrix.m)) - set(pivots)):
+        d = math.lcm(*(reduced[i][f].denominator for i in range(len(pivots))))
+        x = [0] * matrix.m
+        x[f] = d
+        for i, p in enumerate(pivots):
+            x[p] = int(-d * reduced[i][f])
+        basis.append(tuple(x))
+    return tuple(basis)
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _coefficient_map(lattice: ZonotopalLattice) -> tuple[tuple[Fraction, ...], ...]:
+    """(B^T D B)^-1 B^T D for the kernel basis B (as columns) and D = diag(g);
+    cached.  It maps t to the coefficients of its g-orthogonal projection
+    onto the span of B, by `row_reduce` of [B^T D B | B^T D]."""
+    basis = kernel_basis(lattice.matrix)
+    r, g = len(basis), lattice.weights
+    reduced, pivots = row_reduce(
+        [[inner_product(bi, bj, g) for bj in basis] + [w * x for w, x in zip(g, bi)]
+         for bi in basis])
+    if pivots != list(range(r)):
+        raise InternalInvariantError("Gram matrix of a kernel basis is singular")
+    return tuple(tuple(row[r:]) for row in reduced)
+
+
+def _coefficients(t: FracVec, lattice: ZonotopalLattice) -> list[Fraction]:
+    return [sum((c * x for c, x in zip(row, t) if c and x), Fraction(0))
+            for row in _coefficient_map(lattice)]
+
+
+def _combine(alpha: Sequence, basis: Sequence[IntVec], m: int) -> list:
+    """sum_i alpha_i basis_i."""
+    out = [0] * m
+    for a, b in zip(alpha, basis):
+        if a:
+            for j, x in enumerate(b):
+                if x:
+                    out[j] += a * x
+    return out
+
+
+def project(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
+    """g-orthogonal projection of t onto the span of the lattice, exact."""
+    if len(t) != lattice.m:
+        raise DimensionError(f"target length {len(t)} != coordinate count {lattice.m}")
+    alpha = _coefficients(frac_vec(t), lattice)
+    return frac_vec(_combine(alpha, kernel_basis(lattice.matrix), lattice.m))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +239,30 @@ def voronoi_relevant_count(lattice: ZonotopalLattice) -> int:
     return len(enumerate_primitive_chains(lattice))
 
 
+def conformal_decompose(v: Sequence, lattice: ZonotopalLattice) -> list[PrimitiveChain]:
+    """Write a lattice vector as a sum of sign-compatible primitive chains.
+
+    Greedy over `enumerate_primitive_chains`: subtract the first chain
+    whose support lies in that of the remainder with matching signs, until
+    nothing is left.  The remainder stays a lattice vector conformal to v,
+    and on a TU lattice every nonzero one has such a chain; when none
+    fits, OracleFailureError.
+    """
+    cur = int_vec(v)
+    if not lattice.contains(cur):
+        raise InvalidInputError(f"{cur} is not a member of the lattice")
+    chains = enumerate_primitive_chains(lattice)
+    parts: list[PrimitiveChain] = []
+    while any(cur):
+        u = next((c for c in chains
+                  if all(x * y > 0 for x, y in zip(c.coords, cur) if x)), None)
+        if u is None:
+            raise OracleFailureError(f"no primitive chain is conformal to {cur}")
+        parts.append(u)
+        cur = tuple(a - b for a, b in zip(cur, u.coords))
+    return parts
+
+
 # ---------------------------------------------------------------------------
 # Voronoi cell description and membership
 # ---------------------------------------------------------------------------
@@ -259,25 +351,11 @@ def is_strict_voronoi_by_coset(v: Sequence, lattice: ZonotopalLattice) -> bool:
             k += 1
         ranges.append(sorted(ks))
     neg = tuple(-c for c in vv)
-    for alpha in _product(ranges):
-        u = list(vv)
-        for ai, b in zip(alpha, doubled):
-            if ai:
-                for idx in range(len(u)):
-                    u[idx] += ai * b[idx]
-        norm = inner_product(u, u, g)
-        if norm <= target and tuple(u) not in (tuple(vv), neg):
+    for alpha in product(*ranges):
+        u = tuple(a + b for a, b in zip(vv, _combine(alpha, doubled, lattice.m)))
+        if inner_product(u, u, g) <= target and u not in (vv, neg):
             return False
     return True
-
-
-def _product(ranges: list[list[int]]):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _product(ranges[1:]):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -293,52 +371,40 @@ def certify_closest(u: Sequence, instance: CVPInstance,
     return voronoi_cell(instance.lattice, cap=cap).contains(residual)
 
 
+def distance_sq(u: Sequence, t: FracVec, lattice: ZonotopalLattice) -> Fraction:
+    """(u - t, u - t)_g for an integer u, from the residual alone, in ints:
+    sum_i (q g_i) (d u_i - d t_i)^2 / q d^2 for d, q the lcms of t's and g's denominators."""
+    g = lattice.weights
+    d = math.lcm(*(x.denominator for x in t))
+    q = math.lcm(*(w.denominator for w in g))
+    return Fraction(sum(w.numerator * (q // w.denominator)
+                        * (d * a - x.numerator * (d // x.denominator)) ** 2
+                        for w, a, x in zip(g, u, t)), q * d * d)
+
+
 def brute_force_cvp(instance: CVPInstance, radius: int = 1,
                     max_radius: int = 8) -> IntVec:
     """Closest lattice vector by coefficient-box enumeration.
 
     Scans integer coefficient vectors within `radius` of the rounded exact
-    least-squares coefficients, keeps the g-closest point (ties go to the
-    lexicographically smallest vector), and insists the winner passes the
-    facet certificate; the box is doubled on certification failure.
+    least-squares coefficients, keeps the g-closest point by `distance_sq`
+    (ties go to the lexicographically smallest vector), and insists the
+    winner passes the facet certificate; the box is doubled on
+    certification failure.  At rank 0 the one candidate is the origin.
     """
     lattice = instance.lattice
     basis = kernel_basis(lattice.matrix)
-    r = len(basis)
-    if r > COEFF_BOX_CAP:
+    if len(basis) > COEFF_BOX_CAP:
         raise SizeCapError(
-            f"coefficient enumeration capped at rank {COEFF_BOX_CAP} (got {r})"
+            f"coefficient enumeration capped at rank {COEFF_BOX_CAP} (got {len(basis)})"
         )
-    if r == 0:
-        zero = (0,) * lattice.m
-        if not certify_closest(zero, instance):
-            raise OracleFailureError("origin failed certification in a rank-0 lattice")
-        return zero
-    g = lattice.weights
-    gram = [[inner_product(basis[i], basis[j], g) for j in range(r)] for i in range(r)]
-    rhs = [inner_product(basis[i], instance.target, g) for i in range(r)]
-    reduced, pivots = row_reduce([gram[i] + [rhs[i]] for i in range(r)])
-    if pivots != list(range(r)):
-        raise InternalInvariantError("Gram matrix of a kernel basis is singular")
-    alpha_star = [row[r] for row in reduced]
-    # the target is in the span, so the least-squares coefficients are exact
-    recon = [Fraction(0)] * lattice.m
-    for a, b in zip(alpha_star, basis):
-        for idx in range(lattice.m):
-            recon[idx] += a * b[idx]
-    if tuple(recon) != instance.target:
-        raise InternalInvariantError("target left the lattice span")
-    centers = [math.floor(a + Fraction(1, 2)) for a in alpha_star]
+    # the target is in the span, so these are its exact coordinates in B
+    centers = [math.floor(a + Fraction(1, 2)) for a in _coefficients(instance.target, lattice)]
     while radius <= max_radius:
         best: tuple[Fraction, IntVec] | None = None
-        for alpha in _product([[c + d for d in range(-radius, radius + 1)]
-                               for c in centers]):
-            u = [0] * lattice.m
-            for ai, b in zip(alpha, basis):
-                if ai:
-                    for idx in range(lattice.m):
-                        u[idx] += ai * b[idx]
-            cand = (instance.distance_sq(u), tuple(u))
+        for alpha in product(*(range(c - radius, c + radius + 1) for c in centers)):
+            u = tuple(_combine(alpha, basis, lattice.m))
+            cand = (distance_sq(u, instance.target, lattice), u)
             if best is None or cand < best:
                 best = cand
         assert best is not None
@@ -387,7 +453,7 @@ def check_projection_theorem(lattice: ZonotopalLattice, samples: int = 1000,
     cell = voronoi_cell(lattice, cap=cap)
     for point in dyadic_cube_samples(lattice.m, samples, seed):
         scaled = [cube_scale * x for x in point]
-        if not cell.contains(project_onto_span(scaled, lattice)):
+        if not cell.contains(project(scaled, lattice)):
             return False
     return True
 

@@ -19,8 +19,8 @@ rhs and the reduced-cost row, together with den.  Every optimal solve
 also checks, in integers, that its vertex is feasible and that its duals,
 those of the bounds included, prove the optimum.
 `eliminate` runs the same pivot as a fraction-free Gauss-Jordan reduction,
-the one exact elimination of the solver: kernel bases, projections and
-circuit tests.
+the one exact elimination of the solver: rank, projections and circuit
+tests.
 """
 
 from __future__ import annotations

@@ -229,7 +229,7 @@ def test_criterion_07_descent_and_decrease_bound():
         if block > 0:
             for k in range(len(lams) - block):
                 assert lams[k + block] <= factor * lams[k]
-        assert sol.iterations <= stopping_data(inst).iteration_cap
+        assert sol.iterations <= stopping_data(inst)
     _report(7, "strict descent, monotone lambda, geometric decrease bound, "
                "iteration caps respected on all 100 traces")
 

@@ -120,6 +120,17 @@ def test_solve_with_oracle(capsys, a2_file):
     assert out["oracle_agreement"] is True
 
 
+def test_oracle_agreement_checks_the_solver_distance(capsys, a2_file, monkeypatch):
+    # --oracle compares the solver's scaled distance with the oracle's own
+    # norm of the residual, so a slip in the solver's arithmetic disagrees
+    from zonolat import mmcc
+
+    real = mmcc.CVPInstance.distance_sq
+    monkeypatch.setattr(mmcc.CVPInstance, "distance_sq", lambda self, v: real(self, v) + 1)
+    assert main(["solve", a2_file, "--oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_agreement"] is False
+
+
 def test_solve_lattice_point_target(capsys, tmp_path):
     data = dict(A2_PROBLEM, t=[2, -1, -1])
     path = tmp_path / "p.json"
@@ -332,7 +343,7 @@ def test_solve_builds_no_kernel_basis(tmp_path, capsys, monkeypatch, kind):
     def spy(matrix):
         raise AssertionError("kernel_basis called")
 
-    for module in (zonolat, zonolat.core, zonolat.oracle):
+    for module in (zonolat, zonolat.oracle):
         monkeypatch.setattr(module, "kernel_basis", spy)
     path = tmp_path / f"{kind}.json"
     assert main(["construct", kind, "--vertices", "4", "--output", str(path),

@@ -1,4 +1,4 @@
-"""Core arithmetic, kernel bases, projection, conformal decomposition."""
+"""Core arithmetic, rank and projection; oracle kernel bases and conformal decomposition."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from zonolat import (
     InvalidInputError,
     SizeCapError,
     a_n_lattice,
-    chain,
     cographic_lattice,
     conformal_decompose,
     digraph,
@@ -27,6 +26,8 @@ from zonolat import (
     kernel_basis,
     matrix_rank,
     obtuse_superbasis_gram,
+    primitive_chain,
+    project,
     project_onto_span,
     support,
     tensor_lattice,
@@ -198,21 +199,6 @@ def test_project_idempotent_and_orthogonal_at_benchmark_size():
             assert inner_product(residual, b, lat.weights) == 0
 
 
-def _fraction_projection(t, lat):
-    """The projection B^T G^-1 B diag(g) t by the oracle's Fraction
-    Gauss-Jordan elimination."""
-    basis = kernel_basis(lat.matrix)
-    r = len(basis)
-    g = lat.weights
-    aug = [[inner_product(bi, bj, g) for bj in basis] + [inner_product(bi, t, g)]
-           for bi in basis]
-    reduced, pivots = row_reduce(aug)
-    assert pivots == list(range(r))
-    z = [row[r] for row in reduced]
-    return tuple(sum((zi * b[a] for zi, b in zip(z, basis)), F(0))
-                 for a in range(lat.m))
-
-
 def test_project_matches_fraction_elimination():
     rng = random.Random(1009)
 
@@ -228,7 +214,7 @@ def test_project_matches_fraction_elimination():
         for _ in range(3):
             t = [F(rng.randint(-10**9, 10**9), rng.randint(1, 1000))
                  for _ in range(lat.m)]
-            assert project_onto_span(t, lat) == _fraction_projection(t, lat)
+            assert project_onto_span(t, lat) == project(t, lat)
 
 
 def test_project_zero_kernel_returns_zero():
@@ -317,6 +303,13 @@ def test_chain_signs():
 def test_conformal_rejects_non_member():
     with pytest.raises(InvalidInputError):
         conformal_decompose((1, 0, 0), a2())
+
+
+def test_conformal_refuses_above_the_enumeration_cap():
+    lat = a_n_lattice(14)
+    assert lat.m == 15
+    with pytest.raises(SizeCapError):
+        conformal_decompose((1, -1) + (0,) * 13, lat)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +556,6 @@ def test_ghouila_houri_matches_minor_oracle():
 
 def test_chain_membership_checked():
     lat = a2()
-    assert chain((1, 0, -1), lat).coords == (1, 0, -1)
+    assert primitive_chain((1, 0, -1), lat).coords == (1, 0, -1)
     with pytest.raises(InvalidInputError):
-        chain((1, 0, 0), lat)
+        primitive_chain((1, 0, 0), lat)

@@ -222,14 +222,14 @@ def test_stopping_data_k_values():
     inst = a2_instance()
     assert inst.K == 5
     assert (inst.G, inst.H) == ((5, 5, 5), (7, -2, -5))
-    assert stopping_data(inst).iteration_cap > 0
+    assert stopping_data(inst) > 0
 
 
 def test_iteration_cap_is_floor_k_w0():
     # K = 5 and w(0) = 49/100 + 4/100 + 25/100 = 39/50, so K w(0) = 3.9
     inst = a2_instance()
     assert (inst.K, inst.w0) == (5, F(39, 50))
-    assert stopping_data(inst).iteration_cap == 3
+    assert stopping_data(inst) == 3
 
 
 def test_solve_cvp_worked_a2():
@@ -336,8 +336,8 @@ def test_warm_lambda_lp_matches_cold_at_every_iterate():
             lam = max(F(0), F(-cold.optimum, cold.den * inst.K))
             if lam > 0:
                 # extraction asserts the circuit and the mean -lam itself
-                u_warm = min_mean_voronoi_vector(v, inst, lam, warm.vertex)
-                u_cold = min_mean_voronoi_vector(v, inst, lam, cold.vertex)
+                u_warm = min_mean_voronoi_vector(v, inst, warm)
+                u_cold = min_mean_voronoi_vector(v, inst, cold)
                 assert (F(cost(v, u_warm, inst), len(u_warm.support))
                         == F(cost(v, u_cold, inst), len(u_cold.support)))
             prev = warm
@@ -351,7 +351,7 @@ def _origin_walk(inst):
     lam, res = compute_lambda(v, inst)
     records = []
     while lam > 0:
-        u = min_mean_voronoi_vector(v, inst, lam, res.vertex)
+        u = min_mean_voronoi_vector(v, inst, res)
         step = saturating_step(lam, u, inst)
         v = tuple(a + step * b for a, b in zip(v, u.coords))
         records.append(IterationRecord(v=v, lam=lam, u=u, step=step,
@@ -633,7 +633,7 @@ def test_walks_stay_within_the_proven_cap():
     # each step lowers K w by a positive int, so the k-th iterate has
     # K w <= K w(0) - k, and no walk takes more than floor(K w(0)) steps
     for inst in _corpus_instances() + _box_instances():
-        cap = stopping_data(inst).iteration_cap
+        cap = stopping_data(inst)
         for walk in (_origin_walk(inst), solve_cvp(inst).trace):
             assert len(walk) <= cap
             for k, rec in enumerate(walk, 1):
@@ -676,19 +676,6 @@ def test_lambda_lps_of_one_instance_share_their_rows(monkeypatch):
         assert len(rows) == 1 + sol.iterations
         assert all(a is inst.lambda_rows[0] for a in rows)
         assert lambda_lp((0,) * inst.m, inst).A is inst.lambda_rows[0]
-
-
-def test_min_mean_voronoi_vector_rejects_a_wrong_lambda():
-    inst = a2_instance()
-    with pytest.raises(InternalInvariantError, match="lambda mismatch"):
-        min_mean_voronoi_vector((0, 0, 0), inst, lam=F(1, 4))
-
-
-def test_min_mean_voronoi_vector_needs_lambda_with_a_vertex():
-    inst = a2_instance()
-    _, res = compute_lambda((0, 0, 0), inst)
-    with pytest.raises(InvalidInputError, match="must come with its lambda"):
-        min_mean_voronoi_vector((0, 0, 0), inst, vertex=res.vertex)
 
 
 def test_compute_lambda_rejects_a_non_lattice_vector():

@@ -1,8 +1,9 @@
 """Static guards on the package source: no float arithmetic anywhere, no
 cache without an integer bound on its size, no import of core from
 simplex, no rescaling inside simplex, no Fraction in simplex outside the
-converter of lp_problem, and no import of the oracle from the solver
-modules."""
+converter of lp_problem, no import of the oracle from the solver modules,
+and no import of the simplex, or of the core functions that call it, from
+the oracle."""
 
 from __future__ import annotations
 
@@ -143,8 +144,8 @@ def test_guard_catches_oracle_imports():
 
 
 def test_simplex_does_not_import_core():
-    # core's conformal extraction solves LPs, so simplex stays below core;
-    # its duals come off its own tableau
+    # core eliminates through the simplex, so simplex stays below core; its
+    # duals come off its own tableau
     tree = ast.parse((SOURCE / "simplex.py").read_text(encoding="utf-8"))
     assert _imports_from(tree, "core") == []
 
@@ -216,3 +217,41 @@ def test_solver_does_not_import_oracle():
     for name in ("core", "simplex", "mmcc", "constructions"):
         tree = ast.parse((SOURCE / f"{name}.py").read_text(encoding="utf-8"))
         assert _imports_from(tree, "oracle") == [], name
+
+
+def _names_imported_from(tree: ast.AST, module: str) -> set[str]:
+    """Names imported from the package module `module`; "*" when the module
+    itself is imported, which makes all of it reachable."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0:
+                source = source.removeprefix("zonolat").removeprefix(".")
+            if source == module:
+                out.update(a.name for a in node.names)
+            elif not source and any(a.name == module for a in node.names):
+                out.add("*")
+        elif isinstance(node, ast.Import):
+            if any(a.name == f"zonolat.{module}" for a in node.names):
+                out.add("*")
+    return out
+
+
+def test_guard_catches_names_imported():
+    code = ("from .core import TUMatrix, matrix_rank\nfrom zonolat.core import int_vec\n"
+            "from . import core\nfrom .errors import DimensionError\n")
+    tree = ast.parse(code)
+    assert _names_imported_from(tree, "core") == {"TUMatrix", "matrix_rank", "int_vec", "*"}
+    assert _names_imported_from(ast.parse("import zonolat.simplex\n"), "simplex") == {"*"}
+    assert _names_imported_from(tree, "simplex") == set()
+
+
+def test_oracle_does_not_import_the_simplex():
+    # the oracle is the independent reference: its eliminations are its own
+    # row_reduce, so neither the simplex nor the core functions that
+    # eliminate through it may be imported there
+    tree = ast.parse((SOURCE / "oracle.py").read_text(encoding="utf-8"))
+    assert _names_imported_from(tree, "simplex") == set()
+    reaching = {"*", "project_onto_span", "matrix_rank"}
+    assert not _names_imported_from(tree, "core") & reaching

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import a2, corpus_small, k4_digraph
 from zonolat import (
+    CVPInstance,
     SizeCapError,
     ZonotopalLattice,
     a_n_lattice,
@@ -18,6 +19,7 @@ from zonolat import (
     check_projection_theorem,
     check_tu,
     cographic_lattice,
+    conformal_decompose,
     cvp_instance,
     digraph,
     enumerate_primitive_chains,
@@ -25,12 +27,14 @@ from zonolat import (
     incidence_matrix,
     is_strict_voronoi_by_coset,
     kernel_basis,
+    project,
     project_onto_span,
+    simplex,
     tu_matrix,
     voronoi_cell,
     voronoi_relevant_count,
 )
-from zonolat.oracle import row_reduce
+from zonolat.oracle import distance_sq, row_reduce
 
 A2_TARGET = (F(7, 10), F(-1, 5), F(-1, 2))
 
@@ -208,3 +212,38 @@ def test_brute_force_agrees_with_exhaustive_scan():
         )
         got = brute_force_cvp(inst)
         assert inst.distance_sq(got) == best[0]
+
+
+def test_oracle_reaches_no_simplex_code(monkeypatch):
+    # a bug in the simplex must not be able to make both routes agree: with
+    # its elimination and its LP solver broken, every reference still runs
+    # (the arcs are used by no other test, so no cached basis hides a call)
+    arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 0)]
+    lat = graphic_lattice(digraph(5, arcs), (1, 2, F(1, 3), 1, 5, 1, F(3, 2)))
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle reached the simplex")
+
+    for name in ("eliminate", "solve_lp", "_pivot"):
+        monkeypatch.setattr(simplex, name, broken)
+    basis = kernel_basis(lat.matrix)
+    assert len(basis) == 3
+    t = project((F(7, 3), -1, F(1, 2), 0, 4, F(-5, 7), 1), lat)
+    inst = CVPInstance(lattice=lat, target=t)
+    assert certify_closest(brute_force_cvp(inst), inst)
+    v = tuple(2 * a - b + 3 * c for a, b, c in zip(*basis))
+    parts = conformal_decompose(v, lat)
+    assert tuple(map(sum, zip(*(p.coords for p in parts)))) == v
+    assert check_projection_theorem(lat, samples=50, seed=3)
+    assert all(is_strict_voronoi_by_coset(c.coords, lat)
+               for c in enumerate_primitive_chains(lat))
+    assert check_tu(lat.matrix)
+
+
+def test_distance_sq_is_the_weighted_norm():
+    rng = random.Random(31)
+    for lat in corpus_small():
+        t = project([F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(lat.m)], lat)
+        for _ in range(5):
+            u = [rng.randint(-3, 3) for _ in range(lat.m)]
+            assert distance_sq(u, t, lat) == lat.norm_sq([a - b for a, b in zip(u, t)])
