@@ -1,23 +1,31 @@
 """Exact two-phase simplex with Bland's rule on an integer-preserving tableau.
 
-Minimizes c.x subject to equality constraints A x = b, x >= 0 and
-per-variable upper bounds of +infinity or a finite integer; every datum is
-a Python int, and callers with rational data clear its denominators first.
+Minimizes c.x subject to equality constraints A x = b and bounds
+0 <= x_j <= u_j, each u_j +infinity or a finite integer; every datum is a
+Python int, and callers with rational data clear its denominators first.
 The tableau is the only copy of the constraints besides the caller's
-problem: each finite bound u_j is a tableau row x_j + s_j = u_j, which
-starts on its slack s_j, with no artificial column.
-The tableau holds den * B^-1 A and den * B^-1 b over one positive common
-denominator den = |det B| of the basis matrix B, so all its entries are
-ints: a pivot multiplies and subtracts and then divides by the old den, and
-that division is exact because every entry is a subdeterminant of the data
+problem, and it has one row per row of A: a finite bound is a status of
+its variable, not a row (Dantzig's upper-bounding technique; Dantzig,
+Econometrica 1955; Chvatal, Linear Programming, 1983, ch. 8).  A nonbasic
+variable rests at 0 or at its bound, and the ratio test also stops where a
+basic variable reaches its bound or the entering variable its own; the
+latter is a bound flip, which moves the rhs and makes no pivot.  Bland's
+rule runs in the column order of the tableau that would write each bound
+as a row x_j + s_j = u_j, so the steps, the vertices and den are that
+tableau's (see _bland).
+The tableau holds den * B^-1 A and den * B^-1 (b - sum of u_j A_j over
+the variables at their bound) over one positive common denominator
+den = |det B| of the basis matrix B, so all its entries are ints: a pivot
+multiplies and subtracts and then divides by the old den, and that
+division is exact because every entry is a subdeterminant of the data
 (Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  No gcd is taken
 inside the pivot loop.  Optimality, infeasibility and unboundedness are
 decided exactly, and identical inputs always produce the identical pivot
 sequence and vertex.  The result speaks ints too: the optimum, the vertex
 and the duals come out as den times their values, read straight off the
-rhs and the reduced-cost row, together with den.  Every optimal solve
-also checks, in integers, that its vertex is feasible and that its duals,
-those of the bounds included, prove the optimum.
+rhs, the bounds and the reduced-cost row, together with den.  Every
+optimal solve also checks, in integers, that its vertex is feasible and
+that its duals, those of the bounds included, prove the optimum.
 `eliminate` runs the same pivot as a fraction-free Gauss-Jordan reduction,
 the one exact elimination of the solver: rank, projections and circuit
 tests.
@@ -68,14 +76,16 @@ class LPProblem:
 class Tableau:
     """An optimal basis in canonical form over one common denominator.
 
-    `rows` and `rhs` are den * B^-1 [A | I] and den * B^-1 b for the rows
-    A, b that _phase_one writes (the problem's rows, each negated where
-    b_i < 0, then one row x_j + s_j = u_j per finite bound; I holds one
-    artificial column per row of A, zero on the bound rows), and the basis
-    matrix B of those rows, with den = |det B| > 0, so every entry is an
-    int.  None of it depends on the objective, so it is a feasible starting
-    basis for any other objective over the same constraints.  den is also
-    the LPResult's den: its vertex is rhs placed on the basic columns.
+    `rows` and `rhs` are den * B^-1 [A | I] and den * B^-1 (b - sum of
+    u_j A_j over j in `at_upper`) for the rows A, b that _phase_one writes
+    (the problem's rows, each negated where b_i < 0; I holds one artificial
+    column per row), with B the basis matrix of those rows and den =
+    |det B| > 0, so every entry is an int.  `at_upper` lists the nonbasic
+    variables that rest at their bound u_j; every other nonbasic variable
+    rests at 0.  None of it depends on the objective, so it is a feasible
+    starting basis for any other objective over the same constraints.  den
+    is also the LPResult's den: its vertex is rhs on the basic columns,
+    den * u_j on `at_upper` and 0 elsewhere.
     """
 
     constraints: tuple  # (A, b, upper) of the problem it solved
@@ -83,6 +93,7 @@ class Tableau:
     rhs: tuple[int, ...]
     den: int
     basis: tuple[int, ...]
+    at_upper: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -90,8 +101,11 @@ class LPResult:
     """The outcome of solve_lp.  An optimal one is in ints over den = |det B|
     of its final basis: `optimum`, `vertex` and `duals` are den times c.x,
     the basic optimal vertex x and the duals y, one per row of A (0 for a
-    row phase 1 dropped; the bound rows' are left out, so A^T y <= den c and
-    b.y == optimum without them).  `tableau` is the warm start of solve_lp."""
+    row phase 1 dropped; the bounds' are left out, so A^T y <= den c and
+    b.y == optimum without them).  `tableau` is the warm start of solve_lp.
+    `pivots` counts the pivots of phase 1 (those that drive artificials out
+    included) and of phase 2, and `flips` the bound flips of both phases;
+    like `tableau` and `duals`, they are left out of ==."""
 
     status: str
     optimum: int | None
@@ -99,6 +113,8 @@ class LPResult:
     den: int = 1
     tableau: Tableau | None = field(default=None, compare=False, repr=False)
     duals: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    pivots: tuple[int, int] = field(default=(0, 0), compare=False)
+    flips: int = field(default=0, compare=False)
 
 
 def lp_problem(c: Iterable, A: Iterable[Iterable], b: Iterable,
@@ -129,17 +145,21 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
 
     Phase 2 keeps the reduced-cost row over the tableau's denominator too:
     den * c_j - c_B . (den B^-1 A)_j.  On the artificial columns, which
-    never enter, and the bound rows' slacks it reads -den c_B B^-1: den
-    times the duals, negated, of the sign-adjusted rows, and 0 for a row
-    phase 1 dropped.  Pivots replace tableau rows instead of editing them,
-    so copying the outer lists of the start leaves it intact.
+    never enter, it reads -den c_B B^-1: den times the duals, negated, of
+    the sign-adjusted rows, and 0 for a row phase 1 dropped.  The dual w_j
+    of a finite bound is the reduced cost of x_j when x_j rests at its
+    bound (<= 0 at the optimum) and 0 otherwise.  Pivots replace tableau
+    rows instead of editing them, so copying the outer lists of the start
+    leaves it intact.
     """
     constraints = (p.A, p.b, p.upper)
+    n = len(p.c)
     if start is None:
-        feasible = _phase_one(p)
+        feasible, phase_one, flips = _phase_one(p)
         if feasible is None:
-            return LPResult(status=INFEASIBLE, optimum=None, vertex=None)
-        tab, rhs, den, basis = feasible
+            return LPResult(status=INFEASIBLE, optimum=None, vertex=None,
+                            pivots=(phase_one, 0), flips=flips)
+        tab, rhs, den, basis, at_upper = feasible
     else:
         warm = start.tableau
         if warm is None or warm.constraints != constraints:
@@ -147,27 +167,31 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
                 "start must be an optimal result for the same A, b and bounds"
             )
         tab, rhs, den, basis = list(warm.rows), list(warm.rhs), warm.den, list(warm.basis)
-    n = len(p.c)
-    c = list(p.c) + [0] * sum(u is not None for u in p.upper)  # slacks cost 0
-    nvar = len(c)
-    red = [den * cj for cj in c] + [0] * len(p.b)
+        at_upper = [j in warm.at_upper for j in range(n)]
+        phase_one = flips = 0
+    red = [den * cj for cj in p.c] + [0] * len(p.b)
     for i, bi in enumerate(basis):
-        f = c[bi]
+        f = p.c[bi]
         if f:
             red = [r - f * t for r, t in zip(red, tab[i])]
-    status, den = _bland(tab, rhs, basis, red, den, nvar)
+    status, den, phase_two, flipped = _bland(tab, rhs, basis, red, den, p.upper, at_upper,
+                                             n, None)
+    work = {"pivots": (phase_one, phase_two), "flips": flips + flipped}
     if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED, optimum=None, vertex=None)
-    # y_i = -s_i red[nvar + i], with s_i = -1 where phase 1 negated row i,
-    # then the bound duals w = -red[n:nvar] off the slacks
-    y = [r if bi < 0 else -r for bi, r in zip(p.b, red[nvar:])] + [-r for r in red[n:nvar]]
-    _certify_optimal(p, basis, rhs, den, y)
-    at = dict(zip(basis, rhs))
-    x = tuple(at.get(j, 0) for j in range(n))  # den * x
+        return LPResult(status=UNBOUNDED, optimum=None, vertex=None, **work)
+    x = [u * den if up else 0 for u, up in zip(p.upper, at_upper)]  # den * x
+    for bi, value in zip(basis, rhs):
+        x[bi] = value
+    # y_i = -s_i red[n + i], with s_i = -1 where phase 1 negated row i,
+    # then the bound duals w off the variables at their bound
+    y = [r if bi < 0 else -r for bi, r in zip(p.b, red[n:])]
+    w = [red[j] if at_upper[j] else 0 for j, u in enumerate(p.upper) if u is not None]
+    _certify_optimal(p, x, den, y + w)
     tableau = Tableau(constraints=constraints, rows=tuple(map(tuple, tab)),
-                      rhs=tuple(rhs), den=den, basis=tuple(basis))
+                      rhs=tuple(rhs), den=den, basis=tuple(basis),
+                      at_upper=tuple(j for j in range(n) if at_upper[j]))
     return LPResult(status=OPTIMAL, optimum=sum(cj * xj for cj, xj in zip(p.c, x)),
-                    vertex=x, den=den, tableau=tableau, duals=tuple(y[:len(p.A)]))
+                    vertex=tuple(x), den=den, tableau=tableau, duals=tuple(y), **work)
 
 
 # ---------------------------------------------------------------------------
@@ -176,47 +200,62 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
 
 
 def _phase_one(p: LPProblem):
-    """A feasible basis of p's constraints as (rows, rhs, den, basis) in canonical form.
+    """A feasible basis of p's constraints, and the pivots and flips it took.
 
-    The tableau's rows are A x = b, each negated where b_i < 0, then one
-    row x_j + s_j = u_j per finite bound u_j, in order of j.  Its columns
-    are x, the slacks s in the same order, and one artificial per row of A.
-    The artificials and the slacks start basic (det 1); phase 1 minimizes
-    the sum of the artificials.  Redundant rows are dropped; None when the
-    system is infeasible.
+    The basis comes as (rows, rhs, den, basis, at_upper) in canonical form,
+    or None when the system is infeasible.  The tableau's rows are A x = b,
+    each negated where b_i < 0, and its columns are x and one artificial
+    per row.  The artificials start basic (det 1) and every x_j at 0;
+    phase 1 minimizes the sum of the artificials.
 
-    An artificial of a bound row would copy its slack: both start as e_row,
-    and row operations keep equal columns equal.  In phase 1 it would cost
-    1 and the slack 0, so its reduced cost would be the slack's plus den,
-    at a higher index: Bland's rule never enters it.  In phase 2 both cost
-    0, so the slack gives the same bound dual.  Leaving the copies out thus
-    changes no other pivot, row or column.
+    An artificial left basic at 0 is then driven out on the first variable
+    at 0 with a nonzero entry in its row, or failing that on the first
+    variable at its bound, which first moves off the bound: in the
+    bound-row tableau (see _bland) that is the first nonzero column x_j, or
+    else the slack s_j.  The artificials are visited in the order of their
+    rows there, from the last, as phase 1 can move an artificial that
+    leaves and enters again to a bound row there.  A row with no nonzero
+    entry is redundant and dropped; its artificial is basic, so den is also
+    |det B| of the rest.
     """
-    bounded = [j for j, u in enumerate(p.upper) if u is not None]
-    n, k, m = len(p.c), len(bounded), len(p.b)
-    nvar = n + k
-    rows = [[-a if bi < 0 else a for a in row] + [0] * k for row, bi in zip(p.A, p.b)]
-    rows += [[int(i in (j, n + s)) for i in range(nvar)] for s, j in enumerate(bounded)]
-    tab = [row + [int(q == i) for q in range(m)] for i, row in enumerate(rows)]
-    rhs = [abs(bi) for bi in p.b] + [p.upper[j] for j in bounded]
-    basis = [nvar + i for i in range(m)] + [n + s for s in range(k)]
-    red = [-sum(row[j] for row in rows[:m]) for j in range(nvar)] + [0] * m
-    status, den = _bland(tab, rhs, basis, red, 1, nvar + m)
+    n, m = len(p.c), len(p.b)
+    k = sum(u is not None for u in p.upper)
+    tab = [[-a if bi < 0 else a for a in row] + [int(q == i) for q in range(m)]
+           for i, (row, bi) in enumerate(zip(p.A, p.b))]
+    rhs = [abs(bi) for bi in p.b]
+    basis = [n + i for i in range(m)]
+    at_upper = [False] * n
+    red = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
+    # the row of each basic variable in the bound-row tableau, by its index
+    # there: the artificials' rows, then the bound rows on their slacks
+    where = {n + k + i: i for i in range(m)} | {n + s: m + s for s in range(k)}
+    status, den, pivots, flips = _bland(tab, rhs, basis, red, 1, p.upper, at_upper, n + m, where)
     if status != OPTIMAL:
         raise InternalInvariantError("phase-1 objective is bounded by zero")
-    if any(rhs[i] for i in range(len(tab)) if basis[i] >= nvar):
-        return None
+    if any(rhs[i] for i in range(len(tab)) if basis[i] >= n):
+        return None, pivots, flips
+    for a in sorted((b for b in basis if b >= n), key=lambda b: where[b + k], reverse=True):
+        i = basis.index(a)
+        row = tab[i]
+        enter = next((j for j in range(n) if row[j] and not at_upper[j]), None)
+        if enter is None:
+            enter = next((j for j in range(n) if row[j]), None)
+        if enter is None:
+            del tab[i], rhs[i], basis[i]
+            continue
+        if at_upper[enter]:
+            at_upper[enter] = False
+            _move(tab, rhs, enter, -p.upper[enter])
+        den = _pivot(tab, rhs, basis, None, den, i, enter)
+        pivots += 1
+    return (tab, rhs, den, basis, at_upper), pivots, flips
 
-    # drive artificial variables out of the basis; drop redundant rows.  A
-    # dropped row's artificial is basic, so den is also |det B| of the rest.
-    for i in range(len(tab) - 1, -1, -1):
-        if basis[i] >= nvar:
-            enter = next((j for j in range(nvar) if tab[i][j] != 0), None)
-            if enter is None:
-                del tab[i], rhs[i], basis[i]
-            else:
-                den = _pivot(tab, rhs, basis, None, den, i, enter)
-    return tab, rhs, den, basis
+
+def _move(tab, rhs, j: int, step: int) -> None:
+    """Raise the nonbasic x_j by `step`: rhs -= step * column j, in place."""
+    for i, row in enumerate(tab):
+        if row[j]:
+            rhs[i] -= step * row[j]
 
 
 def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
@@ -275,53 +314,105 @@ def eliminate(rows: Sequence[Sequence[int]], rhs: Sequence[int] | None = None):
     return tab, rhs, basis[:r], den
 
 
-def _bland(tab, rhs, basis, red, den: int, allowed: int) -> tuple[str, int]:
-    """Pivot by Bland's rule over the first `allowed` columns until optimal.
+def _bland(tab, rhs, basis, red, den: int, upper, at_upper, allowed: int, where):
+    """Pivot and flip by Bland's rule over the first `allowed` columns until optimal.
 
-    Returns the status and the final denominator.  The ratio test compares
-    rhs_i / a_i by cross-multiplication, ties going to the lower basic index.
+    Returns the status, the final denominator, and the pivots and the bound
+    flips made.  The rule runs in the column order of the bound-row
+    tableau, the one that writes each finite bound as a row x_j + s_j = u_j.
+    With n variables, k of them bounded and s(j) the position of j among
+    the bounded ones, x_j has index j there, its slack s_j index n + s(j)
+    and artificial i index n + k + i.  A basis here is one there: x_j basic
+    here is x_j and s_j basic there, x_j at 0 is s_j basic, and x_j at its
+    bound is x_j basic on the row x_j = u_j - s_j (one of the two is always
+    basic, as the bound row is in B).  The reduced cost of s_j is minus
+    that of x_j.  So the steps are:
+    - entering: the lowest index among j for a variable at 0 with a
+      negative reduced cost, n + s(j) for one at its bound with a positive
+      reduced cost (it enters falling) and, in phase 1, an artificial's
+      own index for one with a negative reduced cost;
+    - leaving: the least step, by cross-multiplication, with a tie going to
+      the lowest index of the variable that leaves there: b for a basic x_b
+      falling to 0 (the own index of an artificial), n + s(b) for a basic
+      x_b rising to u_b, and, for the entering x_j reaching its own bound,
+      n + s(j) when it rises and j when it falls.  That last step is a
+      flip: rhs moves, and nothing is pivoted.
+    Each is the step Bland's rule takes in the bound-row tableau from the
+    same basis, whose rational tableau is the same on the shared columns.
+    So both take the same steps to the same vertices, and den = |det B|
+    agrees too, as the bound rows add only unit columns to B.  `where`, in
+    phase 1, maps the index there of each basic variable to its row there,
+    for _phase_one's drive-out order; it is None in phase 2.
     """
+    n = len(upper)
+    slack, k = [None] * n, 0
+    for j, u in enumerate(upper):
+        if u is not None:
+            slack[j], k = n + k, k + 1
+    pivots = flips = 0
     while True:
-        enter = next((j for j in range(allowed) if red[j] < 0), None)
+        enter = next((j for j in range(n) if red[j] < 0 and not at_upper[j]), None)
         if enter is None:
-            return OPTIMAL, den
-        best = None
+            enter = next((j for j in range(n) if red[j] > 0 and at_upper[j]), None)
+        if enter is None:
+            enter = next((j for j in range(n, allowed) if red[j] < 0), None)
+        if enter is None:
+            return OPTIMAL, den, pivots, flips
+        down = enter < n and at_upper[enter]
+        bound = upper[enter] if enter < n else None
+        # the best step so far is num / q, reached by the basic variable of
+        # row `best` (-1: the entering variable's own bound) at index `key`
+        best, rises, num, q = -1, False, bound, 1
+        key = (enter if down else slack[enter]) if bound is not None else None
         for i, row in enumerate(tab):
-            a = row[enter]
+            a = -row[enter] if down else row[enter]
+            b = basis[i]
             if a > 0:
-                if best is None:
-                    best = i
-                    continue
-                lhs, rhs_best = rhs[i] * tab[best][enter], rhs[best] * a
-                if lhs < rhs_best or lhs == rhs_best and basis[i] < basis[best]:
-                    best = i
-        if best is None:
-            return UNBOUNDED, den
+                step, size, at, up = rhs[i], a, (b if b < n else b + k), False
+            elif a < 0 and b < n and slack[b] is not None:
+                step, size, at, up = upper[b] * den - rhs[i], -a, slack[b], True
+            else:
+                continue
+            if num is None or step * q < num * size or step * q == num * size and at < key:
+                best, rises, num, q, key = i, up, step, size, at
+        if num is None:
+            return UNBOUNDED, den, pivots, flips
+        if where is not None:
+            where[slack[enter] if down else enter if enter < n else enter + k] = where.pop(key)
+        if best < 0:
+            at_upper[enter] = not down
+            _move(tab, rhs, enter, -bound if down else bound)
+            flips += 1
+            continue
+        if down:
+            at_upper[enter] = False
+            _move(tab, rhs, enter, -bound)
+        leave = basis[best]
         den = _pivot(tab, rhs, basis, red, den, best, enter)
+        pivots += 1
+        if rises:
+            at_upper[leave] = True
+            _move(tab, rhs, leave, upper[leave])
 
 
-def _certify_optimal(p: LPProblem, basis, rhs, den: int, y: list[int]) -> None:
-    """Exact optimality proof of a basic solution of p; raise if it fails.
+def _certify_optimal(p: LPProblem, x, den: int, y: list[int]) -> None:
+    """Exact optimality proof of a solution x of p; raise if it fails.
 
-    y is den times the duals, one per row of A and then one per finite
-    bound.  The basic columns hold rhs / den and every other column 0; x is
-    that solution on the variables of p.  With w_j the dual of the bound row
-    x_j + s_j = u_j (none for an unbounded j), the checks are the problem
-    as written, row by row:
+    x is den times the vertex and y den times the duals, one per row of A
+    and then one per finite bound.  With w_j the dual of the bound x_j <=
+    u_j (none for an unbounded j), the checks are the problem as written,
+    row by row:
     - primal: x >= 0, A x == b and x <= upper;
     - dual: den * c_j - (A^T y)_j - w_j >= 0 for every j, and every
-      w_j <= 0 (the reduced cost of s_j);
+      w_j <= 0;
     - b.y + upper.w == den * c.x.
     Any y that passes proves x optimal, however it was computed.  The
     checks compare ints.
     """
-    n = len(p.c)
-    if den <= 0 or any(xi < 0 for xi in rhs):
+    if den <= 0 or any(xi < 0 for xi in x):
         raise InternalInvariantError("primal check failed: basic solution is negative")
-    at = dict(zip(basis, rhs))
-    x = [at.get(j, 0) for j in range(n)]  # den * x
-    basic = [(j, xj) for j, xj in enumerate(x) if xj]
-    if any(sum(row[j] * xj for j, xj in basic) != bi * den for row, bi in zip(p.A, p.b)):
+    support = [(j, xj) for j, xj in enumerate(x) if xj]
+    if any(sum(row[j] * xj for j, xj in support) != bi * den for row, bi in zip(p.A, p.b)):
         raise InternalInvariantError("primal check failed: A x != b")
     bounded = [(j, u) for j, u in enumerate(p.upper) if u is not None]
     if any(x[j] > u * den for j, u in bounded):

@@ -598,6 +598,31 @@ def test_proximity_start_of_integral_target_is_the_target():
         assert proximity_start(cvp_instance(lat, t, project=False)) == t
 
 
+def test_box_lp_tableau_has_a_row_per_lattice_row(monkeypatch):
+    # each bound 0 <= z_j <= 1 is a status of z_j, not a tableau row, so no
+    # pivot of a box LP sees more rows than the LP has rows of M
+    solve_lp, pivot = simplex.solve_lp, simplex._pivot
+    solving, seen = [], []
+
+    def recording(p, start=None):
+        solving.append(len(p.A))
+        try:
+            return solve_lp(p, start)
+        finally:
+            solving.pop()
+
+    def spy(tab, *args):
+        if solving:
+            seen.append((len(tab), solving[-1]))
+        return pivot(tab, *args)
+
+    monkeypatch.setattr(simplex, "solve_lp", recording)
+    monkeypatch.setattr(simplex, "_pivot", spy)
+    for inst in _box_instances():
+        proximity_start(inst)
+    assert seen and all(rows <= len_a for rows, len_a in seen)
+
+
 def test_box_step_is_skipped_unless_closer(monkeypatch):
     # a start no closer than the origin is refused: the walk then starts at
     # the origin, as the paper's does, and reaches the same distance

@@ -108,15 +108,15 @@ def test_upper_bound_column():
     p = lp_problem([-1], [], [], upper=[5])
     r = solve_lp(p)
     assert r.status == OPTIMAL and r.optimum == -5 and r.vertex == (5,)
-    assert r.duals == ()  # the upper-bound row's dual is left out
+    assert r.duals == ()  # the bound's dual is left out
     with pytest.raises(InvalidInputError):
         lp_problem([-1], [], [], upper=[-1])
 
 
 def test_bound_row_slacks_start_basic(monkeypatch):
-    # each bound row starts on its slack and there is no A row, so phase 1
-    # starts feasible with no artificial; the all-slack basis is also
-    # optimal for c >= 0, so the solve makes no pivot at all
+    # every variable starts at 0 and there is no A row, so phase 1 starts
+    # feasible with no artificial; that start is also optimal for c >= 0,
+    # so the solve makes no pivot at all
     from zonolat import simplex
 
     pivots = []
@@ -133,13 +133,58 @@ def test_bound_row_slacks_start_basic(monkeypatch):
 
 
 def test_bound_rows_have_no_artificial_column():
-    # columns: 3 variables, 2 slacks (x_0 and x_2 are bounded), and one
-    # artificial per row of A; a bound row gets none
+    # a bound is a status of its variable, not a tableau row: one row per
+    # row of A, and columns for the 3 variables and one artificial per row
+    # of A, with no slack and no artificial for the bounds of x_0 and x_2
     r = solve_lp(lp_problem([-1, -1, 0], [[1, 1, 1], [1, -1, 0]], [4, 0],
                             upper=[3, None, 1]))
     assert r.status == OPTIMAL and F(r.optimum, r.den) == -4
     rows = r.tableau.rows
-    assert len(rows) == 2 + 2 and {len(row) for row in rows} == {3 + 2 + 2}
+    assert len(rows) == 2 and {len(row) for row in rows} == {3 + 2}
+
+
+def test_bound_flip_makes_no_pivot():
+    # both variables rise to their bounds by a flip each; with no row there
+    # is nothing to pivot, and the bounds' duals w = (-1, -2), the reduced
+    # costs at the bounds, prove the optimum -11
+    p = lp_problem([-1, -2], [], [], upper=[3, 4])
+    r = solve_lp(p)
+    assert r.status == OPTIMAL and r.vertex == (3, 4) and r.optimum == -11 and r.den == 1
+    assert r.pivots == (0, 0) and r.flips == 2
+    assert r.tableau.rows == () and r.tableau.at_upper == (0, 1)
+    assert _certify_optimal(p, r.vertex, r.den, [-1, -2]) is None
+    with pytest.raises(InternalInvariantError, match="objective mismatch"):
+        _certify_optimal(p, r.vertex, r.den, [-1, -3])
+
+
+def test_pivot_counters_match_a_pivot_spy(monkeypatch):
+    # LPResult.pivots counts the _pivot calls of phase 1 (inside
+    # _phase_one) and of phase 2; a lambda LP has no bound to flip
+    calls, phase = [], [2]
+    pivot, phase_one = simplex._pivot, simplex._phase_one
+
+    def counting(*args):
+        calls.append(phase[0])
+        return pivot(*args)
+
+    def in_phase_one(p):
+        phase[0] = 1
+        try:
+            return phase_one(p)
+        finally:
+            phase[0] = 2
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    monkeypatch.setattr(simplex, "_phase_one", in_phase_one)
+    inst = _a2_instance()
+    first = solve_lp(lambda_lp((0, 0, 0), inst))
+    assert first.pivots == (calls.count(1), calls.count(2)) and first.flips == 0
+    assert min(first.pivots) > 0
+    calls.clear()
+    warm = solve_lp(lambda_lp((1, 0, -1), inst), start=first)
+    assert warm.pivots == (0, len(calls)) and warm.pivots[1] > 0 and warm.flips == 0
+    # the counters are left out of ==
+    assert dataclasses.replace(first, pivots=(0, 0), flips=5) == first
 
 
 def test_warm_start_reprices_basis():
@@ -323,6 +368,40 @@ def test_random_fractional_lps_against_basis_enumeration():
                 _assert_duals_prove_optimum(p, got)
 
 
+def test_random_phase_one_against_basis_enumeration():
+    # all-zero costs leave the verdict to phase 1, which here flips and
+    # pivots bounded and free variables alike (zero bounds included); every
+    # feasible system must come back as a vertex inside its bounds
+    rng = random.Random(2718)
+    flips = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        m = rng.randint(1, min(3, n))
+        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-3, 3) for _ in range(m)]
+        upper = [rng.randint(0, 3) if rng.random() < 0.6 else None for _ in range(n)]
+        got = solve_lp(lp_problem([0] * n, A, b, upper=upper))
+        bounded = [(j, u) for j, u in enumerate(upper) if u is not None]
+        wide = [row + [0] * len(bounded) for row in A]
+        for k, (j, _u) in enumerate(bounded):
+            row = [0] * (n + len(bounded))
+            row[j] = row[n + k] = 1
+            wide.append(row)
+        # the oracle enumerates bases of full row rank; a dependent row set
+        # has none, so it cannot tell feasible from infeasible there
+        if len(eliminate(wide)[2]) < len(wide):
+            continue
+        status, _ = _enumerate_optimum([0] * len(wide[0]), wide, b + [u for _, u in bounded])
+        assert got.status == status, (A, b, upper)
+        if status == OPTIMAL:
+            x, den = got.vertex, got.den
+            assert got.optimum == 0 and got.pivots[1] == 0
+            assert all(sum(a * v for a, v in zip(row, x)) == bi * den for row, bi in zip(A, b))
+            assert all(0 <= v and (u is None or v <= u * den) for v, u in zip(x, upper))
+        flips += got.flips
+    assert flips > 0
+
+
 def test_integer_tableau_a2_lambda_lp():
     # den * B^-1 [A | I] and den * B^-1 b as ints over den > 0; the
     # rationals they stand for are the rational tableau of the same basis,
@@ -382,6 +461,19 @@ def test_negative_drive_out_pivot_keeps_den_positive(monkeypatch):
     _assert_duals_prove_optimum(p, r)
 
 
+def test_drive_out_follows_the_bound_row_tableau():
+    # x_0 rises to its bound, then x_1, and the artificial of row 0 enters
+    # again as x_1 reaches it: in the bound-row tableau it takes x_1's bound
+    # row, the last, so it is driven out first, on x_0, then row 2's on
+    # x_1, and row 1 is dropped.  That basis has den 2 (the basis of the
+    # same vertex reached in the other order has den 1)
+    r = solve_lp(lp_problem([2, 0], [[1, -1], [0, 1], [-1, -1]], [0, 1, -2],
+                            upper=[1, 1]))
+    assert (r.status, r.vertex, r.den, r.optimum) == (OPTIMAL, (2, 2), 2, 4)
+    assert r.tableau.basis == (0, 1) and len(r.tableau.rows) == 2
+    assert r.pivots == (5, 0)
+
+
 def _a2_optimum():
     """The A_2 lambda LP at the origin, whose costs are K = 5 times the
     derivatives, and the integer duals Y (over den = 2) of its optimal basis
@@ -399,26 +491,26 @@ def _a2_optimum():
 def test_certify_optimal_rejects_infeasible_solution(rhs):
     p, y = _a2_optimum()
     with pytest.raises(InternalInvariantError, match="primal check failed: A x"):
-        _certify_optimal(p, [0, 5], rhs, 2, y)
+        _certify_optimal(p, (rhs[0], 0, 0, 0, 0, rhs[1]), 2, y)
 
 
 def test_certify_optimal_rejects_suboptimal_basis():
     # x1 = x5 = 1/2 is a feasible basic solution of the A_2 lambda LP at the
     # origin, with cost 7/10 against the optimum -1/5
     p, y = _a2_optimum()
-    assert _certify_optimal(p, [0, 5], [1, 1], 2, y) is None
+    assert _certify_optimal(p, (1, 0, 0, 0, 0, 1), 2, y) is None
     with pytest.raises(InternalInvariantError, match="objective mismatch"):
-        _certify_optimal(p, [1, 5], [1, 1], 2, y)
+        _certify_optimal(p, (0, 1, 0, 0, 0, 1), 2, y)
     # the basis's own duals, Y = (7, 7), price out column 0
     with pytest.raises(InternalInvariantError, match="negative reduced cost"):
-        _certify_optimal(p, [1, 5], [1, 1], 2, [7, 7])
+        _certify_optimal(p, (0, 1, 0, 0, 0, 1), 2, [7, 7])
 
 
 def test_certify_optimal_rejects_negative_solution():
     # x1 = -1 solves x0 - x1 = 1 but is not >= 0
     p = lp_problem([0, 0], [[1, -1]], [1])
     with pytest.raises(InternalInvariantError, match="primal check failed: basic"):
-        _certify_optimal(p, [1], [-1], 1, [0])
+        _certify_optimal(p, (0, -1), 1, [0])
 
 
 def test_warm_start_from_corrupted_tableau_raises():
@@ -441,7 +533,7 @@ def test_certify_optimal_rejects_tampered_duals(i, step):
     y[i] += step
     with pytest.raises(InternalInvariantError,
                        match="negative reduced cost|objective mismatch"):
-        _certify_optimal(p, [0, 5], [1, 1], 2, y)
+        _certify_optimal(p, (1, 0, 0, 0, 0, 1), 2, y)
 
 
 def _bounded_lp():
@@ -457,19 +549,19 @@ def _bounded_lp():
 def test_certify_optimal_checks_bounds_through_their_duals():
     p = _bounded_lp()
     # basis x0, x1 with the bound's slack at 0; the duals (y, w) = (-1, -1)
-    assert _certify_optimal(p, [0, 1], [1, 2], 1, [-1, -1]) is None
+    assert _certify_optimal(p, (1, 2), 1, [-1, -1]) is None
     # x = (0, 3) satisfies A x = b and x >= 0 but not x1 <= 2
     with pytest.raises(InternalInvariantError, match="x above its upper bound"):
-        _certify_optimal(p, [0, 1], [0, 3], 1, [-1, -1])
+        _certify_optimal(p, (0, 3), 1, [-1, -1])
 
 
 def test_certify_optimal_rejects_positive_bound_dual():
     # min x1 over the same constraints has its optimum 0 at x = (3, 0); the
     # vertex (1, 2) of cost 2 passes every other check with (y, w) = (0, 1)
     p = lp_problem([0, 1], [[1, 1]], [3], upper=[None, 2])
-    assert _certify_optimal(p, [0, 2], [3, 2], 1, [0, 0]) is None
+    assert _certify_optimal(p, (3, 0), 1, [0, 0]) is None
     with pytest.raises(InternalInvariantError, match="positive bound dual"):
-        _certify_optimal(p, [0, 1], [1, 2], 1, [0, 1])
+        _certify_optimal(p, (1, 2), 1, [0, 1])
 
 
 def test_certify_optimal_bound_dual_off_by_one():
@@ -477,9 +569,9 @@ def test_certify_optimal_bound_dual_off_by_one():
     # w = 0 prices out x1
     p = _bounded_lp()
     with pytest.raises(InternalInvariantError, match="objective mismatch"):
-        _certify_optimal(p, [0, 1], [1, 2], 1, [-1, -2])
+        _certify_optimal(p, (1, 2), 1, [-1, -2])
     with pytest.raises(InternalInvariantError, match="negative reduced cost"):
-        _certify_optimal(p, [0, 1], [1, 2], 1, [-1, 0])
+        _certify_optimal(p, (1, 2), 1, [-1, 0])
 
 
 def test_solve_cvp_never_reeliminates(monkeypatch):

@@ -33,6 +33,8 @@ from zonolat import (
     graphic_lattice,
     kernel_basis,
     obtuse_superbasis_gram,
+    proximity_start,
+    simplex,
     solve_cvp,
     tu_matrix,
     voronoi_first_kind,
@@ -194,6 +196,27 @@ def test_corpus_takes_box_and_walk_steps():
         assert (trace[0].u is None) == (name != "a2-worked"), name
         walks = any(rec.u is not None for rec in trace)
         assert walks == (name in ("a2-worked", "cographic-walk")), name
+
+
+def test_tie_box_lps_flip_a_bound(monkeypatch):
+    # every box slope of a tie problem is 0, so phase 1 alone picks the box
+    # vertex, and on each of them it moves some z_j to its bound 1 by a
+    # flip, with no pivot; phase 2 has nothing to improve
+    solve_lp = simplex.solve_lp
+    results = []
+
+    def recording(p, start=None):
+        results.append(solve_lp(p, start))
+        return results[-1]
+
+    monkeypatch.setattr(simplex, "solve_lp", recording)
+    ties = [name for name in sorted(CORPUS) if "-tie-" in name]
+    for name in ties:
+        problem = CORPUS[name]
+        lattice = ZonotopalLattice(matrix=tu_matrix(problem["M"]), weights=problem["g"])
+        proximity_start(cvp_instance(lattice, problem["t"]))
+    assert len(results) == len(ties)
+    assert all(r.flips >= 1 and r.pivots[1] == 0 for r in results)
 
 
 if __name__ == "__main__":
