@@ -392,9 +392,6 @@ class PrimitiveChain:
     def support(self) -> frozenset[int]:
         return support(self.coords)
 
-    def __neg__(self) -> "PrimitiveChain":
-        return PrimitiveChain(tuple(-c for c in self.coords))
-
 
 def chain_signs(values: Sequence) -> IntVec:
     """The signs of an LP vertex that is a primitive chain rescaled.

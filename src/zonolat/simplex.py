@@ -9,10 +9,10 @@ its variable, not a row (Dantzig's upper-bounding technique; Dantzig,
 Econometrica 1955; Chvatal, Linear Programming, 1983, ch. 8).  A nonbasic
 variable rests at 0 or at its bound, and the ratio test also stops where a
 basic variable reaches its bound or the entering variable its own; the
-latter is a bound flip, which moves the rhs and makes no pivot.  Bland's
-rule runs in the column order of the tableau that would write each bound
-as a row x_j + s_j = u_j, so the steps, the vertices and den are that
-tableau's (see _bland).
+latter is a bound flip, which moves the rhs and makes no pivot.  An
+artificial that phase 1 leaves basic at 0 stays there in phase 2, as a
+variable bounded at 0 that never enters, so no row is dropped.  Bland's
+rule keeps the simplex from cycling (see _bland).
 The tableau holds den * B^-1 A and den * B^-1 (b - sum of u_j A_j over
 the variables at their bound) over one positive common denominator
 den = |det B| of the basis matrix B, so all its entries are ints: a pivot
@@ -79,12 +79,14 @@ class Tableau:
     `rows` and `rhs` are den * B^-1 [A | I] and den * B^-1 (b - sum of
     u_j A_j over j in `at_upper`) for the rows A, b that _phase_one writes
     (the problem's rows, each negated where b_i < 0; I holds one artificial
-    column per row), with B the basis matrix of those rows and den =
-    |det B| > 0, so every entry is an int.  `at_upper` lists the nonbasic
+    column per row), with B the basis matrix of those columns and den =
+    |det B| > 0, so every entry is an int.  There is a row for every row
+    of A: the artificial of a redundant row, or of one phase 2 never
+    pivoted on, is still basic there, at 0.  `at_upper` lists the nonbasic
     variables that rest at their bound u_j; every other nonbasic variable
     rests at 0.  None of it depends on the objective, so it is a feasible
     starting basis for any other objective over the same constraints.  den
-    is also the LPResult's den: its vertex is rhs on the basic columns,
+    is also the LPResult's den: its vertex is rhs on the basic variables,
     den * u_j on `at_upper` and 0 elsewhere.
     """
 
@@ -100,12 +102,13 @@ class Tableau:
 class LPResult:
     """The outcome of solve_lp.  An optimal one is in ints over den = |det B|
     of its final basis: `optimum`, `vertex` and `duals` are den times c.x,
-    the basic optimal vertex x and the duals y, one per row of A (0 for a
-    row phase 1 dropped; the bounds' are left out, so A^T y <= den c and
-    b.y == optimum without them).  `tableau` is the warm start of solve_lp.
-    `pivots` counts the pivots of phase 1 (those that drive artificials out
-    included) and of phase 2, and `flips` the bound flips of both phases;
-    like `tableau` and `duals`, they are left out of ==."""
+    the basic optimal vertex x and the duals y, one per row of A (the
+    bounds' are left out, so A^T y <= den c and b.y == optimum without
+    them).  A row whose artificial is still basic has the dual 0; where the
+    rows are dependent the duals are not unique, and these are the final
+    basis's.  `tableau` is the warm start of solve_lp.  `pivots` counts the
+    pivots of phase 1 and of phase 2, and `flips` the bound flips of both
+    phases; like `tableau` and `duals`, they are left out of ==."""
 
     status: str
     optimum: int | None
@@ -146,11 +149,11 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     Phase 2 keeps the reduced-cost row over the tableau's denominator too:
     den * c_j - c_B . (den B^-1 A)_j.  On the artificial columns, which
     never enter, it reads -den c_B B^-1: den times the duals, negated, of
-    the sign-adjusted rows, and 0 for a row phase 1 dropped.  The dual w_j
-    of a finite bound is the reduced cost of x_j when x_j rests at its
-    bound (<= 0 at the optimum) and 0 otherwise.  Pivots replace tableau
-    rows instead of editing them, so copying the outer lists of the start
-    leaves it intact.
+    the sign-adjusted rows, and 0 for a row whose artificial, of cost 0, is
+    still basic.  The dual w_j of a finite bound is the reduced cost of x_j
+    when x_j rests at its bound (<= 0 at the optimum) and 0 otherwise.
+    Pivots replace tableau rows instead of editing them, so copying the
+    outer lists of the start leaves it intact.
     """
     constraints = (p.A, p.b, p.upper)
     n = len(p.c)
@@ -170,18 +173,18 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
         at_upper = [j in warm.at_upper for j in range(n)]
         phase_one = flips = 0
     red = [den * cj for cj in p.c] + [0] * len(p.b)
-    for i, bi in enumerate(basis):
-        f = p.c[bi]
-        if f:
-            red = [r - f * t for r, t in zip(red, tab[i])]
+    for row, bi in zip(tab, basis):
+        if bi < n and p.c[bi]:
+            red = [r - p.c[bi] * t for r, t in zip(red, row)]
     status, den, phase_two, flipped = _bland(tab, rhs, basis, red, den, p.upper, at_upper,
-                                             n, None)
+                                             False)
     work = {"pivots": (phase_one, phase_two), "flips": flips + flipped}
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, optimum=None, vertex=None, **work)
     x = [u * den if up else 0 for u, up in zip(p.upper, at_upper)]  # den * x
     for bi, value in zip(basis, rhs):
-        x[bi] = value
+        if bi < n:
+            x[bi] = value
     # y_i = -s_i red[n + i], with s_i = -1 where phase 1 negated row i,
     # then the bound duals w off the variables at their bound
     y = [r if bi < 0 else -r for bi, r in zip(p.b, red[n:])]
@@ -206,48 +209,22 @@ def _phase_one(p: LPProblem):
     or None when the system is infeasible.  The tableau's rows are A x = b,
     each negated where b_i < 0, and its columns are x and one artificial
     per row.  The artificials start basic (det 1) and every x_j at 0;
-    phase 1 minimizes the sum of the artificials.
-
-    An artificial left basic at 0 is then driven out on the first variable
-    at 0 with a nonzero entry in its row, or failing that on the first
-    variable at its bound, which first moves off the bound: in the
-    bound-row tableau (see _bland) that is the first nonzero column x_j, or
-    else the slack s_j.  The artificials are visited in the order of their
-    rows there, from the last, as phase 1 can move an artificial that
-    leaves and enters again to a bound row there.  A row with no nonzero
-    entry is redundant and dropped; its artificial is basic, so den is also
-    |det B| of the rest.
+    phase 1 minimizes the sum of the artificials, and the system is
+    feasible when that reaches 0.  An artificial may end basic at 0; it
+    stays in the basis for phase 2 (see _bland).
     """
     n, m = len(p.c), len(p.b)
-    k = sum(u is not None for u in p.upper)
     tab = [[-a if bi < 0 else a for a in row] + [int(q == i) for q in range(m)]
            for i, (row, bi) in enumerate(zip(p.A, p.b))]
     rhs = [abs(bi) for bi in p.b]
     basis = [n + i for i in range(m)]
     at_upper = [False] * n
     red = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
-    # the row of each basic variable in the bound-row tableau, by its index
-    # there: the artificials' rows, then the bound rows on their slacks
-    where = {n + k + i: i for i in range(m)} | {n + s: m + s for s in range(k)}
-    status, den, pivots, flips = _bland(tab, rhs, basis, red, 1, p.upper, at_upper, n + m, where)
+    status, den, pivots, flips = _bland(tab, rhs, basis, red, 1, p.upper, at_upper, True)
     if status != OPTIMAL:
         raise InternalInvariantError("phase-1 objective is bounded by zero")
-    if any(rhs[i] for i in range(len(tab)) if basis[i] >= n):
+    if any(value for bi, value in zip(basis, rhs) if bi >= n):
         return None, pivots, flips
-    for a in sorted((b for b in basis if b >= n), key=lambda b: where[b + k], reverse=True):
-        i = basis.index(a)
-        row = tab[i]
-        enter = next((j for j in range(n) if row[j] and not at_upper[j]), None)
-        if enter is None:
-            enter = next((j for j in range(n) if row[j]), None)
-        if enter is None:
-            del tab[i], rhs[i], basis[i]
-            continue
-        if at_upper[enter]:
-            at_upper[enter] = False
-            _move(tab, rhs, enter, -p.upper[enter])
-        den = _pivot(tab, rhs, basis, None, den, i, enter)
-        pivots += 1
     return (tab, rhs, den, basis, at_upper), pivots, flips
 
 
@@ -265,9 +242,9 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
     other row x, the rhs and the reduced costs become (x p - f y) // den,
     where y is row r and f the entry of x in column jc.  The division is
     exact: the result is a subdeterminant of the data (Cramer's rule;
-    Edmonds 1967, Bareiss 1968).  A negative p (phase 1 driving out an
-    artificial, or `eliminate`) negates row r first, so the denominator
-    stays positive.  `red` is None when there is no objective.
+    Edmonds 1967, Bareiss 1968).  A negative p (a variable that leaves at
+    its bound or enters from it, or `eliminate`) negates row r first, so
+    the denominator stays positive.  `red` is None when there is no objective.
     Rows are replaced, never edited; with p == den a row whose entry f is
     0 is left as it is.
     """
@@ -314,85 +291,73 @@ def eliminate(rows: Sequence[Sequence[int]], rhs: Sequence[int] | None = None):
     return tab, rhs, basis[:r], den
 
 
-def _bland(tab, rhs, basis, red, den: int, upper, at_upper, allowed: int, where):
-    """Pivot and flip by Bland's rule over the first `allowed` columns until optimal.
+def _bland(tab, rhs, basis, red, den: int, upper, at_upper, phase_one: bool):
+    """Pivot and flip by Bland's rule until optimal.
 
-    Returns the status, the final denominator, and the pivots and the bound
-    flips made.  The rule runs in the column order of the bound-row
-    tableau, the one that writes each finite bound as a row x_j + s_j = u_j.
-    With n variables, k of them bounded and s(j) the position of j among
-    the bounded ones, x_j has index j there, its slack s_j index n + s(j)
-    and artificial i index n + k + i.  A basis here is one there: x_j basic
-    here is x_j and s_j basic there, x_j at 0 is s_j basic, and x_j at its
-    bound is x_j basic on the row x_j = u_j - s_j (one of the two is always
-    basic, as the bound row is in B).  The reduced cost of s_j is minus
-    that of x_j.  So the steps are:
-    - entering: the lowest index among j for a variable at 0 with a
-      negative reduced cost, n + s(j) for one at its bound with a positive
-      reduced cost (it enters falling) and, in phase 1, an artificial's
-      own index for one with a negative reduced cost;
-    - leaving: the least step, by cross-multiplication, with a tie going to
-      the lowest index of the variable that leaves there: b for a basic x_b
-      falling to 0 (the own index of an artificial), n + s(b) for a basic
-      x_b rising to u_b, and, for the entering x_j reaching its own bound,
-      n + s(j) when it rises and j when it falls.  That last step is a
-      flip: rhs moves, and nothing is pivoted.
-    Each is the step Bland's rule takes in the bound-row tableau from the
-    same basis, whose rational tableau is the same on the shared columns.
-    So both take the same steps to the same vertices, and den = |det B|
-    agrees too, as the bound rows add only unit columns to B.  `where`, in
-    phase 1, maps the index there of each basic variable to its row there,
-    for _phase_one's drive-out order; it is None in phase 2.
+    Returns the status, the final den, and the pivots and flips made.
+    `upper` and `at_upper` cover the n variables.  The artificials, the
+    columns after them, are unbounded and may enter in phase 1; in phase 2
+    they have the bound 0 and never enter, so a basic one stops any
+    entering column that is nonzero in its row at step 0 and stays at 0.
+    The entering column is the first j with red[j] < 0 among the variables
+    at 0, else with red[j] > 0 among those at their bound (it enters
+    falling), else with red[j] < 0 among the artificials that may enter.
+    A tie of the ratio test goes to the least (is an artificial, reaches
+    its bound, index) of the variable that stops the step, the entering
+    one's own bound (a flip: rhs moves, nothing is pivoted) counting as
+    (False, rises, index).  That is Bland's rule (Math. Oper. Res. 1977) in
+    the tableau with a row x_j + s_j = u_j per bound, the slacks after the
+    variables in their order and the artificials last, so it cannot cycle
+    (an artificial that may not enter only leaves, so it is in no cycle).
     """
     n = len(upper)
-    slack, k = [None] * n, 0
-    for j, u in enumerate(upper):
-        if u is not None:
-            slack[j], k = n + k, k + 1
+    last = len(red) if phase_one else n  # the columns that may enter
+    bounds = list(upper) + [None if phase_one else 0] * (len(red) - n)
     pivots = flips = 0
     while True:
         enter = next((j for j in range(n) if red[j] < 0 and not at_upper[j]), None)
         if enter is None:
             enter = next((j for j in range(n) if red[j] > 0 and at_upper[j]), None)
         if enter is None:
-            enter = next((j for j in range(n, allowed) if red[j] < 0), None)
+            enter = next((j for j in range(n, last) if red[j] < 0), None)
         if enter is None:
             return OPTIMAL, den, pivots, flips
         down = enter < n and at_upper[enter]
-        bound = upper[enter] if enter < n else None
+        bound = bounds[enter]
         # the best step so far is num / q, reached by the basic variable of
-        # row `best` (-1: the entering variable's own bound) at index `key`
-        best, rises, num, q = -1, False, bound, 1
-        key = (enter if down else slack[enter]) if bound is not None else None
+        # row `best` (-1: the entering variable's own bound) with tie key `key`
+        best, rises, num, q, key = -1, False, bound, 1, (False, not down, enter)
         for i, row in enumerate(tab):
             a = -row[enter] if down else row[enter]
             b = basis[i]
             if a > 0:
-                step, size, at, up = rhs[i], a, (b if b < n else b + k), False
-            elif a < 0 and b < n and slack[b] is not None:
-                step, size, at, up = upper[b] * den - rhs[i], -a, slack[b], True
+                step, size, up = rhs[i], a, False
+            elif a < 0 and bounds[b] is not None:
+                step, size, up = bounds[b] * den - rhs[i], -a, True
             else:
                 continue
-            if num is None or step * q < num * size or step * q == num * size and at < key:
-                best, rises, num, q, key = i, up, step, size, at
+            if (num is None or step * q < num * size
+                    or step * q == num * size and (b >= n, up, b) < key):
+                best, rises, num, q, key = i, up, step, size, (b >= n, up, b)
         if num is None:
             return UNBOUNDED, den, pivots, flips
-        if where is not None:
-            where[slack[enter] if down else enter if enter < n else enter + k] = where.pop(key)
         if best < 0:
             at_upper[enter] = not down
             _move(tab, rhs, enter, -bound if down else bound)
             flips += 1
             continue
-        if down:
-            at_upper[enter] = False
-            _move(tab, rhs, enter, -bound)
+        # a variable that leaves at its bound or enters from it moves one
+        # rhs entry, that of its row (den times it) before or after the
+        # pivot; an artificial leaves at its bound 0 as at 0
         leave = basis[best]
+        if rises and leave < n:
+            at_upper[leave] = True
+            rhs[best] -= upper[leave] * den
         den = _pivot(tab, rhs, basis, red, den, best, enter)
         pivots += 1
-        if rises:
-            at_upper[leave] = True
-            _move(tab, rhs, leave, upper[leave])
+        if down:
+            at_upper[enter] = False
+            rhs[best] += bound * den
 
 
 def _certify_optimal(p: LPProblem, x, den: int, y: list[int]) -> None:

@@ -331,7 +331,7 @@ def test_degenerate_redundant_rows():
     p = lp_problem([1, 1], [[1, 1], [1, 1]], [2, 2])
     r = solve_lp(p)
     assert r.status == OPTIMAL and r.optimum == 2
-    assert 0 in r.duals  # the row phase 1 dropped
+    assert 0 in r.duals  # the row whose artificial stays basic
     _assert_duals_prove_optimum(p, r)
 
 
@@ -437,41 +437,125 @@ def test_negated_row_duals():
     _assert_duals_prove_optimum(p, r)
 
 
-def test_negative_drive_out_pivot_keeps_den_positive(monkeypatch):
-    # rows 0 and 1 are negatives of each other with b = 0: phase 1 ends with
-    # their artificials basic at zero, drives row 1's out on its entry -1
-    # and drops row 0 as redundant
-    c, A, b = [3, -1, 1], [[0, 1, -1], [0, -1, 1], [1, 1, 1]], [0, 0, 2]
-    drive_out = []
+def test_negative_pivot_keeps_den_positive(monkeypatch):
+    # rows 0 and 1 are multiples of each other with b = 0: phase 1 ends with
+    # their artificials basic at zero, and in phase 2 x_1 enters with the
+    # entries -1 and -2 there, so row 0's artificial leaves at its bound 0
+    # on the pivot -1; row 1's stays basic, and so does its row
+    c, A, b = [-2, -3, 0], [[0, -1, 0], [0, -2, 0], [1, 1, 1]], [0, 0, 2]
+    pivots = []
     pivot = simplex._pivot
 
     def spy(tab, rhs, basis, red, den, r, jc):
-        if red is None:
-            drive_out.append(tab[r][jc])
+        pivots.append((basis[r], tab[r][jc]))
         return pivot(tab, rhs, basis, red, den, r, jc)
 
     monkeypatch.setattr(simplex, "_pivot", spy)
     p = lp_problem(c, A, b)
     r = solve_lp(p)
-    assert any(e < 0 for e in drive_out)
+    assert pivots[r.pivots[0]:] == [(3, -1)]  # phase 2's one pivot
     assert r.status == OPTIMAL and r.tableau.den > 0
-    assert len(r.tableau.rows) == 2  # one of the opposite rows was dropped
-    # the oracle needs full row rank: leave out row 0, the negative of row 1
-    assert (OPTIMAL, F(r.optimum, r.den)) == _enumerate_optimum(c, A[1:], b[1:]) == (OPTIMAL, 0)
+    assert len(r.tableau.rows) == 3 and 4 in r.tableau.basis
+    # the oracle needs full row rank: leave out row 0, half of row 1
+    assert (OPTIMAL, F(r.optimum, r.den)) == _enumerate_optimum(c, A[1:], b[1:]) == (OPTIMAL, -4)
     _assert_duals_prove_optimum(p, r)
 
 
-def test_drive_out_follows_the_bound_row_tableau():
-    # x_0 rises to its bound, then x_1, and the artificial of row 0 enters
-    # again as x_1 reaches it: in the bound-row tableau it takes x_1's bound
-    # row, the last, so it is driven out first, on x_0, then row 2's on
-    # x_1, and row 1 is dropped.  That basis has den 2 (the basis of the
-    # same vertex reached in the other order has den 1)
-    r = solve_lp(lp_problem([2, 0], [[1, -1], [0, 1], [-1, -1]], [0, 1, -2],
-                            upper=[1, 1]))
-    assert (r.status, r.vertex, r.den, r.optimum) == (OPTIMAL, (2, 2), 2, 4)
-    assert r.tableau.basis == (0, 1) and len(r.tableau.rows) == 2
-    assert r.pivots == (5, 0)
+def test_redundant_row_keeps_its_artificial_basic_at_zero():
+    # the second row repeats the first: phase 1 pivots x_0 into row 0, and
+    # row 1's artificial (column 2 + 1) stays basic at 0, with the dual 0
+    p = lp_problem([1, 1], [[1, 1], [1, 1]], [2, 2])
+    r = solve_lp(p)
+    assert (r.status, r.vertex, r.den, r.optimum) == (OPTIMAL, (2, 0), 1, 2)
+    t = r.tableau
+    assert t.basis == (0, 3) and t.rhs == (2, 0) and len(t.rows) == 2
+    assert r.duals == (1, 0)
+    _assert_duals_prove_optimum(p, r)
+
+
+def _dependent_lp(rng):
+    """A random feasible LP whose last row is a combination of two others;
+    its rhs is that of a point inside the bounds."""
+    n, m = rng.randint(3, 6), rng.randint(2, 3)
+    A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+    f, g = rng.choice([(1, 0), (-1, 0), (1, 1), (2, -1), (0, -2)])
+    A.append([f * x + g * y for x, y in zip(A[0], A[1])])
+    upper = [rng.randint(0, 3) if rng.random() < 0.4 else None for _ in range(n)]
+    x = [rng.randint(0, 2 if u is None else u) for u in upper]
+    b = [sum(a * v for a, v in zip(row, x)) for row in A]
+    return lp_problem([rng.randint(-4, 4) for _ in range(n)], A, b, upper=upper)
+
+
+def test_basic_artificials_stay_at_zero_in_phase_two(monkeypatch):
+    # after every pivot and flip of phase 2, cold or warm, each basic
+    # artificial is still at 0; on these LPs with a dependent row some
+    # artificial is basic at the optimum, and some leaves in phase 2
+    pivot, move, bland, phase_one = (simplex._pivot, simplex._move, simplex._bland,
+                                     simplex._phase_one)
+    phase, state, left = [2], [], []
+
+    def check(n):
+        _, rhs, basis = state
+        if phase[0] == 2:
+            assert all(v == 0 for bi, v in zip(basis, rhs) if bi >= n)
+
+    def spy_pivot(tab, rhs, basis, red, den, r, jc):
+        n = len(tab[0]) - len(tab)
+        if phase[0] == 2 and basis[r] >= n:
+            left.append(basis[r])
+        den = pivot(tab, rhs, basis, red, den, r, jc)
+        check(n)
+        return den
+
+    def spy_move(tab, rhs, j, step):
+        move(tab, rhs, j, step)
+        check(len(tab[0]) - len(tab))
+
+    def spy_bland(tab, rhs, basis, *args):
+        state[:] = [tab, rhs, basis]
+        return bland(tab, rhs, basis, *args)
+
+    def in_phase_one(p):
+        phase[0] = 1
+        try:
+            return phase_one(p)
+        finally:
+            phase[0] = 2
+
+    for name, spy in (("_pivot", spy_pivot), ("_move", spy_move), ("_bland", spy_bland),
+                      ("_phase_one", in_phase_one)):
+        monkeypatch.setattr(simplex, name, spy)
+    rng = random.Random(1977)
+    basic = 0
+    for _ in range(300):
+        p = _dependent_lp(rng)
+        r = solve_lp(p)
+        if r.status == UNBOUNDED:
+            continue
+        assert r.status == OPTIMAL
+        n = len(p.c)
+        basic += any(bi >= n for bi in r.tableau.basis)
+        q = lp_problem([rng.randint(-4, 4) for _ in range(n)], p.A, p.b, upper=p.upper)
+        warm, cold = solve_lp(q, start=r), solve_lp(q)
+        assert warm.status == cold.status
+        if cold.status == OPTIMAL:
+            assert F(warm.optimum, warm.den) == F(cold.optimum, cold.den)
+    assert basic > 0 and left
+
+
+def test_warm_start_from_a_basic_artificial():
+    # the start keeps row 1's artificial basic at 0; the warm solve reprices
+    # around it, reaches the cold optimum and leaves the start untouched
+    p = lp_problem([1, 1, 0], [[1, 1, 1], [2, 2, 2]], [2, 4], upper=[None, 1, None])
+    first = solve_lp(p)
+    assert 3 + 1 in first.tableau.basis
+    q = lp_problem([-1, -3, 1], p.A, p.b, upper=p.upper)
+    warm, cold = solve_lp(q, start=first), solve_lp(q)
+    assert warm.pivots[0] == 0
+    assert (warm.status, warm.vertex, warm.den, warm.optimum) == (
+        cold.status, cold.vertex, cold.den, cold.optimum)
+    assert F(warm.optimum, warm.den) == -4 and F(warm.vertex[1], warm.den) == 1
+    assert first.tableau == solve_lp(p).tableau
 
 
 def _a2_optimum():

@@ -8,8 +8,10 @@ targets, so the box step runs, one far target whose walk goes on with a
 chain step, and the A_2 worked example, whose walk starts at the origin.
 The `-tie-` problems have half-integer targets, so every vertex of the box
 LP ties and only the simplex's tie-breaking decides the box step's vertex.
-A deliberate change of the output re-pins: run
-`PYTHONPATH=src python tests/test_solve_pinned.py` and paste its table.
+`LP_PINNED` hashes the (status, vertex, den, optimum) of every `solve_lp`
+call of each solve, so an LP vertex or den that moves without changing
+the answer shows there too.  A deliberate change of either re-pins: run
+`PYTHONPATH=src python tests/test_solve_pinned.py` and paste its tables.
 """
 
 from __future__ import annotations
@@ -60,6 +62,27 @@ PINNED = {
     "vfk-2": "768669a56d119c0f",
     "vfk-tie-0": "f3b8eb087f2eca34",
     "vfk-tie-1": "fa89b86234620268",
+}
+
+LP_PINNED = {
+    "a2-worked": "d307fbe37b63311a",
+    "cographic-0": "8e535d8cad6657b0",
+    "cographic-1": "af6c30f84035d6a3",
+    "cographic-2": "2b8b74f4a1147c87",
+    "cographic-3": "c03c820647b61668",
+    "cographic-tie-0": "05cb3a7bf96c6c48",
+    "cographic-tie-1": "ac395dd01396be92",
+    "cographic-tie-2": "0dadd0e2e4c5a201",
+    "cographic-walk": "143d2468ecf563b7",
+    "graphic-0": "2c93fe9e9ca4bb4e",
+    "graphic-1": "f4a0d685caef8892",
+    "graphic-2": "8a54cbf3cd53ae3a",
+    "graphic-3": "5f9f751c50b53a83",
+    "vfk-0": "a77dd0d054c8d321",
+    "vfk-1": "62dab5ddd9f6a5f3",
+    "vfk-2": "7a184bea7a30bd5c",
+    "vfk-tie-0": "d4f4448fbdb0fc0b",
+    "vfk-tie-1": "e5fdd2384b90e3ec",
 }
 
 
@@ -173,14 +196,38 @@ def _stdout_hash(problem: dict, path: Path) -> str:
     return sha256(out.getvalue().encode()).hexdigest()[:16]
 
 
+def _lp_hash(problem: dict, path: Path) -> str:
+    """The hash of (status, vertex, den, optimum) of every solve_lp call,
+    in order, while `zonolat solve` solves the problem."""
+    solve_lp, results = simplex.solve_lp, []
+
+    def recording(p, start=None):
+        r = solve_lp(p, start)
+        results.append((r.status, r.vertex, r.den, r.optimum))
+        return r
+
+    simplex.solve_lp = recording
+    try:
+        _stdout_hash(problem, path)
+    finally:
+        simplex.solve_lp = solve_lp
+    return sha256(repr(results).encode()).hexdigest()[:16]
+
+
 def test_pins_cover_the_corpus():
-    assert sorted(PINNED) == sorted(CORPUS)
+    assert sorted(PINNED) == sorted(LP_PINNED) == sorted(CORPUS)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_solve_output_pinned(name, tmp_path):
     got = _stdout_hash(CORPUS[name], tmp_path / "problem.json")
     assert got == PINNED.get(name), f"`zonolat solve` output of {name} changed"
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_solve_lps_pinned(name, tmp_path):
+    got = _lp_hash(CORPUS[name], tmp_path / "problem.json")
+    assert got == LP_PINNED.get(name), f"an LP of the solve of {name} changed"
 
 
 def test_corpus_takes_box_and_walk_steps():
@@ -221,5 +268,8 @@ def test_tie_box_lps_flip_a_bound(monkeypatch):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CORPUS):
-            print(f'    "{name}": "{_stdout_hash(CORPUS[name], Path(tmp) / "problem.json")}",')
+        for pins, digest in (("PINNED", _stdout_hash), ("LP_PINNED", _lp_hash)):
+            print(f"{pins} = {{")
+            for name in sorted(CORPUS):
+                print(f'    "{name}": "{digest(CORPUS[name], Path(tmp) / "problem.json")}",')
+            print("}")
