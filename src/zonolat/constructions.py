@@ -303,8 +303,7 @@ def tensor_lattice(m: int, n: int, g: Sequence | None = None) -> ZonotopalLattic
         for j in range(n + 1):
             arcs.append((i, m + 1 + j))
     d = digraph(m + n + 2, arcs)
-    weights = frac_vec(g) if g is not None else (Fraction(1),) * len(arcs)
-    lattice = graphic_lattice(d, weights)
+    lattice = graphic_lattice(d, g)
     for i in range(m):
         for j in range(n):
             if not lattice.contains(tensor_basis_vector(m, n, i, j)):

@@ -203,9 +203,6 @@ class TUMatrix:
         if self.tu_status not in ("verified", "asserted"):
             raise InvalidInputError(f"unknown tu_status {self.tu_status!r}")
 
-    def column(self, j: int) -> IntVec:
-        return tuple(row[j] for row in self.entries)
-
     def apply(self, x: Sequence) -> tuple:
         """Matrix-vector product M x."""
         if len(x) != self.m:

@@ -233,20 +233,17 @@ def compute_lambda(v: Sequence, instance: CVPInstance,
 
 
 def min_mean_voronoi_vector(v: Sequence, instance: CVPInstance,
-                            res: simplex.LPResult | None = None) -> PrimitiveChain:
+                            res: simplex.LPResult) -> PrimitiveChain:
     """Strict Voronoi vector of minimum mean cost, minimal support, at v.
 
-    `res` is the LPResult of compute_lambda(v), computed here when omitted;
-    lambda(v) > 0 iff its optimum is negative.  A basic vertex of
-    {[M, -M] x = 0, 1.x = 1, x >= 0} is a circuit of [M, -M] scaled to sum
-    one.  The circuit {i+, i-} has mean cost g_i > 0, so it is never
+    `res` is the LPResult of compute_lambda(v); lambda(v) > 0 iff its
+    optimum is negative.  A basic vertex of {[M, -M] x = 0, 1.x = 1,
+    x >= 0} is a circuit of [M, -M] scaled to sum one.  The circuit {i+, i-} has mean cost g_i > 0, so it is never
     optimal while lambda(v) > 0; every other one is a primitive chain,
     read off as x+ - x- and rescaled to {-1, 0, +1}.  Its mean cost must
     be the optimum, -lambda(v): K cost / p == optimum / den, in ints.
     """
     vv = int_vec(v)
-    if res is None:
-        res = compute_lambda(vv, instance)[1]
     if res.optimum >= 0:
         raise InvalidInputError("lambda(v) = 0: no improving vector exists")
     x, m = res.vertex, instance.m

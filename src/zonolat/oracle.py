@@ -45,6 +45,10 @@ from .mmcc import CVPInstance
 ENUMERATION_CAP = 14
 #: Coefficient-box CVP enumeration is refused beyond this lattice rank.
 COEFF_BOX_CAP = 8
+#: Coefficient-box radii tried in turn until the winner is certified.
+COEFF_BOX_RADII = (1, 2, 4, 8)
+#: Bits of each coordinate of a dyadic cube sample.
+SAMPLE_BITS = 16
 #: Entries kept by each per-lattice cache; the least recently used goes first.
 LATTICE_CACHE_SIZE = 128
 
@@ -219,16 +223,16 @@ def _primitive_chain_coords(matrix: TUMatrix) -> tuple[IntVec, ...]:
     return tuple(keep)
 
 
-def enumerate_primitive_chains(lattice: ZonotopalLattice,
-                               cap: int = ENUMERATION_CAP) -> list[PrimitiveChain]:
+def enumerate_primitive_chains(lattice: ZonotopalLattice) -> list[PrimitiveChain]:
     """All primitive chains (= strict Voronoi vectors) by exhaustive scan.
 
     Output is sorted lexicographically and closed under negation; supports
-    are pairwise incomparable by construction.
+    are pairwise incomparable by construction.  Refused with SizeCapError
+    above ENUMERATION_CAP coordinates.
     """
-    if lattice.m > cap:
+    if lattice.m > ENUMERATION_CAP:
         raise SizeCapError(
-            f"ternary enumeration capped at {cap} coordinates (got {lattice.m})"
+            f"ternary enumeration capped at {ENUMERATION_CAP} coordinates (got {lattice.m})"
         )
     return [primitive_chain(c, lattice) for c in _primitive_chain_coords(lattice.matrix)]
 
@@ -288,9 +292,10 @@ class VoronoiCellDescription:
         return True
 
 
-def voronoi_cell(lattice: ZonotopalLattice,
-                 cap: int = ENUMERATION_CAP) -> VoronoiCellDescription:
-    chains = enumerate_primitive_chains(lattice, cap=cap)
+def voronoi_cell(lattice: ZonotopalLattice) -> VoronoiCellDescription:
+    """One facet per strict Voronoi vector; refused above ENUMERATION_CAP
+    coordinates."""
+    chains = enumerate_primitive_chains(lattice)
     bounds = tuple(lattice.norm_sq(c.coords) / 2 for c in chains)
     return VoronoiCellDescription(
         lattice=lattice, relevant_vectors=tuple(chains), facet_bounds=bounds
@@ -363,12 +368,11 @@ def is_strict_voronoi_by_coset(v: Sequence, lattice: ZonotopalLattice) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def certify_closest(u: Sequence, instance: CVPInstance,
-                    cap: int = ENUMERATION_CAP) -> bool:
+def certify_closest(u: Sequence, instance: CVPInstance) -> bool:
     """u is closest iff the residual t - u lies in the Voronoi cell."""
     uu = int_vec(u)
     residual = [t - c for t, c in zip(instance.target, uu)]
-    return voronoi_cell(instance.lattice, cap=cap).contains(residual)
+    return voronoi_cell(instance.lattice).contains(residual)
 
 
 def distance_sq(u: Sequence, t: FracVec, lattice: ZonotopalLattice) -> Fraction:
@@ -382,15 +386,16 @@ def distance_sq(u: Sequence, t: FracVec, lattice: ZonotopalLattice) -> Fraction:
                         for w, a, x in zip(g, u, t)), q * d * d)
 
 
-def brute_force_cvp(instance: CVPInstance, radius: int = 1,
-                    max_radius: int = 8) -> IntVec:
+def brute_force_cvp(instance: CVPInstance) -> IntVec:
     """Closest lattice vector by coefficient-box enumeration.
 
-    Scans integer coefficient vectors within `radius` of the rounded exact
-    least-squares coefficients, keeps the g-closest point by `distance_sq`
-    (ties go to the lexicographically smallest vector), and insists the
-    winner passes the facet certificate; the box is doubled on
-    certification failure.  At rank 0 the one candidate is the origin.
+    For each radius of COEFF_BOX_RADII in turn, scans integer coefficient
+    vectors within it of the rounded exact least-squares coefficients,
+    keeps the g-closest point by `distance_sq` (ties go to the
+    lexicographically smallest vector), and returns the winner once it
+    passes the facet certificate; OracleFailureError when none does.
+    Refused above rank COEFF_BOX_CAP.  At rank 0 the one candidate is the
+    origin.
     """
     lattice = instance.lattice
     basis = kernel_basis(lattice.matrix)
@@ -400,7 +405,7 @@ def brute_force_cvp(instance: CVPInstance, radius: int = 1,
         )
     # the target is in the span, so these are its exact coordinates in B
     centers = [math.floor(a + Fraction(1, 2)) for a in _coefficients(instance.target, lattice)]
-    while radius <= max_radius:
+    for radius in COEFF_BOX_RADII:
         best: tuple[Fraction, IntVec] | None = None
         for alpha in product(*(range(c - radius, c + radius + 1) for c in centers)):
             u = tuple(_combine(alpha, basis, lattice.m))
@@ -410,9 +415,8 @@ def brute_force_cvp(instance: CVPInstance, radius: int = 1,
         assert best is not None
         if certify_closest(best[1], instance):
             return best[1]
-        radius *= 2
     raise OracleFailureError(
-        f"no certified closest vector within coefficient radius {max_radius}"
+        f"no certified closest vector within coefficient radius {COEFF_BOX_RADII[-1]}"
     )
 
 
@@ -431,10 +435,11 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return z ^ (z >> 31), state
 
 
-def dyadic_cube_samples(m: int, samples: int, seed: int, bits: int = 16):
-    """Deterministic dyadic points of [-1/2, 1/2)^m from a splitmix64 stream."""
+def dyadic_cube_samples(m: int, samples: int, seed: int):
+    """Deterministic dyadic points of [-1/2, 1/2)^m from a splitmix64 stream,
+    each coordinate a multiple of 2^-SAMPLE_BITS."""
     state = seed & _MASK64
-    denom = 1 << bits
+    denom = 1 << SAMPLE_BITS
     half = Fraction(1, 2)
     for _ in range(samples):
         point = []
@@ -445,12 +450,12 @@ def dyadic_cube_samples(m: int, samples: int, seed: int, bits: int = 16):
 
 
 def check_projection_theorem(lattice: ZonotopalLattice, samples: int = 1000,
-                             seed: int = 0, cube_scale: int = 1,
-                             cap: int = ENUMERATION_CAP) -> bool:
+                             seed: int = 0, cube_scale: int = 1) -> bool:
     """Sample the cube [-scale/2, scale/2)^m and test that every projection
     lands in the Voronoi cell.  At scale 1 this is a theorem; larger scales
-    serve as a negative control."""
-    cell = voronoi_cell(lattice, cap=cap)
+    serve as a negative control.  Refused above ENUMERATION_CAP
+    coordinates."""
+    cell = voronoi_cell(lattice)
     for point in dyadic_cube_samples(lattice.m, samples, seed):
         scaled = [cube_scale * x for x in point]
         if not cell.contains(project(scaled, lattice)):
@@ -463,10 +468,9 @@ def check_projection_theorem(lattice: ZonotopalLattice, samples: int = 1000,
 # ---------------------------------------------------------------------------
 
 
-def check_tu(matrix: TUMatrix | Sequence[Sequence[int]],
-             cap: int = VERIFY_ROW_CAP) -> bool:
+def check_tu(matrix: TUMatrix | Sequence[Sequence[int]]) -> bool:
     """Exhaustive Ghouila-Houri verdict on the unreduced matrix; refuses
-    above the row cap.
+    above VERIFY_ROW_CAP rows.
 
     Every nonempty row subset must admit a +-1 signing whose column sums
     all lie in {-1, 0, +1}; each subset is searched on its own by
@@ -475,9 +479,9 @@ def check_tu(matrix: TUMatrix | Sequence[Sequence[int]],
     rows = matrix.entries if isinstance(matrix, TUMatrix) else tuple(
         tuple(int(e) for e in row) for row in matrix
     )
-    if len(rows) > cap:
+    if len(rows) > VERIFY_ROW_CAP:
         raise SizeCapError(
-            f"exhaustive TU verification capped at {cap} rows (got {len(rows)})"
+            f"exhaustive TU verification capped at {VERIFY_ROW_CAP} rows (got {len(rows)})"
         )
     if any(e not in (-1, 0, 1) for row in rows for e in row):
         return False

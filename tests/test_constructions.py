@@ -31,7 +31,7 @@ from zonolat.constructions import component_count, tensor_basis_vector
 
 def test_incidence_single_arc():
     m = incidence_matrix(digraph(2, [(0, 1)]))
-    assert m.column(0) == (-1, 1)
+    assert [row[0] for row in m.entries] == [-1, 1]
     assert m.tu_status == "verified"
 
 

@@ -176,24 +176,24 @@ def test_lambda_matches_enumeration_everywhere():
 
 def test_min_mean_vector_a2():
     inst = a2_instance()
-    u = min_mean_voronoi_vector((0, 0, 0), inst)
+    u = min_mean_voronoi_vector((0, 0, 0), inst, compute_lambda((0, 0, 0), inst)[1])
     assert u.coords == (1, 0, -1)
 
 
 def test_min_mean_requires_positive_lambda():
     inst = cvp_instance(a2(), (2, -1, -1), project=False)
     with pytest.raises(InvalidInputError):
-        min_mean_voronoi_vector((2, -1, -1), inst)
+        min_mean_voronoi_vector((2, -1, -1), inst, compute_lambda((2, -1, -1), inst)[1])
 
 
 def test_min_mean_not_callable_on_boundary_tie():
     # t equidistant from 0 and (1, -1, 0): the best mean cost is exactly 0,
     # so lambda(0) = 0 and no improving vector exists
     inst = cvp_instance(a2(), (F(1, 2), F(-1, 2), 0), project=False)
-    lam, _ = compute_lambda((0, 0, 0), inst)
+    lam, res = compute_lambda((0, 0, 0), inst)
     assert lam == 0
     with pytest.raises(InvalidInputError):
-        min_mean_voronoi_vector((0, 0, 0), inst)
+        min_mean_voronoi_vector((0, 0, 0), inst, res)
 
 
 def test_min_mean_tie_is_deterministic_minimizer():
@@ -205,7 +205,8 @@ def test_min_mean_tie_is_deterministic_minimizer():
     chains = enumerate_primitive_chains(inst.lattice)
     best = min(F(cost((0, 0, 0), u, inst), len(u.support)) for u in chains)
     assert best == F(-1, 8)
-    picks = {min_mean_voronoi_vector((0, 0, 0), inst).coords for _ in range(3)}
+    picks = {min_mean_voronoi_vector((0, 0, 0), inst, compute_lambda((0, 0, 0), inst)[1]).coords
+             for _ in range(3)}
     assert len(picks) == 1
     u = primitive_chain(picks.pop(), inst.lattice)
     assert F(cost((0, 0, 0), u, inst), len(u.support)) == best

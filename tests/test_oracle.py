@@ -34,7 +34,7 @@ from zonolat import (
     voronoi_cell,
     voronoi_relevant_count,
 )
-from zonolat.oracle import distance_sq, row_reduce
+from zonolat.oracle import COEFF_BOX_CAP, distance_sq, row_reduce
 
 A2_TARGET = (F(7, 10), F(-1, 5), F(-1, 2))
 
@@ -75,6 +75,14 @@ def test_enumerate_cap():
     )
     with pytest.raises(SizeCapError):
         enumerate_primitive_chains(wide)
+
+
+def test_brute_force_cap():
+    # A_n has rank n, so A_9 is one above the coefficient-box cap
+    rank = COEFF_BOX_CAP + 1
+    inst = cvp_instance(a_n_lattice(rank), (0,) * (rank + 1))
+    with pytest.raises(SizeCapError, match=rf"capped at rank {COEFF_BOX_CAP} \(got {rank}\)"):
+        brute_force_cvp(inst)
 
 
 def test_coset_examples():
