@@ -40,7 +40,12 @@ from .errors import (
     ZonolatError,
 )
 from .mmcc import CVPInstance, CVPSolution, cvp_instance, solve_cvp
-from .oracle import brute_force_cvp, distance_sq, enumerate_primitive_chains
+from .oracle import (
+    brute_force_cvp,
+    distance_sq,
+    enumerate_primitive_chains,
+    refuse_above_coeff_box_cap,
+)
 
 
 class InputFormatError(ZonolatError, ValueError):
@@ -251,6 +256,8 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args.file)
     lattice = lattice_from_problem(problem)
     instance = cvp_instance(lattice, problem.t, project=not args.no_project)
+    if args.oracle:
+        refuse_above_coeff_box_cap(lattice.rank())  # a refusal after the solve wastes it
     solution = _solve(instance)
     agreement = None
     if args.oracle:

@@ -7,8 +7,9 @@ from the closest lattice vector of the unit box around t when one box LP
 shows that start to be better, it repeatedly cancels a strict Voronoi
 vector of minimum mean cost until the progress measure lambda(v) hits zero
 exactly, which happens if and only if v is a closest lattice vector.  The
-duals of the last lambda LP then give a certificate of that, checked
-before the answer is returned.
+duals of the last LP, the box LP's when they already prove lambda(v) = 0
+at the box vertex and else the last lambda LP's, then give a certificate
+of that, checked before the answer is returned.
 """
 
 from __future__ import annotations
@@ -322,8 +323,9 @@ def stopping_data(instance: CVPInstance) -> int:
 # ---------------------------------------------------------------------------
 
 
-def proximity_start(instance: CVPInstance) -> IntVec:
-    """The closest lattice vector in the unit box [floor t, ceil t], by one LP.
+def proximity_start(instance: CVPInstance) -> tuple[IntVec, tuple[Fraction, ...]]:
+    """The closest lattice vector v0 in the unit box [floor t, ceil t], by
+    one LP, and that LP's duals y, one per row of M.
 
     F is the set of coordinates with a non-integer t_i; off F the box fixes
     v_i = t_i.  With v = floor(t) + z the lattice vectors of the box are
@@ -334,14 +336,18 @@ def proximity_start(instance: CVPInstance) -> IntVec:
     w(floor t + z) = w(floor t) + c.z at every such vertex and the LP
     min K c.z, in ints, gives the closest lattice vector of the box
     (Hochbaum & Shanthikumar, J. ACM 1990, put a closest vector near t).
-    An integral t is returned as it is.  A vertex that is not integral or not in the
-    lattice raises InternalInvariantError: M is then not TU.
+    Its costs are K c^+, so its duals over K are in the units of
+    dual_certificate_holds, which solve_cvp tries them with.  An integral t
+    is returned as it is, with y = 0: c_i^-(t_i) = -g_i <= 0 <= g_i =
+    c_i^+(t_i).  A vertex that is not integral or not in the lattice raises
+    InternalInvariantError: M is then not TU.
     """
     t = instance.target
     base = [math.floor(x) for x in t]
     free = [j for j, x in enumerate(t) if x.denominator != 1]
+    rows = instance.lattice.matrix.entries
+    y: tuple[Fraction, ...] = (Fraction(0),) * len(rows)
     if free:
-        rows = instance.lattice.matrix.entries
         res = simplex.solve_lp(simplex.LPProblem(
             c=tuple(_scaled_slopes(j, base[j], instance)[1] for j in free),
             A=tuple(tuple(row[j] for j in free) for row in rows),
@@ -354,10 +360,18 @@ def proximity_start(instance: CVPInstance) -> IntVec:
             if z not in (0, res.den):
                 raise InternalInvariantError(f"box LP vertex has entry {z}/{res.den}")
             base[j] += z // res.den
+        y = _row_duals(res, instance)
     v0 = tuple(base)
     if not instance.lattice.contains(v0):
         raise InternalInvariantError("box LP vertex is not a lattice vector")
-    return v0
+    return v0, y
+
+
+def _row_duals(res: simplex.LPResult, instance: CVPInstance) -> tuple[Fraction, ...]:
+    """The duals of the M rows of a box or lambda LP, whose costs are K
+    times derivatives, over den K: a candidate y of dual_certificate_holds."""
+    d = res.den * instance.K
+    return tuple(Fraction(a, d) for a in res.duals[:instance.lattice.matrix.n])
 
 
 # ---------------------------------------------------------------------------
@@ -375,23 +389,28 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
     strictly: at a point of the box |v_i - t_i| < 1, so every arc costs
     more than -g_i (c_i^+ = g_i (2 (v_i - t_i) + 1) and -c_i^- = g_i (1 -
     2 (v_i - t_i))), every chain's mean cost exceeds -g_max, and
-    lambda(v0) < g_max <= lambda(0).
+    lambda(v0) < g_max <= lambda(0).  When the box LP's duals y pass
+    dual_certificate_holds(v0, y), lambda(v0) = 0 is proven, no LP is
+    solved at v0 and the walk ends there.
 
     Every other step cancels a minimum mean strict Voronoi vector, read off
     the vertex of the last lambda LP, by the step of saturating_step, which
     proves that the squared distance falls strictly and lambda does not
-    rise.  After every step one lambda LP is solved at the new point,
-    warm-started from the previous one, and both facts are asserted.
+    rise.  After every step but a certified box step one lambda LP is
+    solved at the new point, warm-started from the previous one, and both
+    facts are asserted.
 
     At lambda = 0 the answer is certified by the duals y of the M rows of
-    the last lambda LP, the one solved at the answer, over K: dual
-    feasibility reads c_i^- + opt <= (M^T y)_i <= c_i^+ - opt with opt >= 0,
-    so dual_certificate_holds(v, y) must hold, and a failure is a bug.
+    the last LP over K.  For a lambda LP, the one solved at the answer,
+    dual feasibility reads c_i^- + opt <= (M^T y)_i <= c_i^+ - opt with opt
+    >= 0; a box LP's y was tried before it was kept.  So
+    dual_certificate_holds(v, y) must hold, and a failure is a bug.
     """
     m = instance.m
     v: IntVec = (0,) * m
     dist = instance.distance_sq(v)
     lam, res = compute_lambda(v, instance)
+    y = _row_duals(res, instance)
     cap = stopping_data(instance)
     records: list[IterationRecord] = []
     box = lam >= max(instance.weights)
@@ -403,8 +422,8 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
             raise InternalInvariantError(
                 f"stopping-rule inconsistency: 0 < lambda = {lam} < 1/(K m)"
             )
-        if box and instance.distance_sq(v0 := proximity_start(instance)) < dist:
-            u, delta, v_next, kind = None, 1, v0, "the box step"
+        if box and instance.distance_sq((start := proximity_start(instance))[0]) < dist:
+            (v_next, y), u, delta, kind = start, None, 1, "the box step"
         else:
             u = min_mean_voronoi_vector(v, instance, res)
             delta = saturating_step(lam, u, instance)
@@ -412,7 +431,11 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
             kind = f"step {delta}"
         box = False
         dist_next = instance.distance_sq(v_next)
-        lam_next, res = compute_lambda(v_next, instance, res)
+        if u is None and dual_certificate_holds(v_next, y, instance):
+            lam_next = Fraction(0)  # the box LP's duals prove lambda(v0) = 0
+        else:
+            lam_next, res = compute_lambda(v_next, instance, res)
+            y = _row_duals(res, instance)
         if lam_next > lam or (u is None and lam_next == lam):
             raise InternalInvariantError(
                 f"lambda went from {lam} to {lam_next} at {kind}"
@@ -424,10 +447,9 @@ def solve_cvp(instance: CVPInstance) -> CVPSolution:
         records.append(IterationRecord(v=v_next, lam=lam, u=u, step=delta,
                                        distance_sq=dist_next))
         v, dist, lam = v_next, dist_next, lam_next
-    y = tuple(Fraction(d, res.den * instance.K) for d in res.duals[:instance.lattice.matrix.n])
     if not dual_certificate_holds(v, y, instance):
         raise InternalInvariantError(
-            "lambda reached zero but the duals of its LP do not certify the answer"
+            "lambda reached zero but the duals of the last LP do not certify the answer"
         )
     return CVPSolution(closest=v, distance_sq=dist, trace=tuple(records),
                        certified=True)

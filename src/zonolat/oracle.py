@@ -386,6 +386,15 @@ def distance_sq(u: Sequence, t: FracVec, lattice: ZonotopalLattice) -> Fraction:
                         for w, a, x in zip(g, u, t)), q * d * d)
 
 
+def refuse_above_coeff_box_cap(rank: int) -> None:
+    """SizeCapError for a lattice rank above COEFF_BOX_CAP, which
+    brute_force_cvp refuses; a caller can check before it solves."""
+    if rank > COEFF_BOX_CAP:
+        raise SizeCapError(
+            f"coefficient enumeration capped at rank {COEFF_BOX_CAP} (got {rank})"
+        )
+
+
 def brute_force_cvp(instance: CVPInstance) -> IntVec:
     """Closest lattice vector by coefficient-box enumeration.
 
@@ -399,10 +408,7 @@ def brute_force_cvp(instance: CVPInstance) -> IntVec:
     """
     lattice = instance.lattice
     basis = kernel_basis(lattice.matrix)
-    if len(basis) > COEFF_BOX_CAP:
-        raise SizeCapError(
-            f"coefficient enumeration capped at rank {COEFF_BOX_CAP} (got {len(basis)})"
-        )
+    refuse_above_coeff_box_cap(len(basis))
     # the target is in the span, so these are its exact coordinates in B
     centers = [math.floor(a + Fraction(1, 2)) for a in _coefficients(instance.target, lattice)]
     for radius in COEFF_BOX_RADII:

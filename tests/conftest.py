@@ -7,9 +7,13 @@ from fractions import Fraction
 from zonolat import (
     ZonotopalLattice,
     a_n_lattice,
+    brute_force_cvp,
     cographic_lattice,
+    compute_lambda,
     digraph,
     graphic_lattice,
+    mmcc,
+    solve_cvp,
     tensor_lattice,
 )
 
@@ -51,3 +55,39 @@ def corpus_small() -> list[ZonotopalLattice]:
         tensor_lattice(1, 1),
         tensor_lattice(2, 2),
     ]
+
+
+def box_certified_solves(instances):
+    """(instance, solution) for each instance whose solve ended at the box
+    vertex without a lambda LP there: the box LP's duals certified it."""
+    out = []
+    real = mmcc.compute_lambda
+    for inst in instances:
+        points = []
+
+        def spy(v, instance, start=None):
+            points.append(tuple(v))
+            return real(v, instance, start)
+
+        mmcc.compute_lambda = spy
+        try:
+            sol = solve_cvp(inst)
+        finally:
+            mmcc.compute_lambda = real
+        if sol.trace and sol.trace[0].u is None and sol.trace[0].v not in points:
+            out.append((inst, sol))
+    return out
+
+
+def check_box_certified_closest(instances) -> int:
+    """Check each box vertex that the box LP's duals certified, trusting
+    nothing from that shortcut: a cold lambda LP there reads 0, and for
+    m <= 14 the oracle's distance agrees.  Returns how many were checked."""
+    solves = box_certified_solves(instances)
+    for inst, sol in solves:
+        assert sol.iterations == 1 and sol.closest == sol.trace[0].v
+        assert sol.lambda_trace()[-1] == 0 and sol.certified
+        assert compute_lambda(sol.closest, inst)[0] == 0
+        if inst.m <= 14:
+            assert inst.distance_sq(brute_force_cvp(inst)) == sol.distance_sq
+    return len(solves)

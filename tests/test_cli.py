@@ -131,10 +131,9 @@ def test_oracle_agreement_checks_the_solver_distance(capsys, a2_file, monkeypatc
     assert json.loads(capsys.readouterr().out)["oracle_agreement"] is False
 
 
-def test_solve_oracle_refuses_rank_above_the_box_cap(tmp_path, capsys):
-    # a connected digraph on 10 vertices with 20 arcs has a rank-11 lattice:
-    # the solve succeeds, the oracle's coefficient box refuses, and the
-    # refusal is an exit 1 with one line on stderr and no answer written
+@pytest.fixture
+def rank11_file(tmp_path):
+    # a connected digraph on 10 vertices with 20 arcs has a rank-11 lattice
     arcs = [(i, (i + 1) % 10) for i in range(10)] + [(i, (i + 3) % 10) for i in range(10)]
     rows = [[0] * 20 for _ in range(10)]
     for j, (tail, head) in enumerate(arcs):
@@ -144,10 +143,29 @@ def test_solve_oracle_refuses_rank_above_the_box_cap(tmp_path, capsys):
         "name": "graphic-rank-11", "m": 20, "n": 10, "M": rows, "g": ["1"] * 20,
         "t": [str(F(j % 5 - 2, 3)) for j in range(20)], "tu_mode": "verify",
     }), encoding="utf-8")
-    assert main(["solve", str(path), "--oracle"]) == 1
+    return str(path)
+
+
+def test_solve_oracle_refuses_rank_above_the_box_cap(rank11_file, capsys):
+    # the oracle's coefficient box refuses rank 11, and the refusal is an
+    # exit 1 with one line on stderr and no answer written
+    assert main(["solve", rank11_file, "--oracle"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: coefficient enumeration capped at rank 8 (got 11)\n"
+
+
+def test_solve_oracle_refuses_before_solving(rank11_file, capsys, monkeypatch):
+    from zonolat import cli
+
+    def never(instance):
+        raise AssertionError("solve_cvp called on a file the oracle refuses")
+
+    monkeypatch.setattr(cli, "solve_cvp", never)
+    assert main(["solve", rank11_file, "--oracle"]) == 1
+    assert capsys.readouterr().err == "error: coefficient enumeration capped at rank 8 (got 11)\n"
+    monkeypatch.undo()
+    assert main(["solve", rank11_file]) == 0
 
 
 def test_solve_lattice_point_target(capsys, tmp_path):

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import a2, corpus_small
+from conftest import a2, box_certified_solves, check_box_certified_closest, corpus_small
 from zonolat import (
     InternalInvariantError,
     InvalidInputError,
@@ -305,7 +305,8 @@ def _corpus_instances():
 
 def test_one_lp_per_iteration(monkeypatch):
     # one cold lambda LP at the origin, one cold box LP when the box step
-    # is taken, then one warm lambda LP per record
+    # is taken, then one warm lambda LP per record, except at a box vertex
+    # that the box LP's duals certify
     calls = []
     solve_lp = simplex.solve_lp
 
@@ -313,16 +314,19 @@ def test_one_lp_per_iteration(monkeypatch):
         calls.append(start is None)
         return solve_lp(p, start)
 
+    instances = _corpus_instances()
+    certifies = [dual_certificate_holds(*proximity_start(i), i) for i in instances]
     monkeypatch.setattr(simplex, "solve_lp", counting)
-    boxed = 0
-    for inst in _corpus_instances():
+    boxed = certified = 0
+    for inst, box_certifies in zip(instances, certifies):
         calls.clear()
         sol = solve_cvp(inst)
         box = bool(sol.trace) and sol.trace[0].u is None
         boxed += box
-        assert len(calls) == 1 + box + sol.iterations
+        certified += box and box_certifies
+        assert len(calls) == 1 + box + sol.iterations - (box and box_certifies)
         assert calls.count(True) == 1 + box
-    assert boxed > 0
+    assert boxed > certified > 0
 
 
 def test_warm_lambda_lp_matches_cold_at_every_iterate():
@@ -581,7 +585,7 @@ def _box_instances():
 
 def test_proximity_start_is_closest_in_the_box():
     for inst in _box_instances():
-        v0 = proximity_start(inst)
+        v0, _ = proximity_start(inst)
         lo = [math.floor(x) for x in inst.target]
         hi = [math.ceil(x) for x in inst.target]
         assert all(type(a) is int for a in v0)
@@ -596,7 +600,7 @@ def test_proximity_start_of_integral_target_is_the_target():
     for lat in corpus_small():
         t = tuple(sum((-1) ** k * (k + 2) * x for k, x in enumerate(col))
                   for col in zip(*kernel_basis(lat.matrix)))
-        assert proximity_start(cvp_instance(lat, t, project=False)) == t
+        assert proximity_start(cvp_instance(lat, t, project=False)) == (t, (0,) * lat.matrix.n)
 
 
 def test_box_lp_tableau_has_a_row_per_lattice_row(monkeypatch):
@@ -633,9 +637,10 @@ def test_box_step_is_skipped_unless_closer(monkeypatch):
         boxed += sol.trace[0].u is None
         b = kernel_basis(inst.lattice.matrix)[0]
         far = max((tuple(k * x for x in b) for k in (-100, 100)), key=inst.distance_sq)
+        y = (0,) * inst.lattice.matrix.n
         for start in ((0,) * inst.m, far):
             assert inst.distance_sq(start) >= inst.distance_sq((0,) * inst.m)
-            monkeypatch.setattr(mmcc, "proximity_start", lambda _inst, s=start: s)
+            monkeypatch.setattr(mmcc, "proximity_start", lambda _inst, s=start: (s, y))
             walked = solve_cvp(inst)
             assert all(r.u is not None for r in walked.trace)
             assert walked.distance_sq == sol.distance_sq
@@ -668,7 +673,10 @@ def test_walks_stay_within_the_proven_cap():
 
 def test_box_step_must_lower_lambda(monkeypatch):
     # the LP at the box vertex reports lambda(0) again: the box step keeps
-    # its strict check, which no correct walk trips
+    # its strict check, which no correct walk trips.  Only a box vertex that
+    # the box LP's duals leave uncertified gets that LP.
+    inst = next(i for i in _box_instances()
+                if not dual_certificate_holds(*proximity_start(i), i))
     real = mmcc.compute_lambda
     seen = []
 
@@ -679,7 +687,7 @@ def test_box_step_must_lower_lambda(monkeypatch):
 
     monkeypatch.setattr(mmcc, "compute_lambda", stuck)
     with pytest.raises(InternalInvariantError, match="box step"):
-        solve_cvp(_box_instances()[0])
+        solve_cvp(inst)
     assert len(seen) == 2
 
 
@@ -699,9 +707,56 @@ def test_lambda_lps_of_one_instance_share_their_rows(monkeypatch):
         sol = solve_cvp(inst)
         # the box LP bounds its variables by 1, a lambda LP leaves them free
         rows = [p.A for p in problems if all(u is None for u in p.upper)]
-        assert len(rows) == 1 + sol.iterations
+        box_certifies = dual_certificate_holds(*proximity_start(inst), inst)
+        assert len(rows) == 1 + sol.iterations - box_certifies
         assert all(a is inst.lambda_rows[0] for a in rows)
         assert lambda_lp((0,) * inst.m, inst).A is inst.lambda_rows[0]
+
+
+def test_box_certified_vertices_are_closest():
+    assert check_box_certified_closest(_corpus_instances() + _box_instances()) > 10
+
+
+def test_refused_box_certificate_falls_back_to_the_lambda_lp(monkeypatch):
+    # when the first certificate check says no, the walk solves the warm
+    # lambda LP at the box vertex, as without the shortcut, to the same answer
+    for inst, sol in box_certified_solves(_corpus_instances() + _box_instances()):
+        holds, lam, calls, points = mmcc.dual_certificate_holds, mmcc.compute_lambda, [], []
+
+        def refuse_first(v, y, instance):
+            calls.append(v)
+            return len(calls) > 1 and holds(v, y, instance)
+
+        def spy(v, instance, start=None):
+            points.append(tuple(v))
+            return lam(v, instance, start)
+
+        monkeypatch.setattr(mmcc, "dual_certificate_holds", refuse_first)
+        monkeypatch.setattr(mmcc, "compute_lambda", spy)
+        assert solve_cvp(inst) == sol
+        monkeypatch.undo()
+        assert points == [(0,) * inst.m, sol.closest]
+        assert calls == [sol.closest, sol.closest]
+
+
+def test_integral_target_takes_the_box_step_with_one_lp(monkeypatch):
+    # an integral target in the span is a lattice vector: the box LP is
+    # not solved, y = 0 certifies it, and the cold LP at the origin is the
+    # solve's only LP
+    inst = cvp_instance(a2(), (40, -30, -10), project=False)
+    calls = []
+    solve_lp = simplex.solve_lp
+
+    def counting(p, start=None):
+        calls.append(start is None)
+        return solve_lp(p, start)
+
+    monkeypatch.setattr(simplex, "solve_lp", counting)
+    sol = solve_cvp(inst)
+    assert calls == [True]
+    assert sol.trace[0].u is None and sol.iterations == 1
+    assert sol.closest == (40, -30, -10) and sol.distance_sq == 0 and sol.certified
+    assert sol.lambda_trace()[0] >= max(inst.weights)
 
 
 def test_compute_lambda_rejects_a_non_lattice_vector():

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import check_box_certified_closest
 from zonolat import (
     ZonotopalLattice,
     cographic_lattice,
@@ -67,22 +68,22 @@ PINNED = {
 LP_PINNED = {
     "a2-worked": "d307fbe37b63311a",
     "cographic-0": "8e535d8cad6657b0",
-    "cographic-1": "af6c30f84035d6a3",
-    "cographic-2": "2b8b74f4a1147c87",
-    "cographic-3": "c03c820647b61668",
-    "cographic-tie-0": "05cb3a7bf96c6c48",
-    "cographic-tie-1": "ac395dd01396be92",
-    "cographic-tie-2": "0dadd0e2e4c5a201",
+    "cographic-1": "426b2aad3af6220a",
+    "cographic-2": "461a90a5c1a420ad",
+    "cographic-3": "48763091c58c61d4",
+    "cographic-tie-0": "aeccfb2990db9f39",
+    "cographic-tie-1": "ea74cfdf053b40c1",
+    "cographic-tie-2": "9287b62fae350791",
     "cographic-walk": "143d2468ecf563b7",
-    "graphic-0": "2c93fe9e9ca4bb4e",
+    "graphic-0": "804ec2856dccae32",
     "graphic-1": "f4a0d685caef8892",
-    "graphic-2": "8a54cbf3cd53ae3a",
-    "graphic-3": "5f9f751c50b53a83",
+    "graphic-2": "6caef8af1835efb1",
+    "graphic-3": "2ae3c2fa379beb38",
     "vfk-0": "a77dd0d054c8d321",
     "vfk-1": "62dab5ddd9f6a5f3",
-    "vfk-2": "7a184bea7a30bd5c",
-    "vfk-tie-0": "d4f4448fbdb0fc0b",
-    "vfk-tie-1": "e5fdd2384b90e3ec",
+    "vfk-2": "f896644ab82b8726",
+    "vfk-tie-0": "351ceaa97823f075",
+    "vfk-tie-1": "964f86e82a8a6333",
 }
 
 
@@ -243,6 +244,14 @@ def test_corpus_takes_box_and_walk_steps():
         assert (trace[0].u is None) == (name != "a2-worked"), name
         walks = any(rec.u is not None for rec in trace)
         assert walks == (name in ("a2-worked", "cographic-walk")), name
+
+
+def test_box_certified_vertices_are_closest():
+    # 12 of the corpus's box vertices are certified by the box LP's duals;
+    # cographic-walk's is not, and would be a wrong answer if it were
+    instances = [cvp_instance(ZonotopalLattice(matrix=tu_matrix(p["M"]), weights=p["g"]), p["t"])
+                 for p in CORPUS.values()]
+    assert check_box_certified_closest(instances) == 12
 
 
 def test_tie_box_lps_flip_a_bound(monkeypatch):
