@@ -36,7 +36,7 @@ from .constructions import (
     tensor_lattice,
     voronoi_first_kind,
 )
-from .simplex import LPProblem, LPResult, lp_problem, solve_lp
+from .simplex import LPProblem, LPResult, solve_lp
 from .mmcc import (
     CVPInstance,
     CVPSolution,

@@ -19,13 +19,17 @@ den = |det B| of the basis matrix B, so all its entries are ints: a pivot
 multiplies and subtracts and then divides by the old den, and that
 division is exact because every entry is a subdeterminant of the data
 (Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  No gcd is taken
-inside the pivot loop.  Optimality, infeasibility and unboundedness are
-decided exactly, and identical inputs always produce the identical pivot
-sequence and vertex.  The result speaks ints too: the optimum, the vertex
-and the duals come out as den times their values, read straight off the
-rhs, the bounds and the reduced-cost row, together with den.  Every
-optimal solve also checks, in integers, that its vertex is feasible and
-that its duals, those of the bounds included, prove the optimum.
+inside the pivot loop.  A pivot whose entry equals den, most of them on a
+totally unimodular M, leaves an entry unchanged wherever the pivot row or
+the entering column is 0, so it rewrites only the columns where the pivot
+row is nonzero, in the rows where the entering column is.  Optimality,
+infeasibility and unboundedness are decided exactly, and identical inputs
+always produce the identical pivot sequence and vertex.  The result
+speaks ints too: the optimum, the vertex and the duals come out as den
+times their values, read straight off the rhs, the bounds and the
+reduced-cost row, together with den.  Every optimal solve also checks, in
+integers, that its vertex is feasible and that its duals, those of the
+bounds included, prove the optimum.
 `eliminate` runs the same pivot as a fraction-free Gauss-Jordan reduction,
 the one exact elimination of the solver: rank, projections and circuit
 tests.
@@ -34,9 +38,8 @@ tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionError, InternalInvariantError, InvalidInputError
 
@@ -120,24 +123,6 @@ class LPResult:
     flips: int = field(default=0, compare=False)
 
 
-def lp_problem(c: Iterable, A: Iterable[Iterable], b: Iterable,
-               upper: Sequence | None = None) -> LPProblem:
-    """Convenience constructor; the default is no upper bounds.  Integral
-    ints and Fractions become ints; any other entry raises InvalidInputError."""
-    cv = tuple(map(_integer, c))
-    av = tuple(tuple(map(_integer, row)) for row in A)
-    bv = tuple(map(_integer, b))
-    upv = (tuple(None if x is None else _integer(x) for x in upper)
-           if upper is not None else (None,) * len(cv))
-    return LPProblem(c=cv, A=av, b=bv, upper=upv)
-
-
-def _integer(x) -> int:
-    if isinstance(x, (int, Fraction)) and int(x) == x:
-        return int(x)
-    raise InvalidInputError(f"LP data must be integral, got {x!r}")
-
-
 def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     """Exact optimum and basic optimal vertex via two-phase Bland simplex.
 
@@ -174,8 +159,11 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
         phase_one = flips = 0
     red = [den * cj for cj in p.c] + [0] * len(p.b)
     for row, bi in zip(tab, basis):
-        if bi < n and p.c[bi]:
-            red = [r - p.c[bi] * t for r, t in zip(red, row)]
+        cb = p.c[bi] if bi < n else 0
+        if cb:
+            for j, t in enumerate(row):
+                if t:
+                    red[j] -= cb * t
     status, den, phase_two, flipped = _bland(tab, rhs, basis, red, den, p.upper, at_upper,
                                              False)
     work = {"pivots": (phase_one, phase_two), "flips": flips + flipped}
@@ -245,8 +233,10 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
     Edmonds 1967, Bareiss 1968).  A negative p (a variable that leaves at
     its bound or enters from it, or `eliminate`) negates row r first, so
     the denominator stays positive.  `red` is None when there is no objective.
-    Rows are replaced, never edited; with p == den a row whose entry f is
-    0 is left as it is.
+    Rows are replaced, never edited.  With p == den, which is most pivots
+    on a totally unimodular M, an entry x whose y or f is 0 becomes
+    (x den) // den == x: so a row with f == 0 is left as it is, and in the
+    others only the columns where row r is nonzero are rewritten.
     """
     prow, prhs = tab[r], rhs[r]
     p = prow[jc]
@@ -254,14 +244,28 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
         p = -p
         prow = tab[r] = [-y for y in prow]
         prhs = rhs[r] = -prhs
-    for i, row in enumerate(tab):
-        f = row[jc]
-        if i != r and (f or p != den):
-            tab[i] = [(x * p - f * y) // den for x, y in zip(row, prow)]
-            rhs[i] = (rhs[i] * p - f * prhs) // den
-    if red is not None and (red[jc] or p != den):
-        f = red[jc]
-        red[:] = [(x * p - f * y) // den for x, y in zip(red, prow)]
+    if p != den:
+        for i, row in enumerate(tab):
+            if i != r:
+                f = row[jc]
+                tab[i] = [(x * p - f * y) // den for x, y in zip(row, prow)]
+                rhs[i] = (rhs[i] * p - f * prhs) // den
+        if red is not None:
+            f = red[jc]
+            red[:] = [(x * p - f * y) // den for x, y in zip(red, prow)]
+    else:
+        support = [(k, y) for k, y in enumerate(prow) if y]
+        for i, row in enumerate(tab):
+            f = row[jc]
+            if i != r and f:
+                row = tab[i] = list(row)
+                for k, y in support:
+                    row[k] = (row[k] * p - f * y) // den
+                rhs[i] = (rhs[i] * p - f * prhs) // den
+        if red is not None and red[jc]:
+            f = red[jc]
+            for k, y in support:
+                red[k] = (red[k] * p - f * y) // den
     basis[r] = jc
     return p
 
@@ -388,7 +392,9 @@ def _certify_optimal(p: LPProblem, x, den: int, y: list[int]) -> None:
     red = [den * cj for cj in p.c]
     for yi, row in zip(y, p.A):
         if yi:
-            red = [r - yi * a for r, a in zip(red, row)]
+            for j, a in enumerate(row):
+                if a:
+                    red[j] -= yi * a
     for (j, _), wj in zip(bounded, w):
         red[j] -= wj
     if any(r < 0 for r in red):

@@ -1,9 +1,8 @@
 """Static guards on the package source: no float arithmetic anywhere, no
 cache without an integer bound on its size, no import of core from
-simplex, no rescaling inside simplex, no Fraction in simplex outside the
-converter of lp_problem, no import of the oracle from the solver modules,
-and no import of the simplex, or of the core functions that call it, from
-the oracle."""
+simplex, no rescaling inside simplex, no Fraction in simplex, no import
+of the oracle from the solver modules, and no import of the simplex, or of
+the core functions that call it, from the oracle."""
 
 from __future__ import annotations
 
@@ -205,11 +204,10 @@ def test_guard_catches_fraction_uses():
 
 
 def test_simplex_builds_no_fraction():
-    # the LP speaks ints both ways: its result is den-scaled ints, and a
-    # Fraction is only accepted, as an integral input, by lp_problem
+    # the LP speaks ints both ways: its data are ints and its result is
+    # den-scaled ints, so the module names no Fraction at all
     tree = ast.parse((SOURCE / "simplex.py").read_text(encoding="utf-8"))
-    uses = _fraction_uses(tree)
-    assert uses and {scope for _, scope in uses} <= {"_integer", "lp_problem"}, uses
+    assert _fraction_uses(tree) == []
 
 
 def test_solver_does_not_import_oracle():

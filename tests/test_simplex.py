@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import random
@@ -11,13 +12,12 @@ from math import lcm
 
 import pytest
 
-from conftest import a2
+from conftest import a2, corpus_small
 from zonolat import (
     InternalInvariantError,
     InvalidInputError,
     LPProblem,
     cvp_instance,
-    lp_problem,
     simplex,
     solve_cvp,
     solve_lp,
@@ -33,6 +33,12 @@ from zonolat.simplex import (
 )
 
 
+def _lp(c, A, b, upper=None) -> LPProblem:
+    """The LPProblem of int data given as lists; upper defaults to no bounds."""
+    return LPProblem(c=tuple(c), A=tuple(map(tuple, A)), b=tuple(b),
+                     upper=(None,) * len(c) if upper is None else tuple(upper))
+
+
 def _assert_duals_prove_optimum(p, r):
     """A^T y <= den c and b.y == optimum (both den-scaled), for an LP
     without upper bounds."""
@@ -45,7 +51,7 @@ def _assert_duals_prove_optimum(p, r):
 
 def test_min_x_at_least_three():
     # min x s.t. x - s = 3, s >= 0
-    p = lp_problem([1, 0], [[1, -1]], [3])
+    p = _lp([1, 0], [[1, -1]], [3])
     r = solve_lp(p)
     assert r.status == OPTIMAL
     assert r.optimum == 3
@@ -73,44 +79,35 @@ def test_lambda_lp_a2_optimum():
     if (where, bad) != ("upper", None)  # None is +infinity there
 ])
 def test_non_integral_data_rejected(where, bad):
-    # _pivot's floor division would silently truncate a Fraction, so both
-    # constructors refuse any entry that is not an int
+    # _pivot's floor division would silently truncate a Fraction, so
+    # LPProblem refuses any entry that is not an int
     data = {"c": [1, 0], "A": [[1, -1]], "b": [3], "upper": [2, None]}
     if where == "A":
         data["A"] = [[bad, -1]]
     else:
         data[where] = [bad] + data[where][1:]
     with pytest.raises(InvalidInputError):
-        lp_problem(data["c"], data["A"], data["b"], upper=data["upper"])
-    with pytest.raises(InvalidInputError):
         LPProblem(c=tuple(data["c"]), A=tuple(map(tuple, data["A"])), b=tuple(data["b"]),
                   upper=tuple(data["upper"]))
 
 
-def test_integral_fractions_become_ints():
-    p = lp_problem([F(2), 0], [[F(4, 2), -1]], [F(3)], upper=[F(6, 3), None])
-    assert all(type(x) is int for x in p.c + p.A[0] + p.b + p.upper[:1])
-    r = solve_lp(p)
-    assert F(r.optimum, r.den) == 3
-
-
 def test_contradictory_equalities_infeasible():
-    p = lp_problem([1], [[1], [1]], [0, 1])
+    p = _lp([1], [[1], [1]], [0, 1])
     assert solve_lp(p).status == INFEASIBLE
 
 
 def test_unbounded():
-    p = lp_problem([-1], [], [])
+    p = _lp([-1], [], [])
     assert solve_lp(p).status == UNBOUNDED
 
 
 def test_upper_bound_column():
-    p = lp_problem([-1], [], [], upper=[5])
+    p = _lp([-1], [], [], upper=[5])
     r = solve_lp(p)
     assert r.status == OPTIMAL and r.optimum == -5 and r.vertex == (5,)
     assert r.duals == ()  # the bound's dual is left out
     with pytest.raises(InvalidInputError):
-        lp_problem([-1], [], [], upper=[-1])
+        _lp([-1], [], [], upper=[-1])
 
 
 def test_bound_row_slacks_start_basic(monkeypatch):
@@ -127,7 +124,7 @@ def test_bound_row_slacks_start_basic(monkeypatch):
         return pivot(tab, rhs, basis, red, den, r, jc)
 
     monkeypatch.setattr(simplex, "_pivot", counting)
-    r = solve_lp(lp_problem([1, 2, 1], [], [], upper=[3, 1, 7]))
+    r = solve_lp(_lp([1, 2, 1], [], [], upper=[3, 1, 7]))
     assert r.status == OPTIMAL and r.optimum == 0 and r.vertex == (0, 0, 0)
     assert pivots == []
 
@@ -136,7 +133,7 @@ def test_bound_rows_have_no_artificial_column():
     # a bound is a status of its variable, not a tableau row: one row per
     # row of A, and columns for the 3 variables and one artificial per row
     # of A, with no slack and no artificial for the bounds of x_0 and x_2
-    r = solve_lp(lp_problem([-1, -1, 0], [[1, 1, 1], [1, -1, 0]], [4, 0],
+    r = solve_lp(_lp([-1, -1, 0], [[1, 1, 1], [1, -1, 0]], [4, 0],
                             upper=[3, None, 1]))
     assert r.status == OPTIMAL and F(r.optimum, r.den) == -4
     rows = r.tableau.rows
@@ -147,7 +144,7 @@ def test_bound_flip_makes_no_pivot():
     # both variables rise to their bounds by a flip each; with no row there
     # is nothing to pivot, and the bounds' duals w = (-1, -2), the reduced
     # costs at the bounds, prove the optimum -11
-    p = lp_problem([-1, -2], [], [], upper=[3, 4])
+    p = _lp([-1, -2], [], [], upper=[3, 4])
     r = solve_lp(p)
     assert r.status == OPTIMAL and r.vertex == (3, 4) and r.optimum == -11 and r.den == 1
     assert r.pivots == (0, 0) and r.flips == 2
@@ -207,14 +204,14 @@ def test_warm_start_reprices_basis():
 def test_warm_start_rejects_other_constraints():
     p = lambda_lp((0, 0, 0), _a2_instance())
     first = solve_lp(p)
-    other_b = lp_problem(p.c, p.A, p.b[:-1] + (F(2),))
-    other_a = lp_problem(p.c, p.A[:-1] + ((F(1),) * 5 + (F(2),),), p.b)
+    other_b = _lp(p.c, p.A, p.b[:-1] + (2,))
+    other_a = _lp(p.c, p.A[:-1] + ((1,) * 5 + (2,),), p.b)
     for q in (other_b, other_a):
         with pytest.raises(InvalidInputError):
             solve_lp(q, start=first)
-    infeasible = solve_lp(lp_problem([1], [[1], [1]], [0, 1]))
+    infeasible = solve_lp(_lp([1], [[1], [1]], [0, 1]))
     with pytest.raises(InvalidInputError):
-        solve_lp(lp_problem([1], [[1], [1]], [0, 1]), start=infeasible)
+        solve_lp(_lp([1], [[1], [1]], [0, 1]), start=infeasible)
 
 
 def test_determinism_repeated_solves():
@@ -293,11 +290,17 @@ def _integral_lp(c, A, b, upper=None):
     rows, rhs = [], []
     for row, bi in zip(A, b):
         r = lcm(*(x.denominator for x in row))
-        rows.append([x * r for x in row])
-        rhs.append(bi * s * r)
+        rows.append([_int(x * r) for x in row])
+        rhs.append(_int(bi * s * r))
     cs = lcm(*(x.denominator for x in c))
-    bounds = [None if u is None else u * s for u in upper]
-    return lp_problem([x * cs for x in c], rows, rhs, upper=bounds), cs * s
+    bounds = [None if u is None else _int(u * s) for u in upper]
+    return _lp([_int(x * cs) for x in c], rows, rhs, upper=bounds), cs * s
+
+
+def _int(x: F) -> int:
+    """An integral Fraction as an int."""
+    assert x.denominator == 1, x
+    return x.numerator
 
 
 def _assert_int_result(r):
@@ -328,7 +331,7 @@ def test_random_lps_against_basis_enumeration():
 
 def test_degenerate_redundant_rows():
     # duplicated constraint rows must not confuse phase 1
-    p = lp_problem([1, 1], [[1, 1], [1, 1]], [2, 2])
+    p = _lp([1, 1], [[1, 1], [1, 1]], [2, 2])
     r = solve_lp(p)
     assert r.status == OPTIMAL and r.optimum == 2
     assert 0 in r.duals  # the row whose artificial stays basic
@@ -380,7 +383,7 @@ def test_random_phase_one_against_basis_enumeration():
         A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
         b = [rng.randint(-3, 3) for _ in range(m)]
         upper = [rng.randint(0, 3) if rng.random() < 0.6 else None for _ in range(n)]
-        got = solve_lp(lp_problem([0] * n, A, b, upper=upper))
+        got = solve_lp(_lp([0] * n, A, b, upper=upper))
         bounded = [(j, u) for j, u in enumerate(upper) if u is not None]
         wide = [row + [0] * len(bounded) for row in A]
         for k, (j, _u) in enumerate(bounded):
@@ -429,7 +432,7 @@ def test_integer_tableau_a2_lambda_lp():
 def test_negated_row_duals():
     # min x0 s.t. -x0 + x1 = -3: phase 1 negates the row, and its dual keeps
     # the sign of the row as given
-    p = lp_problem([1, 0], [[-1, 1]], [-3])
+    p = _lp([1, 0], [[-1, 1]], [-3])
     r = solve_lp(p)
     assert r.status == OPTIMAL
     assert r.optimum == 3 and r.vertex == (3, 0)
@@ -451,7 +454,7 @@ def test_negative_pivot_keeps_den_positive(monkeypatch):
         return pivot(tab, rhs, basis, red, den, r, jc)
 
     monkeypatch.setattr(simplex, "_pivot", spy)
-    p = lp_problem(c, A, b)
+    p = _lp(c, A, b)
     r = solve_lp(p)
     assert pivots[r.pivots[0]:] == [(3, -1)]  # phase 2's one pivot
     assert r.status == OPTIMAL and r.tableau.den > 0
@@ -464,7 +467,7 @@ def test_negative_pivot_keeps_den_positive(monkeypatch):
 def test_redundant_row_keeps_its_artificial_basic_at_zero():
     # the second row repeats the first: phase 1 pivots x_0 into row 0, and
     # row 1's artificial (column 2 + 1) stays basic at 0, with the dual 0
-    p = lp_problem([1, 1], [[1, 1], [1, 1]], [2, 2])
+    p = _lp([1, 1], [[1, 1], [1, 1]], [2, 2])
     r = solve_lp(p)
     assert (r.status, r.vertex, r.den, r.optimum) == (OPTIMAL, (2, 0), 1, 2)
     t = r.tableau
@@ -483,7 +486,7 @@ def _dependent_lp(rng):
     upper = [rng.randint(0, 3) if rng.random() < 0.4 else None for _ in range(n)]
     x = [rng.randint(0, 2 if u is None else u) for u in upper]
     b = [sum(a * v for a, v in zip(row, x)) for row in A]
-    return lp_problem([rng.randint(-4, 4) for _ in range(n)], A, b, upper=upper)
+    return _lp([rng.randint(-4, 4) for _ in range(n)], A, b, upper=upper)
 
 
 def test_basic_artificials_stay_at_zero_in_phase_two(monkeypatch):
@@ -535,7 +538,7 @@ def test_basic_artificials_stay_at_zero_in_phase_two(monkeypatch):
         assert r.status == OPTIMAL
         n = len(p.c)
         basic += any(bi >= n for bi in r.tableau.basis)
-        q = lp_problem([rng.randint(-4, 4) for _ in range(n)], p.A, p.b, upper=p.upper)
+        q = _lp([rng.randint(-4, 4) for _ in range(n)], p.A, p.b, upper=p.upper)
         warm, cold = solve_lp(q, start=r), solve_lp(q)
         assert warm.status == cold.status
         if cold.status == OPTIMAL:
@@ -546,16 +549,118 @@ def test_basic_artificials_stay_at_zero_in_phase_two(monkeypatch):
 def test_warm_start_from_a_basic_artificial():
     # the start keeps row 1's artificial basic at 0; the warm solve reprices
     # around it, reaches the cold optimum and leaves the start untouched
-    p = lp_problem([1, 1, 0], [[1, 1, 1], [2, 2, 2]], [2, 4], upper=[None, 1, None])
+    p = _lp([1, 1, 0], [[1, 1, 1], [2, 2, 2]], [2, 4], upper=[None, 1, None])
     first = solve_lp(p)
     assert 3 + 1 in first.tableau.basis
-    q = lp_problem([-1, -3, 1], p.A, p.b, upper=p.upper)
+    q = _lp([-1, -3, 1], p.A, p.b, upper=p.upper)
     warm, cold = solve_lp(q, start=first), solve_lp(q)
     assert warm.pivots[0] == 0
     assert (warm.status, warm.vertex, warm.den, warm.optimum) == (
         cold.status, cold.vertex, cold.den, cold.optimum)
     assert F(warm.optimum, warm.den) == -4 and F(warm.vertex[1], warm.den) == 1
     assert first.tableau == solve_lp(p).tableau
+
+
+def _dense_pivot(tab, rhs, basis, red, den, r, jc):
+    """The reference pivot: _pivot before its sparse p == den path, which
+    rewrites every column of each row it touches."""
+    prow, prhs = tab[r], rhs[r]
+    p = prow[jc]
+    if p < 0:
+        p = -p
+        prow = tab[r] = [-y for y in prow]
+        prhs = rhs[r] = -prhs
+    for i, row in enumerate(tab):
+        f = row[jc]
+        if i != r and (f or p != den):
+            tab[i] = [(x * p - f * y) // den for x, y in zip(row, prow)]
+            rhs[i] = (rhs[i] * p - f * prhs) // den
+    if red is not None and (red[jc] or p != den):
+        f = red[jc]
+        red[:] = [(x * p - f * y) // den for x, y in zip(red, prow)]
+    basis[r] = jc
+    return p
+
+
+def _pivot_workload(monkeypatch):
+    """solve_lp calls, each (problem, index of its start or None), and
+    eliminate calls, each (rows, rhs): random LPs with a dependent row,
+    solved cold and then warm twice from the same start, random systems,
+    and every call that building and solving instances of the small corpus
+    with far targets makes, lambda and box LPs included."""
+    rng = random.Random(22)
+    lps, systems = [], []
+    for _ in range(100):
+        p = _dependent_lp(rng)
+        lps.append((p, None))
+        if solve_lp(p).status == OPTIMAL:
+            k = len(lps) - 1
+            for _ in range(2):
+                costs = [rng.randint(-4, 4) for _ in p.c]
+                lps.append((_lp(costs, p.A, p.b, upper=p.upper), k))
+    for _ in range(100):
+        n, m, e = rng.randint(1, 5), rng.randint(1, 7), rng.choice([1, 3])
+        systems.append(([[rng.randint(-e, e) for _ in range(m)] for _ in range(n)],
+                        [rng.randint(-4, 4) for _ in range(n)]))
+    solve, eliminate_, results, offset = simplex.solve_lp, simplex.eliminate, [], len(lps)
+
+    def recording(p, start=None):
+        k = None if start is None else offset + next(
+            k for k, r in enumerate(results) if r is start)
+        lps.append((p, k))
+        results.append(solve(p, start))
+        return results[-1]
+
+    def recording_eliminate(rows, rhs=None):
+        systems.append((rows, rhs))
+        return eliminate_(rows, rhs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "solve_lp", recording)
+        patch.setattr(simplex, "eliminate", recording_eliminate)
+        for lattice in corpus_small():
+            for _ in range(3):
+                target = [F(rng.randint(-60, 60), rng.randint(1, 7)) for _ in range(lattice.m)]
+                solve_cvp(cvp_instance(lattice, target))
+    return lps, systems
+
+
+def _replay(lps, systems):
+    """Every field of each solve_lp result, the tableau included, and each
+    eliminate output; a start must come out of each reuse unchanged."""
+    results = []
+    for p, k in lps:
+        start = None if k is None else results[k]
+        before = copy.deepcopy(start)
+        results.append(solve_lp(p, start))
+        if start is not None:
+            assert start.tableau == before.tableau and start.duals == before.duals
+    fields = [(r.status, r.optimum, r.vertex, r.den, r.tableau, r.duals, r.pivots, r.flips)
+              for r in results]
+    return fields, [eliminate(rows, rhs) for rows, rhs in systems]
+
+
+def test_sparse_pivot_matches_the_dense_reference(monkeypatch):
+    # _pivot's p == den path rewrites only the columns where the pivot row
+    # is nonzero; every pivot, flip, tableau, dual and elimination must be
+    # what the dense pivot gives
+    lps, systems = _pivot_workload(monkeypatch)
+    assert sum(k is not None for _, k in lps) > 100
+    pivot, cases = simplex._pivot, set()
+
+    def spy(tab, rhs, basis, red, den, r, jc):
+        p = tab[r][jc]
+        cases.add((p < 0, abs(p) == den, red is None))
+        return pivot(tab, rhs, basis, red, den, r, jc)
+
+    monkeypatch.setattr(simplex, "_pivot", spy)
+    sparse = _replay(lps, systems)
+    monkeypatch.setattr(simplex, "_pivot", _dense_pivot)
+    assert _replay(lps, systems) == sparse
+    # p < 0 and p > 0, p == den and p != den, with and without an objective
+    assert {(neg, eq) for neg, eq, _ in cases} == {(False, False), (False, True),
+                                                   (True, False), (True, True)}
+    assert {none for _, _, none in cases} == {False, True}
 
 
 def _a2_optimum():
@@ -592,7 +697,7 @@ def test_certify_optimal_rejects_suboptimal_basis():
 
 def test_certify_optimal_rejects_negative_solution():
     # x1 = -1 solves x0 - x1 = 1 but is not >= 0
-    p = lp_problem([0, 0], [[1, -1]], [1])
+    p = _lp([0, 0], [[1, -1]], [1])
     with pytest.raises(InternalInvariantError, match="primal check failed: basic"):
         _certify_optimal(p, (0, -1), 1, [0])
 
@@ -623,7 +728,7 @@ def test_certify_optimal_rejects_tampered_duals(i, step):
 def _bounded_lp():
     """min -x0 - 2 x1  s.t.  x0 + x1 = 3, x1 <= 2: the optimum -5 at x = (1, 2),
     proved by the dual y = -1 of the row and w = -1 of the bound."""
-    p = lp_problem([-1, -2], [[1, 1]], [3], upper=[None, 2])
+    p = _lp([-1, -2], [[1, 1]], [3], upper=[None, 2])
     r = solve_lp(p)
     assert r.status == OPTIMAL and r.optimum == -5 and r.vertex == (1, 2)
     assert r.duals == (-1,)
@@ -642,7 +747,7 @@ def test_certify_optimal_checks_bounds_through_their_duals():
 def test_certify_optimal_rejects_positive_bound_dual():
     # min x1 over the same constraints has its optimum 0 at x = (3, 0); the
     # vertex (1, 2) of cost 2 passes every other check with (y, w) = (0, 1)
-    p = lp_problem([0, 1], [[1, 1]], [3], upper=[None, 2])
+    p = _lp([0, 1], [[1, 1]], [3], upper=[None, 2])
     assert _certify_optimal(p, (3, 0), 1, [0, 0]) is None
     with pytest.raises(InternalInvariantError, match="positive bound dual"):
         _certify_optimal(p, (1, 2), 1, [0, 1])

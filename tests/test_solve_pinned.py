@@ -10,7 +10,9 @@ The `-tie-` problems have half-integer targets, so every vertex of the box
 LP ties and only the simplex's tie-breaking decides the box step's vertex.
 `LP_PINNED` hashes the (status, vertex, den, optimum) of every `solve_lp`
 call of each solve, so an LP vertex or den that moves without changing
-the answer shows there too.  A deliberate change of either re-pins: run
+the answer shows there too, and `WORK_PINNED` their (pivots, flips,
+duals), so a kernel change that must keep Bland's every choice is checked
+pivot for pivot.  A deliberate change of any of them re-pins: run
 `PYTHONPATH=src python tests/test_solve_pinned.py` and paste its tables.
 """
 
@@ -84,6 +86,27 @@ LP_PINNED = {
     "vfk-2": "f896644ab82b8726",
     "vfk-tie-0": "351ceaa97823f075",
     "vfk-tie-1": "964f86e82a8a6333",
+}
+
+WORK_PINNED = {
+    "a2-worked": "ebc3b575d58dc31c",
+    "cographic-0": "2bfa835461927286",
+    "cographic-1": "71f907e68d3224e4",
+    "cographic-2": "3a046825fe189eda",
+    "cographic-3": "f098ebf47b3f48c5",
+    "cographic-tie-0": "ef4ffa084f16fbf5",
+    "cographic-tie-1": "77678a0c292c486e",
+    "cographic-tie-2": "5b430f9ada39063e",
+    "cographic-walk": "11226559f2dc5474",
+    "graphic-0": "87ef0a62959a35b7",
+    "graphic-1": "c6780786241491d8",
+    "graphic-2": "b45b1dcbcb357681",
+    "graphic-3": "a4057fd5dec16eb7",
+    "vfk-0": "1c56e86e54b1ae29",
+    "vfk-1": "b6c536b114bed03f",
+    "vfk-2": "5888aee221481d9d",
+    "vfk-tie-0": "a34fce6c0f0e5efc",
+    "vfk-tie-1": "8488658742473b28",
 }
 
 
@@ -200,11 +223,21 @@ def _stdout_hash(problem: dict, path: Path) -> str:
 def _lp_hash(problem: dict, path: Path) -> str:
     """The hash of (status, vertex, den, optimum) of every solve_lp call,
     in order, while `zonolat solve` solves the problem."""
+    return _solve_lp_hash(problem, path, lambda r: (r.status, r.vertex, r.den, r.optimum))
+
+
+def _work_hash(problem: dict, path: Path) -> str:
+    """The hash of (pivots, flips, duals) of every solve_lp call, in order,
+    while `zonolat solve` solves the problem."""
+    return _solve_lp_hash(problem, path, lambda r: (r.pivots, r.flips, r.duals))
+
+
+def _solve_lp_hash(problem: dict, path: Path, fields) -> str:
     solve_lp, results = simplex.solve_lp, []
 
     def recording(p, start=None):
         r = solve_lp(p, start)
-        results.append((r.status, r.vertex, r.den, r.optimum))
+        results.append(fields(r))
         return r
 
     simplex.solve_lp = recording
@@ -216,7 +249,7 @@ def _lp_hash(problem: dict, path: Path) -> str:
 
 
 def test_pins_cover_the_corpus():
-    assert sorted(PINNED) == sorted(LP_PINNED) == sorted(CORPUS)
+    assert sorted(PINNED) == sorted(LP_PINNED) == sorted(WORK_PINNED) == sorted(CORPUS)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -229,6 +262,12 @@ def test_solve_output_pinned(name, tmp_path):
 def test_solve_lps_pinned(name, tmp_path):
     got = _lp_hash(CORPUS[name], tmp_path / "problem.json")
     assert got == LP_PINNED.get(name), f"an LP of the solve of {name} changed"
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_solve_lp_work_pinned(name, tmp_path):
+    got = _work_hash(CORPUS[name], tmp_path / "problem.json")
+    assert got == WORK_PINNED.get(name), f"the pivots of an LP of the solve of {name} changed"
 
 
 def test_corpus_takes_box_and_walk_steps():
@@ -277,7 +316,8 @@ def test_tie_box_lps_flip_a_bound(monkeypatch):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for pins, digest in (("PINNED", _stdout_hash), ("LP_PINNED", _lp_hash)):
+        for pins, digest in (("PINNED", _stdout_hash), ("LP_PINNED", _lp_hash),
+                             ("WORK_PINNED", _work_hash)):
             print(f"{pins} = {{")
             for name in sorted(CORPUS):
                 print(f'    "{name}": "{digest(CORPUS[name], Path(tmp) / "problem.json")}",')
