@@ -99,6 +99,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+#: The types and values a row of M may hold, for one C-level test per row.
+_INT_TYPE = frozenset((int,))
+_UNIT = frozenset((-1, 0, 1))
+
+
 def parse_problem(data: dict) -> ProblemFile:
     if not isinstance(data, dict):
         raise InputFormatError("problem file must be a JSON object")
@@ -123,16 +128,17 @@ def parse_problem(data: dict) -> ProblemFile:
         raise InputFormatError("M does not match the declared n x m shape")
     entries = []
     for row in rows:
-        out = []
-        for e in row:
-            if not _is_integer(e) or e not in (-1, 0, 1):
-                raise InputFormatError(f"matrix entries must be -1, 0 or 1, got {e!r}")
-            out.append(e)
-        entries.append(tuple(out))
+        # the type test comes first, so the value test sees hashable ints;
+        # a row that fails is walked again to name its first bad entry
+        if not (_INT_TYPE.issuperset(map(type, row)) and _UNIT.issuperset(row)):
+            for e in row:
+                if not _is_integer(e) or e not in (-1, 0, 1):
+                    raise InputFormatError(f"matrix entries must be -1, 0 or 1, got {e!r}")
+        entries.append(tuple(row))
     if len(g) != m or len(t) != m:
         raise InputFormatError("g and t must have length m")
     gv = tuple(parse_rational(x) for x in g)
-    if any(x <= 0 for x in gv):
+    if any(x.numerator <= 0 for x in gv):
         raise InputFormatError("all weights g must be positive")
     tv = tuple(parse_rational(x) for x in t)
     name = data.get("name")

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import simplex
@@ -39,8 +40,9 @@ VERIFY_ROW_CAP = 20
 
 
 def frac_vec(xs: Iterable) -> FracVec:
-    """Coerce a sequence of ints/strings/Fractions to a Fraction tuple."""
-    return tuple(Fraction(x) for x in xs)
+    """Coerce a sequence of ints/strings/Fractions to a Fraction tuple; a
+    Fraction is kept as it is."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 def int_vec(xs: Iterable) -> IntVec:
@@ -75,6 +77,13 @@ def inner_product(x: Sequence, y: Sequence, g: Sequence) -> Fraction:
 # Totally unimodular matrices
 # ---------------------------------------------------------------------------
 
+_UNIT = frozenset((-1, 0, 1))
+
+
+def _unit_entries(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff every entry equals -1, 0 or 1, tested one row at a time."""
+    return all(_UNIT.issuperset(row) for row in rows)
+
 
 def heller_tompkins(rows: Sequence[Sequence[int]]) -> bool | None:
     """Exact TU verdict for a matrix with at most two nonzeros per column.
@@ -88,7 +97,7 @@ def heller_tompkins(rows: Sequence[Sequence[int]]) -> bool | None:
     when some column has three or more nonzeros.
     """
     n = len(rows)
-    if any(e not in (-1, 0, 1) for row in rows for e in row):
+    if not _unit_entries(rows):
         return False
     # adjacency[i] holds (k, parity): rows i and k must get different
     # colours when parity is 1 and the same colour when it is 0
@@ -139,7 +148,7 @@ def ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
     n = len(rows)
     if n == 0:
         return True
-    if any(e not in (-1, 0, 1) for row in rows for e in row):
+    if not _unit_entries(rows):
         return False
     w = (n + 1).bit_length() + 1
     fields = [w * j for j in range(len(rows[0]))]
@@ -198,7 +207,7 @@ class TUMatrix:
     def __post_init__(self):
         if self.n != len(self.entries) or any(len(r) != self.m for r in self.entries):
             raise DimensionError("entry array does not match the declared shape")
-        if any(e not in (-1, 0, 1) for r in self.entries for e in r):
+        if not _unit_entries(self.entries):
             raise InvalidInputError("matrix entries must lie in {-1, 0, +1}")
         if self.tu_status not in ("verified", "asserted"):
             raise InvalidInputError(f"unknown tu_status {self.tu_status!r}")
@@ -294,7 +303,7 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
     (SizeCapError; `tu_decidable` says in advance).  "assert" trusts the
     caller.  `width` is required for matrices with zero rows.
     """
-    entries = tuple(tuple(int(e) for e in row) for row in rows)
+    entries = tuple(tuple(map(int, row)) for row in rows)
     n = len(entries)
     if n == 0:
         if width is None:
@@ -345,7 +354,7 @@ class ZonotopalLattice:
             raise DimensionError(
                 f"weight length {len(self.weights)} != coordinate count {self.matrix.m}"
             )
-        if any(g <= 0 for g in self.weights):
+        if any(g.numerator <= 0 for g in self.weights):
             raise InvalidInputError("all weights must be positive")
 
     @property
@@ -455,7 +464,7 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
             normal_i, ue = normal[i], e * uj
             for k, f in nonzero:
                 normal_i[k] += ue * f
-    h = [sum(e * x for e, x in zip(row, ct) if e) for row in rows]
+    h = [sum(map(mul, row, ct)) for row in rows]
     _, h, pivots, den = simplex.eliminate(normal, h)
     if any(h[len(pivots):]):
         raise InternalInvariantError("normal equations of the projection are inconsistent")

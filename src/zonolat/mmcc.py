@@ -15,6 +15,7 @@ of that, checked before the answer is returned.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -61,20 +62,23 @@ class CVPInstance:
             raise InvalidInputError("the lattice needs at least one coordinate")
         if len(self.target) != self.lattice.m:
             raise InvalidInputError("target length does not match the lattice")
-        if any(s != 0 for s in self.lattice.matrix.apply(self.target)):
+        # g_i = p/q and t_i = a/b in lowest terms, so 2 g_i t_i = 2pa/(qb);
+        # with L the lcm of the b's, T = L t is an int vector, M t = 0 iff
+        # M T = 0, and w(0) = sum_i H_i t_i / 2K = (H . T) / 2KL
+        terms = [(g.numerator, g.denominator, t.numerator, t.denominator)
+                 for g, t in zip(self.weights, self.target)]
+        L = math.lcm(*(b for *_, b in terms))
+        T = [a * (L // b) for *_, a, b in terms]
+        M = self.lattice.matrix
+        if any(sum(map(operator.mul, row, T)) for row in M.entries):
             raise InvalidInputError(
                 "target is not in the span of the lattice; project it first"
             )
-        # g_i = p/q and t_i = a/b in lowest terms, so 2 g_i t_i = 2pa/(qb);
-        # w(0) = sum_i H_i t_i / 2K, over the lcm L of the b's
-        terms = [(g.numerator, g.denominator, t.numerator, t.denominator)
-                 for g, t in zip(self.weights, self.target)]
         K = math.lcm(*(math.lcm(q, q * b // math.gcd(2 * p * a, q * b)) for p, q, a, b in terms))
         H = tuple(2 * K * p * a // (q * b) for p, q, a, b in terms)
-        L = math.lcm(*(b for *_, b in terms))
-        w0 = Fraction(sum(h * a * (L // b) for h, (_, _, a, b) in zip(H, terms)), 2 * K * L)
-        M = self.lattice.matrix
-        rows = tuple(row + tuple(-e for e in row) for row in M.entries) + ((1,) * (2 * M.m),)
+        w0 = Fraction(sum(map(operator.mul, H, T)), 2 * K * L)
+        rows = (tuple(row + tuple(map(operator.neg, row)) for row in M.entries)
+                + ((1,) * (2 * M.m),))
         lambda_rows = (rows, (0,) * M.n + (1,), (None,) * (2 * M.m))
         for name, value in (("K", K), ("G", tuple(K // q * p for p, q, _, _ in terms)),
                             ("H", H), ("w0", w0), ("lambda_rows", lambda_rows)):

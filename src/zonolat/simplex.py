@@ -207,7 +207,9 @@ def _phase_one(p: LPProblem):
     rhs = [abs(bi) for bi in p.b]
     basis = [n + i for i in range(m)]
     at_upper = [False] * n
-    red = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
+    # minus the column sums of x's columns; no rows leave every sum 0
+    red = [-sum(column) for column in zip(*tab)][:n] if tab else [0] * n
+    red += [0] * m
     status, den, pivots, flips = _bland(tab, rhs, basis, red, 1, p.upper, at_upper, True)
     if status != OPTIMAL:
         raise InternalInvariantError("phase-1 objective is bounded by zero")
@@ -236,7 +238,9 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
     Rows are replaced, never edited.  With p == den, which is most pivots
     on a totally unimodular M, an entry x whose y or f is 0 becomes
     (x den) // den == x: so a row with f == 0 is left as it is, and in the
-    others only the columns where row r is nonzero are rewritten.
+    others only the columns where row r is nonzero are rewritten, to
+    x - (f y) // den, since den divides f y when it divides x den - f y.
+    With p != den, a row with f == 0 is only rescaled, to (x p) // den.
     """
     prow, prhs = tab[r], rhs[r]
     p = prow[jc]
@@ -248,8 +252,12 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
         for i, row in enumerate(tab):
             if i != r:
                 f = row[jc]
-                tab[i] = [(x * p - f * y) // den for x, y in zip(row, prow)]
-                rhs[i] = (rhs[i] * p - f * prhs) // den
+                if f:
+                    tab[i] = [(x * p - f * y) // den for x, y in zip(row, prow)]
+                    rhs[i] = (rhs[i] * p - f * prhs) // den
+                else:
+                    tab[i] = [x * p // den for x in row]
+                    rhs[i] = rhs[i] * p // den
         if red is not None:
             f = red[jc]
             red[:] = [(x * p - f * y) // den for x, y in zip(red, prow)]
@@ -260,12 +268,12 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
             if i != r and f:
                 row = tab[i] = list(row)
                 for k, y in support:
-                    row[k] = (row[k] * p - f * y) // den
-                rhs[i] = (rhs[i] * p - f * prhs) // den
+                    row[k] -= f * y // den
+                rhs[i] -= f * prhs // den
         if red is not None and red[jc]:
             f = red[jc]
             for k, y in support:
-                red[k] = (red[k] * p - f * y) // den
+                red[k] -= f * y // den
     basis[r] = jc
     return p
 
@@ -313,12 +321,25 @@ def _bland(tab, rhs, basis, red, den: int, upper, at_upper, phase_one: bool):
     the tableau with a row x_j + s_j = u_j per bound, the slacks after the
     variables in their order and the artificials last, so it cannot cycle
     (an artificial that may not enter only leaves, so it is in no cycle).
+    The state (basis, at_upper) fixes the tableau, so correct arithmetic
+    never repeats one; past len(red) * len(tab) pivots and flips, Brent's
+    cycle detection (BIT 1980) compares each state with one saved state and
+    raises InternalInvariantError on a repeat instead of looping forever.
     """
     n = len(upper)
     last = len(red) if phase_one else n  # the columns that may enter
     bounds = list(upper) + [None if phase_one else 0] * (len(red) - n)
     pivots = flips = 0
+    watch_after, saved, power, steps = len(red) * len(tab), None, 1, 0
     while True:
+        if pivots + flips > watch_after:
+            state = (tuple(basis), tuple(at_upper))
+            if state == saved:
+                raise InternalInvariantError(
+                    "Bland's rule revisited a basis: the tableau update is wrong")
+            steps += 1
+            if steps == power:
+                saved, power, steps = state, 2 * power, 0
         enter = next((j for j in range(n) if red[j] < 0 and not at_upper[j]), None)
         if enter is None:
             enter = next((j for j in range(n) if red[j] > 0 and at_upper[j]), None)

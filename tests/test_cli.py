@@ -63,6 +63,18 @@ def test_problem_rejects_floats_and_bad_shapes():
         parse_problem(dict(A2_PROBLEM, tu_mode="maybe"))
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2, -2, "1", [1], None])
+def test_problem_names_the_first_bad_matrix_entry(bad):
+    # a row that fails the one-pass check is walked again entry by entry:
+    # the message names the first bad entry of the first bad row, after a
+    # valid row and valid entries, and ahead of a later bad one
+    data = dict(A2_PROBLEM, m=4, n=2, M=[[1, -1, 0, 0], [0, 1, bad, 5]],
+                g=[1] * 4, t=[0] * 4)
+    with pytest.raises(InputFormatError) as exc:
+        parse_problem(data)
+    assert str(exc.value) == f"matrix entries must be -1, 0 or 1, got {bad!r}"
+
+
 def test_solution_roundtrip():
     s = SolutionFile(
         closest=(1, 0, -1),
@@ -269,7 +281,19 @@ def test_solve_no_project_requires_span(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["solve", str(path), "--no-project"]) == 1
+    err = capsys.readouterr().err
+    assert "target is not in the span of the lattice; project it first" in err
+    assert "Traceback" not in err
     assert main(["solve", str(path)]) == 0
+
+
+def test_solve_no_project_prints_the_projected_solve(a2_file, capsys):
+    # the worked example's target is in the span, so --no-project accepts it
+    # and prints the default solve's bytes
+    assert main(["solve", a2_file]) == 0
+    default = capsys.readouterr().out
+    assert main(["solve", a2_file, "--no-project"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_solve_projects_by_default(tmp_path, capsys):

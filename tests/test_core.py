@@ -35,6 +35,7 @@ from zonolat import (
     voronoi_first_kind,
 )
 from zonolat.core import (
+    TUMatrix,
     chain_signs,
     ghouila_houri_ok,
     heller_tompkins,
@@ -320,6 +321,25 @@ def test_conformal_refuses_above_the_enumeration_cap():
 def test_tu_matrix_entry_validation():
     with pytest.raises(InvalidInputError):
         tu_matrix([[2, 0]], mode="assert")
+
+
+@pytest.mark.parametrize("entry, unit", [(True, True), (False, True), (2, False),
+                                         (-2, False)])
+def test_entry_checks_treat_bools_as_ints(entry, unit):
+    # True and False equal 1 and 0, so every entry check accepts them as
+    # those ints; 2 and -2 are 1 x 1 minors that refute TU
+    rows = ((1, 0, -1), (0, entry, 1))
+    assert heller_tompkins(rows) is unit
+    assert ghouila_houri_ok(rows) is unit
+    if unit:
+        assert TUMatrix(n=2, m=3, entries=rows, tu_status="asserted").entries == rows
+        entries = tu_matrix(rows, mode="verify").entries
+        assert entries == rows and {type(e) for row in entries for e in row} == {int}
+    else:
+        with pytest.raises(InvalidInputError, match="must lie in"):
+            TUMatrix(n=2, m=3, entries=rows, tu_status="asserted")
+        with pytest.raises(InvalidInputError, match="must lie in"):
+            tu_matrix(rows, mode="assert")
 
 
 def test_tu_matrix_verify_rejects_bad_matrix():

@@ -10,7 +10,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import a2, box_certified_solves, check_box_certified_closest, corpus_small
+from conftest import (
+    a2,
+    box_certified_solves,
+    check_box_certified_closest,
+    corpus_small,
+    random_arcs,
+)
 from zonolat import (
     InternalInvariantError,
     InvalidInputError,
@@ -28,6 +34,7 @@ from zonolat import (
     min_mean_voronoi_vector,
     mmcc,
     primitive_chain,
+    project_onto_span,
     proximity_start,
     saturating_step,
     simplex,
@@ -36,6 +43,7 @@ from zonolat import (
     tensor_lattice,
 )
 from zonolat.mmcc import (
+    CVPInstance,
     IterationRecord,
     _is_circuit,
     lambda_lp,
@@ -289,6 +297,49 @@ def test_solve_trace_monotone():
 def test_instance_requires_span_membership():
     with pytest.raises(InvalidInputError):
         cvp_instance(a2(), (1, 0, 0), project=False)
+
+
+SPAN_MESSAGE = "target is not in the span of the lattice; project it first"
+
+
+def test_span_check_matches_the_fraction_product():
+    # CVPInstance checks M t = 0 in ints, as M (L t) = 0 for L the lcm of
+    # t's denominators; every verdict must be that of the Fraction product
+    # M t, at denominators up to about 10^12: projected targets, the same
+    # moved along kernel vectors, and one coordinate moved off the span
+    rng = random.Random(23)
+    big = 10 ** 12
+
+    def rational():
+        return F(rng.randint(-big, big), rng.randint(1, big))
+
+    weights = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(24)]
+    lattices = corpus_small() + [graphic_lattice(digraph(12, random_arcs(rng, 12, 24)),
+                                                 weights)]
+    verdicts = set()
+    for lat in lattices:
+        basis = kernel_basis(lat.matrix)
+        for _ in range(3):
+            t = [rational() for _ in range(lat.m)]
+            p = project_onto_span(t, lat)
+            j = rng.randrange(lat.m)
+            targets = [t, p, [x + (F(1, rng.randint(1, big)) if i == j else 0)
+                              for i, x in enumerate(p)]]
+            targets += [[x + rational() * z for x, z in zip(p, b)] for b in basis]
+            for target in targets:
+                in_span = not any(lat.matrix.apply(target))
+                verdicts.add(in_span)
+                if in_span:
+                    inst = CVPInstance(lattice=lat, target=target)
+                    assert inst.w0 == sum(g * x * x for g, x in zip(lat.weights, target))
+                else:
+                    with pytest.raises(InvalidInputError) as exc:
+                        CVPInstance(lattice=lat, target=target)
+                    assert str(exc.value) == SPAN_MESSAGE
+    assert verdicts == {False, True}
+    # the length check still comes first
+    with pytest.raises(InvalidInputError, match="target length does not match"):
+        CVPInstance(lattice=a2(), target=(F(1, big), F(-1, big)))
 
 
 def _corpus_instances():

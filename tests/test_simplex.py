@@ -663,6 +663,34 @@ def test_sparse_pivot_matches_the_dense_reference(monkeypatch):
     assert {none for _, _, none in cases} == {False, True}
 
 
+def test_a_wrong_pivot_raises_instead_of_cycling(monkeypatch):
+    # a sparse reduced-cost update that leaves out the first column of the
+    # pivot row's support sends Bland's rule round a cycle of bases on this
+    # LP, one of test_sparse_pivot_matches_the_dense_reference's; the
+    # watch on repeated (basis, at_upper) states turns that into an error
+    pivot = simplex._pivot
+
+    def skips_a_red_column(tab, rhs, basis, red, den, r, jc):
+        k = next(k for k, y in enumerate(tab[r]) if y)
+        skip = red is not None and abs(tab[r][jc]) == den and red[jc]
+        kept = red[k] if skip else None
+        new_den = pivot(tab, rhs, basis, red, den, r, jc)
+        if skip:
+            red[k] = kept
+        return new_den
+
+    p = _lp([2, 1, -3, 4, -2],
+            [[0, -2, -1, 2, 1], [0, -1, -2, -2, -1], [0, -3, -3, 0, 0]], [0, -6, -6],
+            upper=[None, None, None, None, 0])
+    assert solve_lp(p).status == OPTIMAL
+    # with no rows the watch starts at once, and distinct states pass it
+    free = solve_lp(_lp([-1, 2, -3], [], [], upper=[1, 1, 2]))
+    assert (free.vertex, free.flips) == ((1, 0, 2), 2)
+    monkeypatch.setattr(simplex, "_pivot", skips_a_red_column)
+    with pytest.raises(InternalInvariantError, match="revisited a basis"):
+        solve_lp(p)
+
+
 def _a2_optimum():
     """The A_2 lambda LP at the origin, whose costs are K = 5 times the
     derivatives, and the integer duals Y (over den = 2) of its optimal basis
