@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .core import (
     PrimitiveChain,
-    Rational,
     TUMatrix,
     ZonotopalLattice,
     inner_product,
@@ -31,7 +30,6 @@ from .constructions import (
     digraph,
     graphic_lattice,
     incidence_matrix,
-    minor,
     obtuse_superbasis_gram,
     tensor_lattice,
     voronoi_first_kind,

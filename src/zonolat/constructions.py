@@ -3,8 +3,8 @@
 Graphic lattices (integral circulations of a digraph), cographic lattices
 (integral cuts, represented through a fundamental-cycle matrix), lattices
 of Voronoi's first kind from an obtuse-superbasis Gram matrix, the root
-lattices A_n, tensor products A_m (x) A_n as complete bipartite graphic
-lattices, and deletion/contraction minors.
+lattices A_n, and tensor products A_m (x) A_n as complete bipartite
+graphic lattices.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ class Digraph:
 
     def __post_init__(self):
         for tail, head in self.arcs:
+            if not (isinstance(tail, int) and isinstance(head, int)):
+                raise InvalidInputError(
+                    f"arc ({tail!r}, {head!r}) has an end that is not an int")
             if tail == head:
                 raise InvalidInputError(f"self-loop at vertex {tail} is not allowed")
             if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
@@ -44,7 +47,7 @@ class Digraph:
 
 
 def digraph(vertex_count: int, arcs: Sequence[tuple[int, int]]) -> Digraph:
-    return Digraph(vertex_count=vertex_count, arcs=tuple((int(t), int(h)) for t, h in arcs))
+    return Digraph(vertex_count=vertex_count, arcs=tuple((t, h) for t, h in arcs))
 
 
 def _arc_weights(d: Digraph, g: Sequence | None) -> FracVec:
@@ -178,9 +181,30 @@ def cographic_lattice(d: Digraph, g: Sequence | None = None) -> ZonotopalLattice
 class ObtuseSuperbasisGram:
     """Gram matrix of n+1 superbasis vectors: rows sum to zero, off-diagonal
     entries are nonpositive, and the minor on rows/columns 1..n is positive
-    definite."""
+    definite, all checked at construction."""
 
     gram: tuple[FracVec, ...]
+
+    def __post_init__(self):
+        gram = self.gram
+        k = len(gram)
+        if k < 2 or any(len(r) != k for r in gram):
+            raise InvalidInputError("Gram matrix must be square of size at least 2")
+        if any(gram[i][j] != gram[j][i] for i in range(k) for j in range(k)):
+            raise InvalidInputError("Gram matrix must be symmetric")
+        if any(sum(row) != 0 for row in gram):
+            raise InvalidInputError("superbasis condition violated: rows must sum to zero")
+        if any(gram[i][j] > 0 for i in range(k) for j in range(k) if i != j):
+            raise InvalidInputError(
+                "superbasis condition violated: off-diagonal entries must be nonpositive"
+            )
+        # The checks above make G the Laplacian of its Delone graph, so by the
+        # matrix-tree theorem the basis minor is positive definite exactly
+        # when that graph is connected.
+        if component_count(k, _delone_arcs(gram)) != 1:
+            raise InvalidInputError(
+                "superbasis condition violated: basis minor is not positive definite"
+            )
 
     @property
     def size(self) -> int:
@@ -188,34 +212,7 @@ class ObtuseSuperbasisGram:
 
 
 def obtuse_superbasis_gram(rows: Sequence[Sequence]) -> ObtuseSuperbasisGram:
-    gram = tuple(frac_vec(r) for r in rows)
-    k = len(gram)
-    if k < 2 or any(len(r) != k for r in gram):
-        raise InvalidInputError("Gram matrix must be square of size at least 2")
-    for i in range(k):
-        for j in range(k):
-            if gram[i][j] != gram[j][i]:
-                raise InvalidInputError("Gram matrix must be symmetric")
-    for i in range(k):
-        if sum(gram[i]) != 0:
-            raise InvalidInputError(
-                "superbasis condition violated: rows must sum to zero"
-            )
-    for i in range(k):
-        for j in range(k):
-            if i != j and gram[i][j] > 0:
-                raise InvalidInputError(
-                    "superbasis condition violated: off-diagonal entries "
-                    "must be nonpositive"
-                )
-    # The checks above make G the Laplacian of its Delone graph, so by the
-    # matrix-tree theorem the basis minor is positive definite exactly when
-    # that graph is connected.
-    if component_count(k, _delone_arcs(gram)) != 1:
-        raise InvalidInputError(
-            "superbasis condition violated: basis minor is not positive definite"
-        )
-    return ObtuseSuperbasisGram(gram=gram)
+    return ObtuseSuperbasisGram(gram=tuple(frac_vec(r) for r in rows))
 
 
 def _delone_arcs(gram: Sequence[Sequence[Fraction]]) -> list[tuple[int, int]]:
@@ -232,15 +229,12 @@ def voronoi_first_kind(gram: ObtuseSuperbasisGram
     The Delone graph gets an arc i -> j for every i < j with G_ij < 0,
     weighted by -G_ij; the rows of its incidence matrix form a superbasis of
     the cut lattice whose Gram matrix under ( , )_g reproduces G exactly.
+    The graph is connected, as the type has checked.
     """
     g = gram.gram
     k = gram.size
     arcs = _delone_arcs(g)
     weights = [-g[i][j] for i, j in arcs]
-    if component_count(k, arcs) != 1:
-        raise InternalInvariantError(
-            "Delone graph of a valid obtuse superbasis must be connected"
-        )
     d = digraph(k, arcs)
     lattice = cographic_lattice(d, weights)
     # every incidence row r_i is in the cut lattice: (M r_i)_c is the net
@@ -315,51 +309,3 @@ def tensor_lattice(m: int, n: int, g: Sequence | None = None) -> ZonotopalLattic
             f"tensor lattice rank {lattice.rank()} != {m * n}"
         )
     return lattice
-
-
-# ---------------------------------------------------------------------------
-# Minors
-# ---------------------------------------------------------------------------
-
-
-def minor(lattice: ZonotopalLattice, delete: Sequence[int] = (),
-          contract: Sequence[int] = ()) -> ZonotopalLattice:
-    """Deletion and contraction of coordinate sets (disjoint, 0-based).
-
-    Deletion drops the columns; contraction pivots each column to a single
-    +-1 entry and removes the pivot row with the column; both preserve TU,
-    so the minor keeps the tu_status.  A coordinate whose column is
-    identically zero is free, so contraction simply drops it.
-    """
-    dset = set(int(i) for i in delete)
-    cset = set(int(i) for i in contract)
-    if dset & cset:
-        raise InvalidInputError("deletion and contraction sets must be disjoint")
-    m = lattice.m
-    for i in dset | cset:
-        if not 0 <= i < m:
-            raise InvalidInputError(f"coordinate {i} out of range")
-    alive = [j for j in range(m) if j not in dset]
-    rows = [[row[j] for j in alive] for row in lattice.matrix.entries]
-    for target in sorted(cset, reverse=True):
-        p = alive.index(target)
-        prow = next((r for r in range(len(rows)) if rows[r][p] != 0), None)
-        if prow is None:
-            for row in rows:
-                del row[p]
-            del alive[p]
-            continue
-        s = rows[prow][p]
-        for r in range(len(rows)):
-            if r != prow and rows[r][p]:
-                f = rows[r][p] * s
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[prow])]
-        del rows[prow]
-        for row in rows:
-            del row[p]
-        del alive[p]
-    rows = [row for row in rows if any(row)]
-    matrix = TUMatrix(n=len(rows), m=len(alive), entries=tuple(map(tuple, rows)),
-                      tu_status=lattice.matrix.tu_status)
-    weights = tuple(lattice.weights[j] for j in alive)
-    return ZonotopalLattice(matrix=matrix, weights=weights)

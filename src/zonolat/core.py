@@ -27,10 +27,6 @@ from .errors import (
     SizeCapError,
 )
 
-# Stored rationals are always fractions.Fraction: lowest terms and a positive
-# denominator are guaranteed by the stdlib implementation.
-Rational = Fraction
-
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
 
@@ -194,9 +190,8 @@ class TUMatrix:
     """A {-1,0,+1} matrix together with its total-unimodularity status.
 
     tu_status is "verified" (proved TU by `tu_verdict`, or by
-    construction, such as the network matrix of a spanning forest and its
-    minors) or "asserted" (caller vouches; only the entry range is
-    checked).
+    construction, such as the network matrix of a spanning forest) or
+    "asserted" (caller vouches; only the entry range is checked).
     """
 
     n: int
@@ -301,8 +296,11 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
     TU-preserving reduction and, on what it leaves, Heller-Tompkins or the
     exhaustive check, refused above VERIFY_ROW_CAP reduced rows
     (SizeCapError; `tu_decidable` says in advance).  "assert" trusts the
-    caller.  `width` is required for matrices with zero rows.
+    caller.  `width` is required for matrices with zero rows.  An entry that
+    is not an int is refused, never truncated; True and False count as 1, 0.
     """
+    if not all({int, bool}.issuperset(map(type, row)) for row in rows):
+        raise InvalidInputError("matrix entries must lie in {-1, 0, +1}")
     entries = tuple(tuple(map(int, row)) for row in rows)
     n = len(entries)
     if n == 0:
@@ -365,10 +363,12 @@ class ZonotopalLattice:
         return self.m - matrix_rank(self.matrix)
 
     def contains(self, coords: Sequence) -> bool:
-        """True iff coords is an integer vector in ker(matrix)."""
+        """True iff coords is an integer vector in ker(matrix): every entry an
+        int or an integral Fraction.  Any other entry gives False."""
         if len(coords) != self.m:
             return False
-        if any(type(c) is not int and Fraction(c).denominator != 1 for c in coords):
+        if not all(isinstance(c, int) or isinstance(c, Fraction) and c.denominator == 1
+                   for c in coords):
             return False
         return all(s == 0 for s in self.matrix.apply(coords))
 

@@ -1,4 +1,4 @@
-"""Lattice family constructors: incidence, cuts, superbases, tensors, minors."""
+"""Lattice family constructors: incidence, cuts, superbases, tensors."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from conftest import k4_digraph, triangle_digraph
 from zonolat import (
     InternalInvariantError,
     InvalidInputError,
+    ObtuseSuperbasisGram,
     ZonotopalLattice,
     a_n_lattice,
     cographic_lattice,
@@ -21,7 +22,6 @@ from zonolat import (
     incidence_matrix,
     inner_product,
     kernel_basis,
-    minor,
     obtuse_superbasis_gram,
     tensor_lattice,
     voronoi_first_kind,
@@ -48,6 +48,14 @@ def test_incidence_disjoint_arcs_trivial_kernel():
 def test_self_loop_rejected():
     with pytest.raises(InvalidInputError):
         digraph(2, [(1, 1)])
+
+
+@pytest.mark.parametrize("arc", [(0.7, 1), (1, 2.9), (1.0, 2), (F(1), 2), ("0", 1),
+                                 (None, 1)])
+def test_digraph_refuses_ends_that_are_not_ints(arc):
+    # int() once truncated (0.7, 1), (1, 2.9), (2, 0) to a triangle
+    with pytest.raises(InvalidInputError, match="not an int"):
+        digraph(3, [arc, (2, 0)])
 
 
 def test_graphic_four_cycle_rank_one():
@@ -207,6 +215,15 @@ def test_vfk_gram_validation_messages():
         obtuse_superbasis_gram([[1, -1], [0, 0]])
 
 
+def test_obtuse_superbasis_gram_type_checks_itself():
+    # built directly, bypassing obtuse_superbasis_gram, the type still
+    # refuses a Gram matrix whose Delone graph is disconnected
+    one, zero = F(1), F(0)
+    with pytest.raises(InvalidInputError, match="positive definite"):
+        ObtuseSuperbasisGram(gram=((one, -one, zero), (-one, one, zero), (zero, zero, zero)))
+    assert ObtuseSuperbasisGram(gram=((one, -one), (-one, one))).size == 2
+
+
 def _cofactor_det(rows):
     """Determinant by cofactor expansion along the first row."""
     if not rows:
@@ -278,92 +295,6 @@ def test_tensor_basis_in_kernel_and_independent():
 def test_tensor_weight_length_checked():
     with pytest.raises(Exception):
         tensor_lattice(1, 1, (1, 1))
-
-
-# ---------------------------------------------------------------------------
-# Minors
-# ---------------------------------------------------------------------------
-
-
-def test_minor_identity():
-    lat = graphic_lattice(triangle_digraph())
-    same = minor(lat)
-    assert same.matrix.entries == lat.matrix.entries
-    assert same.weights == lat.weights
-
-
-def test_minor_triangle_delete_and_contract():
-    lat = graphic_lattice(triangle_digraph())
-    assert minor(lat, delete=[0]).rank() == 0
-    contracted = minor(lat, contract=[0])
-    assert contracted.rank() == 1
-    assert {c.coords for c in enumerate_primitive_chains(contracted)} == {
-        (1, 1), (-1, -1)
-    }
-
-
-def test_minor_contraction_drops_a_zeroed_parallel_column():
-    # arcs 0 and 1 are parallel, so contracting arc 1 zeroes column 0 and
-    # contracting it then drops a free coordinate; the result is the graphic
-    # lattice of the graph with vertices 0 and 1 merged
-    lat = graphic_lattice(digraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]))
-    contracted = minor(lat, contract=[0, 1])
-    expected = graphic_lattice(digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)]))
-    assert contracted.m == 4 and contracted.rank() == expected.rank() == 2
-    assert ({c.coords for c in enumerate_primitive_chains(contracted)}
-            == {c.coords for c in enumerate_primitive_chains(expected)})
-
-
-def test_minor_disjointness_required():
-    lat = graphic_lattice(triangle_digraph())
-    with pytest.raises(InvalidInputError):
-        minor(lat, delete=[0], contract=[0])
-
-
-def _chain_set(lat):
-    return (lat.m, frozenset(c.coords for c in enumerate_primitive_chains(lat)))
-
-
-def _shift(indices, removed):
-    """Re-express original coordinate indices after `removed` were dropped."""
-    removed = sorted(removed)
-    out = []
-    for i in indices:
-        out.append(i - sum(1 for r in removed if r < i))
-    return out
-
-
-def test_deletion_composition():
-    rng = random.Random(3)
-    lat = cographic_lattice(k4_digraph())
-    for _ in range(10):
-        s1 = set(rng.sample(range(lat.m), rng.randint(0, 2)))
-        rest = [i for i in range(lat.m) if i not in s1]
-        s2 = set(rng.sample(rest, rng.randint(0, 2)))
-        once = minor(lat, delete=sorted(s1 | s2))
-        twice = minor(minor(lat, delete=sorted(s1)), delete=_shift(sorted(s2), s1))
-        assert _chain_set(once) == _chain_set(twice)
-
-
-def test_delete_contract_commute():
-    rng = random.Random(17)
-    lat = cographic_lattice(k4_digraph())
-    for _ in range(10):
-        s = set(rng.sample(range(lat.m), rng.randint(1, 2)))
-        rest = [i for i in range(lat.m) if i not in s]
-        t = set(rng.sample(rest, rng.randint(1, 2)))
-        both = minor(lat, delete=sorted(s), contract=sorted(t))
-        d_then_c = minor(minor(lat, delete=sorted(s)),
-                         contract=_shift(sorted(t), s))
-        c_then_d = minor(minor(lat, contract=sorted(t)),
-                         delete=_shift(sorted(s), t))
-        assert _chain_set(both) == _chain_set(d_then_c) == _chain_set(c_then_d)
-
-
-def test_minor_preserves_weights():
-    lat = cographic_lattice(triangle_digraph(), (F(1, 2), 1, 2))
-    sub = minor(lat, delete=[1])
-    assert sub.weights == (F(1, 2), F(2))
 
 
 def test_component_count():

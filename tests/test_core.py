@@ -232,6 +232,16 @@ def test_project_without_rows_returns_target():
     assert project_onto_span((F(5, 7), -3, 0), lat) == (F(5, 7), -3, 0)
 
 
+@pytest.mark.parametrize("coords, member", [
+    ((1, -1, 0), True), ((F(1), F(-1), 0), True), ((True, -1, False), True),
+    ((1, 0, 0), False), ((F(1, 2), F(-1, 2), 0), False), ((1.0, -1, 0), False),
+    (("a", 0, 0), False), ((None, 0, 0), False), (("1", "-1", "0"), False),
+])
+def test_contains_refuses_entries_that_are_not_integers(coords, member):
+    # a string or None once raised, and a float was summed as a float
+    assert a2().contains(coords) is member
+
+
 # ---------------------------------------------------------------------------
 # Conformal decomposition
 # ---------------------------------------------------------------------------
@@ -321,6 +331,14 @@ def test_conformal_refuses_above_the_enumeration_cap():
 def test_tu_matrix_entry_validation():
     with pytest.raises(InvalidInputError):
         tu_matrix([[2, 0]], mode="assert")
+
+
+@pytest.mark.parametrize("mode", ["verify", "assert"])
+@pytest.mark.parametrize("entry", [1.9, 1.0, F(3, 2), F(1), "1", None])
+def test_tu_matrix_refuses_entries_that_are_not_ints(entry, mode):
+    # int() once truncated 1.9 and 3/2 to 1 and called the matrix verified
+    with pytest.raises(InvalidInputError, match="must lie in"):
+        tu_matrix([[entry, 1, 1]], mode=mode)
 
 
 @pytest.mark.parametrize("entry, unit", [(True, True), (False, True), (2, False),
