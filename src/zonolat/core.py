@@ -41,14 +41,28 @@ def frac_vec(xs: Iterable) -> FracVec:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
+def _is_integer(x) -> bool:
+    """x is an int (a bool reads as 1 or 0) or an integral Fraction."""
+    return isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1
+
+
 def int_vec(xs: Iterable) -> IntVec:
+    """The entries of xs as ints, each checked by _is_integer, as
+    ZonotopalLattice.contains checks them.  Anything else, a str or a float
+    included, raises InvalidInputError."""
     out = []
     for x in xs:
-        f = x if type(x) is int else Fraction(x)
-        if f.denominator != 1:
+        if not _is_integer(x):
             raise InvalidInputError(f"expected an integer vector, got entry {x}")
-        out.append(int(f))
+        out.append(int(x))
     return tuple(out)
+
+
+def integral_multiple(xs: Sequence) -> tuple[list[int], int]:
+    """(d * xs, d) for d the least common denominator of xs, whose entries
+    are ints or Fractions."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def support(x: Sequence) -> frozenset[int]:
@@ -367,8 +381,7 @@ class ZonotopalLattice:
         int or an integral Fraction.  Any other entry gives False."""
         if len(coords) != self.m:
             return False
-        if not all(isinstance(c, int) or isinstance(c, Fraction) and c.denominator == 1
-                   for c in coords):
+        if not all(map(_is_integer, coords)):
             return False
         return all(s == 0 for s in self.matrix.apply(coords))
 
@@ -430,12 +443,6 @@ def primitive_chain(coords: Sequence, lattice: ZonotopalLattice) -> PrimitiveCha
 # ---------------------------------------------------------------------------
 
 
-def _integral_multiple(xs: FracVec) -> tuple[list[int], int]:
-    """(d * xs, d) for d the least common denominator of xs."""
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
 def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
     """g-orthogonal projection of t onto the span of the lattice.
 
@@ -452,7 +459,7 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
     """
     if len(t) != lattice.m:
         raise DimensionError(f"target length {len(t)} != coordinate count {lattice.m}")
-    ct, c = _integral_multiple(frac_vec(t))
+    ct, c = integral_multiple(frac_vec(t))
     a = lcm(*(g.numerator for g in lattice.weights))
     u = [a // g.numerator * g.denominator for g in lattice.weights]
     rows = lattice.matrix.entries

@@ -30,6 +30,7 @@ from .core import (
     chain_signs,
     frac_vec,
     int_vec,
+    integral_multiple,
     primitive_chain,
     project_onto_span,
 )
@@ -67,8 +68,7 @@ class CVPInstance:
         # M T = 0, and w(0) = sum_i H_i t_i / 2K = (H . T) / 2KL
         terms = [(g.numerator, g.denominator, t.numerator, t.denominator)
                  for g, t in zip(self.weights, self.target)]
-        L = math.lcm(*(b for *_, b in terms))
-        T = [a * (L // b) for *_, a, b in terms]
+        T, L = integral_multiple(self.target)
         M = self.lattice.matrix
         if any(sum(map(operator.mul, row, T)) for row in M.entries):
             raise InvalidInputError(
@@ -177,9 +177,9 @@ def dual_certificate_holds(v: Sequence, y: Sequence, instance: CVPInstance) -> b
     if (len(y) != len(rows) or len(v) != instance.m or any(type(a) is not int for a in v)
             or any(type(a) not in (int, Fraction) for a in y)):
         return False
-    d = math.lcm(*(a.denominator for a in y))
+    dy, d = integral_multiple(y)
     mty = [0] * instance.m
-    for Y, row in zip((a.numerator * (d // a.denominator) for a in y), rows):
+    for Y, row in zip(dy, rows):
         if Y:
             for i, e in enumerate(row):
                 if e:
@@ -211,7 +211,9 @@ def lambda_lp(v: Sequence, instance: CVPInstance) -> simplex.LPProblem:
     derivatives, so every datum is an int:
         min  sum_i K c_i^+(v_i) x_i^+ - K c_i^-(v_i) x_i^-
         s.t. M (x+ - x-) = 0,  sum_i (x_i^+ + x_i^-) = 1,  x+, x- >= 0.
-    Its duals are K times those of the LP in the paper's units.
+    Its duals are K times those of the LP in the paper's units.  For any
+    integer M it is feasible, at x_i^+ = x_i^- = 1/2, and bounded, since
+    sum x = 1, so solve_lp returns its optimum.
     """
     slopes = [_scaled_slopes(i, x, instance) for i, x in enumerate(v)]
     obj = tuple(hi for _, hi in slopes) + tuple(-lo for lo, _ in slopes)
@@ -232,8 +234,6 @@ def compute_lambda(v: Sequence, instance: CVPInstance,
     if not instance.lattice.contains(vv):
         raise InvalidInputError(f"{vv} is not a lattice member")
     res = simplex.solve_lp(lambda_lp(vv, instance), start)
-    if res.status != simplex.OPTIMAL:
-        raise InternalInvariantError(f"lambda LP reported {res.status}")
     return Fraction(max(0, -res.optimum), res.den * instance.K), res
 
 
@@ -343,8 +343,10 @@ def proximity_start(instance: CVPInstance) -> tuple[IntVec, tuple[Fraction, ...]
     Its costs are K c^+, so its duals over K are in the units of
     dual_certificate_holds, which solve_cvp tries them with.  An integral t
     is returned as it is, with y = 0: c_i^-(t_i) = -g_i <= 0 <= g_i =
-    c_i^+(t_i).  A vertex that is not integral or not in the lattice raises
-    InternalInvariantError: M is then not TU.
+    c_i^+(t_i).  The LP is feasible and bounded for any integer M, so
+    solve_lp returns its optimum.  A vertex that is not integral raises
+    InternalInvariantError: M is then not TU.  An integral one is a lattice
+    vector, since solve_lp checks M[:, F] z = -M floor(t) exactly.
     """
     t = instance.target
     base = [math.floor(x) for x in t]
@@ -358,17 +360,12 @@ def proximity_start(instance: CVPInstance) -> tuple[IntVec, tuple[Fraction, ...]
             b=tuple(-sum(e * x for e, x in zip(row, base) if e) for row in rows),
             upper=(1,) * len(free),
         ))
-        if res.status != simplex.OPTIMAL:
-            raise InternalInvariantError(f"box LP reported {res.status}")
         for j, z in zip(free, res.vertex):
             if z not in (0, res.den):
                 raise InternalInvariantError(f"box LP vertex has entry {z}/{res.den}")
             base[j] += z // res.den
         y = _row_duals(res, instance)
-    v0 = tuple(base)
-    if not instance.lattice.contains(v0):
-        raise InternalInvariantError("box LP vertex is not a lattice vector")
-    return v0, y
+    return tuple(base), y
 
 
 def _row_duals(res: simplex.LPResult, instance: CVPInstance) -> tuple[Fraction, ...]:

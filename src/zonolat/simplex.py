@@ -22,14 +22,15 @@ division is exact because every entry is a subdeterminant of the data
 inside the pivot loop.  A pivot whose entry equals den, most of them on a
 totally unimodular M, leaves an entry unchanged wherever the pivot row or
 the entering column is 0, so it rewrites only the columns where the pivot
-row is nonzero, in the rows where the entering column is.  Optimality,
-infeasibility and unboundedness are decided exactly, and identical inputs
-always produce the identical pivot sequence and vertex.  The result
-speaks ints too: the optimum, the vertex and the duals come out as den
-times their values, read straight off the rhs, the bounds and the
-reduced-cost row, together with den.  Every optimal solve also checks, in
-integers, that its vertex is feasible and that its duals, those of the
-bounds included, prove the optimum.
+row is nonzero, in the rows where the entering column is.  Infeasibility
+and unboundedness are decided exactly and raise InvalidInputError, so
+every result is optimal, and identical inputs always produce the
+identical pivot sequence and vertex.  The result speaks ints too: the
+optimum, the vertex and the duals come out as den times their values,
+read straight off the rhs, the bounds and the reduced-cost row, together
+with den.  Every solve also checks, in integers, that its vertex is
+feasible and that its duals, those of the bounds included, prove the
+optimum.
 `eliminate` runs the same pivot as a fraction-free Gauss-Jordan reduction,
 the one exact elimination of the solver: rank, projections and circuit
 tests.
@@ -42,10 +43,6 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import DimensionError, InternalInvariantError, InvalidInputError
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -103,33 +100,34 @@ class Tableau:
 
 @dataclass(frozen=True)
 class LPResult:
-    """The outcome of solve_lp.  An optimal one is in ints over den = |det B|
-    of its final basis: `optimum`, `vertex` and `duals` are den times c.x,
-    the basic optimal vertex x and the duals y, one per row of A (the
-    bounds' are left out, so A^T y <= den c and b.y == optimum without
-    them).  A row whose artificial is still basic has the dual 0; where the
-    rows are dependent the duals are not unique, and these are the final
-    basis's.  `tableau` is the warm start of solve_lp.  `pivots` counts the
-    pivots of phase 1 and of phase 2, and `flips` the bound flips of both
-    phases; like `tableau` and `duals`, they are left out of ==."""
+    """The optimum of solve_lp, in ints over den = |det B| of its final
+    basis: `optimum`, `vertex` and `duals` are den times c.x, the basic
+    optimal vertex x and the duals y, one per row of A (the bounds' are
+    left out, so A^T y <= den c and b.y == optimum without them).  A row
+    whose artificial is still basic has the dual 0; where the rows are
+    dependent the duals are not unique, and these are the final basis's.
+    `tableau` is the warm start of solve_lp.  `pivots` counts the pivots of
+    phase 1 and of phase 2, and `flips` the bound flips of both phases;
+    like `tableau` and `duals`, they are left out of ==."""
 
-    status: str
-    optimum: int | None
-    vertex: tuple[int, ...] | None
-    den: int = 1
-    tableau: Tableau | None = field(default=None, compare=False, repr=False)
-    duals: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    pivots: tuple[int, int] = field(default=(0, 0), compare=False)
-    flips: int = field(default=0, compare=False)
+    optimum: int
+    vertex: tuple[int, ...]
+    den: int
+    tableau: Tableau = field(compare=False, repr=False)
+    duals: tuple[int, ...] = field(compare=False, repr=False)
+    pivots: tuple[int, int] = field(compare=False)
+    flips: int = field(compare=False)
 
 
 def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     """Exact optimum and basic optimal vertex via two-phase Bland simplex.
 
-    `start` is an optimal result of an earlier solve with the same A, b and
-    bounds.  Its final tableau stays primal feasible whatever the objective,
-    so phase 1 is skipped and phase 2 reprices that basis for p.c.  The
-    start is read, never modified, so one result can seed several solves.
+    An infeasible or unbounded p raises InvalidInputError, which names
+    which of the two it is.  `start` is the result of an earlier solve
+    with the same A, b and bounds.  Its final tableau stays primal feasible
+    whatever the objective, so phase 1 is skipped and phase 2 reprices that
+    basis for p.c.  The start is read, never modified, so one result can
+    seed several solves.
 
     Phase 2 keeps the reduced-cost row over the tableau's denominator too:
     den * c_j - c_B . (den B^-1 A)_j.  On the artificial columns, which
@@ -143,17 +141,11 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     constraints = (p.A, p.b, p.upper)
     n = len(p.c)
     if start is None:
-        feasible, phase_one, flips = _phase_one(p)
-        if feasible is None:
-            return LPResult(status=INFEASIBLE, optimum=None, vertex=None,
-                            pivots=(phase_one, 0), flips=flips)
-        tab, rhs, den, basis, at_upper = feasible
+        tab, rhs, den, basis, at_upper, phase_one, flips = _phase_one(p)
     else:
         warm = start.tableau
-        if warm is None or warm.constraints != constraints:
-            raise InvalidInputError(
-                "start must be an optimal result for the same A, b and bounds"
-            )
+        if warm.constraints != constraints:
+            raise InvalidInputError("start must be a result for the same A, b and bounds")
         tab, rhs, den, basis = list(warm.rows), list(warm.rhs), warm.den, list(warm.basis)
         at_upper = [j in warm.at_upper for j in range(n)]
         phase_one = flips = 0
@@ -164,11 +156,7 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
             for j, t in enumerate(row):
                 if t:
                     red[j] -= cb * t
-    status, den, phase_two, flipped = _bland(tab, rhs, basis, red, den, p.upper, at_upper,
-                                             False)
-    work = {"pivots": (phase_one, phase_two), "flips": flips + flipped}
-    if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED, optimum=None, vertex=None, **work)
+    den, phase_two, flipped = _bland(tab, rhs, basis, red, den, p.upper, at_upper, False)
     x = [u * den if up else 0 for u, up in zip(p.upper, at_upper)]  # den * x
     for bi, value in zip(basis, rhs):
         if bi < n:
@@ -181,8 +169,9 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     tableau = Tableau(constraints=constraints, rows=tuple(map(tuple, tab)),
                       rhs=tuple(rhs), den=den, basis=tuple(basis),
                       at_upper=tuple(j for j in range(n) if at_upper[j]))
-    return LPResult(status=OPTIMAL, optimum=sum(cj * xj for cj, xj in zip(p.c, x)),
-                    vertex=tuple(x), den=den, tableau=tableau, duals=tuple(y), **work)
+    return LPResult(optimum=sum(cj * xj for cj, xj in zip(p.c, x)), vertex=tuple(x), den=den,
+                    tableau=tableau, duals=tuple(y), pivots=(phase_one, phase_two),
+                    flips=flips + flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +182,13 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
 def _phase_one(p: LPProblem):
     """A feasible basis of p's constraints, and the pivots and flips it took.
 
-    The basis comes as (rows, rhs, den, basis, at_upper) in canonical form,
-    or None when the system is infeasible.  The tableau's rows are A x = b,
-    each negated where b_i < 0, and its columns are x and one artificial
-    per row.  The artificials start basic (det 1) and every x_j at 0;
-    phase 1 minimizes the sum of the artificials, and the system is
-    feasible when that reaches 0.  An artificial may end basic at 0; it
-    stays in the basis for phase 2 (see _bland).
+    Returns (rows, rhs, den, basis, at_upper, pivots, flips), the basis in
+    canonical form; an infeasible system raises InvalidInputError.  The
+    tableau's rows are A x = b, each negated where b_i < 0, and its columns
+    are x and one artificial per row.  The artificials start basic (det 1)
+    and every x_j at 0; phase 1 minimizes the sum of the artificials, and
+    the system is feasible when that reaches 0.  An artificial may end
+    basic at 0; it stays in the basis for phase 2 (see _bland).
     """
     n, m = len(p.c), len(p.b)
     tab = [[-a if bi < 0 else a for a in row] + [int(q == i) for q in range(m)]
@@ -210,12 +199,10 @@ def _phase_one(p: LPProblem):
     # minus the column sums of x's columns; no rows leave every sum 0
     red = [-sum(column) for column in zip(*tab)][:n] if tab else [0] * n
     red += [0] * m
-    status, den, pivots, flips = _bland(tab, rhs, basis, red, 1, p.upper, at_upper, True)
-    if status != OPTIMAL:
-        raise InternalInvariantError("phase-1 objective is bounded by zero")
+    den, pivots, flips = _bland(tab, rhs, basis, red, 1, p.upper, at_upper, True)
     if any(value for bi, value in zip(basis, rhs) if bi >= n):
-        return None, pivots, flips
-    return (tab, rhs, den, basis, at_upper), pivots, flips
+        raise InvalidInputError("the LP is infeasible")
+    return tab, rhs, den, basis, at_upper, pivots, flips
 
 
 def _move(tab, rhs, j: int, step: int) -> None:
@@ -306,7 +293,9 @@ def eliminate(rows: Sequence[Sequence[int]], rhs: Sequence[int] | None = None):
 def _bland(tab, rhs, basis, red, den: int, upper, at_upper, phase_one: bool):
     """Pivot and flip by Bland's rule until optimal.
 
-    Returns the status, the final den, and the pivots and flips made.
+    Returns the final den and the pivots and flips made.  An unbounded
+    objective raises InvalidInputError in phase 2; in phase 1, whose
+    objective is bounded below by 0, it raises InternalInvariantError.
     `upper` and `at_upper` cover the n variables.  The artificials, the
     columns after them, are unbounded and may enter in phase 1; in phase 2
     they have the bound 0 and never enter, so a basic one stops any
@@ -346,7 +335,7 @@ def _bland(tab, rhs, basis, red, den: int, upper, at_upper, phase_one: bool):
         if enter is None:
             enter = next((j for j in range(n, last) if red[j] < 0), None)
         if enter is None:
-            return OPTIMAL, den, pivots, flips
+            return den, pivots, flips
         down = enter < n and at_upper[enter]
         bound = bounds[enter]
         # the best step so far is num / q, reached by the basic variable of
@@ -365,7 +354,9 @@ def _bland(tab, rhs, basis, red, den: int, upper, at_upper, phase_one: bool):
                     or step * q == num * size and (b >= n, up, b) < key):
                 best, rises, num, q, key = i, up, step, size, (b >= n, up, b)
         if num is None:
-            return UNBOUNDED, den, pivots, flips
+            if phase_one:
+                raise InternalInvariantError("phase-1 objective is bounded by zero")
+            raise InvalidInputError("the LP is unbounded")
         if best < 0:
             at_upper[enter] = not down
             _move(tab, rhs, enter, -bound if down else bound)

@@ -39,6 +39,13 @@ def k4_digraph():
     return digraph(4, K4_ARCS)
 
 
+#: Not TU: the kernel is spanned by (1, 2, -1), not a primitive chain.
+NON_TU_M = [[1, 0, 1], [-1, 1, 1]]
+#: Not TU: its pivot block [[1, 1], [1, -1]] has determinant -2 (den = 2),
+#: and the kernel is spanned by (1, -1, -2).
+DEN_TWO_M = [[1, 1, 0], [1, -1, 1]]
+
+
 def a2(g=None) -> ZonotopalLattice:
     return a_n_lattice(2, g)
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_arcs
+from conftest import DEN_TWO_M, NON_TU_M, random_arcs
 from zonolat.cli import (
     InputFormatError,
     SolutionFile,
@@ -208,8 +208,6 @@ def test_solve_rejects_non_tu(tmp_path, capsys):
     assert "not totally unimodular" in capsys.readouterr().err
 
 
-#: Not TU: the kernel is spanned by (1, 2, -1), not a primitive chain.
-NON_TU_M = [[1, 0, 1], [-1, 1, 1]]
 #: lambda(0) = 4/5 < max g = 1, so the walk starts at the origin, and its
 #: first chain, (1, 2, -1) rescaled, fails the solver's self-check
 NON_TU_TARGET = ["3/5", "6/5", "-3/5"]
@@ -467,7 +465,7 @@ def test_check_command(capsys, a2_file):
 
 def test_check_asserted_non_tu_matrix(tmp_path, capsys):
     # its kernel basis comes off a pivot block of determinant -2 (den = 2)
-    data = {"m": 3, "n": 2, "M": [[1, 1, 0], [1, -1, 1]], "g": [1, 1, 1],
+    data = {"m": 3, "n": 2, "M": DEN_TWO_M, "g": [1, 1, 1],
             "t": [1, -1, -2], "tu_mode": "assert"}
     path = tmp_path / "den2.json"
     path.write_text(json.dumps(data), encoding="utf-8")

@@ -11,6 +11,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    DEN_TWO_M,
+    NON_TU_M,
     a2,
     box_certified_solves,
     check_box_certified_closest,
@@ -20,10 +22,12 @@ from conftest import (
 from zonolat import (
     InternalInvariantError,
     InvalidInputError,
+    ZonotopalLattice,
     brute_force_cvp,
     certify_closest,
     cographic_lattice,
     compute_lambda,
+    conformal_decompose,
     cost,
     cvp_instance,
     digraph,
@@ -41,6 +45,7 @@ from zonolat import (
     solve_cvp,
     stopping_data,
     tensor_lattice,
+    tu_matrix,
 )
 from zonolat.mmcc import (
     CVPInstance,
@@ -271,8 +276,6 @@ def test_solve_cvp_k22_rounding():
 
 
 def test_solve_cvp_rank_zero():
-    from zonolat import ZonotopalLattice, tu_matrix
-
     lat = ZonotopalLattice(matrix=tu_matrix([[1, 0], [0, 1]]), weights=(1, 1))
     sol = solve_cvp(cvp_instance(lat, (F(1, 3), F(2, 7)), project=True))
     assert sol.closest == (0, 0)
@@ -427,8 +430,6 @@ def test_step_cap_binds_on_heavy_coordinate():
     # would price the reverse arc of coordinate 5 (g = 6) below -lambda and
     # raise lambda from 1667/168 to 445/42; the cap 1 + floor(lam / g_max)
     # shortens it to 2
-    from zonolat import ZonotopalLattice, tu_matrix
-
     rows = [
         [1, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         [1, -1, 0, -1, -1, -1, -1, 1, 1, 0, 0, 1, 0],
@@ -813,3 +814,52 @@ def test_integral_target_takes_the_box_step_with_one_lp(monkeypatch):
 def test_compute_lambda_rejects_a_non_lattice_vector():
     with pytest.raises(InvalidInputError, match="not a lattice member"):
         compute_lambda((1, 0, 0), a2_instance())
+
+
+@pytest.mark.parametrize("rows, kernel", [(NON_TU_M, (1, 2, -1)), (DEN_TWO_M, (1, -1, -2))])
+def test_lps_are_feasible_and_bounded_without_tu(rows, kernel):
+    # the lambda LP holds x_i^+ = x_i^- = 1/2 and sums to 1, and the box LP
+    # holds t - floor t inside [0, 1]^F, for any integer M: solve_lp returns
+    # an optimum (an InvalidInputError would name an infeasible or unbounded
+    # LP), so mmcc checks no LP outcome.  Without TU the box vertex may be
+    # fractional, which proximity_start refuses; an integral one is in the
+    # lattice, since solve_lp checked its rows exactly
+    lattice = ZonotopalLattice(matrix=tu_matrix(rows, mode="assert"), weights=(1, 1, 1))
+    integral = fractional = 0
+    for r in (F(3, 5), F(-19, 5), F(1, 2), F(-5, 4), F(2, 3), F(1, 3)):
+        inst = cvp_instance(lattice, [r * x for x in kernel], project=False)
+        lam, res = compute_lambda((0, 0, 0), inst)
+        assert lam >= 0 and res.den > 1
+        try:
+            v0, _ = proximity_start(inst)
+        except InternalInvariantError as exc:
+            assert "box LP vertex has entry" in str(exc)
+            fractional += 1
+            continue
+        assert lattice.contains(v0)
+        compute_lambda(v0, inst)
+        integral += 1
+    assert integral and fractional
+
+
+@pytest.mark.parametrize("coords", [
+    ("1", -1.0, 0), (1.0, -1, 0), ("1", "-1", "0"), (None, 0, 0), (F(1, 2), F(-1, 2), 0),
+])
+def test_integer_vector_inputs_refuse_what_contains_refuses(coords):
+    # a str or float once passed core.int_vec when its value was integral,
+    # so primitive_chain and compute_lambda read ("1", -1.0, 0) as (1, -1, 0)
+    lattice = a2()
+    assert not lattice.contains(coords)
+    for call in (primitive_chain, conformal_decompose):
+        with pytest.raises(InvalidInputError, match="expected an integer vector"):
+            call(coords, lattice)
+    with pytest.raises(InvalidInputError, match="expected an integer vector"):
+        compute_lambda(coords, a2_instance())
+
+
+def test_integer_vector_inputs_take_ints_bools_and_integral_fractions():
+    coords = (True, F(-1), False)
+    assert a2().contains(coords)
+    u = primitive_chain(coords, a2())
+    assert u.coords == (1, -1, 0) and all(type(x) is int for x in u.coords)
+    assert compute_lambda(coords, a2_instance()) == compute_lambda((1, -1, 0), a2_instance())

@@ -1,4 +1,5 @@
-"""Exact simplex: worked values, statuses, and a vertex-enumeration oracle."""
+"""Exact simplex: worked values, infeasible and unbounded LPs refused, and a
+vertex-enumeration oracle."""
 
 from __future__ import annotations
 
@@ -24,19 +25,24 @@ from zonolat import (
 )
 from zonolat.mmcc import lambda_lp
 from zonolat.oracle import row_reduce
-from zonolat.simplex import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    _certify_optimal,
-    eliminate,
-)
+from zonolat.simplex import LPResult, _certify_optimal, eliminate
 
 
 def _lp(c, A, b, upper=None) -> LPProblem:
     """The LPProblem of int data given as lists; upper defaults to no bounds."""
     return LPProblem(c=tuple(c), A=tuple(map(tuple, A)), b=tuple(b),
                      upper=(None,) * len(c) if upper is None else tuple(upper))
+
+
+def _verdict(p, start=None):
+    """solve_lp(p, start), or "infeasible" or "unbounded" where it raises
+    InvalidInputError naming which of the two p is."""
+    try:
+        return solve_lp(p, start)
+    except InvalidInputError as exc:
+        verdict = str(exc).split()[-1]
+        assert verdict in ("infeasible", "unbounded"), exc
+        return verdict
 
 
 def _assert_duals_prove_optimum(p, r):
@@ -53,7 +59,6 @@ def test_min_x_at_least_three():
     # min x s.t. x - s = 3, s >= 0
     p = _lp([1, 0], [[1, -1]], [3])
     r = solve_lp(p)
-    assert r.status == OPTIMAL
     assert r.optimum == 3
     assert r.vertex == (3, 0)
     assert r.duals == (1,)
@@ -69,7 +74,6 @@ def test_lambda_lp_a2_optimum():
     inst = _a2_instance()
     p = lambda_lp((0, 0, 0), inst)
     r = solve_lp(p)
-    assert r.status == OPTIMAL
     assert F(r.optimum, r.den) == -inst.K * F(1, 5)
     _assert_duals_prove_optimum(p, r)
 
@@ -93,18 +97,20 @@ def test_non_integral_data_rejected(where, bad):
 
 def test_contradictory_equalities_infeasible():
     p = _lp([1], [[1], [1]], [0, 1])
-    assert solve_lp(p).status == INFEASIBLE
+    with pytest.raises(InvalidInputError, match="the LP is infeasible"):
+        solve_lp(p)
 
 
 def test_unbounded():
     p = _lp([-1], [], [])
-    assert solve_lp(p).status == UNBOUNDED
+    with pytest.raises(InvalidInputError, match="the LP is unbounded"):
+        solve_lp(p)
 
 
 def test_upper_bound_column():
     p = _lp([-1], [], [], upper=[5])
     r = solve_lp(p)
-    assert r.status == OPTIMAL and r.optimum == -5 and r.vertex == (5,)
+    assert r.optimum == -5 and r.vertex == (5,)
     assert r.duals == ()  # the bound's dual is left out
     with pytest.raises(InvalidInputError):
         _lp([-1], [], [], upper=[-1])
@@ -125,7 +131,7 @@ def test_bound_row_slacks_start_basic(monkeypatch):
 
     monkeypatch.setattr(simplex, "_pivot", counting)
     r = solve_lp(_lp([1, 2, 1], [], [], upper=[3, 1, 7]))
-    assert r.status == OPTIMAL and r.optimum == 0 and r.vertex == (0, 0, 0)
+    assert r.optimum == 0 and r.vertex == (0, 0, 0)
     assert pivots == []
 
 
@@ -135,7 +141,7 @@ def test_bound_rows_have_no_artificial_column():
     # of A, with no slack and no artificial for the bounds of x_0 and x_2
     r = solve_lp(_lp([-1, -1, 0], [[1, 1, 1], [1, -1, 0]], [4, 0],
                             upper=[3, None, 1]))
-    assert r.status == OPTIMAL and F(r.optimum, r.den) == -4
+    assert F(r.optimum, r.den) == -4
     rows = r.tableau.rows
     assert len(rows) == 2 and {len(row) for row in rows} == {3 + 2}
 
@@ -146,7 +152,7 @@ def test_bound_flip_makes_no_pivot():
     # costs at the bounds, prove the optimum -11
     p = _lp([-1, -2], [], [], upper=[3, 4])
     r = solve_lp(p)
-    assert r.status == OPTIMAL and r.vertex == (3, 4) and r.optimum == -11 and r.den == 1
+    assert r.vertex == (3, 4) and r.optimum == -11 and r.den == 1
     assert r.pivots == (0, 0) and r.flips == 2
     assert r.tableau.rows == () and r.tableau.at_upper == (0, 1)
     assert _certify_optimal(p, r.vertex, r.den, [-1, -2]) is None
@@ -194,7 +200,6 @@ def test_warm_start_reprices_basis():
     cold = solve_lp(q)
     warm = solve_lp(q, start=first)
     # lambda(1, 0, -1) = 0: the optimum is K times the least mean cost 1/5
-    assert warm.status == OPTIMAL
     assert F(warm.optimum, warm.den) == F(cold.optimum, cold.den) == inst.K * F(1, 5)
     _assert_duals_prove_optimum(q, warm)
     assert solve_lp(p, start=first) == first
@@ -209,9 +214,6 @@ def test_warm_start_rejects_other_constraints():
     for q in (other_b, other_a):
         with pytest.raises(InvalidInputError):
             solve_lp(q, start=first)
-    infeasible = solve_lp(_lp([1], [[1], [1]], [0, 1]))
-    with pytest.raises(InvalidInputError):
-        solve_lp(_lp([1], [[1], [1]], [0, 1]), start=infeasible)
 
 
 def test_determinism_repeated_solves():
@@ -254,10 +256,11 @@ def _solve_square(rows, rhs):
 
 
 def _enumerate_optimum(c, A, b):
-    """Minimum of c.x over {A x = b, x >= 0} by basis enumeration.
+    """Minimum of c.x over {A x = b, x >= 0} by basis enumeration, or None
+    when the region is empty.
 
-    Returns (status, optimum).  Assumes the feasible region is bounded or
-    empty, which holds for the generated family below.
+    Assumes the feasible region is bounded or empty, which holds for the
+    generated family below.
     """
     m, n = len(A), len(c)
     best = None
@@ -273,9 +276,7 @@ def _enumerate_optimum(c, A, b):
         val = sum(F(c[j]) * v for j, v in zip(cols, sol))
         if best is None or val < best:
             best = val
-    if not feasible:
-        return INFEASIBLE, None
-    return OPTIMAL, best
+    return best if feasible else None
 
 
 def _integral_lp(c, A, b, upper=None):
@@ -310,7 +311,8 @@ def _assert_int_result(r):
 
 
 def test_random_lps_against_basis_enumeration():
-    rng = random.Random(1234)
+    # an infeasible LP raises, naming it, where the oracle finds no vertex
+    rng, infeasible = random.Random(1234), 0
     for _ in range(40):
         n = rng.randint(2, 5)
         m = rng.randint(1, min(3, n))
@@ -320,27 +322,30 @@ def test_random_lps_against_basis_enumeration():
         b = [F(0)] * (m - 1) + [F(rng.randint(1, 4))]
         c = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
         p, factor = _integral_lp(c, A, b)
-        got = solve_lp(p)
-        status, best = _enumerate_optimum(c, A, b)
-        assert got.status == status, (A, b, c)
-        if status == OPTIMAL:
+        got = _verdict(p)
+        best = _enumerate_optimum(c, A, b)
+        if best is None:
+            assert got == "infeasible", (A, b, c)
+            infeasible += 1
+        else:
             _assert_int_result(got)
             assert F(got.optimum, got.den) / factor == best, (A, b, c)
             _assert_duals_prove_optimum(p, got)
+    assert infeasible > 0
 
 
 def test_degenerate_redundant_rows():
     # duplicated constraint rows must not confuse phase 1
     p = _lp([1, 1], [[1, 1], [1, 1]], [2, 2])
     r = solve_lp(p)
-    assert r.status == OPTIMAL and r.optimum == 2
+    assert r.optimum == 2
     assert 0 in r.duals  # the row whose artificial stays basic
     _assert_duals_prove_optimum(p, r)
 
 
 def test_random_fractional_lps_against_basis_enumeration():
     # fractional A, b, c and upper bounds, cleared to ints by _integral_lp
-    rng = random.Random(4321)
+    rng, infeasible = random.Random(4321), 0
     for _ in range(40):
         n = rng.randint(2, 5)
         m = rng.randint(1, min(3, n))
@@ -353,7 +358,7 @@ def test_random_fractional_lps_against_basis_enumeration():
         upper = [F(rng.randint(1, 5), rng.randint(1, 4)) if rng.random() < 0.3 else None
                  for _ in range(n)]
         p, factor = _integral_lp(c, A, b, upper)
-        got = solve_lp(p)
+        got = _verdict(p)
         # the oracle sees each bound x_j <= u as a row x_j + s = u
         bounded = [(j, u) for j, u in enumerate(upper) if u is not None]
         wide = [row + [F(0)] * len(bounded) for row in A]
@@ -361,29 +366,31 @@ def test_random_fractional_lps_against_basis_enumeration():
             row = [F(0)] * (n + len(bounded))
             row[j] = row[n + k] = F(1)
             wide.append(row)
-        status, best = _enumerate_optimum(c + [F(0)] * len(bounded), wide,
-                                          b + [u for _, u in bounded])
-        assert got.status == status, (A, b, c, upper)
-        if status == OPTIMAL:
+        best = _enumerate_optimum(c + [F(0)] * len(bounded), wide,
+                                  b + [u for _, u in bounded])
+        if best is None:
+            assert got == "infeasible", (A, b, c, upper)
+            infeasible += 1
+        else:
             _assert_int_result(got)
             assert F(got.optimum, got.den) / factor == best, (A, b, c, upper)
             if not bounded:
                 _assert_duals_prove_optimum(p, got)
+    assert infeasible > 0
 
 
 def test_random_phase_one_against_basis_enumeration():
     # all-zero costs leave the verdict to phase 1, which here flips and
     # pivots bounded and free variables alike (zero bounds included); every
     # feasible system must come back as a vertex inside its bounds
-    rng = random.Random(2718)
-    flips = 0
+    rng, infeasible, flips = random.Random(2718), 0, 0
     for _ in range(60):
         n = rng.randint(2, 6)
         m = rng.randint(1, min(3, n))
         A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
         b = [rng.randint(-3, 3) for _ in range(m)]
         upper = [rng.randint(0, 3) if rng.random() < 0.6 else None for _ in range(n)]
-        got = solve_lp(_lp([0] * n, A, b, upper=upper))
+        got = _verdict(_lp([0] * n, A, b, upper=upper))
         bounded = [(j, u) for j, u in enumerate(upper) if u is not None]
         wide = [row + [0] * len(bounded) for row in A]
         for k, (j, _u) in enumerate(bounded):
@@ -394,15 +401,17 @@ def test_random_phase_one_against_basis_enumeration():
         # has none, so it cannot tell feasible from infeasible there
         if len(eliminate(wide)[2]) < len(wide):
             continue
-        status, _ = _enumerate_optimum([0] * len(wide[0]), wide, b + [u for _, u in bounded])
-        assert got.status == status, (A, b, upper)
-        if status == OPTIMAL:
+        best = _enumerate_optimum([0] * len(wide[0]), wide, b + [u for _, u in bounded])
+        if best is None:
+            assert got == "infeasible", (A, b, upper)
+            infeasible += 1
+        else:
             x, den = got.vertex, got.den
             assert got.optimum == 0 and got.pivots[1] == 0
             assert all(sum(a * v for a, v in zip(row, x)) == bi * den for row, bi in zip(A, b))
             assert all(0 <= v and (u is None or v <= u * den) for v, u in zip(x, upper))
-        flips += got.flips
-    assert flips > 0
+            flips += got.flips
+    assert flips > 0 and infeasible > 0
 
 
 def test_integer_tableau_a2_lambda_lp():
@@ -434,7 +443,6 @@ def test_negated_row_duals():
     # the sign of the row as given
     p = _lp([1, 0], [[-1, 1]], [-3])
     r = solve_lp(p)
-    assert r.status == OPTIMAL
     assert r.optimum == 3 and r.vertex == (3, 0)
     assert r.duals == (-1,)
     _assert_duals_prove_optimum(p, r)
@@ -457,10 +465,10 @@ def test_negative_pivot_keeps_den_positive(monkeypatch):
     p = _lp(c, A, b)
     r = solve_lp(p)
     assert pivots[r.pivots[0]:] == [(3, -1)]  # phase 2's one pivot
-    assert r.status == OPTIMAL and r.tableau.den > 0
+    assert r.tableau.den > 0
     assert len(r.tableau.rows) == 3 and 4 in r.tableau.basis
     # the oracle needs full row rank: leave out row 0, half of row 1
-    assert (OPTIMAL, F(r.optimum, r.den)) == _enumerate_optimum(c, A[1:], b[1:]) == (OPTIMAL, -4)
+    assert F(r.optimum, r.den) == _enumerate_optimum(c, A[1:], b[1:]) == -4
     _assert_duals_prove_optimum(p, r)
 
 
@@ -469,7 +477,7 @@ def test_redundant_row_keeps_its_artificial_basic_at_zero():
     # row 1's artificial (column 2 + 1) stays basic at 0, with the dual 0
     p = _lp([1, 1], [[1, 1], [1, 1]], [2, 2])
     r = solve_lp(p)
-    assert (r.status, r.vertex, r.den, r.optimum) == (OPTIMAL, (2, 0), 1, 2)
+    assert (r.vertex, r.den, r.optimum) == ((2, 0), 1, 2)
     t = r.tableau
     assert t.basis == (0, 3) and t.rhs == (2, 0) and len(t.rows) == 2
     assert r.duals == (1, 0)
@@ -529,21 +537,22 @@ def test_basic_artificials_stay_at_zero_in_phase_two(monkeypatch):
                       ("_phase_one", in_phase_one)):
         monkeypatch.setattr(simplex, name, spy)
     rng = random.Random(1977)
-    basic = 0
+    basic = unbounded = 0
     for _ in range(300):
         p = _dependent_lp(rng)
-        r = solve_lp(p)
-        if r.status == UNBOUNDED:
+        r = _verdict(p)  # feasible by construction
+        if r == "unbounded":
+            unbounded += 1
             continue
-        assert r.status == OPTIMAL
         n = len(p.c)
         basic += any(bi >= n for bi in r.tableau.basis)
         q = _lp([rng.randint(-4, 4) for _ in range(n)], p.A, p.b, upper=p.upper)
-        warm, cold = solve_lp(q, start=r), solve_lp(q)
-        assert warm.status == cold.status
-        if cold.status == OPTIMAL:
+        warm, cold = _verdict(q, start=r), _verdict(q)
+        if cold == "unbounded":
+            assert warm == "unbounded"
+        else:
             assert F(warm.optimum, warm.den) == F(cold.optimum, cold.den)
-    assert basic > 0 and left
+    assert basic > 0 and left and unbounded > 0
 
 
 def test_warm_start_from_a_basic_artificial():
@@ -555,8 +564,7 @@ def test_warm_start_from_a_basic_artificial():
     q = _lp([-1, -3, 1], p.A, p.b, upper=p.upper)
     warm, cold = solve_lp(q, start=first), solve_lp(q)
     assert warm.pivots[0] == 0
-    assert (warm.status, warm.vertex, warm.den, warm.optimum) == (
-        cold.status, cold.vertex, cold.den, cold.optimum)
+    assert (warm.vertex, warm.den, warm.optimum) == (cold.vertex, cold.den, cold.optimum)
     assert F(warm.optimum, warm.den) == -4 and F(warm.vertex[1], warm.den) == 1
     assert first.tableau == solve_lp(p).tableau
 
@@ -593,7 +601,7 @@ def _pivot_workload(monkeypatch):
     for _ in range(100):
         p = _dependent_lp(rng)
         lps.append((p, None))
-        if solve_lp(p).status == OPTIMAL:
+        if isinstance(_verdict(p), LPResult):
             k = len(lps) - 1
             for _ in range(2):
                 costs = [rng.randint(-4, 4) for _ in p.c]
@@ -632,10 +640,11 @@ def _replay(lps, systems):
     for p, k in lps:
         start = None if k is None else results[k]
         before = copy.deepcopy(start)
-        results.append(solve_lp(p, start))
+        results.append(_verdict(p, start))
         if start is not None:
             assert start.tableau == before.tableau and start.duals == before.duals
-    fields = [(r.status, r.optimum, r.vertex, r.den, r.tableau, r.duals, r.pivots, r.flips)
+    fields = [r if isinstance(r, str) else
+              (r.optimum, r.vertex, r.den, r.tableau, r.duals, r.pivots, r.flips)
               for r in results]
     return fields, [eliminate(rows, rhs) for rows, rhs in systems]
 
@@ -682,7 +691,7 @@ def test_a_wrong_pivot_raises_instead_of_cycling(monkeypatch):
     p = _lp([2, 1, -3, 4, -2],
             [[0, -2, -1, 2, 1], [0, -1, -2, -2, -1], [0, -3, -3, 0, 0]], [0, -6, -6],
             upper=[None, None, None, None, 0])
-    assert solve_lp(p).status == OPTIMAL
+    solve_lp(p)  # optimal, as every result is
     # with no rows the watch starts at once, and distinct states pass it
     free = solve_lp(_lp([-1, 2, -3], [], [], upper=[1, 1, 2]))
     assert (free.vertex, free.flips) == ((1, 0, 2), 2)
@@ -758,7 +767,7 @@ def _bounded_lp():
     proved by the dual y = -1 of the row and w = -1 of the bound."""
     p = _lp([-1, -2], [[1, 1]], [3], upper=[None, 2])
     r = solve_lp(p)
-    assert r.status == OPTIMAL and r.optimum == -5 and r.vertex == (1, 2)
+    assert r.optimum == -5 and r.vertex == (1, 2)
     assert r.duals == (-1,)
     return p
 

@@ -8,11 +8,12 @@ targets, so the box step runs, one far target whose walk goes on with a
 chain step, and the A_2 worked example, whose walk starts at the origin.
 The `-tie-` problems have half-integer targets, so every vertex of the box
 LP ties and only the simplex's tie-breaking decides the box step's vertex.
-`LP_PINNED` hashes the (status, vertex, den, optimum) of every `solve_lp`
-call of each solve, so an LP vertex or den that moves without changing
-the answer shows there too, and `WORK_PINNED` their (pivots, flips,
-duals), so a kernel change that must keep Bland's every choice is checked
-pivot for pivot.  A deliberate change of any of them re-pins: run
+`LP_PINNED` hashes the ("optimal", vertex, den, optimum) of every
+`solve_lp` call of each solve, so an LP vertex or den that moves without
+changing the answer shows there too; every result is optimal, and the
+literal keeps the digests recorded when a result still carried a status.
+`WORK_PINNED` hashes their (pivots, flips, duals), so a kernel change
+that must keep Bland's every choice is checked pivot for pivot.  A deliberate change of any of them re-pins: run
 `PYTHONPATH=src python tests/test_solve_pinned.py` and paste its tables.
 """
 
@@ -221,9 +222,9 @@ def _stdout_hash(problem: dict, path: Path) -> str:
 
 
 def _lp_hash(problem: dict, path: Path) -> str:
-    """The hash of (status, vertex, den, optimum) of every solve_lp call,
+    """The hash of ("optimal", vertex, den, optimum) of every solve_lp call,
     in order, while `zonolat solve` solves the problem."""
-    return _solve_lp_hash(problem, path, lambda r: (r.status, r.vertex, r.den, r.optimum))
+    return _solve_lp_hash(problem, path, lambda r: ("optimal", r.vertex, r.den, r.optimum))
 
 
 def _work_hash(problem: dict, path: Path) -> str:
