@@ -309,16 +309,15 @@ def _parse_arcs(text: str) -> list[tuple[int, int]]:
     return arcs
 
 
-def _parse_weights(text: str | None, m: int) -> FracVec:
+def _parse_weights(text: str | None, m: int) -> FracVec | None:
+    """--weights as m rationals, or None (the families' all ones) without
+    it; the lattice checks their sign."""
     if text is None:
-        return tuple(Fraction(1) for _ in range(m))
+        return None
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if len(parts) != m:
         raise InputFormatError(f"expected {m} weights, got {len(parts)}")
-    weights = tuple(parse_rational(p) for p in parts)
-    if any(w <= 0 for w in weights):
-        raise InputFormatError("all weights must be positive")
-    return weights
+    return tuple(parse_rational(p) for p in parts)
 
 
 def _problem_from_lattice(name: str, lattice: ZonotopalLattice) -> ProblemFile:

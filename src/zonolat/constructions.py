@@ -22,7 +22,6 @@ from .core import (
     tu_matrix,
 )
 from .errors import (
-    DimensionError,
     InternalInvariantError,
     InvalidInputError,
 )
@@ -48,14 +47,6 @@ class Digraph:
 
 def digraph(vertex_count: int, arcs: Sequence[tuple[int, int]]) -> Digraph:
     return Digraph(vertex_count=vertex_count, arcs=tuple((t, h) for t, h in arcs))
-
-
-def _arc_weights(d: Digraph, g: Sequence | None) -> FracVec:
-    """g as one weight per arc of d, all ones when omitted."""
-    weights = frac_vec(g) if g is not None else (Fraction(1),) * len(d.arcs)
-    if len(weights) != len(d.arcs):
-        raise DimensionError("weight length does not match the arc count")
-    return weights
 
 
 def component_count(vertex_count: int, arcs: Sequence[tuple[int, int]]) -> int:
@@ -89,7 +80,7 @@ def incidence_matrix(d: Digraph) -> TUMatrix:
 def graphic_lattice(d: Digraph, g: Sequence | None = None) -> ZonotopalLattice:
     """Lattice of integral circulations of d; primitive chains are the
     signed simple cycles of the underlying graph."""
-    weights = _arc_weights(d, g)
+    weights = (Fraction(1),) * len(d.arcs) if g is None else g
     return ZonotopalLattice(matrix=incidence_matrix(d), weights=weights)
 
 
@@ -137,7 +128,6 @@ def cographic_lattice(d: Digraph, g: Sequence | None = None) -> ZonotopalLattice
     climb to their common ancestor, and each forest arc gets +1 when the
     path runs along it, -1 when against it.
     """
-    weights = _arc_weights(d, g)
     m = len(d.arcs)
     parent, depth = _dfs_forest(d)
     tree = set(parent)
@@ -168,8 +158,8 @@ def cographic_lattice(d: Digraph, g: Sequence | None = None) -> ZonotopalLattice
         if any(net):
             raise InternalInvariantError("fundamental cycle is not a circulation")
         rows.append(tuple(row))
-    matrix = TUMatrix(entries=rows, m=m)
-    return ZonotopalLattice(matrix=matrix, weights=weights)
+    weights = (Fraction(1),) * m if g is None else g
+    return ZonotopalLattice(matrix=TUMatrix(entries=rows, m=m), weights=weights)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from numbers import Rational, Real
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -37,8 +38,20 @@ VERIFY_ROW_CAP = 20
 
 def frac_vec(xs: Iterable) -> FracVec:
     """Coerce a sequence of ints/strings/Fractions to a Fraction tuple; a
-    Fraction is kept as it is."""
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
+    Fraction is kept as it is.  A float (a Real but not a Rational), whose
+    binary value is rarely the one meant, or what Fraction refuses raises
+    InvalidInputError."""
+    return tuple(x if type(x) is Fraction else _fraction(x) for x in xs)
+
+
+def _fraction(x) -> Fraction:
+    """Fraction(x) for an entry of frac_vec that is not a Fraction."""
+    if isinstance(x, Real) and not isinstance(x, Rational):
+        raise InvalidInputError(f"expected a rational, got {x!r}")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"expected a rational, got {x!r}") from exc
 
 
 def _is_integer(x) -> bool:
@@ -204,6 +217,13 @@ def ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
             focus[j + 1] = j + 1
 
 
+def _row_length(row) -> int:
+    """len(row); a row that is not a list or tuple, as in a flat row, raises."""
+    if not isinstance(row, (list, tuple)):
+        raise DimensionError(f"a matrix row must be a list or tuple, got {row!r}")
+    return len(row)
+
+
 @dataclass(frozen=True)
 class TUMatrix:
     """A matrix of m columns whose entries pass `_unit_entries`, kept as
@@ -214,7 +234,7 @@ class TUMatrix:
     m: int
 
     def __post_init__(self):
-        if any(len(r) != self.m for r in self.entries):
+        if any(_row_length(r) != self.m for r in self.entries):
             raise DimensionError("entry array does not match the declared shape")
         if not _unit_entries(self.entries):
             raise InvalidInputError("matrix entries must lie in {-1, 0, +1}")
@@ -318,7 +338,7 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
     """
     if mode not in ("verify", "assert"):
         raise InvalidInputError(f"unknown TU mode {mode!r}")
-    m = len(rows[0]) if rows else width
+    m = _row_length(rows[0]) if rows else width
     if m is None:
         raise InvalidInputError("width is required for a matrix with no rows")
     if width is not None and width != m:

@@ -73,32 +73,6 @@ class LPProblem:
 
 
 @dataclass(frozen=True)
-class Tableau:
-    """An optimal basis in canonical form over one common denominator.
-
-    `rows` and `rhs` are den * B^-1 [A | I] and den * B^-1 (b - sum of
-    u_j A_j over j in `at_upper`) for the rows A, b that _phase_one writes
-    (the problem's rows, each negated where b_i < 0; I holds one artificial
-    column per row), with B the basis matrix of those columns and den =
-    |det B| > 0, so every entry is an int.  There is a row for every row
-    of A: the artificial of a redundant row, or of one phase 2 never
-    pivoted on, is still basic there, at 0.  `at_upper` lists the nonbasic
-    variables that rest at their bound u_j; every other nonbasic variable
-    rests at 0.  None of it depends on the objective, so it is a feasible
-    starting basis for any other objective over the same constraints.  den
-    is also the LPResult's den: its vertex is rhs on the basic variables,
-    den * u_j on `at_upper` and 0 elsewhere.
-    """
-
-    constraints: tuple  # (A, b, upper) of the problem it solved
-    rows: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
-    den: int
-    basis: tuple[int, ...]
-    at_upper: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class LPResult:
     """The optimum of solve_lp, in ints over den = |det B| of its final
     basis: `optimum`, `vertex` and `duals` are den times c.x, the basic
@@ -106,17 +80,32 @@ class LPResult:
     left out, so A^T y <= den c and b.y == optimum without them).  A row
     whose artificial is still basic has the dual 0; where the rows are
     dependent the duals are not unique, and these are the final basis's.
-    `tableau` is the warm start of solve_lp.  `pivots` counts the pivots of
-    phase 1 and of phase 2, and `flips` the bound flips of both phases;
-    like `tableau` and `duals`, they are left out of ==."""
+    `pivots` counts the pivots of phase 1 and of phase 2, and `flips` the
+    bound flips of both phases.  == compares only `optimum`, `vertex` and `den`.
+
+    The rest is the final basis of `constraints`, the (A, b, upper) solved,
+    in canonical form: `rows` and `rhs` are den * B^-1 [A | I] and
+    den * B^-1 (b - sum of u_j A_j over j in `at_upper`) for the rows that
+    _phase_one writes (each negated where b_i < 0; I is one artificial
+    column per row), B the columns `basis`.  Each row of A has its row: a
+    redundant one, or one phase 2 never pivoted on, keeps its artificial
+    basic, at 0.  The nonbasic variables in `at_upper` rest at their bound
+    u_j, the others at 0.  None of it depends on the objective, so it is a
+    feasible starting basis for any other objective over the same
+    constraints: the result is the warm start of solve_lp.
+    """
 
     optimum: int
     vertex: tuple[int, ...]
     den: int
-    tableau: Tableau = field(compare=False, repr=False)
     duals: tuple[int, ...] = field(compare=False, repr=False)
     pivots: tuple[int, int] = field(compare=False)
     flips: int = field(compare=False)
+    constraints: tuple = field(compare=False, repr=False)
+    rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    rhs: tuple[int, ...] = field(compare=False, repr=False)
+    basis: tuple[int, ...] = field(compare=False, repr=False)
+    at_upper: tuple[int, ...] = field(compare=False, repr=False)
 
 
 def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
@@ -124,10 +113,9 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
 
     An infeasible or unbounded p raises InvalidInputError, which names
     which of the two it is.  `start` is the result of an earlier solve
-    with the same A, b and bounds.  Its final tableau stays primal feasible
+    with the same A, b and bounds.  Its final basis stays primal feasible
     whatever the objective, so phase 1 is skipped and phase 2 reprices that
-    basis for p.c.  The start is read, never modified, so one result can
-    seed several solves.
+    basis for p.c.
 
     Phase 2 keeps the reduced-cost row over the tableau's denominator too:
     den * c_j - c_B . (den B^-1 A)_j.  On the artificial columns, which
@@ -136,18 +124,18 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     still basic.  The dual w_j of a finite bound is the reduced cost of x_j
     when x_j rests at its bound (<= 0 at the optimum) and 0 otherwise.
     Pivots replace tableau rows instead of editing them, so copying the
-    outer lists of the start leaves it intact.
+    outer lists of the start leaves it intact: one result can seed several
+    solves.
     """
     constraints = (p.A, p.b, p.upper)
     n = len(p.c)
     if start is None:
         tab, rhs, den, basis, at_upper, phase_one, flips = _phase_one(p)
     else:
-        warm = start.tableau
-        if warm.constraints != constraints:
+        if start.constraints != constraints:
             raise InvalidInputError("start must be a result for the same A, b and bounds")
-        tab, rhs, den, basis = list(warm.rows), list(warm.rhs), warm.den, list(warm.basis)
-        at_upper = [j in warm.at_upper for j in range(n)]
+        tab, rhs, den, basis = list(start.rows), list(start.rhs), start.den, list(start.basis)
+        at_upper = [j in start.at_upper for j in range(n)]
         phase_one = flips = 0
     red = [den * cj for cj in p.c] + [0] * len(p.b)
     for row, bi in zip(tab, basis):
@@ -166,12 +154,10 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
     y = [r if bi < 0 else -r for bi, r in zip(p.b, red[n:])]
     w = [red[j] if at_upper[j] else 0 for j, u in enumerate(p.upper) if u is not None]
     _certify_optimal(p, x, den, y + w)
-    tableau = Tableau(constraints=constraints, rows=tuple(map(tuple, tab)),
-                      rhs=tuple(rhs), den=den, basis=tuple(basis),
-                      at_upper=tuple(j for j in range(n) if at_upper[j]))
     return LPResult(optimum=sum(cj * xj for cj, xj in zip(p.c, x)), vertex=tuple(x), den=den,
-                    tableau=tableau, duals=tuple(y), pivots=(phase_one, phase_two),
-                    flips=flips + flipped)
+                    duals=tuple(y), pivots=(phase_one, phase_two), flips=flips + flipped,
+                    constraints=constraints, rows=tuple(map(tuple, tab)), rhs=tuple(rhs),
+                    basis=tuple(basis), at_upper=tuple(j for j in range(n) if at_upper[j]))
 
 
 # ---------------------------------------------------------------------------

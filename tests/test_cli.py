@@ -442,6 +442,29 @@ def test_construct_vfk_rejects_non_list_rows(tmp_path, capsys, gram):
     assert "gram file must hold a matrix" in capsys.readouterr().err
 
 
+TRIANGLE = ["--vertices", "3", "--arcs", "0-1,1-2,2-0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["graphic", "--vertices", "3"], "graphic construction needs --vertices and --arcs"),
+    (["vfk"], "vfk construction needs --gram FILE"),
+    (["tensor", "--m", "2"], "tensor construction needs --m and --n"),
+    (["an"], "an construction needs --n"),
+    (["an", "--n", "0"], "n must be at least 1"),
+    (["tensor", "--m", "0", "--n", "2"], "m and n must be at least 1"),
+    (["graphic", "--vertices", "3", "--arcs", ","], "at least one arc is required"),
+    (["graphic", "--vertices", "3", "--arcs", "0-1-2"], "arc '0-1-2' is not of the form TAIL-HEAD"),
+    (["graphic", "--vertices", "3", "--arcs", "a-b"], "arc 'a-b' has non-integer endpoints"),
+    (["graphic", *TRIANGLE, "--weights", "1,1"], "expected 3 weights, got 2"),
+    (["graphic", *TRIANGLE, "--weights", "1,0,3"], "all weights must be positive"),
+])
+def test_construct_refusals(capsys, argv, message):
+    assert main(["construct", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_construct_output_file(tmp_path):
     out = tmp_path / "an2.json"
     assert main(["construct", "an", "--n", "2", "-o", str(out)]) == 0

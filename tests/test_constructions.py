@@ -9,6 +9,7 @@ import pytest
 
 from conftest import k4_digraph, triangle_digraph
 from zonolat import (
+    DimensionError,
     InternalInvariantError,
     InvalidInputError,
     ObtuseSuperbasisGram,
@@ -295,6 +296,15 @@ def test_tensor_basis_in_kernel_and_independent():
 def test_tensor_weight_length_checked():
     with pytest.raises(Exception):
         tensor_lattice(1, 1, (1, 1))
+
+
+@pytest.mark.parametrize("build", [graphic_lattice, cographic_lattice])
+def test_arc_weight_count_is_checked_by_the_lattice(build):
+    # the families leave the weights' count, type and sign to ZonotopalLattice
+    with pytest.raises(DimensionError, match="weight length 2 != coordinate count 3"):
+        build(triangle_digraph(), (1, 1))
+    with pytest.raises(InvalidInputError, match="all weights must be positive"):
+        build(triangle_digraph(), (1, 0, 1))
 
 
 def test_component_count():

@@ -18,6 +18,7 @@ from zonolat import (
     a_n_lattice,
     cographic_lattice,
     conformal_decompose,
+    cvp_instance,
     digraph,
     enumerate_primitive_chains,
     graphic_lattice,
@@ -37,6 +38,7 @@ from zonolat import (
 from zonolat.core import (
     TUMatrix,
     chain_signs,
+    frac_vec,
     ghouila_houri_ok,
     heller_tompkins,
     tu_decidable,
@@ -242,6 +244,28 @@ def test_contains_refuses_entries_that_are_not_integers(coords, member):
     assert a2().contains(coords) is member
 
 
+@pytest.mark.parametrize("entry", [0.1, 1.0, "abc", None, "1/0", 1j])
+def test_rationals_refuse_floats_and_unparsable_entries(entry):
+    # a float was taken at its binary value (0.1 became a weight over 2^55),
+    # and the rest raised a bare ValueError, TypeError or ZeroDivisionError
+    builds = [lambda: frac_vec([entry]),
+              lambda: a_n_lattice(2, [entry, 1, 1]),
+              lambda: cvp_instance(a2(), [entry, 0, 0]),
+              lambda: obtuse_superbasis_gram([[entry, -1], [-1, 1]])]
+    for build in builds:
+        with pytest.raises(InvalidInputError, match="expected a rational"):
+            build()
+
+
+def test_rationals_accept_ints_bools_fractions_and_strings():
+    entries = [2, True, F(-1, 3), "3/4", "0.1", " 5 "]
+    assert frac_vec(entries) == (2, 1, F(-1, 3), F(3, 4), F(1, 10), 5)
+    assert a_n_lattice(2, ["1/2", True, 3]).weights == (F(1, 2), 1, 3)
+    assert cvp_instance(a2(), ["1/2", F(-1, 2), 0]).target == (F(1, 2), F(-1, 2), 0)
+    gram = obtuse_superbasis_gram([["1", -1], [F(-1), True]])
+    assert gram.gram == ((1, -1), (-1, 1))
+
+
 # ---------------------------------------------------------------------------
 # Conformal decomposition
 # ---------------------------------------------------------------------------
@@ -338,6 +362,12 @@ def test_tu_matrix_entry_validation():
         TUMatrix(entries=((1, 0), (1,)), m=2)
     with pytest.raises(DimensionError, match="declared width 3"):
         tu_matrix([[1, 0]], mode="assert", width=3)
+    # a flat row once raised TypeError from len() on its first entry
+    for build in (lambda: tu_matrix([1, 0, -1]),
+                  lambda: tu_matrix([1, 0, -1], mode="assert", width=3),
+                  lambda: TUMatrix(entries=(1, 0, -1), m=3)):
+        with pytest.raises(DimensionError, match="must be a list or tuple"):
+            build()
 
 
 #: Entries that equal or truncate to a unit but are not ints.

@@ -45,6 +45,11 @@ def _verdict(p, start=None):
         return verdict
 
 
+def _final_basis(r):
+    """The warm-start fields of an LPResult, all left out of its ==."""
+    return r.constraints, r.rows, r.rhs, r.den, r.basis, r.at_upper
+
+
 def _assert_duals_prove_optimum(p, r):
     """A^T y <= den c and b.y == optimum (both den-scaled), for an LP
     without upper bounds."""
@@ -142,7 +147,7 @@ def test_bound_rows_have_no_artificial_column():
     r = solve_lp(_lp([-1, -1, 0], [[1, 1, 1], [1, -1, 0]], [4, 0],
                             upper=[3, None, 1]))
     assert F(r.optimum, r.den) == -4
-    rows = r.tableau.rows
+    rows = r.rows
     assert len(rows) == 2 and {len(row) for row in rows} == {3 + 2}
 
 
@@ -154,7 +159,7 @@ def test_bound_flip_makes_no_pivot():
     r = solve_lp(p)
     assert r.vertex == (3, 4) and r.optimum == -11 and r.den == 1
     assert r.pivots == (0, 0) and r.flips == 2
-    assert r.tableau.rows == () and r.tableau.at_upper == (0, 1)
+    assert r.rows == () and r.at_upper == (0, 1)
     assert _certify_optimal(p, r.vertex, r.den, [-1, -2]) is None
     with pytest.raises(InternalInvariantError, match="objective mismatch"):
         _certify_optimal(p, r.vertex, r.den, [-1, -3])
@@ -203,7 +208,7 @@ def test_warm_start_reprices_basis():
     assert F(warm.optimum, warm.den) == F(cold.optimum, cold.den) == inst.K * F(1, 5)
     _assert_duals_prove_optimum(q, warm)
     assert solve_lp(p, start=first) == first
-    assert first.tableau == solve_lp(p).tableau
+    assert _final_basis(first) == _final_basis(solve_lp(p))
 
 
 def test_warm_start_rejects_other_constraints():
@@ -424,18 +429,18 @@ def test_integer_tableau_a2_lambda_lp():
         (1, 0, -1): ([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], [F(1, 2)] * 2, (2, 3)),
     }
     for v, (rows, rhs, basis) in expected.items():
-        t = solve_lp(lambda_lp(v, inst)).tableau
-        assert t.den == 2  # |det B| for B = [[1, -1], [1, 1]], both times
-        assert all(type(x) is int for row in t.rows for x in row)
-        assert all(type(x) is int for x in t.rhs)
-        assert [[F(x, t.den) for x in row[:6]] for row in t.rows] == rows
-        assert [F(x, t.den) for x in t.rhs] == rhs
-        assert t.basis == basis
-        inverse = [list(row[6:]) for row in t.rows]
+        r = solve_lp(lambda_lp(v, inst))
+        assert r.den == 2  # |det B| for B = [[1, -1], [1, 1]], both times
+        assert all(type(x) is int for row in r.rows for x in row)
+        assert all(type(x) is int for x in r.rhs)
+        assert [[F(x, r.den) for x in row[:6]] for row in r.rows] == rows
+        assert [F(x, r.den) for x in r.rhs] == rhs
+        assert r.basis == basis
+        inverse = [list(row[6:]) for row in r.rows]
         assert inverse == [[1, 1], [-1, 1]]  # den * B^-1
         b_matrix = [[row[j] for j in basis] for row in lambda_lp(v, inst).A]
         assert [[sum(x * y for x, y in zip(inv_row, col)) for col in zip(*b_matrix)]
-                for inv_row in inverse] == [[t.den, 0], [0, t.den]]
+                for inv_row in inverse] == [[r.den, 0], [0, r.den]]
 
 
 def test_negated_row_duals():
@@ -465,8 +470,8 @@ def test_negative_pivot_keeps_den_positive(monkeypatch):
     p = _lp(c, A, b)
     r = solve_lp(p)
     assert pivots[r.pivots[0]:] == [(3, -1)]  # phase 2's one pivot
-    assert r.tableau.den > 0
-    assert len(r.tableau.rows) == 3 and 4 in r.tableau.basis
+    assert r.den > 0
+    assert len(r.rows) == 3 and 4 in r.basis
     # the oracle needs full row rank: leave out row 0, half of row 1
     assert F(r.optimum, r.den) == _enumerate_optimum(c, A[1:], b[1:]) == -4
     _assert_duals_prove_optimum(p, r)
@@ -478,8 +483,7 @@ def test_redundant_row_keeps_its_artificial_basic_at_zero():
     p = _lp([1, 1], [[1, 1], [1, 1]], [2, 2])
     r = solve_lp(p)
     assert (r.vertex, r.den, r.optimum) == ((2, 0), 1, 2)
-    t = r.tableau
-    assert t.basis == (0, 3) and t.rhs == (2, 0) and len(t.rows) == 2
+    assert r.basis == (0, 3) and r.rhs == (2, 0) and len(r.rows) == 2
     assert r.duals == (1, 0)
     _assert_duals_prove_optimum(p, r)
 
@@ -545,7 +549,7 @@ def test_basic_artificials_stay_at_zero_in_phase_two(monkeypatch):
             unbounded += 1
             continue
         n = len(p.c)
-        basic += any(bi >= n for bi in r.tableau.basis)
+        basic += any(bi >= n for bi in r.basis)
         q = _lp([rng.randint(-4, 4) for _ in range(n)], p.A, p.b, upper=p.upper)
         warm, cold = _verdict(q, start=r), _verdict(q)
         if cold == "unbounded":
@@ -560,13 +564,13 @@ def test_warm_start_from_a_basic_artificial():
     # around it, reaches the cold optimum and leaves the start untouched
     p = _lp([1, 1, 0], [[1, 1, 1], [2, 2, 2]], [2, 4], upper=[None, 1, None])
     first = solve_lp(p)
-    assert 3 + 1 in first.tableau.basis
+    assert 3 + 1 in first.basis
     q = _lp([-1, -3, 1], p.A, p.b, upper=p.upper)
     warm, cold = solve_lp(q, start=first), solve_lp(q)
     assert warm.pivots[0] == 0
     assert (warm.vertex, warm.den, warm.optimum) == (cold.vertex, cold.den, cold.optimum)
     assert F(warm.optimum, warm.den) == -4 and F(warm.vertex[1], warm.den) == 1
-    assert first.tableau == solve_lp(p).tableau
+    assert _final_basis(first) == _final_basis(solve_lp(p))
 
 
 def _dense_pivot(tab, rhs, basis, red, den, r, jc):
@@ -634,7 +638,7 @@ def _pivot_workload(monkeypatch):
 
 
 def _replay(lps, systems):
-    """Every field of each solve_lp result, the tableau included, and each
+    """Every field of each solve_lp result, the final basis included, and each
     eliminate output; a start must come out of each reuse unchanged."""
     results = []
     for p, k in lps:
@@ -642,16 +646,16 @@ def _replay(lps, systems):
         before = copy.deepcopy(start)
         results.append(_verdict(p, start))
         if start is not None:
-            assert start.tableau == before.tableau and start.duals == before.duals
+            assert _final_basis(start) == _final_basis(before) and start.duals == before.duals
     fields = [r if isinstance(r, str) else
-              (r.optimum, r.vertex, r.den, r.tableau, r.duals, r.pivots, r.flips)
+              (r.optimum, r.vertex, _final_basis(r), r.duals, r.pivots, r.flips)
               for r in results]
     return fields, [eliminate(rows, rhs) for rows, rhs in systems]
 
 
 def test_sparse_pivot_matches_the_dense_reference(monkeypatch):
     # _pivot's p == den path rewrites only the columns where the pivot row
-    # is nonzero; every pivot, flip, tableau, dual and elimination must be
+    # is nonzero; every pivot, flip, final basis, dual and elimination must be
     # what the dense pivot gives
     lps, systems = _pivot_workload(monkeypatch)
     assert sum(k is not None for _, k in lps) > 100
@@ -744,9 +748,7 @@ def test_warm_start_from_corrupted_tableau_raises():
     # of the warm solve catches it
     p = lambda_lp((0, 0, 0), _a2_instance())
     first = solve_lp(p)
-    bad = dataclasses.replace(first.tableau, rhs=(first.tableau.rhs[0] + 1,)
-                              + first.tableau.rhs[1:])
-    start = dataclasses.replace(first, tableau=bad)
+    start = dataclasses.replace(first, rhs=(first.rhs[0] + 1,) + first.rhs[1:])
     with pytest.raises(InternalInvariantError, match="primal check failed"):
         solve_lp(lambda_lp((1, 0, -1), _a2_instance()), start=start)
 
