@@ -40,8 +40,11 @@ def frac_vec(xs: Iterable) -> FracVec:
     """Coerce a sequence of ints/strings/Fractions to a Fraction tuple; a
     Fraction is kept as it is.  A float (a Real but not a Rational), whose
     binary value is rarely the one meant, or what Fraction refuses raises
-    InvalidInputError."""
-    return tuple(x if type(x) is Fraction else _fraction(x) for x in xs)
+    InvalidInputError, and a scalar in place of the sequence DimensionError."""
+    try:
+        return tuple(x if type(x) is Fraction else _fraction(x) for x in xs)
+    except TypeError as exc:  # not from _fraction, which raises InvalidInputError
+        raise DimensionError(f"expected a vector, got {xs!r}") from exc
 
 
 def _fraction(x) -> Fraction:
@@ -108,9 +111,13 @@ _INT_TYPES = frozenset((int, bool))
 def _unit_entries(rows: Sequence[Sequence[int]]) -> bool:
     """The package's one matrix-entry rule: every entry is an int (True and
     False read as 1 and 0) in {-1, 0, 1}.  Two C-level set tests per row,
-    types first, refuse a float, a Fraction or a str equal to 1."""
-    return all(_INT_TYPES.issuperset(map(type, row)) and _UNIT.issuperset(row)
-               for row in rows)
+    types first, refuse a float, a Fraction or a str equal to 1.  A row
+    that is not a sequence, as in a flat row, raises DimensionError."""
+    try:
+        return all(_INT_TYPES.issuperset(map(type, row)) and _UNIT.issuperset(row)
+                   for row in rows)
+    except TypeError as exc:  # map(type, row) of a row that is not iterable
+        raise DimensionError(f"a matrix row must be a sequence: {exc}") from exc
 
 
 def heller_tompkins(rows: Sequence[Sequence[int]]) -> bool | None:
@@ -472,8 +479,12 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
     den c t' = den (c t) - diag(u) M^T (den z).  No rows give t' = t and
     a zero kernel gives the origin.
     """
-    if len(t) != lattice.m:
-        raise DimensionError(f"target length {len(t)} != coordinate count {lattice.m}")
+    try:
+        size = len(t)
+    except TypeError as exc:
+        raise DimensionError(f"expected a target vector, got {t!r}") from exc
+    if size != lattice.m:
+        raise DimensionError(f"target length {size} != coordinate count {lattice.m}")
     ct, c = integral_multiple(frac_vec(t))
     a = lcm(*(g.numerator for g in lattice.weights))
     u = [a // g.numerator * g.denominator for g in lattice.weights]

@@ -1,4 +1,5 @@
-"""Exact two-phase simplex with Bland's rule on an integer-preserving tableau.
+"""Exact two-phase simplex on an integer-preserving tableau, Dantzig's
+entering rule with Bland's rule after a run of degenerate steps.
 
 Minimizes c.x subject to equality constraints A x = b and bounds
 0 <= x_j <= u_j, each u_j +infinity or a finite integer; every datum is a
@@ -11,8 +12,11 @@ variable rests at 0 or at its bound, and the ratio test also stops where a
 basic variable reaches its bound or the entering variable its own; the
 latter is a bound flip, which moves the rhs and makes no pivot.  An
 artificial that phase 1 leaves basic at 0 stays there in phase 2, as a
-variable bounded at 0 that never enters, so no row is dropped.  Bland's
-rule keeps the simplex from cycling (see _bland).
+variable bounded at 0 that never enters, so no row is dropped.  The
+entering column is the one of largest gain (Dantzig 1963), which takes
+fewer pivots than Bland's least index; after DEGENERATE_RUN consecutive
+steps of length 0 Bland's rule takes over until a step of nonzero length,
+so the simplex cannot cycle (see _optimize).
 The tableau holds den * B^-1 A and den * B^-1 (b - sum of u_j A_j over
 the variables at their bound) over one positive common denominator
 den = |det B| of the basis matrix B, so all its entries are ints: a pivot
@@ -43,6 +47,10 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import DimensionError, InternalInvariantError, InvalidInputError
+
+#: Consecutive steps of length 0 after which Bland's rule picks the
+#: entering column instead of Dantzig's, until a step of nonzero length.
+DEGENERATE_RUN = 50
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ class LPResult:
 
 
 def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
-    """Exact optimum and basic optimal vertex via two-phase Bland simplex.
+    """Exact optimum and basic optimal vertex via the two-phase simplex.
 
     An infeasible or unbounded p raises InvalidInputError, which names
     which of the two it is.  `start` is the result of an earlier solve
@@ -144,7 +152,7 @@ def solve_lp(p: LPProblem, start: LPResult | None = None) -> LPResult:
             for j, t in enumerate(row):
                 if t:
                     red[j] -= cb * t
-    den, phase_two, flipped = _bland(tab, rhs, basis, red, den, p.upper, at_upper, False)
+    den, phase_two, flipped = _optimize(tab, rhs, basis, red, den, p.upper, at_upper, False)
     x = [u * den if up else 0 for u, up in zip(p.upper, at_upper)]  # den * x
     for bi, value in zip(basis, rhs):
         if bi < n:
@@ -174,7 +182,7 @@ def _phase_one(p: LPProblem):
     are x and one artificial per row.  The artificials start basic (det 1)
     and every x_j at 0; phase 1 minimizes the sum of the artificials, and
     the system is feasible when that reaches 0.  An artificial may end
-    basic at 0; it stays in the basis for phase 2 (see _bland).
+    basic at 0; it stays in the basis for phase 2 (see _optimize).
     """
     n, m = len(p.c), len(p.b)
     tab = [[-a if bi < 0 else a for a in row] + [int(q == i) for q in range(m)]
@@ -185,7 +193,7 @@ def _phase_one(p: LPProblem):
     # minus the column sums of x's columns; no rows leave every sum 0
     red = [-sum(column) for column in zip(*tab)][:n] if tab else [0] * n
     red += [0] * m
-    den, pivots, flips = _bland(tab, rhs, basis, red, 1, p.upper, at_upper, True)
+    den, pivots, flips = _optimize(tab, rhs, basis, red, 1, p.upper, at_upper, True)
     if any(value for bi, value in zip(basis, rhs) if bi >= n):
         raise InvalidInputError("the LP is infeasible")
     return tab, rhs, den, basis, at_upper, pivots, flips
@@ -276,8 +284,8 @@ def eliminate(rows: Sequence[Sequence[int]], rhs: Sequence[int] | None = None):
     return tab, rhs, basis[:r], den
 
 
-def _bland(tab, rhs, basis, red, den: int, upper, at_upper, phase_one: bool):
-    """Pivot and flip by Bland's rule until optimal.
+def _optimize(tab, rhs, basis, red, den: int, upper, at_upper, phase_one: bool):
+    """Pivot and flip by Dantzig's rule, with Bland's after a degenerate run.
 
     Returns the final den and the pivots and flips made.  An unbounded
     objective raises InvalidInputError in phase 2; in phase 1, whose
@@ -286,40 +294,65 @@ def _bland(tab, rhs, basis, red, den: int, upper, at_upper, phase_one: bool):
     columns after them, are unbounded and may enter in phase 1; in phase 2
     they have the bound 0 and never enter, so a basic one stops any
     entering column that is nonzero in its row at step 0 and stays at 0.
-    The entering column is the first j with red[j] < 0 among the variables
-    at 0, else with red[j] > 0 among those at their bound (it enters
-    falling), else with red[j] < 0 among the artificials that may enter.
-    A tie of the ratio test goes to the least (is an artificial, reaches
-    its bound, index) of the variable that stops the step, the entering
-    one's own bound (a flip: rhs moves, nothing is pivoted) counting as
-    (False, rises, index).  That is Bland's rule (Math. Oper. Res. 1977) in
-    the tableau with a row x_j + s_j = u_j per bound, the slacks after the
-    variables in their order and the artificials last, so it cannot cycle
-    (an artificial that may not enter only leaves, so it is in no cycle).
-    The state (basis, at_upper) fixes the tableau, so correct arithmetic
-    never repeats one; past len(red) * len(tab) pivots and flips, Brent's
-    cycle detection (BIT 1980) compares each state with one saved state and
-    raises InternalInvariantError on a repeat instead of looping forever.
+
+    The entering column is Dantzig's (1963): the one of largest gain, the
+    gain of j being -red[j] for a variable at 0 or an artificial that may
+    enter and red[j] for a variable at its bound (it enters falling), the
+    least index among equal gains; every red[j] is over the one den, so
+    ints compare.  After DEGENERATE_RUN consecutive steps of length 0
+    (pivots or flips), the entering column is Bland's until a step of
+    nonzero length: the first j with red[j] < 0 among the variables at 0,
+    else with red[j] > 0 among those at their bound, else with red[j] < 0
+    among the artificials that may enter.  A tie of the ratio test goes to
+    the least (is an artificial, reaches its bound, index) of the variable
+    that stops the step, the entering one's own bound (a flip: rhs moves,
+    nothing is pivoted) counting as (False, rises, index).  With that
+    choice of entering column this is Bland's rule (Math. Oper. Res. 1977)
+    in the tableau with a row x_j + s_j = u_j per bound, the slacks after
+    the variables in their order and the artificials last, which cannot
+    cycle (an artificial that may not enter only leaves, so it is in no
+    cycle).  So the loop ends: a step of nonzero length lowers the
+    objective strictly, so no (basis, at_upper) repeats across one; between
+    two of them Dantzig's rule makes at most DEGENERATE_RUN steps, and
+    then Bland's rule runs until the next (Terlaky & Zhang, Ann. Oper. Res.
+    1993).
+
+    The state (basis, at_upper, min(degenerate run, DEGENERATE_RUN)) never
+    repeats under correct arithmetic: only steps of length 0 lie between
+    two visits of one basis, so the run only grows between them, and where
+    it is capped Bland's rule is in charge, which does not cycle.  Dantzig's
+    rule itself may revisit a (basis, at_upper) within its run, so the run
+    is part of the state.  Past len(red) * len(tab) pivots and flips,
+    Brent's cycle detection (BIT 1980) compares each state with one saved
+    state and raises InternalInvariantError on a repeat instead of looping
+    forever.
     """
     n = len(upper)
     last = len(red) if phase_one else n  # the columns that may enter
     bounds = list(upper) + [None if phase_one else 0] * (len(red) - n)
-    pivots = flips = 0
+    pivots = flips = degenerate = 0
     watch_after, saved, power, steps = len(red) * len(tab), None, 1, 0
     while True:
         if pivots + flips > watch_after:
-            state = (tuple(basis), tuple(at_upper))
+            state = (tuple(basis), tuple(at_upper), min(degenerate, DEGENERATE_RUN))
             if state == saved:
                 raise InternalInvariantError(
-                    "Bland's rule revisited a basis: the tableau update is wrong")
+                    "the simplex revisited a basis: the tableau update is wrong")
             steps += 1
             if steps == power:
                 saved, power, steps = state, 2 * power, 0
-        enter = next((j for j in range(n) if red[j] < 0 and not at_upper[j]), None)
-        if enter is None:
-            enter = next((j for j in range(n) if red[j] > 0 and at_upper[j]), None)
-        if enter is None:
-            enter = next((j for j in range(n, last) if red[j] < 0), None)
+        if degenerate < DEGENERATE_RUN:
+            enter, gain = None, 0
+            for j in range(last):
+                g = red[j] if j < n and at_upper[j] else -red[j]
+                if g > gain:
+                    enter, gain = j, g
+        else:
+            enter = next((j for j in range(n) if red[j] < 0 and not at_upper[j]), None)
+            if enter is None:
+                enter = next((j for j in range(n) if red[j] > 0 and at_upper[j]), None)
+            if enter is None:
+                enter = next((j for j in range(n, last) if red[j] < 0), None)
         if enter is None:
             return den, pivots, flips
         down = enter < n and at_upper[enter]
@@ -343,6 +376,7 @@ def _bland(tab, rhs, basis, red, den: int, upper, at_upper, phase_one: bool):
             if phase_one:
                 raise InternalInvariantError("phase-1 objective is bounded by zero")
             raise InvalidInputError("the LP is unbounded")
+        degenerate = degenerate + 1 if num == 0 else 0
         if best < 0:
             at_upper[enter] = not down
             _move(tab, rhs, enter, -bound if down else bound)

@@ -257,6 +257,18 @@ def test_rationals_refuse_floats_and_unparsable_entries(entry):
             build()
 
 
+def test_a_scalar_where_a_vector_belongs_is_a_dimension_error():
+    # these once raised a bare TypeError from iterating or taking len() of 5
+    builds = [lambda: frac_vec(5),
+              lambda: a_n_lattice(2, 5),
+              lambda: cvp_instance(a2(), 5),
+              lambda: cvp_instance(a2(), 5, project=False),
+              lambda: project_onto_span(5, a2())]
+    for build in builds:
+        with pytest.raises(DimensionError, match="expected a .*vector, got 5"):
+            build()
+
+
 def test_rationals_accept_ints_bools_fractions_and_strings():
     entries = [2, True, F(-1, 3), "3/4", "0.1", " 5 "]
     assert frac_vec(entries) == (2, 1, F(-1, 3), F(3, 4), F(1, 10), 5)
@@ -368,6 +380,13 @@ def test_tu_matrix_entry_validation():
                   lambda: TUMatrix(entries=(1, 0, -1), m=3)):
         with pytest.raises(DimensionError, match="must be a list or tuple"):
             build()
+
+
+def test_tu_checks_refuse_a_flat_row():
+    # a flat row once raised a bare TypeError from _unit_entries
+    for check in (heller_tompkins, tu_verdict, tu_decidable, ghouila_houri_ok):
+        with pytest.raises(DimensionError, match="must be a sequence"):
+            check([1, 0, -1])
 
 
 #: Entries that equal or truncate to a unit but are not ints.

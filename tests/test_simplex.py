@@ -505,8 +505,8 @@ def test_basic_artificials_stay_at_zero_in_phase_two(monkeypatch):
     # after every pivot and flip of phase 2, cold or warm, each basic
     # artificial is still at 0; on these LPs with a dependent row some
     # artificial is basic at the optimum, and some leaves in phase 2
-    pivot, move, bland, phase_one = (simplex._pivot, simplex._move, simplex._bland,
-                                     simplex._phase_one)
+    pivot, move, optimize, phase_one = (simplex._pivot, simplex._move, simplex._optimize,
+                                        simplex._phase_one)
     phase, state, left = [2], [], []
 
     def check(n):
@@ -526,9 +526,9 @@ def test_basic_artificials_stay_at_zero_in_phase_two(monkeypatch):
         move(tab, rhs, j, step)
         check(len(tab[0]) - len(tab))
 
-    def spy_bland(tab, rhs, basis, *args):
+    def spy_optimize(tab, rhs, basis, *args):
         state[:] = [tab, rhs, basis]
-        return bland(tab, rhs, basis, *args)
+        return optimize(tab, rhs, basis, *args)
 
     def in_phase_one(p):
         phase[0] = 1
@@ -537,7 +537,7 @@ def test_basic_artificials_stay_at_zero_in_phase_two(monkeypatch):
         finally:
             phase[0] = 2
 
-    for name, spy in (("_pivot", spy_pivot), ("_move", spy_move), ("_bland", spy_bland),
+    for name, spy in (("_pivot", spy_pivot), ("_move", spy_move), ("_optimize", spy_optimize),
                       ("_phase_one", in_phase_one)):
         monkeypatch.setattr(simplex, name, spy)
     rng = random.Random(1977)
@@ -678,9 +678,10 @@ def test_sparse_pivot_matches_the_dense_reference(monkeypatch):
 
 def test_a_wrong_pivot_raises_instead_of_cycling(monkeypatch):
     # a sparse reduced-cost update that leaves out the first column of the
-    # pivot row's support sends Bland's rule round a cycle of bases on this
-    # LP, one of test_sparse_pivot_matches_the_dense_reference's; the
-    # watch on repeated (basis, at_upper) states turns that into an error
+    # pivot row's support sends the simplex round a cycle of bases on this
+    # LP, found by a seeded search, whether Dantzig's or Bland's rule is in
+    # charge; the watch on repeated (basis, at_upper, degenerate run) states
+    # turns that into an error
     pivot = simplex._pivot
 
     def skips_a_red_column(tab, rhs, basis, red, den, r, jc):
@@ -692,16 +693,63 @@ def test_a_wrong_pivot_raises_instead_of_cycling(monkeypatch):
             red[k] = kept
         return new_den
 
-    p = _lp([2, 1, -3, 4, -2],
-            [[0, -2, -1, 2, 1], [0, -1, -2, -2, -1], [0, -3, -3, 0, 0]], [0, -6, -6],
-            upper=[None, None, None, None, 0])
+    p = _lp([-4, 1, 2], [[2, 0, 2], [-1, 0, 3]], [0, 0], upper=[None, 1, 2])
     solve_lp(p)  # optimal, as every result is
     # with no rows the watch starts at once, and distinct states pass it
     free = solve_lp(_lp([-1, 2, -3], [], [], upper=[1, 1, 2]))
     assert (free.vertex, free.flips) == ((1, 0, 2), 2)
     monkeypatch.setattr(simplex, "_pivot", skips_a_red_column)
-    with pytest.raises(InternalInvariantError, match="revisited a basis"):
-        solve_lp(p)
+    for run in (1, simplex.DEGENERATE_RUN, 1000):
+        monkeypatch.setattr(simplex, "DEGENERATE_RUN", run)
+        with pytest.raises(InternalInvariantError, match="revisited a basis"):
+            solve_lp(p)
+
+
+def _slack_start(p, s):
+    """The LPResult at the slack basis of p, whose last len(p.A) columns are
+    s times the identity: den = s^k for k rows, and the rows and rhs are
+    den * B^-1 [A | I] and den * B^-1 b, with B = s I."""
+    k, n = len(p.A), len(p.c)
+    scale = s ** (k - 1)  # den / s
+    rows = tuple(tuple(scale * a for a in row) + tuple(scale * (q == i) for q in range(k))
+                 for i, row in enumerate(p.A))
+    return LPResult(optimum=0, vertex=(0,) * n, den=s ** k, duals=(0,) * k, pivots=(0, 0),
+                    flips=0, constraints=(p.A, p.b, p.upper), rows=rows,
+                    rhs=tuple(scale * bi for bi in p.b), basis=tuple(range(n - k, n)),
+                    at_upper=())
+
+
+# Textbook LPs on which Dantzig's rule, with ratio ties to the least index,
+# cycles from the slack basis, each written as a min over rows scaled by
+# s to ints, with the slack column s and the known optimum and vertex.
+CYCLING_LPS = {
+    # Beale (1955): max 3/4 x1 - 20 x2 + 1/2 x3 - 6 x4, rows times 4
+    "beale": (_lp([-3, 80, -2, 24, 0, 0, 0],
+                  [[1, -32, -4, 36, 4, 0, 0], [2, -48, -2, 12, 0, 4, 0],
+                   [0, 0, 4, 0, 0, 0, 4]], [0, 0, 4]),
+              4, F(-5), (1, 0, 1, 0, F(3, 4), 0, 0)),
+    # Chvatal, Linear Programming (1983), p. 31: max 10 x1 - 57 x2 - 9 x3
+    # - 24 x4, rows times 2
+    "chvatal": (_lp([-10, 57, 9, 24, 0, 0, 0],
+                    [[1, -11, -5, 18, 2, 0, 0], [1, -3, -1, 2, 0, 2, 0],
+                     [2, 0, 0, 0, 0, 0, 2]], [0, 0, 2]),
+                2, F(-1), (1, 0, 1, 0, 2, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLING_LPS))
+def test_cycling_lps_reach_their_optimum_through_the_fallback(name, monkeypatch):
+    # Dantzig's rule goes round its cycle of degenerate pivots until
+    # DEGENERATE_RUN of them hand the choice to Bland's rule, which leaves
+    # it: more pivots than the run shows the fallback ran.  Any run length
+    # gives the same optimum.
+    p, s, optimum, vertex = CYCLING_LPS[name]
+    for run in (simplex.DEGENERATE_RUN, 5, 1000):
+        monkeypatch.setattr(simplex, "DEGENERATE_RUN", run)
+        r = solve_lp(p, _slack_start(p, s))
+        assert F(r.optimum, r.den) == optimum
+        assert tuple(F(x, r.den) for x in r.vertex) == vertex
+        assert r.pivots[0] == 0 and r.pivots[1] > run
 
 
 def _a2_optimum():

@@ -13,8 +13,12 @@ LP ties and only the simplex's tie-breaking decides the box step's vertex.
 changing the answer shows there too; every result is optimal, and the
 literal keeps the digests recorded when a result still carried a status.
 `WORK_PINNED` hashes their (pivots, flips, duals), so a kernel change
-that must keep Bland's every choice is checked pivot for pivot.  A deliberate change of any of them re-pins: run
+that must keep every choice of the pivot rule (Dantzig's entering column,
+Bland's after a degenerate run) is checked pivot for pivot.  A deliberate
+change of any of them re-pins: run
 `PYTHONPATH=src python tests/test_solve_pinned.py` and paste its tables.
+The pins show that answers are stable; `test_oracle_agrees_on_distance`
+shows that they are right, ties included.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import pytest
 from conftest import check_box_certified_closest
 from zonolat import (
     ZonotopalLattice,
+    brute_force_cvp,
     cographic_lattice,
     cvp_instance,
     digraph,
@@ -46,6 +51,7 @@ from zonolat import (
     voronoi_first_kind,
 )
 from zonolat.cli import main
+from zonolat.oracle import COEFF_BOX_CAP
 
 PINNED = {
     "a2-worked": "42b144be326118ac",
@@ -64,7 +70,7 @@ PINNED = {
     "vfk-0": "c99b28ea8df3c8bf",
     "vfk-1": "6b94c0db1500fead",
     "vfk-2": "768669a56d119c0f",
-    "vfk-tie-0": "f3b8eb087f2eca34",
+    "vfk-tie-0": "fca10f0d48d598d5",
     "vfk-tie-1": "fa89b86234620268",
 }
 
@@ -83,31 +89,31 @@ LP_PINNED = {
     "graphic-2": "6caef8af1835efb1",
     "graphic-3": "2ae3c2fa379beb38",
     "vfk-0": "a77dd0d054c8d321",
-    "vfk-1": "62dab5ddd9f6a5f3",
+    "vfk-1": "a530f012373f5bd1",
     "vfk-2": "f896644ab82b8726",
-    "vfk-tie-0": "351ceaa97823f075",
+    "vfk-tie-0": "cafa18209a6fd4ca",
     "vfk-tie-1": "964f86e82a8a6333",
 }
 
 WORK_PINNED = {
-    "a2-worked": "ebc3b575d58dc31c",
-    "cographic-0": "2bfa835461927286",
-    "cographic-1": "71f907e68d3224e4",
-    "cographic-2": "3a046825fe189eda",
-    "cographic-3": "f098ebf47b3f48c5",
-    "cographic-tie-0": "ef4ffa084f16fbf5",
-    "cographic-tie-1": "77678a0c292c486e",
-    "cographic-tie-2": "5b430f9ada39063e",
-    "cographic-walk": "11226559f2dc5474",
-    "graphic-0": "87ef0a62959a35b7",
-    "graphic-1": "c6780786241491d8",
-    "graphic-2": "b45b1dcbcb357681",
-    "graphic-3": "a4057fd5dec16eb7",
-    "vfk-0": "1c56e86e54b1ae29",
-    "vfk-1": "b6c536b114bed03f",
-    "vfk-2": "5888aee221481d9d",
-    "vfk-tie-0": "a34fce6c0f0e5efc",
-    "vfk-tie-1": "8488658742473b28",
+    "a2-worked": "04ec70c3eee91409",
+    "cographic-0": "6ec8cb540d8f3c93",
+    "cographic-1": "6f791240e7ec7d9b",
+    "cographic-2": "be22d0d1d5fcc435",
+    "cographic-3": "95d6d3a0fe168f62",
+    "cographic-tie-0": "fc69cf0046187cc3",
+    "cographic-tie-1": "9e58d801acfa9878",
+    "cographic-tie-2": "754c9f661603f188",
+    "cographic-walk": "00a6c768bb1f26b8",
+    "graphic-0": "2d1f9ad56e44dd91",
+    "graphic-1": "c82987cf29260e4e",
+    "graphic-2": "05e375c2e8443f2d",
+    "graphic-3": "aa2212d219133b76",
+    "vfk-0": "8726bbce5a1100c1",
+    "vfk-1": "9c774c7b02cfb924",
+    "vfk-2": "52a40f65f6f60325",
+    "vfk-tie-0": "464d6869aee92124",
+    "vfk-tie-1": "2332ac3a4ac9c567",
 }
 
 
@@ -180,8 +186,8 @@ def corpus() -> dict[str, dict]:
         lattice, _ = voronoi_first_kind(obtuse_superbasis_gram(gram))
         out[f"vfk-{k}"] = _problem(f"vfk-{k}", lattice, _far_target(rng, lattice.m))
     # half-integer targets: every box slope right_derivative(j, floor t_j)
-    # is 0, so all box vertices tie and Bland's rule alone picks the box
-    # step's vertex
+    # is 0, so all box vertices tie and the simplex's pivot rule alone
+    # picks the box step's vertex
     rng = random.Random("solve-pinned-ties")
     for k in range(3):
         vertices = 6 + k
@@ -287,11 +293,28 @@ def test_corpus_takes_box_and_walk_steps():
 
 
 def test_box_certified_vertices_are_closest():
-    # 12 of the corpus's box vertices are certified by the box LP's duals;
+    # 13 of the corpus's box vertices are certified by the box LP's duals;
     # cographic-walk's is not, and would be a wrong answer if it were
     instances = [cvp_instance(ZonotopalLattice(matrix=tu_matrix(p["M"]), weights=p["g"]), p["t"])
                  for p in CORPUS.values()]
-    assert check_box_certified_closest(instances) == 12
+    assert check_box_certified_closest(instances) == 13
+
+
+def test_oracle_agrees_on_distance():
+    # every corpus problem within the oracle's rank cap has the brute-force
+    # reference's distance, so a tie answers with a closest vector, not
+    # just the same one as before; the two graphic problems of rank 9 and
+    # 10 are above the cap
+    checked = []
+    for name, p in CORPUS.items():
+        lattice = ZonotopalLattice(matrix=tu_matrix(p["M"]), weights=p["g"])
+        if lattice.rank() > COEFF_BOX_CAP:
+            continue
+        instance = cvp_instance(lattice, p["t"])
+        solution = solve_cvp(instance)
+        assert instance.distance_sq(brute_force_cvp(instance)) == solution.distance_sq, name
+        checked.append(name)
+    assert len(checked) == 16 and all(n in checked for n in CORPUS if "-tie-" in n)
 
 
 def test_tie_box_lps_flip_a_bound(monkeypatch):
