@@ -28,7 +28,6 @@ from .core import (
     FracVec,
     IntVec,
     ZonotopalLattice,
-    project_onto_span,
     tu_decidable,
     tu_matrix,
     tu_verdict,
@@ -44,7 +43,7 @@ from .oracle import (
     brute_force_cvp,
     distance_sq,
     enumerate_primitive_chains,
-    refuse_above_coeff_box_cap,
+    refuse_above_oracle_caps,
 )
 
 
@@ -263,7 +262,7 @@ def cmd_solve(args) -> int:
     lattice = lattice_from_problem(problem)
     instance = cvp_instance(lattice, problem.t, project=not args.no_project)
     if args.oracle:
-        refuse_above_coeff_box_cap(lattice.rank())  # a refusal after the solve wastes it
+        refuse_above_oracle_caps(lattice)  # a refusal after the solve wastes it
     try:
         solution = solve_cvp(instance)
     except InternalInvariantError as exc:
@@ -392,14 +391,13 @@ def cmd_check(args) -> int:
     problem = _load_problem(args.file)
     matrix = tu_matrix(problem.M, mode="assert", width=problem.m)
     lattice = ZonotopalLattice(matrix=matrix, weights=problem.g)
-    projected = project_onto_span(problem.t, lattice)
     payload = {
         "m": problem.m,
         "n": problem.n,
         "tu_mode": problem.tu_mode,
         "tu": tu_verdict(matrix.entries),
         "rank": lattice.rank(),
-        "t_in_span": tuple(projected) == problem.t,
+        "t_in_span": not any(matrix.apply(problem.t)),
     }
     _emit(payload, args.output)
     return 0

@@ -18,6 +18,7 @@ from .core import (
     IntVec,
     TUMatrix,
     ZonotopalLattice,
+    _vector,
     frac_vec,
     tu_matrix,
 )
@@ -46,7 +47,9 @@ class Digraph:
 
 
 def digraph(vertex_count: int, arcs: Sequence[tuple[int, int]]) -> Digraph:
-    return Digraph(vertex_count=vertex_count, arcs=tuple((t, h) for t, h in arcs))
+    """The Digraph of arcs, a list or tuple of (tail, head) pairs (`_vector`)."""
+    return Digraph(vertex_count=vertex_count,
+                   arcs=tuple(tuple(_vector(a, 2, "arc")) for a in _vector(arcs, None, "arc list")))
 
 
 def component_count(vertex_count: int, arcs: Sequence[tuple[int, int]]) -> int:
@@ -202,7 +205,8 @@ class ObtuseSuperbasisGram:
 
 
 def obtuse_superbasis_gram(rows: Sequence[Sequence]) -> ObtuseSuperbasisGram:
-    return ObtuseSuperbasisGram(gram=tuple(frac_vec(r) for r in rows))
+    """The Gram matrix of rows, a list or tuple of rows that `frac_vec` reads."""
+    return ObtuseSuperbasisGram(gram=tuple(map(frac_vec, _vector(rows, None, "Gram matrix"))))
 
 
 def _delone_arcs(gram: Sequence[Sequence[Fraction]]) -> list[tuple[int, int]]:
@@ -256,7 +260,7 @@ def a_n_lattice(n: int, g: Sequence | None = None) -> ZonotopalLattice:
     """A_n = sum-zero integer vectors in Z^{n+1}; one all-ones constraint row."""
     if n < 1:
         raise InvalidInputError("n must be at least 1")
-    weights = frac_vec(g) if g is not None else (Fraction(1),) * (n + 1)
+    weights = g if g is not None else (Fraction(1),) * (n + 1)
     matrix = tu_matrix([[1] * (n + 1)], mode="verify")
     return ZonotopalLattice(matrix=matrix, weights=weights)
 

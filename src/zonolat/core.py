@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational, Real
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import simplex
 from .errors import (
@@ -36,15 +36,34 @@ FracVec = tuple[Fraction, ...]
 VERIFY_ROW_CAP = 20
 
 
-def frac_vec(xs: Iterable) -> FracVec:
-    """Coerce a sequence of ints/strings/Fractions to a Fraction tuple; a
+def _vector(xs, m: int | None, what: str) -> Sequence:
+    """xs itself if it passes the package's one shape rule: a list or tuple,
+    of exactly m entries unless m is None.  Anything else, a str, a scalar,
+    None, a set, a dict or a generator included, raises DimensionError."""
+    if not isinstance(xs, (list, tuple)):
+        raise DimensionError(f"expected a vector, got {xs!r}: {what} must be a list or tuple")
+    if m is not None and len(xs) != m:
+        raise DimensionError(f"{what} length {len(xs)} != coordinate count {m}")
+    return xs
+
+
+def _is_vector_of(xs, m: int, entry_ok) -> bool:
+    """True iff `_vector` takes xs with m entries and entry_ok holds for
+    each: the rule of the predicates, which answer False where a reader
+    raises."""
+    try:
+        _vector(xs, m, "vector")
+    except DimensionError:
+        return False
+    return all(map(entry_ok, xs))
+
+
+def frac_vec(xs: Sequence) -> FracVec:
+    """The entries of a list or tuple (`_vector`) as a Fraction tuple; a
     Fraction is kept as it is.  A float (a Real but not a Rational), whose
     binary value is rarely the one meant, or what Fraction refuses raises
-    InvalidInputError, and a scalar in place of the sequence DimensionError."""
-    try:
-        return tuple(x if type(x) is Fraction else _fraction(x) for x in xs)
-    except TypeError as exc:  # not from _fraction, which raises InvalidInputError
-        raise DimensionError(f"expected a vector, got {xs!r}") from exc
+    InvalidInputError."""
+    return tuple(x if type(x) is Fraction else _fraction(x) for x in _vector(xs, None, "vector"))
 
 
 def _fraction(x) -> Fraction:
@@ -62,12 +81,12 @@ def _is_integer(x) -> bool:
     return isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1
 
 
-def int_vec(xs: Iterable) -> IntVec:
-    """The entries of xs as ints, each checked by _is_integer, as
-    ZonotopalLattice.contains checks them.  Anything else, a str or a float
-    included, raises InvalidInputError."""
+def int_vec(xs: Sequence) -> IntVec:
+    """The entries of a list or tuple (`_vector`) as ints, each checked by
+    _is_integer, as ZonotopalLattice.contains checks them.  Any other
+    entry, a str or a float included, raises InvalidInputError."""
     out = []
-    for x in xs:
+    for x in _vector(xs, None, "vector"):
         if not _is_integer(x):
             shown = x if type(x) is Fraction else repr(x)  # 1/2, but '1' for a str
             raise InvalidInputError(f"expected an integer vector, got entry {shown}")
@@ -88,13 +107,11 @@ def support(x: Sequence) -> frozenset[int]:
 
 
 def inner_product(x: Sequence, y: Sequence, g: Sequence) -> Fraction:
-    """Weighted inner product (x, y)_g = sum_i g_i x_i y_i, exact."""
-    if not (len(x) == len(y) == len(g)):
-        raise DimensionError(
-            f"length mismatch: |x|={len(x)}, |y|={len(y)}, |g|={len(g)}"
-        )
+    """Weighted inner product (x, y)_g = sum_i g_i x_i y_i, exact; x and y
+    have one entry per weight (`_vector`)."""
+    m = len(_vector(g, None, "weight"))
     total = Fraction(0)
-    for gi, xi, yi in zip(g, x, y):
+    for gi, xi, yi in zip(g, _vector(x, m, "vector"), _vector(y, m, "vector")):
         if xi and yi:
             total += Fraction(gi) * xi * yi
     return total
@@ -111,13 +128,10 @@ _INT_TYPES = frozenset((int, bool))
 def _unit_entries(rows: Sequence[Sequence[int]]) -> bool:
     """The package's one matrix-entry rule: every entry is an int (True and
     False read as 1 and 0) in {-1, 0, 1}.  Two C-level set tests per row,
-    types first, refuse a float, a Fraction or a str equal to 1.  A row
-    that is not a sequence, as in a flat row, raises DimensionError."""
-    try:
-        return all(_INT_TYPES.issuperset(map(type, row)) and _UNIT.issuperset(row)
-                   for row in rows)
-    except TypeError as exc:  # map(type, row) of a row that is not iterable
-        raise DimensionError(f"a matrix row must be a sequence: {exc}") from exc
+    types first, refuse a float, a Fraction or a str equal to 1.  A matrix
+    or a row that `_vector` refuses, as a flat row, raises DimensionError."""
+    return all(_INT_TYPES.issuperset(map(type, _vector(row, None, "matrix row")))
+               and _UNIT.issuperset(row) for row in _vector(rows, None, "matrix"))
 
 
 def heller_tompkins(rows: Sequence[Sequence[int]]) -> bool | None:
@@ -131,9 +145,9 @@ def heller_tompkins(rows: Sequence[Sequence[int]]) -> bool | None:
     `_unit_entries` refuses gives False.  Returns None, undecided, when
     some column has three or more nonzeros.
     """
-    n = len(rows)
     if not _unit_entries(rows):
         return False
+    n = len(rows)
     # adjacency[i] holds (k, parity): rows i and k must get different
     # colours when parity is 1 and the same colour when it is 0
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -180,11 +194,11 @@ def ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
     count: `tu_verdict` runs it only on the reduced matrix, and only up to
     VERIFY_ROW_CAP rows.
     """
+    if not _unit_entries(rows):
+        return False
     n = len(rows)
     if n == 0:
         return True
-    if not _unit_entries(rows):
-        return False
     w = (n + 1).bit_length() + 1
     fields = [w * j for j in range(len(rows[0]))]
     top = sum(1 << (f + w - 1) for f in fields)
@@ -224,27 +238,20 @@ def ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
             focus[j + 1] = j + 1
 
 
-def _row_length(row) -> int:
-    """len(row); a row that is not a list or tuple, as in a flat row, raises."""
-    if not isinstance(row, (list, tuple)):
-        raise DimensionError(f"a matrix row must be a list or tuple, got {row!r}")
-    return len(row)
-
-
 @dataclass(frozen=True)
 class TUMatrix:
-    """A matrix of m columns whose entries pass `_unit_entries`, kept as
-    int tuples; `tu_matrix` in "verify", or a construction such as a
-    spanning forest's network matrix, proves it TU."""
+    """A matrix of m columns whose rows and entries pass `_unit_entries`,
+    kept as int tuples; `tu_matrix` in "verify", or a construction such as
+    a spanning forest's network matrix, proves it TU."""
 
     entries: tuple[tuple[int, ...], ...]
     m: int
 
     def __post_init__(self):
-        if any(_row_length(r) != self.m for r in self.entries):
-            raise DimensionError("entry array does not match the declared shape")
         if not _unit_entries(self.entries):
             raise InvalidInputError("matrix entries must lie in {-1, 0, +1}")
+        if any(len(r) != self.m for r in self.entries):
+            raise DimensionError("entry array does not match the declared shape")
         object.__setattr__(self, "entries", tuple(tuple(map(int, r)) for r in self.entries))
 
     @property
@@ -252,12 +259,10 @@ class TUMatrix:
         return len(self.entries)
 
     def apply(self, x: Sequence) -> tuple:
-        """Matrix-vector product M x."""
-        if len(x) != self.m:
-            raise DimensionError(f"vector length {len(x)} != column count {self.m}")
-        return tuple(
-            sum(e * xi for e, xi in zip(row, x) if e) for row in self.entries
-        )
+        """Matrix-vector product M x, for x of m entries (`_vector`): the
+        package's one M x."""
+        x = _vector(x, self.m, "vector")
+        return tuple(sum(map(mul, row, x)) for row in self.entries)
 
 
 def _drop_lines(lines: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -345,7 +350,8 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
     """
     if mode not in ("verify", "assert"):
         raise InvalidInputError(f"unknown TU mode {mode!r}")
-    m = _row_length(rows[0]) if rows else width
+    rows = _vector(rows, None, "matrix")
+    m = len(_vector(rows[0], None, "matrix row")) if rows else width
     if m is None:
         raise InvalidInputError("width is required for a matrix with no rows")
     if width is not None and width != m:
@@ -383,11 +389,7 @@ class ZonotopalLattice:
     weights: FracVec
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", frac_vec(self.weights))
-        if len(self.weights) != self.matrix.m:
-            raise DimensionError(
-                f"weight length {len(self.weights)} != coordinate count {self.matrix.m}"
-            )
+        object.__setattr__(self, "weights", frac_vec(_vector(self.weights, self.matrix.m, "weight")))
         if any(g.numerator <= 0 for g in self.weights):
             raise InvalidInputError("all weights must be positive")
 
@@ -399,13 +401,10 @@ class ZonotopalLattice:
         return self.m - matrix_rank(self.matrix)
 
     def contains(self, coords: Sequence) -> bool:
-        """True iff coords is an integer vector in ker(matrix): every entry an
-        int or an integral Fraction.  Any other entry gives False."""
-        if len(coords) != self.m:
-            return False
-        if not all(map(_is_integer, coords)):
-            return False
-        return all(s == 0 for s in self.matrix.apply(coords))
+        """True iff coords is an integer vector in ker(matrix): a list or
+        tuple of m entries (`_vector`), each an int or an integral Fraction.
+        Anything else gives False."""
+        return _is_vector_of(coords, self.m, _is_integer) and not any(self.matrix.apply(coords))
 
     def norm_sq(self, x: Sequence) -> Fraction:
         return inner_product(x, x, self.weights)
@@ -450,7 +449,7 @@ def chain_signs(values: Sequence) -> IntVec:
 
 
 def primitive_chain(coords: Sequence, lattice: ZonotopalLattice) -> PrimitiveChain:
-    v = int_vec(coords)
+    v = int_vec(_vector(coords, lattice.m, "chain"))
     if not any(v):
         raise InvalidInputError("a primitive chain is nonzero")
     if any(c not in (-1, 0, 1) for c in v):
@@ -466,7 +465,8 @@ def primitive_chain(coords: Sequence, lattice: ZonotopalLattice) -> PrimitiveCha
 
 
 def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
-    """g-orthogonal projection of t onto the span of the lattice.
+    """g-orthogonal projection of t, m entries by `_vector`, onto the span
+    of the lattice.
 
     Returns t' in ker M with (t - t', z)_g = 0 for every kernel vector z;
     idempotent; exact.  The residual t - t' is g-orthogonal to ker M, so
@@ -479,13 +479,7 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
     den c t' = den (c t) - diag(u) M^T (den z).  No rows give t' = t and
     a zero kernel gives the origin.
     """
-    try:
-        size = len(t)
-    except TypeError as exc:
-        raise DimensionError(f"expected a target vector, got {t!r}") from exc
-    if size != lattice.m:
-        raise DimensionError(f"target length {size} != coordinate count {lattice.m}")
-    ct, c = integral_multiple(frac_vec(t))
+    ct, c = integral_multiple(frac_vec(_vector(t, lattice.m, "target")))
     a = lcm(*(g.numerator for g in lattice.weights))
     u = [a // g.numerator * g.denominator for g in lattice.weights]
     rows = lattice.matrix.entries
@@ -497,8 +491,7 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
             normal_i, ue = normal[i], e * uj
             for k, f in nonzero:
                 normal_i[k] += ue * f
-    h = [sum(map(mul, row, ct)) for row in rows]
-    _, h, pivots, den = simplex.eliminate(normal, h)
+    _, h, pivots, den = simplex.eliminate(normal, lattice.matrix.apply(ct))
     if any(h[len(pivots):]):
         raise InternalInvariantError("normal equations of the projection are inconsistent")
     mz = [0] * lattice.m  # M^T (den z), the free z being 0

@@ -28,6 +28,8 @@ from .core import (
     TUMatrix,
     ZonotopalLattice,
     _is_integer,
+    _is_vector_of,
+    _vector,
     chain_signs,
     frac_vec,
     int_vec,
@@ -35,7 +37,7 @@ from .core import (
     primitive_chain,
     project_onto_span,
 )
-from .errors import DimensionError, InternalInvariantError, InvalidInputError
+from .errors import InternalInvariantError, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,9 @@ class CVPInstance:
     lambda_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "target", frac_vec(self.target))
+        object.__setattr__(self, "target", frac_vec(_vector(self.target, self.lattice.m, "target")))
         if self.lattice.m < 1:
             raise InvalidInputError("the lattice needs at least one coordinate")
-        if len(self.target) != self.lattice.m:
-            raise InvalidInputError("target length does not match the lattice")
         # g_i = p/q and t_i = a/b in lowest terms, so 2 g_i t_i = 2pa/(qb);
         # with L the lcm of the b's, T = L t is an int vector, M t = 0 iff
         # M T = 0, and w(0) = sum_i H_i t_i / 2K = (H . T) / 2KL
@@ -71,7 +71,7 @@ class CVPInstance:
                  for g, t in zip(self.weights, self.target)]
         T, L = integral_multiple(self.target)
         M = self.lattice.matrix
-        if any(sum(map(operator.mul, row, T)) for row in M.entries):
+        if any(M.apply(T)):
             raise InvalidInputError(
                 "target is not in the span of the lattice; project it first"
             )
@@ -94,9 +94,8 @@ class CVPInstance:
         return self.lattice.weights
 
     def distance_sq(self, v: Sequence) -> Fraction:
-        """w(v) = w(0) + (sum_i G_i v_i^2 - H_i v_i) / K for an integer v."""
-        if len(v) != self.m:
-            raise DimensionError(f"vector length {len(v)} != coordinate count {self.m}")
+        """w(v) = w(0) + (sum_i G_i v_i^2 - H_i v_i) / K for an integer v of m entries."""
+        v = _vector(v, self.m, "vector")
         s = sum(g * x * x - h * x for g, h, x in zip(self.G, self.H, v) if x)
         return self.w0 + Fraction(s, self.K)
 
@@ -169,23 +168,19 @@ def dual_certificate_holds(v: Sequence, y: Sequence, instance: CVPInstance) -> b
     function of the integer x, minimized at v_i, and (M^T y).(u - v) =
     y.M(u - v) = 0 for every lattice vector u (Rockafellar, Network Flows
     and Monotropic Optimization, 1984).  This holds for any integer M.
-    False when v is not an integer vector of length m by `int_vec`'s rule,
-    or y does not have one int or Fraction entry per row of M; lattice
-    membership of v is not checked.  With d the lcm of the denominators of
-    y and Y = d y, the test runs in ints: d K c_i^- <= K (M^T Y)_i <= d K c_i^+.
+    False when v is not a list or tuple of m entries (`_vector`), each an
+    int or an integral Fraction, or y not one of an int or a Fraction per
+    row of M; lattice membership of v is not checked.  With d the lcm of
+    the denominators of y and Y = d y, the test runs in ints:
+    d K c_i^- <= K (M^T Y)_i <= d K c_i^+.
     """
     rows = instance.lattice.matrix.entries
-    if (len(y) != len(rows) or len(v) != instance.m or not all(map(_is_integer, v))
-            or any(type(a) not in (int, Fraction) for a in y)):
+    if not (_is_vector_of(v, instance.m, _is_integer)
+            and _is_vector_of(y, len(rows), lambda a: type(a) in (int, Fraction))):
         return False
     v = tuple(map(int, v))
     dy, d = integral_multiple(y)
-    mty = [0] * instance.m
-    for Y, row in zip(dy, rows):
-        if Y:
-            for i, e in enumerate(row):
-                if e:
-                    mty[i] += e * Y
+    mty = [sum(Y * row[i] for Y, row in zip(dy, rows) if Y) for i in range(instance.m)]
     slopes = (_scaled_slopes(i, x, instance) for i, x in enumerate(v))
     return all(d * lo <= instance.K * a <= d * hi for a, (lo, hi) in zip(mty, slopes))
 
@@ -230,9 +225,10 @@ def compute_lambda(v: Sequence, instance: CVPInstance,
 
     Every lambda LP of an instance has the same constraints, so `start`,
     the result of an earlier call on the same instance, is a feasible
-    start: phase 1 then runs once per instance (see simplex.solve_lp).
+    start: phase 1 then runs once per instance (see simplex.solve_lp).  v
+    is a lattice vector of m entries, by `_vector` and then `int_vec`.
     """
-    vv = int_vec(v)
+    vv = int_vec(_vector(v, instance.m, "vector"))
     if not instance.lattice.contains(vv):
         raise InvalidInputError(f"{vv} is not a lattice member")
     res = simplex.solve_lp(lambda_lp(vv, instance), start)
@@ -359,7 +355,7 @@ def proximity_start(instance: CVPInstance) -> tuple[IntVec, tuple[Fraction, ...]
         res = simplex.solve_lp(simplex.LPProblem(
             c=tuple(_scaled_slopes(j, base[j], instance)[1] for j in free),
             A=tuple(tuple(row[j] for j in free) for row in rows),
-            b=tuple(-sum(e * x for e, x in zip(row, base) if e) for row in rows),
+            b=tuple(map(operator.neg, instance.lattice.matrix.apply(base))),
             upper=(1,) * len(free),
         ))
         for j, z in zip(free, res.vertex):

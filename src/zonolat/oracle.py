@@ -28,13 +28,13 @@ from .core import (
     VERIFY_ROW_CAP,
     ZonotopalLattice,
     _unit_entries,
+    _vector,
     frac_vec,
     inner_product,
     int_vec,
     primitive_chain,
 )
 from .errors import (
-    DimensionError,
     InternalInvariantError,
     InvalidInputError,
     OracleFailureError,
@@ -149,10 +149,9 @@ def _combine(alpha: Sequence, basis: Sequence[IntVec], m: int) -> list:
 
 
 def project(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
-    """g-orthogonal projection of t onto the span of the lattice, exact."""
-    if len(t) != lattice.m:
-        raise DimensionError(f"target length {len(t)} != coordinate count {lattice.m}")
-    alpha = _coefficients(frac_vec(t), lattice)
+    """g-orthogonal projection of t, m entries by `_vector`, onto the span
+    of the lattice, exact."""
+    alpha = _coefficients(frac_vec(_vector(t, lattice.m, "target")), lattice)
     return frac_vec(_combine(alpha, kernel_basis(lattice.matrix), lattice.m))
 
 
@@ -231,10 +230,7 @@ def enumerate_primitive_chains(lattice: ZonotopalLattice) -> list[PrimitiveChain
     are pairwise incomparable by construction.  Refused with SizeCapError
     above ENUMERATION_CAP coordinates.
     """
-    if lattice.m > ENUMERATION_CAP:
-        raise SizeCapError(
-            f"ternary enumeration capped at {ENUMERATION_CAP} coordinates (got {lattice.m})"
-        )
+    _refuse_above_enumeration_cap(lattice)
     return [primitive_chain(c, lattice) for c in _primitive_chain_coords(lattice.matrix)]
 
 
@@ -387,13 +383,23 @@ def distance_sq(u: Sequence, t: FracVec, lattice: ZonotopalLattice) -> Fraction:
                         for w, a, x in zip(g, u, t)), q * d * d)
 
 
-def refuse_above_coeff_box_cap(rank: int) -> None:
-    """SizeCapError for a lattice rank above COEFF_BOX_CAP, which
-    brute_force_cvp refuses; a caller can check before it solves."""
+def _refuse_above_enumeration_cap(lattice: ZonotopalLattice) -> None:
+    if lattice.m > ENUMERATION_CAP:
+        raise SizeCapError(
+            f"ternary enumeration capped at {ENUMERATION_CAP} coordinates (got {lattice.m})"
+        )
+
+
+def refuse_above_oracle_caps(lattice: ZonotopalLattice) -> None:
+    """SizeCapError for what brute_force_cvp refuses: a rank above
+    COEFF_BOX_CAP, checked first, or, for its facet certificate, more than
+    ENUMERATION_CAP coordinates.  A caller can check before it solves."""
+    rank = len(kernel_basis(lattice.matrix))
     if rank > COEFF_BOX_CAP:
         raise SizeCapError(
             f"coefficient enumeration capped at rank {COEFF_BOX_CAP} (got {rank})"
         )
+    _refuse_above_enumeration_cap(lattice)
 
 
 def brute_force_cvp(instance: CVPInstance) -> IntVec:
@@ -404,12 +410,12 @@ def brute_force_cvp(instance: CVPInstance) -> IntVec:
     keeps the g-closest point by `distance_sq` (ties go to the
     lexicographically smallest vector), and returns the winner once it
     passes the facet certificate; OracleFailureError when none does.
-    Refused above rank COEFF_BOX_CAP.  At rank 0 the one candidate is the
-    origin.
+    Refused by `refuse_above_oracle_caps`.  At rank 0 the one candidate is
+    the origin.
     """
     lattice = instance.lattice
+    refuse_above_oracle_caps(lattice)
     basis = kernel_basis(lattice.matrix)
-    refuse_above_coeff_box_cap(len(basis))
     # the target is in the span, so these are its exact coordinates in B
     centers = [math.floor(a + Fraction(1, 2)) for a in _coefficients(instance.target, lattice)]
     for radius in COEFF_BOX_RADII:

@@ -115,6 +115,28 @@ def test_parse_solution_rejects_wrong_types(field, value):
         parse_solution(dict(SOLUTION, **{field: value}))
 
 
+@pytest.mark.parametrize("data, message", [
+    ([], "solution file must be a JSON object"),
+    ({k: v for k, v in SOLUTION.items() if k != "certified"}, "missing required field 'certified'"),
+    (dict(SOLUTION, lambda_trace="0"), "lambda_trace must be a list"),
+])
+def test_parse_solution_rejects_the_shape(data, message):
+    with pytest.raises(InputFormatError, match=message):
+        parse_solution(data)
+
+
+def test_parse_problem_rejects_a_non_object():
+    with pytest.raises(InputFormatError, match="problem file must be a JSON object"):
+        parse_problem([A2_PROBLEM])
+
+
+def test_unreadable_file_exits_1(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["solve", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}: ") and "Traceback" not in err
+
+
 def test_solve_worked_example(capsys, a2_file):
     assert main(["solve", a2_file]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -167,17 +189,26 @@ def test_solve_oracle_refuses_rank_above_the_box_cap(rank11_file, capsys):
     assert captured.err == "error: coefficient enumeration capped at rank 8 (got 11)\n"
 
 
-def test_solve_oracle_refuses_before_solving(rank11_file, capsys, monkeypatch):
+def test_solve_oracle_refuses_before_solving(rank11_file, tmp_path, capsys, monkeypatch):
     from zonolat import cli
 
     def never(instance):
         raise AssertionError("solve_cvp called on a file the oracle refuses")
 
+    # rank 7 is within the coefficient box, but the facet certificate's
+    # enumeration refuses its m = 16 arcs
+    graphic16 = str(tmp_path / "graphic16.json")
+    arcs = "0-1,1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9,0-5,1-7,2-9,3-8,4-6,0-9,2-6"
+    assert main(["construct", "graphic", "--vertices", "10", "--arcs", arcs, "-o", graphic16]) == 0
     monkeypatch.setattr(cli, "solve_cvp", never)
     assert main(["solve", rank11_file, "--oracle"]) == 1
     assert capsys.readouterr().err == "error: coefficient enumeration capped at rank 8 (got 11)\n"
+    assert main(["solve", graphic16, "--oracle"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ternary enumeration capped at 14 coordinates (got 16)\n")
     monkeypatch.undo()
     assert main(["solve", rank11_file]) == 0
+    assert main(["solve", graphic16]) == 0
 
 
 def test_solve_lattice_point_target(capsys, tmp_path):

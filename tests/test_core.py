@@ -17,9 +17,11 @@ from zonolat import (
     SizeCapError,
     a_n_lattice,
     cographic_lattice,
+    compute_lambda,
     conformal_decompose,
     cvp_instance,
     digraph,
+    dual_certificate_holds,
     enumerate_primitive_chains,
     graphic_lattice,
     incidence_matrix,
@@ -41,6 +43,7 @@ from zonolat.core import (
     frac_vec,
     ghouila_houri_ok,
     heller_tompkins,
+    int_vec,
     tu_decidable,
     tu_reduce,
     tu_verdict,
@@ -269,6 +272,81 @@ def test_a_scalar_where_a_vector_belongs_is_a_dimension_error():
             build()
 
 
+def _a2_instance():
+    return cvp_instance(a2(), (F(1, 2), F(-1, 2), 0), project=False)
+
+
+#: (name, reader, a vector it takes, predicate): the reader is called with
+#: one argument in the place of a vector, a matrix or a row, and a
+#: predicate answers False where the others raise.
+SHAPE_READERS = [
+    ("int_vec", int_vec, [1, -1, 0], False),
+    ("frac_vec", frac_vec, ["1/2", 1, 0], False),
+    ("contains", lambda x: a2().contains(x), [1, -1, 0], True),
+    ("apply", lambda x: a2().matrix.apply(x), [1, 2, 3], False),
+    ("distance_sq", lambda x: _a2_instance().distance_sq(x), [1, -1, 0], False),
+    ("dual_certificate_holds-v",
+     lambda x: dual_certificate_holds(x, (F(0),), _a2_instance()), [0, 0, 0], True),
+    ("dual_certificate_holds-y",
+     lambda y: dual_certificate_holds((0, 0, 0), y, _a2_instance()), [F(1, 2)], True),
+    ("compute_lambda", lambda x: compute_lambda(x, _a2_instance())[0], [1, -1, 0], False),
+    ("norm_sq", lambda x: a2().norm_sq(x), [1, -1, 0], False),
+    ("primitive_chain", lambda x: primitive_chain(x, a2()), [1, -1, 0], False),
+    ("inner_product-x", lambda x: inner_product(x, (1, 1, 1), (1, 1, 1)), [1, 2, 3], False),
+    ("inner_product-g", lambda g: inner_product((1, 1, 1), (1, 1, 1), g), [1, 2, 3], False),
+    ("digraph-arcs", lambda arcs: digraph(3, arcs), [(0, 1), (1, 2)], False),
+    ("digraph-arc", lambda arc: digraph(3, [arc]), [0, 1], False),
+    ("obtuse_superbasis_gram", obtuse_superbasis_gram, [[1, -1], [-1, 1]], False),
+    ("obtuse_superbasis_gram-row",
+     lambda row: obtuse_superbasis_gram([row, [-1, 1]]), [1, -1], False),
+    ("a_n_lattice", lambda g: a_n_lattice(2, g), [1, 2, 3], False),
+    ("cvp_instance", lambda t: cvp_instance(a2(), t), ["1/2", 0, 0], False),
+    ("cvp_instance-no-project",
+     lambda t: cvp_instance(a2(), t, project=False), ["1/2", "-1/2", 0], False),
+    ("project_onto_span", lambda t: project_onto_span(t, a2()), ["1/2", 0, 0], False),
+    ("TUMatrix", lambda rows: TUMatrix(entries=rows, m=3), [[1, 1, 1]], False),
+    ("TUMatrix-row", lambda row: TUMatrix(entries=(row,), m=3), [1, 1, 1], False),
+    ("tu_matrix", tu_matrix, [[1, 1, 1]], False),
+    ("tu_matrix-row", lambda row: tu_matrix([row], mode="verify", width=3), [1, 1, 1], False),
+    ("heller_tompkins", heller_tompkins, [[1, 1, 1]], False),
+    ("heller_tompkins-row", lambda row: heller_tompkins([row]), [1, 1, 1], False),
+]
+
+#: Readers that take any number of entries or rows, or rows of any one
+#: length, so that no length is wrong for them.
+ANY_LENGTH = {"int_vec", "frac_vec", "digraph-arcs", "obtuse_superbasis_gram",
+              "obtuse_superbasis_gram-row", "TUMatrix", "tu_matrix", "heller_tompkins",
+              "heller_tompkins-row"}
+
+#: What the shape rule refuses in the place of a vector `good`.
+NOT_VECTORS = {
+    "scalar": lambda good: 5,
+    "None": lambda good: None,
+    "str": lambda good: "12",
+    "set": lambda good: {3, 1, 2},
+    "dict": lambda good: {"1": 0},
+    "generator": lambda good: (x for x in good),
+    "length": lambda good: good + good[:1],
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_VECTORS))
+@pytest.mark.parametrize("name, read, good, predicate", SHAPE_READERS,
+                         ids=[r[0] for r in SHAPE_READERS])
+def test_one_shape_rule_for_every_vector_and_row(name, read, good, predicate, kind):
+    # a scalar once raised a bare TypeError here, and "12" or a set were
+    # read as the vector of their entries
+    assert read(list(good)) == read(tuple(good))
+    if kind == "length" and name in ANY_LENGTH or (name, kind) == ("a_n_lattice", "None"):
+        return  # None is a_n_lattice's default, all-ones weights
+    bad = NOT_VECTORS[kind](good)
+    if predicate:
+        assert read(bad) is False
+    else:
+        with pytest.raises(DimensionError):
+            read(bad)
+
+
 def test_rationals_accept_ints_bools_fractions_and_strings():
     entries = [2, True, F(-1, 3), "3/4", "0.1", " 5 "]
     assert frac_vec(entries) == (2, 1, F(-1, 3), F(3, 4), F(1, 10), 5)
@@ -382,10 +460,17 @@ def test_tu_matrix_entry_validation():
             build()
 
 
+def test_tu_matrix_refuses_an_unknown_mode_and_a_missing_width():
+    with pytest.raises(InvalidInputError, match="unknown TU mode 'auto'"):
+        tu_matrix([[1, 0]], mode="auto")
+    with pytest.raises(InvalidInputError, match="width is required"):
+        tu_matrix([], mode="assert")
+
+
 def test_tu_checks_refuse_a_flat_row():
     # a flat row once raised a bare TypeError from _unit_entries
     for check in (heller_tompkins, tu_verdict, tu_decidable, ghouila_houri_ok):
-        with pytest.raises(DimensionError, match="must be a sequence"):
+        with pytest.raises(DimensionError, match="must be a list or tuple"):
             check([1, 0, -1])
 
 
@@ -658,3 +743,12 @@ def test_chain_membership_checked():
     assert primitive_chain((1, 0, -1), lat).coords == (1, 0, -1)
     with pytest.raises(InvalidInputError):
         primitive_chain((1, 0, 0), lat)
+
+
+@pytest.mark.parametrize("coords, message", [
+    ((0, 0, 0), "a primitive chain is nonzero"),
+    ((2, -2, 0), "primitive chain entries must lie in"),
+])
+def test_primitive_chain_refuses_zero_and_non_unit_vectors(coords, message):
+    with pytest.raises(InvalidInputError, match=message):
+        primitive_chain(coords, a2())

@@ -20,6 +20,7 @@ from conftest import (
     random_arcs,
 )
 from zonolat import (
+    DimensionError,
     InternalInvariantError,
     InvalidInputError,
     ZonotopalLattice,
@@ -342,7 +343,7 @@ def test_span_check_matches_the_fraction_product():
                     assert str(exc.value) == SPAN_MESSAGE
     assert verdicts == {False, True}
     # the length check still comes first
-    with pytest.raises(InvalidInputError, match="target length does not match"):
+    with pytest.raises(DimensionError, match="target length 2 != coordinate count 3"):
         CVPInstance(lattice=a2(), target=(F(1, big), F(-1, big)))
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import a2, corpus_small
 from zonolat import (
+    DimensionError,
     InternalInvariantError,
     InvalidInputError,
     LPProblem,
@@ -98,6 +99,17 @@ def test_non_integral_data_rejected(where, bad):
     with pytest.raises(InvalidInputError):
         LPProblem(c=tuple(data["c"]), A=tuple(map(tuple, data["A"])), b=tuple(data["b"]),
                   upper=tuple(data["upper"]))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("A", ((1, -1, 0),), "constraint row length does not match objective"),
+    ("b", (3, 0), "right-hand side length does not match row count"),
+    ("upper", (2,), "bound vector must match the variable count"),
+])
+def test_lp_shape_mismatches_are_dimension_errors(field, value, message):
+    data = {"c": (1, 0), "A": ((1, -1),), "b": (3,), "upper": (2, None)}
+    with pytest.raises(DimensionError, match=message):
+        LPProblem(**dict(data, **{field: value}))
 
 
 def test_contradictory_equalities_infeasible():
