@@ -3,6 +3,10 @@
 Rationals travel as strings "p/q" in lowest terms (plain integers are
 accepted on input) so that nothing is ever rounded.  Output is fully
 deterministic: the same input file always produces byte-identical bytes.
+
+A file's values are read by the library, under its rules; this module
+checks only the fields, their JSON types, and that true and false, which
+Python reads as 1 and 0, are not numbers.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .core import (
     FracVec,
     IntVec,
     ZonotopalLattice,
+    frac_vec,
+    project_onto_span,
     tu_decidable,
     tu_matrix,
     tu_verdict,
@@ -51,23 +57,18 @@ class InputFormatError(ZonolatError, ValueError):
     """Problem or solution file does not match the documented schema."""
 
 
-def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise InputFormatError(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"cannot parse rational {value!r}") from exc
-    raise InputFormatError(
-        f"rationals must be integers or 'p/q' strings, got {type(value).__name__}"
-    )
+def _json_integers(values) -> bool:
+    """Every value is a JSON integer: an int but not a bool, since Python
+    reads true and false as 1 and 0; one C-level set test."""
+    return {int}.issuperset(map(type, values))
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+def _rationals(values: list) -> FracVec:
+    """frac_vec of a JSON list, in which true and false are not numbers."""
+    if bool in map(type, values):
+        bad = next(x for x in values if type(x) is bool)
+        raise InputFormatError(f"expected a rational, got {bad!r}")
+    return frac_vec(values)
 
 
 @dataclass(frozen=True)
@@ -93,17 +94,10 @@ class SolutionFile:
     tool_version: str
 
 
-def _is_integer(value) -> bool:
-    """A JSON integer; bools are ints to Python but not to the file format."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-#: The types and values a row of M may hold, for one C-level test per row.
-_INT_TYPE = frozenset((int,))
-_UNIT = frozenset((-1, 0, 1))
-
-
 def parse_problem(data: dict) -> ProblemFile:
+    """The problem file data, whose values `lattice_from_problem` and
+    `cvp_instance` go on to check: M's entries and row width, and the
+    lengths and signs of g and t."""
     if not isinstance(data, dict):
         raise InputFormatError("problem file must be a JSON object")
     try:
@@ -115,7 +109,7 @@ def parse_problem(data: dict) -> ProblemFile:
     except KeyError as exc:
         raise InputFormatError(f"missing required field {exc.args[0]!r}") from exc
     for key, value in (("m", m), ("n", n)):
-        if not _is_integer(value):
+        if not _json_integers((value,)):
             raise InputFormatError(f"{key} must be an integer, got {value!r}")
     for key, value in (("M", rows), ("g", g), ("t", t)):
         if not isinstance(value, list):
@@ -123,28 +117,17 @@ def parse_problem(data: dict) -> ProblemFile:
     tu_mode = data.get("tu_mode", "verify")
     if tu_mode not in ("verify", "assert"):
         raise InputFormatError(f"tu_mode must be 'verify' or 'assert', got {tu_mode!r}")
-    if len(rows) != n or any(not isinstance(r, list) or len(r) != m for r in rows):
+    if len(rows) != n or not all(isinstance(r, list) for r in rows):
         raise InputFormatError("M does not match the declared n x m shape")
-    entries = []
     for row in rows:
-        # the type test comes first, so the value test sees hashable ints;
-        # a row that fails is walked again to name its first bad entry
-        if not (_INT_TYPE.issuperset(map(type, row)) and _UNIT.issuperset(row)):
-            for e in row:
-                if not _is_integer(e) or e not in (-1, 0, 1):
-                    raise InputFormatError(f"matrix entries must be -1, 0 or 1, got {e!r}")
-        entries.append(tuple(row))
-    if len(g) != m or len(t) != m:
-        raise InputFormatError("g and t must have length m")
-    gv = tuple(parse_rational(x) for x in g)
-    if any(x.numerator <= 0 for x in gv):
-        raise InputFormatError("all weights g must be positive")
-    tv = tuple(parse_rational(x) for x in t)
+        if not _json_integers(row):  # walked again to name its first bad entry
+            bad = next(e for e in row if not _json_integers((e,)))
+            raise InputFormatError(f"matrix entries must lie in {{-1, 0, +1}}, got {bad!r}")
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise InputFormatError("name must be a string")
-    return ProblemFile(name=name, m=m, n=n, M=tuple(entries), g=gv, t=tv,
-                       tu_mode=tu_mode)
+    return ProblemFile(name=name, m=m, n=n, M=tuple(map(tuple, rows)), g=_rationals(g),
+                       t=_rationals(t), tu_mode=tu_mode)
 
 
 def problem_to_json(p: ProblemFile) -> dict:
@@ -155,8 +138,8 @@ def problem_to_json(p: ProblemFile) -> dict:
         "m": p.m,
         "n": p.n,
         "M": [list(row) for row in p.M],
-        "g": [format_rational(x) for x in p.g],
-        "t": [format_rational(x) for x in p.t],
+        "g": list(map(str, p.g)),
+        "t": list(map(str, p.t)),
         "tu_mode": p.tu_mode,
     })
     return out
@@ -176,9 +159,9 @@ def parse_solution(data: dict) -> SolutionFile:
         raise InputFormatError(f"missing required field {exc.args[0]!r}") from exc
     oracle_agreement = data.get("oracle_agreement")
     seed = data.get("seed")
-    if not isinstance(closest, list) or not all(_is_integer(x) for x in closest):
+    if not isinstance(closest, list) or not _json_integers(closest):
         raise InputFormatError(f"closest must be a list of integers, got {closest!r}")
-    if not _is_integer(iterations):
+    if not _json_integers((iterations,)):
         raise InputFormatError(f"iterations must be an integer, got {iterations!r}")
     if not isinstance(lambda_trace, list):
         raise InputFormatError(f"lambda_trace must be a list, got {lambda_trace!r}")
@@ -188,15 +171,15 @@ def parse_solution(data: dict) -> SolutionFile:
         raise InputFormatError(
             f"oracle_agreement must be a boolean or null, got {oracle_agreement!r}"
         )
-    if seed is not None and not _is_integer(seed):
+    if seed is not None and not _json_integers((seed,)):
         raise InputFormatError(f"seed must be an integer or null, got {seed!r}")
     if not isinstance(tool_version, str):
         raise InputFormatError(f"tool_version must be a string, got {tool_version!r}")
     return SolutionFile(
         closest=tuple(closest),
-        distance_sq=parse_rational(distance_sq),
+        distance_sq=_rationals([distance_sq])[0],
         iterations=iterations,
-        lambda_trace=tuple(parse_rational(x) for x in lambda_trace),
+        lambda_trace=_rationals(lambda_trace),
         certified=certified,
         oracle_agreement=oracle_agreement,
         seed=seed,
@@ -207,9 +190,9 @@ def parse_solution(data: dict) -> SolutionFile:
 def solution_to_json(s: SolutionFile) -> dict:
     out = {
         "closest": list(s.closest),
-        "distance_sq": format_rational(s.distance_sq),
+        "distance_sq": str(s.distance_sq),
         "iterations": s.iterations,
-        "lambda_trace": [format_rational(x) for x in s.lambda_trace],
+        "lambda_trace": list(map(str, s.lambda_trace)),
         "certified": s.certified,
     }
     if s.oracle_agreement is not None:
@@ -316,7 +299,7 @@ def _parse_weights(text: str | None, m: int) -> FracVec | None:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if len(parts) != m:
         raise InputFormatError(f"expected {m} weights, got {len(parts)}")
-    return tuple(parse_rational(p) for p in parts)
+    return frac_vec(parts)
 
 
 def _problem_from_lattice(name: str, lattice: ZonotopalLattice) -> ProblemFile:
@@ -352,9 +335,7 @@ def cmd_construct(args) -> int:
         rows = data["gram"] if isinstance(data, dict) and "gram" in data else data
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise InputFormatError("gram file must hold a matrix or {'gram': matrix}")
-        gram = obtuse_superbasis_gram(
-            [[parse_rational(x) for x in row] for row in rows]
-        )
+        gram = obtuse_superbasis_gram([_rationals(row) for row in rows])
         lattice, _ = voronoi_first_kind(gram)
         name = f"vfk-{gram.size - 1}d"
     elif kind == "tensor":
@@ -397,7 +378,7 @@ def cmd_check(args) -> int:
         "tu_mode": problem.tu_mode,
         "tu": tu_verdict(matrix.entries),
         "rank": lattice.rank(),
-        "t_in_span": not any(matrix.apply(problem.t)),
+        "t_in_span": project_onto_span(problem.t, lattice) == problem.t,
     }
     _emit(payload, args.output)
     return 0

@@ -30,13 +30,17 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Digraph:
-    """Directed multigraph without self-loops; vertices are 0..vertex_count-1."""
+    """Directed multigraph without self-loops; vertices are 0..vertex_count-1.
+    The arcs are a list or tuple of (tail, head) pairs (`_vector`), kept as
+    tuples."""
 
     vertex_count: int
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for tail, head in self.arcs:
+        arcs = tuple(tuple(_vector(a, 2, "arc")) for a in _vector(self.arcs, None, "arc list"))
+        object.__setattr__(self, "arcs", arcs)
+        for tail, head in arcs:
             if not (isinstance(tail, int) and isinstance(head, int)):
                 raise InvalidInputError(
                     f"arc ({tail!r}, {head!r}) has an end that is not an int")
@@ -47,9 +51,8 @@ class Digraph:
 
 
 def digraph(vertex_count: int, arcs: Sequence[tuple[int, int]]) -> Digraph:
-    """The Digraph of arcs, a list or tuple of (tail, head) pairs (`_vector`)."""
-    return Digraph(vertex_count=vertex_count,
-                   arcs=tuple(tuple(_vector(a, 2, "arc")) for a in _vector(arcs, None, "arc list")))
+    """The Digraph of arcs, a list or tuple of (tail, head) pairs."""
+    return Digraph(vertex_count=vertex_count, arcs=arcs)
 
 
 def component_count(vertex_count: int, arcs: Sequence[tuple[int, int]]) -> int:

@@ -129,9 +129,16 @@ def _unit_entries(rows: Sequence[Sequence[int]]) -> bool:
     """The package's one matrix-entry rule: every entry is an int (True and
     False read as 1 and 0) in {-1, 0, 1}.  Two C-level set tests per row,
     types first, refuse a float, a Fraction or a str equal to 1.  A matrix
-    or a row that `_vector` refuses, as a flat row, raises DimensionError."""
-    return all(_INT_TYPES.issuperset(map(type, _vector(row, None, "matrix row")))
-               and _UNIT.issuperset(row) for row in _vector(rows, None, "matrix"))
+    or a row that `_vector` refuses, as a flat row, or a row whose length
+    is not the first row's raises DimensionError."""
+    rows = _vector(rows, None, "matrix")
+    width = len(_vector(rows[0], None, "matrix row")) if rows else 0
+    ok = True
+    for row in rows:
+        if len(_vector(row, None, "matrix row")) != width:
+            raise DimensionError("entry array does not match the declared shape")
+        ok = ok and _INT_TYPES.issuperset(map(type, row)) and _UNIT.issuperset(row)
+    return ok
 
 
 def heller_tompkins(rows: Sequence[Sequence[int]]) -> bool | None:
@@ -242,15 +249,18 @@ def ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
 class TUMatrix:
     """A matrix of m columns whose rows and entries pass `_unit_entries`,
     kept as int tuples; `tu_matrix` in "verify", or a construction such as
-    a spanning forest's network matrix, proves it TU."""
+    a spanning forest's network matrix, proves it TU.  A refusal names the
+    first bad entry."""
 
     entries: tuple[tuple[int, ...], ...]
     m: int
 
     def __post_init__(self):
         if not _unit_entries(self.entries):
-            raise InvalidInputError("matrix entries must lie in {-1, 0, +1}")
-        if any(len(r) != self.m for r in self.entries):
+            bad = next(e for row in self.entries for e in row
+                       if type(e) not in _INT_TYPES or e not in _UNIT)
+            raise InvalidInputError(f"matrix entries must lie in {{-1, 0, +1}}, got {bad!r}")
+        if self.entries and len(self.entries[0]) != self.m:
             raise DimensionError("entry array does not match the declared shape")
         object.__setattr__(self, "entries", tuple(tuple(map(int, r)) for r in self.entries))
 

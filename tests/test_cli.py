@@ -14,12 +14,16 @@ from zonolat.cli import (
     InputFormatError,
     SolutionFile,
     _load_problem,
+    lattice_from_problem,
     main,
     parse_problem,
     parse_solution,
     problem_to_json,
     solution_to_json,
 )
+from zonolat.core import ZonotopalLattice, frac_vec, tu_matrix
+from zonolat.errors import InvalidInputError, ZonolatError
+from zonolat.mmcc import cvp_instance
 
 A2_PROBLEM = {
     "name": "a2-worked",
@@ -55,10 +59,11 @@ def test_problem_accepts_plain_integers():
 def test_problem_rejects_floats_and_bad_shapes():
     with pytest.raises(Exception):
         parse_problem(dict(A2_PROBLEM, g=[1.0, 1, 1]))
+    # the row width and the weights' sign are the lattice's to check
     with pytest.raises(Exception):
-        parse_problem(dict(A2_PROBLEM, M=[[1, 1]]))
+        lattice_from_problem(parse_problem(dict(A2_PROBLEM, M=[[1, 1]])))
     with pytest.raises(Exception):
-        parse_problem(dict(A2_PROBLEM, g=["0", "1", "1"]))
+        lattice_from_problem(parse_problem(dict(A2_PROBLEM, g=["0", "1", "1"])))
     with pytest.raises(Exception):
         parse_problem(dict(A2_PROBLEM, tu_mode="maybe"))
 
@@ -67,12 +72,57 @@ def test_problem_rejects_floats_and_bad_shapes():
 def test_problem_names_the_first_bad_matrix_entry(bad):
     # a row that fails the one-pass check is walked again entry by entry:
     # the message names the first bad entry of the first bad row, after a
-    # valid row and valid entries, and ahead of a later bad one
+    # valid row and valid entries, and ahead of a later bad one; the file
+    # format refuses what is not a JSON integer, and TUMatrix the ints
+    # outside {-1, 0, +1}, both in core's words
     data = dict(A2_PROBLEM, m=4, n=2, M=[[1, -1, 0, 0], [0, 1, bad, 5]],
                 g=[1] * 4, t=[0] * 4)
-    with pytest.raises(InputFormatError) as exc:
-        parse_problem(data)
-    assert str(exc.value) == f"matrix entries must be -1, 0 or 1, got {bad!r}"
+    with pytest.raises((InputFormatError, InvalidInputError)) as exc:
+        lattice_from_problem(parse_problem(data))
+    assert str(exc.value) == f"matrix entries must lie in {{-1, 0, +1}}, got {bad!r}"
+
+
+def _a2_matrix():
+    return tu_matrix(A2_PROBLEM["M"])
+
+
+def _refusal(read) -> str:
+    with pytest.raises(ZonolatError) as exc:
+        read()
+    return str(exc.value)
+
+
+#: A value put into the A_2 problem, and the library call that refuses it,
+#: or the message for JSON true, which the file format alone refuses.
+BAD_FILE_VALUES = [
+    pytest.param("g", ["0", "1", "1"],
+                 lambda g: ZonotopalLattice(matrix=_a2_matrix(), weights=g), id="g-zero"),
+    pytest.param("g", ["1", "1"],
+                 lambda g: ZonotopalLattice(matrix=_a2_matrix(), weights=g), id="g-short"),
+    pytest.param("t", ["1", "1"], lambda t: cvp_instance(
+        ZonotopalLattice(matrix=_a2_matrix(), weights=A2_PROBLEM["g"]), t), id="t-short"),
+    *[pytest.param(field, [bad, "1", "1"], frac_vec, id=f"{field}-{bad!r}")
+      for field in ("g", "t") for bad in ("abc", 1.5, None, "1/0")],
+    pytest.param("M", [[1, 2, 1]], tu_matrix, id="M-2"),
+    pytest.param("g", [True, "1", "1"], "expected a rational, got True", id="g-true"),
+    pytest.param("t", ["1", True, "1"], "expected a rational, got True", id="t-true"),
+    pytest.param("M", [[1, True, 1]], "matrix entries must lie in {-1, 0, +1}, got True",
+                 id="M-true"),
+]
+
+
+@pytest.mark.parametrize("field, value, library", BAD_FILE_VALUES)
+def test_a_bad_file_value_gets_the_library_message(tmp_path, capsys, field, value, library):
+    # the CLI once had its own readers, worded apart from the library's
+    message = library if isinstance(library, str) else _refusal(lambda: library(value))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(A2_PROBLEM, **{field: value})), encoding="utf-8")
+    for command in ("solve", "check"):
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == f"error: {message}\n"
 
 
 def test_solution_roundtrip():

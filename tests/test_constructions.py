@@ -46,6 +46,19 @@ def test_incidence_disjoint_arcs_trivial_kernel():
     assert len(kernel_basis(m)) == 0  # 2 - 4 + 2
 
 
+def test_digraph_built_directly_takes_the_shape_rule():
+    # the constructor once skipped digraph()'s shape rule: an arc of three
+    # ends raised a bare ValueError from unpacking, and list arcs were kept
+    # as lists, which a frozen dataclass cannot hash
+    with pytest.raises(DimensionError, match="arc length 3 != coordinate count 2"):
+        constructions.Digraph(3, ((0, 1, 2),))
+    with pytest.raises(DimensionError, match="must be a list or tuple"):
+        constructions.Digraph(3, ((0, 1), 5))
+    d = constructions.Digraph(3, [[0, 1]])
+    assert d == constructions.Digraph(3, ((0, 1),)) == digraph(3, [[0, 1]])
+    assert hash(d) == hash(constructions.Digraph(3, ((0, 1),)))
+
+
 def test_self_loop_rejected():
     with pytest.raises(InvalidInputError):
         digraph(2, [(1, 1)])

@@ -474,6 +474,20 @@ def test_tu_checks_refuse_a_flat_row():
             check([1, 0, -1])
 
 
+@pytest.mark.parametrize("check, rows", [
+    (heller_tompkins, [[1, 1], [1]]),
+    (tu_verdict, [[1, 1, 1], [1]]),
+    (tu_decidable, [[1, 1], [1]]),
+    (ghouila_houri_ok, [[1, 1], [1]]),
+    (check_tu, [[1, 1], [1]]),
+])
+def test_tu_checks_refuse_a_ragged_matrix(check, rows):
+    # zip(*rows) once truncated the longer row, so the first four called
+    # the matrix TU, and check_tu raised a bare IndexError
+    with pytest.raises(DimensionError, match="entry array does not match the declared shape"):
+        check(rows)
+
+
 #: Entries that equal or truncate to a unit but are not ints.
 NOT_INTS = [1.9, 1.0, F(3, 2), F(1), "1", None]
 
