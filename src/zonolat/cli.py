@@ -252,7 +252,7 @@ def cmd_solve(args) -> int:
         # the solver's invariants rest on total unimodularity, so a failed
         # self-check that a TU test blames on a false "tu_mode": "assert" is
         # bad input (exit 1), not a solver bug (exit 2)
-        if problem.tu_mode == "assert" and tu_verdict(lattice.matrix.entries) is False:
+        if problem.tu_mode == "assert" and tu_verdict(lattice.matrix) is False:
             raise InvalidInputError("matrix asserted totally unimodular is not") from exc
         raise
     agreement = None
@@ -313,7 +313,7 @@ def _problem_from_lattice(name: str, lattice: ZonotopalLattice) -> ProblemFile:
         M=matrix.entries,
         g=lattice.weights,
         t=tuple(Fraction(0) for _ in range(lattice.m)),
-        tu_mode="verify" if tu_decidable(matrix.entries) else "assert",
+        tu_mode="verify" if tu_decidable(matrix) else "assert",
     )
 
 
@@ -376,7 +376,7 @@ def cmd_check(args) -> int:
         "m": problem.m,
         "n": problem.n,
         "tu_mode": problem.tu_mode,
-        "tu": tu_verdict(matrix.entries),
+        "tu": tu_verdict(matrix),
         "rank": lattice.rank(),
         "t_in_span": project_onto_span(problem.t, lattice) == problem.t,
     }

@@ -32,7 +32,7 @@ IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
 
 #: The exhaustive Ghouila-Houri fallback is refused above this many rows of
-#: the reduced matrix (`tu_reduce`).
+#: the reduced matrix (`_tu_reduce`).
 VERIFY_ROW_CAP = 20
 
 
@@ -67,8 +67,8 @@ def frac_vec(xs: Sequence) -> FracVec:
 
 
 def _fraction(x) -> Fraction:
-    """Fraction(x) for an entry of frac_vec that is not a Fraction."""
-    if isinstance(x, Real) and not isinstance(x, Rational):
+    """Fraction(x) for a frac_vec entry other than a Fraction; a str skips the float test."""
+    if type(x) is not str and isinstance(x, Real) and not isinstance(x, Rational):
         raise InvalidInputError(f"expected a rational, got {x!r}")
     try:
         return Fraction(x)
@@ -141,19 +141,17 @@ def _unit_entries(rows: Sequence[Sequence[int]]) -> bool:
     return ok
 
 
-def heller_tompkins(rows: Sequence[Sequence[int]]) -> bool | None:
-    """Exact TU verdict for a matrix with at most two nonzeros per column.
+def _heller_tompkins(rows: Sequence[Sequence[int]]) -> bool | None:
+    """Exact TU verdict for a matrix with at most two nonzeros per column,
+    on the checked entries of a TUMatrix or their reduction.
 
     Heller & Tompkins (1956): such a {-1,0,+1} matrix is totally unimodular
     iff its rows can be 2-coloured so that the two nonzeros of a column lie
     in different colour classes when they have the same sign and in the
     same class when their signs differ.  The colouring is found by sign
-    propagation, a bipartiteness check in O(nnz).  An entry that
-    `_unit_entries` refuses gives False.  Returns None, undecided, when
-    some column has three or more nonzeros.
+    propagation, a bipartiteness check in O(nnz).  Returns None,
+    undecided, when some column has three or more nonzeros.
     """
-    if not _unit_entries(rows):
-        return False
     n = len(rows)
     # adjacency[i] holds (k, parity): rows i and k must get different
     # colours when parity is 1 and the same colour when it is 0
@@ -185,9 +183,9 @@ def heller_tompkins(rows: Sequence[Sequence[int]]) -> bool | None:
     return True
 
 
-def ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
-    """Exhaustive Ghouila-Houri test: every nonempty row subset R admits a
-    signing x in {-1,+1}^R with x^T M_R in {-1, 0, +1}^m.
+def _ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
+    """Exhaustive Ghouila-Houri test on checked rows: every nonempty row
+    subset R admits a signing x in {-1,+1}^R with x^T M_R in {-1, 0, +1}^m.
 
     Equivalently, every nonempty support is hit by some x in {-1,0,+1}^n
     with x^T M in {-1,0,+1}^m.  The walk visits x in reflected ternary Gray
@@ -201,8 +199,6 @@ def ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
     count: `tu_verdict` runs it only on the reduced matrix, and only up to
     VERIFY_ROW_CAP rows.
     """
-    if not _unit_entries(rows):
-        return False
     n = len(rows)
     if n == 0:
         return True
@@ -250,7 +246,8 @@ class TUMatrix:
     """A matrix of m columns whose rows and entries pass `_unit_entries`,
     kept as int tuples; `tu_matrix` in "verify", or a construction such as
     a spanning forest's network matrix, proves it TU.  A refusal names the
-    first bad entry."""
+    first bad entry.  It is the one input of `tu_verdict` and
+    `tu_decidable`, so the entry rule runs once per matrix."""
 
     entries: tuple[tuple[int, ...], ...]
     m: int
@@ -289,8 +286,8 @@ def _drop_lines(lines: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return out
 
 
-def tu_reduce(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """A matrix that is TU iff the {-1,0,+1} matrix rows is, no larger.
+def _tu_reduce(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """A matrix that is TU iff the checked {-1,0,+1} rows are, no larger.
 
     Deletes, to a fixed point, every row or column with at most one
     nonzero and every row or column that repeats another up to sign, then
@@ -310,39 +307,39 @@ def tu_reduce(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return ()
 
 
-def _tu_without_search(rows: Sequence[Sequence[int]]) -> tuple[bool | None, tuple]:
+def _tu_without_search(matrix: TUMatrix) -> tuple[bool | None, tuple]:
     """The polynomial part of `tu_verdict`: (verdict, ()) when it decides,
-    else (None, the reduced matrix the exhaustive check must decide)."""
-    verdict = heller_tompkins(rows)
+    else (None, the reduced matrix R that the exhaustive check must decide).
+    Heller-Tompkins on M is the fast path that skips the reduction, as on an
+    incidence matrix.  On R's transpose it could never decide: R has r <= c
+    rows and columns and two or more nonzeros in every line, so if no row
+    had more than two, 2c <= nnz(R) = 2r <= 2c would give every column
+    exactly two, and the call on R itself would have decided."""
+    verdict = _heller_tompkins(matrix.entries)
     if verdict is not None:
         return verdict, ()
-    reduced = tu_reduce(rows)
+    reduced = _tu_reduce(matrix.entries)
     if not reduced:
         return True, ()
-    verdict = heller_tompkins(reduced)
-    if verdict is None:
-        verdict = heller_tompkins(tuple(zip(*reduced)))
+    verdict = _heller_tompkins(reduced)
     return (verdict, ()) if verdict is not None else (None, reduced)
 
 
-def tu_decidable(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff `tu_verdict(rows)` is not None: a polynomial test decides,
-    or the reduced matrix has at most VERIFY_ROW_CAP rows."""
-    verdict, reduced = _tu_without_search(rows)
+def tu_decidable(matrix: TUMatrix) -> bool:
+    """True iff `tu_verdict(matrix)` is not None: a polynomial test
+    decides, or the reduced matrix has at most VERIFY_ROW_CAP rows."""
+    verdict, reduced = _tu_without_search(matrix)
     return verdict is not None or len(reduced) <= VERIFY_ROW_CAP
 
 
-def tu_verdict(rows: Sequence[Sequence[int]]) -> bool | None:
-    """Exact TU verdict, or None when the exhaustive check is over its cap.
-
-    In order: the entry rule; Heller-Tompkins on M; `tu_reduce`, whose
-    empty result means TU; Heller-Tompkins on the reduced matrix and on its
-    transpose; and only then the exhaustive Ghouila-Houri check on the
-    reduced matrix, within VERIFY_ROW_CAP rows.
-    """
-    verdict, reduced = _tu_without_search(rows)
+def tu_verdict(matrix: TUMatrix) -> bool | None:
+    """Exact TU verdict on a TUMatrix, whose entries passed the entry rule
+    once, or None when the exhaustive check is over its cap: the tests of
+    `_tu_without_search`, then, on the reduced matrix within VERIFY_ROW_CAP
+    rows, the exhaustive Ghouila-Houri check."""
+    verdict, reduced = _tu_without_search(matrix)
     if verdict is None and len(reduced) <= VERIFY_ROW_CAP:
-        verdict = ghouila_houri_ok(reduced)
+        verdict = _ghouila_houri_ok(reduced)
     return verdict
 
 
@@ -368,9 +365,9 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
         raise DimensionError(f"declared width {width} != row length {m}")
     matrix = TUMatrix(entries=rows, m=m)
     if mode == "verify":
-        verdict = tu_verdict(matrix.entries)
+        verdict = tu_verdict(matrix)
         if verdict is None:
-            reduced = tu_reduce(matrix.entries)
+            reduced = _tu_reduce(matrix.entries)
             raise SizeCapError(
                 f"exhaustive TU verification capped at {VERIFY_ROW_CAP} rows: "
                 f"the {matrix.n} x {m} matrix reduces to {len(reduced)} x "

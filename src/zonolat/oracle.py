@@ -487,8 +487,8 @@ def check_tu(matrix: TUMatrix | Sequence[Sequence[int]]) -> bool:
 
     Every nonempty row subset must admit a +-1 signing whose column sums
     all lie in {-1, 0, +1}; each subset is searched on its own by
-    `_signing_exists`, independently of `core.ghouila_houri_ok`.  An entry
-    that `core._unit_entries` refuses gives False, never a truncated int.
+    `_signing_exists`, independently of core's packed walk.  It runs the
+    entry rule `core._unit_entries` itself: a bad entry gives False.
     """
     rows = matrix.entries if isinstance(matrix, TUMatrix) else matrix
     if len(rows) > VERIFY_ROW_CAP:

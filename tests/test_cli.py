@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +23,17 @@ from zonolat.cli import (
     problem_to_json,
     solution_to_json,
 )
-from zonolat.core import ZonotopalLattice, frac_vec, tu_matrix
-from zonolat.errors import InvalidInputError, ZonolatError
+from zonolat import core, mmcc
+from zonolat.core import (
+    VERIFY_ROW_CAP,
+    ZonotopalLattice,
+    _heller_tompkins,
+    _tu_reduce,
+    frac_vec,
+    tu_decidable,
+    tu_matrix,
+)
+from zonolat.errors import InternalInvariantError, InvalidInputError, ZonolatError
 from zonolat.mmcc import cvp_instance
 
 A2_PROBLEM = {
@@ -339,6 +350,59 @@ def test_check_decides_tu_above_the_cap(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["tu"] is True
 
 
+def _transposed_incidence_problem():
+    """The transpose of the 30-cycle's incidence matrix above, 33 x 30,
+    with three nonzeros in the columns of the chords' ends.  It reduces to
+    the 30 x 33 incidence matrix, which Heller-Tompkins decides though it
+    is above the cap."""
+    rows = [list(col) for col in zip(*_incidence_problem("verify")["M"])]
+    return {"m": 30, "n": 33, "M": rows, "g": ["1"] * 30,
+            "t": [f"{(5 * j) % 9 - 4}/{1 + j % 3}" for j in range(30)], "tu_mode": "verify"}
+
+
+def test_heller_tompkins_on_the_reduced_matrix_decides_above_the_cap(tmp_path, capsys):
+    # the one polynomial test between the reduction and the exhaustive
+    # check: without it the file would be refused with SizeCapError
+    data = _transposed_incidence_problem()
+    matrix = tu_matrix(data["M"], mode="verify", width=30)
+    assert _heller_tompkins(matrix.entries) is None
+    assert len(_tu_reduce(matrix.entries)) == 30 > VERIFY_ROW_CAP
+    assert tu_decidable(matrix) is True
+    path = tmp_path / "cycle30t.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["tu"] is True
+    assert main(["solve", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True
+
+
+def _workload_problems():
+    """The problems of seeds 1 to 10 of both benchmark workloads, 9 and 48
+    a seed, as `benchmarks/run.py` draws them."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [problem for seed in range(1, 11)
+            for name, count in (("graphic-lp", 9), ("cut-certify", 48))
+            for problem in workloads.GENERATORS[name](seed, count)]
+
+
+def test_set_up_walks_the_matrix_entries_once(monkeypatch):
+    # TUMatrix checks the entries, and the TU tests read them as checked:
+    # the entry rule once ran 2.0 times per graphic-lp set-up and 4.675
+    # times per cut-certify set-up, on M, its reduction and its transpose
+    problems = _workload_problems()
+    assert len(problems) == 570
+    calls = []
+    rule = core._unit_entries
+    monkeypatch.setattr(core, "_unit_entries", lambda rows: calls.append(1) or rule(rows))
+    for data in problems:
+        calls.clear()
+        lattice_from_problem(parse_problem(data))
+        assert len(calls) == 1, data["name"]
+
+
 def test_solve_rejects_false_tu_assertion_above_the_cap(tmp_path, capsys):
     # the non-TU matrix above padded with zero rows to 22: Heller-Tompkins
     # still refutes the assertion, so the failed self-check exits 1, not 2
@@ -603,6 +667,38 @@ def test_internal_error_on_true_tu_assertion_maps_to_exit_2(monkeypatch, tmp_pat
     monkeypatch.setattr("zonolat.cli.solve_cvp", boom)
     assert main(["solve", str(path)]) == 2
     assert "internal error" in capsys.readouterr().err
+
+
+#: (what is patched in mmcc, its replacement given the real one, the
+#: message): each forces one of the solver's self-checks on the A_2 file,
+#: whose walk takes one chain step.
+SELF_CHECKS = {
+    "circuit": ("_is_circuit", lambda real: lambda columns, matrix: False,
+                "is not a circuit"),
+    "mean-cost": ("_scaled_cost", lambda real: lambda v, u, instance: real(v, u, instance) + 1,
+                  "extracted vector has mean cost"),
+    "iteration-cap": ("stopping_data", lambda real: lambda instance: 0,
+                      "iteration cap 0 exceeded"),
+    "stopping-rule": ("compute_lambda", lambda real: lambda v, instance, start=None: (
+        F(1, 2 * instance.K * instance.m), real(v, instance, start)[1]),
+        "stopping-rule inconsistency"),
+    "distance": ("saturating_step", lambda real: lambda lam, u, instance: 0,
+                 "squared distance failed to decrease"),
+}
+
+
+@pytest.mark.parametrize("check", list(SELF_CHECKS))
+def test_solver_self_checks_raise_and_exit_2(check, monkeypatch, a2_file, capsys):
+    name, patch, message = SELF_CHECKS[check]
+    monkeypatch.setattr(mmcc, name, patch(getattr(mmcc, name)))
+    instance = cvp_instance(lattice_from_problem(parse_problem(A2_PROBLEM)), A2_PROBLEM["t"])
+    with pytest.raises(InternalInvariantError, match=message):
+        mmcc.solve_cvp(instance)
+    assert main(["solve", a2_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_solve_byte_identical(tmp_path, a2_file):

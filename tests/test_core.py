@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -37,15 +38,16 @@ from zonolat import (
     tu_matrix,
     voronoi_first_kind,
 )
+from zonolat import core
 from zonolat.core import (
     TUMatrix,
+    _ghouila_houri_ok,
+    _heller_tompkins,
+    _tu_reduce,
     chain_signs,
     frac_vec,
-    ghouila_houri_ok,
-    heller_tompkins,
     int_vec,
     tu_decidable,
-    tu_reduce,
     tu_verdict,
 )
 from zonolat.oracle import check_tu, row_reduce
@@ -308,8 +310,10 @@ SHAPE_READERS = [
     ("TUMatrix-row", lambda row: TUMatrix(entries=(row,), m=3), [1, 1, 1], False),
     ("tu_matrix", tu_matrix, [[1, 1, 1]], False),
     ("tu_matrix-row", lambda row: tu_matrix([row], mode="verify", width=3), [1, 1, 1], False),
-    ("heller_tompkins", heller_tompkins, [[1, 1, 1]], False),
-    ("heller_tompkins-row", lambda row: heller_tompkins([row]), [1, 1, 1], False),
+    ("heller_tompkins", lambda rows: _heller_tompkins(TUMatrix(entries=rows, m=3).entries),
+     [[1, 1, 1]], False),
+    ("heller_tompkins-row",
+     lambda row: _heller_tompkins(TUMatrix(entries=(row,), m=3).entries), [1, 1, 1], False),
 ]
 
 #: Readers that take any number of entries or rows, or rows of any one
@@ -354,6 +358,20 @@ def test_rationals_accept_ints_bools_fractions_and_strings():
     assert cvp_instance(a2(), ["1/2", F(-1, 2), 0]).target == (F(1, 2), F(-1, 2), 0)
     gram = obtuse_superbasis_gram([["1", -1], [F(-1), True]])
     assert gram.gram == ((1, -1), (-1, 1))
+
+
+@pytest.mark.parametrize("text", [" 1/2 ", "+3/4", "-0.5", "1e3", "1_000", "1/0", "abc",
+                                  "0x10", "inf"])
+def test_rational_strings_are_read_as_fraction_reads_them(text):
+    # a str skips the float test and goes straight to Fraction, so frac_vec
+    # takes exactly the strings Fraction takes, whatever the Python version
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InvalidInputError, match=re.escape(f"expected a rational, got '{text}'")):
+            frac_vec([text])
+    else:
+        assert frac_vec([text]) == (expected,)
 
 
 # ---------------------------------------------------------------------------
@@ -467,25 +485,49 @@ def test_tu_matrix_refuses_an_unknown_mode_and_a_missing_width():
         tu_matrix([], mode="assert")
 
 
+#: Each TU test on raw rows: the core tests see them only as a TUMatrix,
+#: which refuses what they once refused; the oracle's check_tu reads them.
+RAW_TU_CHECKS = {
+    "TUMatrix": lambda rows: TUMatrix(entries=rows, m=3),
+    "heller_tompkins": lambda rows: _heller_tompkins(tu_matrix(rows, mode="assert").entries),
+    "tu_verdict": lambda rows: tu_verdict(tu_matrix(rows, mode="assert")),
+    "tu_decidable": lambda rows: tu_decidable(tu_matrix(rows, mode="assert")),
+    "ghouila_houri_ok": lambda rows: _ghouila_houri_ok(tu_matrix(rows, mode="assert").entries),
+    "check_tu": check_tu,
+}
+
+
 def test_tu_checks_refuse_a_flat_row():
     # a flat row once raised a bare TypeError from _unit_entries
-    for check in (heller_tompkins, tu_verdict, tu_decidable, ghouila_houri_ok):
+    for check in RAW_TU_CHECKS.values():
         with pytest.raises(DimensionError, match="must be a list or tuple"):
             check([1, 0, -1])
 
 
 @pytest.mark.parametrize("check, rows", [
-    (heller_tompkins, [[1, 1], [1]]),
-    (tu_verdict, [[1, 1, 1], [1]]),
-    (tu_decidable, [[1, 1], [1]]),
-    (ghouila_houri_ok, [[1, 1], [1]]),
-    (check_tu, [[1, 1], [1]]),
+    ("heller_tompkins", [[1, 1], [1]]),
+    ("tu_verdict", [[1, 1, 1], [1]]),
+    ("tu_decidable", [[1, 1], [1]]),
+    ("ghouila_houri_ok", [[1, 1], [1]]),
+    ("check_tu", [[1, 1], [1]]),
+    ("TUMatrix", [[1, 1, 1], [1, -1]]),
 ])
 def test_tu_checks_refuse_a_ragged_matrix(check, rows):
     # zip(*rows) once truncated the longer row, so the first four called
     # the matrix TU, and check_tu raised a bare IndexError
     with pytest.raises(DimensionError, match="entry array does not match the declared shape"):
-        check(rows)
+        RAW_TU_CHECKS[check](rows)
+
+
+def test_no_core_function_decides_tu_from_raw_rows():
+    # core.tu_reduce([[1, 1, 1], [1, -1]]) once truncated to ((1, 1), (1, -1)),
+    # and tu_reduce([["a", "b"], ["c", "d"]]) raised a bare TypeError: the
+    # raw-row tests are private now, and the TUMatrix they need refuses both
+    assert not {"heller_tompkins", "ghouila_houri_ok", "tu_reduce"} & set(vars(core))
+    with pytest.raises(DimensionError, match="entry array does not match"):
+        tu_matrix([[1, 1, 1], [1, -1]], mode="assert")
+    with pytest.raises(InvalidInputError, match="must lie in .*got 'a'"):
+        tu_matrix([["a", "b"], ["c", "d"]], mode="assert")
 
 
 #: Entries that equal or truncate to a unit but are not ints.
@@ -511,11 +553,12 @@ def test_entry_checks_treat_bools_as_ints(entry, unit):
     # those ints; 2 and -2 are 1 x 1 minors that refute TU, and an entry
     # that is not an int is refused by the same rule, never truncated
     rows = ((1, 0, -1), (0, entry, 1))
-    assert heller_tompkins(rows) is unit
-    assert ghouila_houri_ok(rows) is unit
     assert check_tu(rows) is unit
     if unit:
-        for entries in (TUMatrix(entries=rows, m=3).entries,
+        matrix = TUMatrix(entries=rows, m=3)
+        assert _heller_tompkins(matrix.entries) is _ghouila_houri_ok(matrix.entries) is True
+        assert tu_verdict(matrix) is True
+        for entries in (matrix.entries,
                         tu_matrix(rows, mode="verify").entries,
                         tu_matrix(rows, mode="assert").entries):
             assert entries == rows and {type(e) for row in entries for e in row} == {int}
@@ -536,18 +579,18 @@ def test_tu_matrix_verify_cap():
     # the 32 x 64 cographic matrix of a 33-vertex digraph reduces to
     # 24 x 26, still above the cap, and no polynomial test decides it
     lat = cographic_lattice(_random_connected_digraph(random.Random(33), 33, 64))
-    assert tu_decidable(lat.matrix.entries) is False
+    assert tu_decidable(lat.matrix) is False
     with pytest.raises(SizeCapError, match="32 x 64 matrix reduces to 24 x 26"):
         tu_matrix(lat.matrix.entries, mode="verify")
 
 
 def test_tu_matrix_verifies_repeated_unit_rows_above_the_cap():
     # 25 copies of one unit row: the reduction leaves nothing
-    assert tu_reduce([[1, 0, 0]] * 25) == ()
+    assert _tu_reduce(((1, 0, 0),) * 25) == ()
     assert tu_matrix([[1, 0, 0]] * 25, mode="verify").n == 25
 
 
-#: Two nonzeros in every line and no repeats: a fixed point of tu_reduce.
+#: Two nonzeros in every line and no repeats: a fixed point of _tu_reduce.
 #: It is not TU (determinant 2), which the reduction does not look at.
 CORE_3X3 = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
 
@@ -557,28 +600,28 @@ def _with_column(rows, column):
 
 
 def test_tu_reduce_deletes_lines_with_at_most_one_nonzero():
-    assert tu_reduce(CORE_3X3) == CORE_3X3
-    assert tu_reduce(CORE_3X3 + ((0, 0, -1),)) == CORE_3X3
-    assert tu_reduce(CORE_3X3 + ((0, 0, 0),)) == CORE_3X3
-    assert tu_reduce(_with_column(CORE_3X3, (0, 1, 0))) == CORE_3X3
+    assert _tu_reduce(CORE_3X3) == CORE_3X3
+    assert _tu_reduce(CORE_3X3 + ((0, 0, -1),)) == CORE_3X3
+    assert _tu_reduce(CORE_3X3 + ((0, 0, 0),)) == CORE_3X3
+    assert _tu_reduce(_with_column(CORE_3X3, (0, 1, 0))) == CORE_3X3
     # a path cascades: each deletion leaves another line with one nonzero
-    assert tu_reduce([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]) == ()
-    assert tu_reduce([]) == () and tu_reduce([[]]) == ()
+    assert _tu_reduce([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]) == ()
+    assert _tu_reduce([]) == () and _tu_reduce([[]]) == ()
 
 
 def test_tu_reduce_deletes_repeats_up_to_sign():
-    assert tu_reduce(CORE_3X3 + ((-1, -1, 0),)) == CORE_3X3
-    assert tu_reduce(CORE_3X3 + ((0, 1, 1),)) == CORE_3X3
-    assert tu_reduce(_with_column(CORE_3X3, (-1, 0, -1))) == CORE_3X3
+    assert _tu_reduce(CORE_3X3 + ((-1, -1, 0),)) == CORE_3X3
+    assert _tu_reduce(CORE_3X3 + ((0, 1, 1),)) == CORE_3X3
+    assert _tu_reduce(_with_column(CORE_3X3, (-1, 0, -1))) == CORE_3X3
     # [[1, 1], [1, -1]] keeps both rows: they differ in sign in one column
-    assert tu_reduce([[1, 1], [1, -1]]) == ((1, 1), (1, -1))
+    assert _tu_reduce([[1, 1], [1, -1]]) == ((1, 1), (1, -1))
 
 
 def test_tu_reduce_transposes_to_the_shorter_side():
     tall = CORE_3X3 + ((1, 1, 1),)
-    assert tu_reduce(tall) == tuple(zip(*tall))
-    assert tu_reduce(tuple(zip(*tall))) == tuple(zip(*tall))
-    assert tu_verdict(tall) is check_tu(tall) is False
+    assert _tu_reduce(tall) == tuple(zip(*tall))
+    assert _tu_reduce(tuple(zip(*tall))) == tuple(zip(*tall))
+    assert tu_verdict(tu_matrix(tall, mode="assert")) is check_tu(tall) is False
 
 
 def _random_matrix(rng, max_rows, max_columns):
@@ -610,10 +653,11 @@ def test_tu_verdict_matches_oracle_random():
     verdicts = []
     for _ in range(600):
         rows = _random_matrix(rng, 7, 9)
-        verdict = tu_verdict(rows)
+        matrix = tu_matrix(rows, mode="assert")
+        verdict = tu_verdict(matrix)
         assert verdict == check_tu(rows), rows
-        assert tu_decidable(rows)
-        assert ghouila_houri_ok(tu_reduce(rows)) == verdict, rows
+        assert tu_decidable(matrix)
+        assert _ghouila_houri_ok(_tu_reduce(matrix.entries)) == verdict, rows
         verdicts.append(verdict)
     # both verdicts are well represented
     assert 150 < verdicts.count(True) < 450
@@ -624,7 +668,7 @@ def test_tu_verdict_matches_minor_oracle_random():
     verdicts = []
     for _ in range(300):
         rows = _random_matrix(rng, 4, 4)
-        verdict = tu_verdict(rows)
+        verdict = tu_verdict(tu_matrix(rows, mode="assert"))
         assert verdict == _tu_by_minors(rows), rows
         verdicts.append(verdict)
     assert 50 < verdicts.count(True) < 250
@@ -652,7 +696,7 @@ def test_heller_tompkins_matches_ghouila_houri_exhaustively():
     count = 0
     for n, m in sizes:
         for rows in _two_per_column_matrices(n, m):
-            assert heller_tompkins(rows) == ghouila_houri_ok(rows), rows
+            assert _heller_tompkins(rows) == _ghouila_houri_ok(rows), rows
             count += 1
     # 3, 9, 19 and 33 admissible columns for 1, 2, 3 and 4 rows
     assert count == (3 + 3 ** 2 + 3 ** 3) + (9 + 9 ** 2 + 9 ** 3) \
@@ -668,23 +712,23 @@ def test_heller_tompkins_matches_ghouila_houri_random():
         for j in range(m):
             for i in rng.sample(range(n), min(n, rng.randint(0, 2))):
                 rows[i][j] = rng.choice((-1, 1))
-        assert heller_tompkins(rows) == ghouila_houri_ok(rows), rows
+        assert _heller_tompkins(rows) == _ghouila_houri_ok(rows), rows
 
 
 def test_heller_tompkins_rejects_and_defers():
-    assert heller_tompkins([[1, 1], [1, -1]]) is False
+    assert _heller_tompkins([[1, 1], [1, -1]]) is False
     with pytest.raises(InvalidInputError, match="not totally unimodular"):
         tu_matrix([[1, 1], [1, -1]], mode="verify")
-    assert heller_tompkins([[1], [1], [1]]) is None
-    assert heller_tompkins([[1, 0], [-1, 1], [0, 1], [0, -1]]) is None
-    assert heller_tompkins([]) is True
+    assert _heller_tompkins([[1], [1], [1]]) is None
+    assert _heller_tompkins([[1, 0], [-1, 1], [0, 1], [0, -1]]) is None
+    assert _heller_tompkins([]) is True
 
 
 def test_families_never_run_the_exhaustive_check(monkeypatch):
     def spy(rows):
-        raise AssertionError("ghouila_houri_ok called")
+        raise AssertionError("_ghouila_houri_ok called")
 
-    monkeypatch.setattr("zonolat.core.ghouila_houri_ok", spy)
+    monkeypatch.setattr("zonolat.core._ghouila_houri_ok", spy)
     incidence_matrix(k4_digraph())
     a_n_lattice(3)
     tensor_lattice(2, 3)
@@ -707,7 +751,7 @@ def test_cographic_lattice_verified_at_33_vertices():
     lat = cographic_lattice(d)
     assert time.perf_counter() - start < 1
     assert (lat.matrix.n, lat.m) == (32, 64)
-    assert heller_tompkins(lat.matrix.entries) is None
+    assert _heller_tompkins(lat.matrix.entries) is None
 
 
 def _det(rows):
@@ -749,7 +793,7 @@ def test_ghouila_houri_matches_minor_oracle():
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
         rows = [[rng.choice([-1, 0, 1]) for _ in range(m)] for _ in range(n)]
-        assert ghouila_houri_ok(rows) == _tu_by_minors(rows), rows
+        assert _ghouila_houri_ok(rows) == _tu_by_minors(rows), rows
 
 
 def test_chain_membership_checked():
