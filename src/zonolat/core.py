@@ -67,10 +67,15 @@ def frac_vec(xs: Sequence) -> FracVec:
 
 
 def _fraction(x) -> Fraction:
-    """Fraction(x) for a frac_vec entry other than a Fraction; a str skips the float test."""
+    """Fraction(x) for a frac_vec entry other than a Fraction; a str skips the float test,
+    and int reads one of the form -?D or -?D/D (each D decimal digits) as Fraction would."""
     if type(x) is not str and isinstance(x, Real) and not isinstance(x, Rational):
         raise InvalidInputError(f"expected a rational, got {x!r}")
     try:
+        if type(x) is str:
+            num, slash, den = x.partition("/")
+            if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
+                return Fraction(int(num), int(den) if slash else 1)
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"expected a rational, got {x!r}") from exc
@@ -272,6 +277,13 @@ class TUMatrix:
         return tuple(sum(map(mul, row, x)) for row in self.entries)
 
 
+def _as_tu_matrix(matrix) -> TUMatrix:
+    """matrix itself if it is a TUMatrix; raw rows raise InvalidInputError."""
+    if not isinstance(matrix, TUMatrix):
+        raise InvalidInputError(f"expected a TUMatrix from tu_matrix, got {type(matrix).__name__}")
+    return matrix
+
+
 def _drop_lines(lines: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The lines with two or more nonzeros, each kept once up to sign."""
     seen, out = set(), []
@@ -295,15 +307,17 @@ def _tu_reduce(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     in both directions (Schrijver, Theory of Linear and Integer
     Programming, 1986, ch. 19): a square submatrix through a line with one
     nonzero expands along it to one of the rest, and one through a line
-    and its repeat is singular.  The empty matrix () means TU.
+    and its repeat is singular.  The empty matrix () means TU.  Row and
+    column passes alternate until one deletes nothing, after one of each.
     """
-    lines = [tuple(row) for row in rows]
+    lines, transposed = _drop_lines([tuple(row) for row in rows]), False
     while lines:
+        lines, transposed = list(zip(*lines)), not transposed
         kept = _drop_lines(lines)
-        columns = _drop_lines(list(zip(*kept)))
-        if len(kept) == len(lines) and len(columns) == len(lines[0]):
-            return tuple(lines) if len(lines) <= len(columns) else tuple(columns)
-        lines = list(zip(*columns))
+        if len(kept) == len(lines):
+            sides = (tuple(lines), tuple(zip(*lines)))  # this side, then the other
+            return min(sides[::-1] if transposed else sides, key=len)  # rows on a tie
+        lines = kept
     return ()
 
 
@@ -315,7 +329,7 @@ def _tu_without_search(matrix: TUMatrix) -> tuple[bool | None, tuple]:
     rows and columns and two or more nonzeros in every line, so if no row
     had more than two, 2c <= nnz(R) = 2r <= 2c would give every column
     exactly two, and the call on R itself would have decided."""
-    verdict = _heller_tompkins(matrix.entries)
+    verdict = _heller_tompkins(_as_tu_matrix(matrix).entries)
     if verdict is not None:
         return verdict, ()
     reduced = _tu_reduce(matrix.entries)
@@ -380,7 +394,7 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
 
 
 def matrix_rank(matrix: TUMatrix) -> int:
-    return len(simplex.eliminate(matrix.entries)[2])
+    return len(simplex.eliminate(_as_tu_matrix(matrix).entries)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +410,8 @@ class ZonotopalLattice:
     weights: FracVec
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", frac_vec(_vector(self.weights, self.matrix.m, "weight")))
+        m = _as_tu_matrix(self.matrix).m
+        object.__setattr__(self, "weights", frac_vec(_vector(self.weights, m, "weight")))
         if any(g.numerator <= 0 for g in self.weights):
             raise InvalidInputError("all weights must be positive")
 
@@ -480,11 +495,10 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
     it is D^-1 M^T y for D = diag(g), and M t' = 0 gives the normal
     equations (M D^-1 M^T) y = M t over the n rows of M; then
     t' = t - D^-1 M^T y.  In integers, with u = a D^-1 and c t integral,
-    (M diag(u) M^T) z = M (c t) for z = c y / a, and simplex.eliminate of
-    [M diag(u) M^T | M (c t)] leaves den z on the pivot rows; the free z,
-    from the dependent rows of an incidence matrix, are 0, and
-    den c t' = den (c t) - diag(u) M^T (den z).  No rows give t' = t and
-    a zero kernel gives the origin.
+    (M diag(u) M^T) z = M (c t) for z = c y / a; simplex.eliminate solves
+    it forward and back for den z, the free z, from the dependent rows of
+    an incidence matrix, being 0, and den c t' = den (c t) - diag(u) M^T
+    (den z).  No rows give t' = t and a zero kernel gives the origin.
     """
     ct, c = integral_multiple(frac_vec(_vector(t, lattice.m, "target")))
     a = lcm(*(g.numerator for g in lattice.weights))
@@ -498,7 +512,7 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
             normal_i, ue = normal[i], e * uj
             for k, f in nonzero:
                 normal_i[k] += ue * f
-    _, h, pivots, den = simplex.eliminate(normal, lattice.matrix.apply(ct))
+    h, pivots, den = simplex.eliminate(normal, lattice.matrix.apply(ct))
     if any(h[len(pivots):]):
         raise InternalInvariantError("normal equations of the projection are inconsistent")
     mz = [0] * lattice.m  # M^T (den z), the free z being 0

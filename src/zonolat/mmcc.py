@@ -267,7 +267,7 @@ def min_mean_voronoi_vector(v: Sequence, instance: CVPInstance,
 def _is_circuit(columns: list[int], matrix: TUMatrix) -> bool:
     """rank M[:, columns] = |columns| - 1, i.e. a one-dimensional kernel."""
     sub = [[row[j] for j in columns] for row in matrix.entries]
-    return len(simplex.eliminate(sub)[2]) == len(columns) - 1
+    return len(simplex.eliminate(sub)[1]) == len(columns) - 1
 
 
 # ---------------------------------------------------------------------------

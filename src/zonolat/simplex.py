@@ -35,9 +35,9 @@ read straight off the rhs, the bounds and the reduced-cost row, together
 with den.  Every solve also checks, in integers, that its vertex is
 feasible and that its duals, those of the bounds included, prove the
 optimum.
-`eliminate` runs the same pivot as a fraction-free Gauss-Jordan reduction,
-the one exact elimination of the solver: rank, projections and circuit
-tests.
+`eliminate`, the one exact elimination of the solver (rank, projections,
+circuit tests), makes the same update forward only, as Bareiss's
+elimination, and then solves the pivot rows by exact back-substitution.
 """
 
 from __future__ import annotations
@@ -214,12 +214,11 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
     where y is row r and f the entry of x in column jc.  The division is
     exact: the result is a subdeterminant of the data (Cramer's rule;
     Edmonds 1967, Bareiss 1968).  A negative p (a variable that leaves at
-    its bound or enters from it, or `eliminate`) negates row r first, so
-    the denominator stays positive.  `red` is None when there is no objective.
-    Rows are replaced, never edited.  With p == den, which is most pivots
-    on a totally unimodular M, an entry x whose y or f is 0 becomes
-    (x den) // den == x: so a row with f == 0 is left as it is, and in the
-    others only the columns where row r is nonzero are rewritten, to
+    its bound or enters from it) negates row r first, so the denominator
+    stays positive.  Rows are replaced, never edited.  With p == den, which
+    is most pivots on a totally unimodular M, an entry x whose y or f is 0
+    becomes (x den) // den == x: so a row with f == 0 is left as it is, and
+    in the others only the columns where row r is nonzero are rewritten, to
     x - (f y) // den, since den divides f y when it divides x den - f y.
     With p != den, a row with f == 0 is only rescaled, to (x p) // den.
     """
@@ -239,9 +238,8 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
                 else:
                     tab[i] = [x * p // den for x in row]
                     rhs[i] = rhs[i] * p // den
-        if red is not None:
-            f = red[jc]
-            red[:] = [(x * p - f * y) // den for x, y in zip(red, prow)]
+        f = red[jc]
+        red[:] = [(x * p - f * y) // den for x, y in zip(red, prow)]
     else:
         support = [(k, y) for k, y in enumerate(prow) if y]
         for i, row in enumerate(tab):
@@ -251,7 +249,7 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
                 for k, y in support:
                     row[k] -= f * y // den
                 rhs[i] -= f * prhs // den
-        if red is not None and red[jc]:
+        if red[jc]:
             f = red[jc]
             for k, y in support:
                 red[k] -= f * y // den
@@ -260,28 +258,41 @@ def _pivot(tab, rhs, basis, red, den: int, r: int, jc: int) -> int:
 
 
 def eliminate(rows: Sequence[Sequence[int]], rhs: Sequence[int] | None = None):
-    """Fraction-free Gauss-Jordan elimination of [rows | rhs], in ints.
+    """Solve [rows | rhs] in ints by forward fraction-free elimination.
 
-    Columns are scanned left to right; the first nonzero entry at or below
-    the current row is swapped up and pivoted on by `_pivot`.  Returns den
-    times the reduced row echelon form (zero rows last) as (rows, rhs), the
-    pivot column of each nonzero row, and den, the |det| of the pivot block:
-    1 on a totally unimodular matrix.  `rhs` defaults to zeros; the input
-    is left unmodified.
+    Columns are scanned left to right; the first nonzero at or below the
+    current row is swapped up, made positive and eliminated below it by
+    Bareiss's exact update x -> (x p - f y) // den; the pivot rows are then
+    solved from the last up.  Returns den times the solution (free variables
+    0) on the pivot rows, then residuals, all 0 iff the system is consistent;
+    the pivot columns; and den = |det| of the pivot block.  Input is kept.
     """
-    tab = [list(row) for row in rows]
-    rhs = [0] * len(tab) if rhs is None else list(rhs)
-    basis = [None] * len(tab)  # _pivot records each pivot column here
-    den, r = 1, 0
-    for col in range(len(tab[0]) if tab else 0):
-        piv = next((i for i in range(r, len(tab)) if tab[i][col]), None)
+    # rows keep entries from their pivot column (or the current one, below the pivots) on, rhs last
+    tab = [[*row, b] for row, b in zip(rows, [0] * len(rows) if rhs is None else rhs)]
+    pivots, den = [], 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(tab)) if tab[i][0]), None)
         if piv is None:
+            tab[r:] = [row[1:] for row in tab[r:]]
             continue
-        tab[r], tab[piv] = tab[piv], tab[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        den = _pivot(tab, rhs, basis, None, den, r, col)
-        r += 1
-    return tab, rhs, basis[:r], den
+        prow, tab[piv] = tab[piv], tab[r]
+        tab[r] = prow = prow if prow[0] > 0 else [-y for y in prow]
+        p, rest = prow[0], prow[1:]
+        for i in range(r + 1, len(tab)):
+            row, f = tab[i][1:], tab[i][0]
+            tab[i] = ([(x * p - f * y) // den for x, y in zip(row, rest)] if f
+                      else row if p == den else [x * p // den for x in row])
+        pivots.append(col)
+        den = p
+    solution = []  # den times the pivot variables, the last first
+    for prow, col in zip(reversed(tab[:len(pivots)]), reversed(pivots)):
+        s = den * prow[-1] - sum(prow[j - col] * x for j, x in zip(reversed(pivots), solution))
+        value, remainder = divmod(s, prow[0])
+        if remainder:
+            raise InternalInvariantError("back-substitution of the elimination is not exact")
+        solution.append(value)
+    return solution[::-1] + [row[-1] for row in tab[len(pivots):]], pivots, den
 
 
 def _optimize(tab, rhs, basis, red, den: int, upper, at_upper, phase_one: bool):

@@ -16,6 +16,7 @@ from zonolat import (
     InternalInvariantError,
     InvalidInputError,
     SizeCapError,
+    ZonotopalLattice,
     a_n_lattice,
     cographic_lattice,
     compute_lambda,
@@ -216,8 +217,9 @@ def test_project_matches_fraction_elimination():
     lattices = corpus_small() + [
         graphic_lattice(_random_connected_digraph(rng, 12, 24), weights(24)),
         cographic_lattice(_random_connected_digraph(rng, 9, 14), weights(14)),
+        graphic_lattice(_random_connected_digraph(rng, 32, 64), weights(64)),
     ]
-    assert [lat.m for lat in lattices[-2:]] == [24, 14]
+    assert [lat.m for lat in lattices[-3:]] == [24, 14, 64]
     for lat in lattices:
         for _ in range(3):
             t = [F(rng.randint(-10**9, 10**9), rng.randint(1, 1000))
@@ -361,10 +363,15 @@ def test_rationals_accept_ints_bools_fractions_and_strings():
 
 
 @pytest.mark.parametrize("text", [" 1/2 ", "+3/4", "-0.5", "1e3", "1_000", "1/0", "abc",
-                                  "0x10", "inf"])
+                                  "0x10", "inf", "\u0663/\u0664", "-\u0663", "-0", "00/05",
+                                  "1/+2", "1/2/3", "-", "--1", "-/2", "12/", "0/0",
+                                  pytest.param("7" * 5000, id="5000-digits")])
 def test_rational_strings_are_read_as_fraction_reads_them(text):
-    # a str skips the float test and goes straight to Fraction, so frac_vec
-    # takes exactly the strings Fraction takes, whatever the Python version
+    # a str skips the float test; int reads -?D and -?D/D, for D decimal
+    # digits (Arabic-Indic ones included), and Fraction every other str, so
+    # frac_vec takes exactly the strings Fraction takes, whatever the Python
+    # version: a 5000-digit numeral is over int's default digit limit from
+    # Python 3.11 on, for Fraction too
     try:
         expected = F(text)
     except (ValueError, ZeroDivisionError):
@@ -530,6 +537,17 @@ def test_no_core_function_decides_tu_from_raw_rows():
         tu_matrix([["a", "b"], ["c", "d"]], mode="assert")
 
 
+@pytest.mark.parametrize("call", [
+    tu_verdict, tu_decidable, matrix_rank,
+    lambda rows: ZonotopalLattice(matrix=rows, weights=(1, 1)),
+], ids=["tu_verdict", "tu_decidable", "matrix_rank", "ZonotopalLattice"])
+def test_raw_rows_where_a_tu_matrix_belongs_point_to_tu_matrix(call):
+    # each once raised a bare AttributeError on the rows' missing .entries or .m
+    for rows in ([[1, 1], [1, -1]], ((1, 0),), []):
+        with pytest.raises(InvalidInputError, match="expected a TUMatrix from tu_matrix, got"):
+            call(rows)
+
+
 #: Entries that equal or truncate to a unit but are not ints.
 NOT_INTS = [1.9, 1.0, F(3, 2), F(1), "1", None]
 
@@ -622,6 +640,44 @@ def test_tu_reduce_transposes_to_the_shorter_side():
     assert _tu_reduce(tall) == tuple(zip(*tall))
     assert _tu_reduce(tuple(zip(*tall))) == tuple(zip(*tall))
     assert tu_verdict(tu_matrix(tall, mode="assert")) is check_tu(tall) is False
+
+
+def _tu_reduce_by_rounds(rows):
+    """The reduction in rounds of a row pass and a column pass, until a
+    whole round deletes nothing."""
+    lines = [tuple(row) for row in rows]
+    while lines:
+        kept = core._drop_lines(lines)
+        columns = core._drop_lines(list(zip(*kept)))
+        if len(kept) == len(lines) and len(columns) == len(lines[0]):
+            return tuple(lines) if len(lines) <= len(columns) else tuple(columns)
+        lines = list(zip(*columns))
+    return ()
+
+
+def test_tu_reduce_stops_at_the_first_pass_that_deletes_nothing(monkeypatch):
+    # after one row pass and one column pass, a pass that deletes nothing
+    # has reached the fixed point, which whole rounds reach a pass or two
+    # later: the same matrix, on random and cographic matrices of any shape
+    rng = random.Random(1968)
+    for _ in range(1500):
+        n, m = rng.randint(0, 7), rng.randint(1, 8)
+        density = rng.random()
+        rows = [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(m)]
+                for _ in range(n)]
+        assert _tu_reduce(rows) == _tu_reduce_by_rounds(rows), rows
+        rows = _random_matrix(rng, 7, 9)
+        assert _tu_reduce(rows) == _tu_reduce_by_rounds(rows), rows
+    drop_lines, passes = core._drop_lines, []
+
+    def spy(lines):
+        passes.append(lines)
+        return drop_lines(lines)
+
+    monkeypatch.setattr(core, "_drop_lines", spy)
+    # the row pass deletes (0, 0, -1) and the column pass nothing: two
+    # passes, where rounds take four
+    assert _tu_reduce(CORE_3X3 + ((0, 0, -1),)) == CORE_3X3 and len(passes) == 2
 
 
 def _random_matrix(rng, max_rows, max_columns):

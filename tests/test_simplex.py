@@ -416,7 +416,7 @@ def test_random_phase_one_against_basis_enumeration():
             wide.append(row)
         # the oracle enumerates bases of full row rank; a dependent row set
         # has none, so it cannot tell feasible from infeasible there
-        if len(eliminate(wide)[2]) < len(wide):
+        if len(eliminate(wide)[1]) < len(wide):
             continue
         best = _enumerate_optimum([0] * len(wide[0]), wide, b + [u for _, u in bounded])
         if best is None:
@@ -599,7 +599,7 @@ def _dense_pivot(tab, rhs, basis, red, den, r, jc):
         if i != r and (f or p != den):
             tab[i] = [(x * p - f * y) // den for x, y in zip(row, prow)]
             rhs[i] = (rhs[i] * p - f * prhs) // den
-    if red is not None and (red[jc] or p != den):
+    if red[jc] or p != den:
         f = red[jc]
         red[:] = [(x * p - f * y) // den for x, y in zip(red, prow)]
     basis[r] = jc
@@ -649,9 +649,9 @@ def _pivot_workload(monkeypatch):
     return lps, systems
 
 
-def _replay(lps, systems):
-    """Every field of each solve_lp result, the final basis included, and each
-    eliminate output; a start must come out of each reuse unchanged."""
+def _replay(lps):
+    """Every field of each solve_lp result, the final basis included; a start
+    must come out of each reuse unchanged."""
     results = []
     for p, k in lps:
         start = None if k is None else results[k]
@@ -662,30 +662,32 @@ def _replay(lps, systems):
     fields = [r if isinstance(r, str) else
               (r.optimum, r.vertex, _final_basis(r), r.duals, r.pivots, r.flips)
               for r in results]
-    return fields, [eliminate(rows, rhs) for rows, rhs in systems]
+    return fields
 
 
 def test_sparse_pivot_matches_the_dense_reference(monkeypatch):
     # _pivot's p == den path rewrites only the columns where the pivot row
-    # is nonzero; every pivot, flip, final basis, dual and elimination must be
-    # what the dense pivot gives
+    # is nonzero; every pivot, flip, final basis and dual must be what the
+    # dense pivot gives, and every elimination what the oracle's Fraction
+    # reduction gives
     lps, systems = _pivot_workload(monkeypatch)
     assert sum(k is not None for _, k in lps) > 100
     pivot, cases = simplex._pivot, set()
 
     def spy(tab, rhs, basis, red, den, r, jc):
         p = tab[r][jc]
-        cases.add((p < 0, abs(p) == den, red is None))
+        cases.add((p < 0, abs(p) == den))
         return pivot(tab, rhs, basis, red, den, r, jc)
 
     monkeypatch.setattr(simplex, "_pivot", spy)
-    sparse = _replay(lps, systems)
+    sparse = _replay(lps)
     monkeypatch.setattr(simplex, "_pivot", _dense_pivot)
-    assert _replay(lps, systems) == sparse
-    # p < 0 and p > 0, p == den and p != den, with and without an objective
-    assert {(neg, eq) for neg, eq, _ in cases} == {(False, False), (False, True),
-                                                   (True, False), (True, True)}
-    assert {none for _, _, none in cases} == {False, True}
+    assert _replay(lps) == sparse
+    # p < 0 and p > 0, p == den and p != den
+    assert cases == {(False, False), (False, True), (True, False), (True, True)}
+    assert len(systems) > 100
+    for rows, rhs in systems:
+        _assert_matches_row_reduce(rows, rhs, eliminate(rows, rhs))
 
 
 def test_a_wrong_pivot_raises_instead_of_cycling(monkeypatch):
@@ -876,19 +878,42 @@ def test_solve_cvp_never_reeliminates(monkeypatch):
     assert solve_cvp(inst).certified
 
 
+def _assert_matches_row_reduce(rows, rhs, out):
+    """eliminate's output for [rows | rhs] agrees with the oracle's Fraction
+    Gauss-Jordan reduction: the same pivot columns, a nonzero residual iff
+    the system is inconsistent, and on a consistent system the reduced rhs
+    column, den times over."""
+    b, pivots, den = out
+    width = len(rows[0]) if rows else 0
+    rhs = [0] * len(rows) if rhs is None else rhs
+    reduced, ref_pivots = row_reduce([list(r) + [y] for r, y in zip(rows, rhs)])
+    consistent = width not in ref_pivots
+    assert pivots == [p for p in ref_pivots if p < width] and len(b) == len(rows)
+    assert any(b[len(pivots):]) != consistent
+    if consistent:
+        assert [F(y, den) for y in b] == [row[-1] for row in reduced]
+
+
 def test_eliminate_worked_example():
     rows = [[0, 2, 4], [3, 1, 1]]
-    out, rhs, pivots, den = eliminate(rows, [2, 5])
+    rhs, pivots, den = eliminate(rows, [2, 5])
     assert rows == [[0, 2, 4], [3, 1, 1]]  # input unmodified
-    assert (out, rhs, pivots, den) == ([[6, 0, -2], [0, 6, 12]], [8, 6], [0, 1], 6)
-    assert eliminate([]) == ([], [], [], 1)
-    assert eliminate([[0, 0], [0, 0]])[2:] == ([], 1)
+    assert (rhs, pivots, den) == ([8, 6], [0, 1], 6)
+    assert eliminate([]) == ([], [], 1)
+    assert eliminate([[0, 0], [0, 0]])[1:] == ([], 1)
+    # a dependent row leaves its residual: 0 when consistent, else not
+    assert eliminate([[1, 1], [2, 2]], [3, 6]) == ([3, 0], [0], 1)
+    assert eliminate([[1, 1], [2, 2]], [3, 5]) == ([3, -1], [0], 1)
+    # ints always divide exactly; a rhs of 1/2 over the pivot 2 does not,
+    # and the back-substitution raises instead of rounding
+    with pytest.raises(InternalInvariantError, match="back-substitution"):
+        eliminate([[2, 1]], [F(1, 2)])
 
 
 def test_eliminate_is_den_times_the_fraction_reduction():
-    # den * RREF, on random consistent integer systems of full and deficient
-    # rank, against the oracle's Fraction Gauss-Jordan reduction; on a
-    # nonsingular square matrix den is |det|
+    # den times the solution, on random integer systems of full and
+    # deficient rank, consistent and not, against the oracle's Fraction
+    # Gauss-Jordan reduction; on a nonsingular square matrix den is |det|
     rng = random.Random(31)
     for _ in range(300):
         n, m = rng.randint(1, 5), rng.randint(1, 6)
@@ -897,11 +922,11 @@ def test_eliminate_is_den_times_the_fraction_reduction():
             rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
         x = [rng.randint(-4, 4) for _ in range(m)]
         rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-        out, b, pivots, den = eliminate(rows, rhs)
-        reduced, ref_pivots = row_reduce([r + [y] for r, y in zip(rows, rhs)])
-        assert pivots == ref_pivots
-        for i in range(n):
-            assert [F(y, den) for y in out[i] + [b[i]]] == reduced[i]
+        if rng.random() < 0.2:
+            rhs[-1] += 1
+        out = eliminate(rows, rhs)
+        _assert_matches_row_reduce(rows, rhs, out)
+        _, pivots, den = out
         if n == m and len(pivots) == n:
             assert den == abs(_det(rows))
 
