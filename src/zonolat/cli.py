@@ -34,6 +34,7 @@ from .core import (
     ZonotopalLattice,
     frac_vec,
     project_onto_span,
+    require_tu,
     tu_decidable,
     tu_matrix,
     tu_verdict,
@@ -203,7 +204,10 @@ def solution_to_json(s: SolutionFile) -> dict:
 
 
 def lattice_from_problem(p: ProblemFile) -> ZonotopalLattice:
-    matrix = tu_matrix(p.M, mode=p.tu_mode, width=p.m)
+    """The file's lattice, its M loaded in "assert" whatever `tu_mode` says:
+    the entry and shape rules run, but no TU test.  A command that rests on
+    TU decides it for a "verify" file with `require_tu`."""
+    matrix = tu_matrix(p.M, mode="assert", width=p.m)
     return ZonotopalLattice(matrix=matrix, weights=p.g)
 
 
@@ -241,18 +245,26 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def cmd_solve(args) -> int:
+    """Solve the file's problem with no TU test on the way: every answer's
+    dual certificate proves it closest for any integer M, and on an M that
+    is not TU the solver either certifies or raises InternalInvariantError.
+    Only then is TU decided, to tell bad input (exit 1) from a bug (exit
+    2); `--oracle`, whose enumeration rests on TU, decides it first."""
     problem = _load_problem(args.file)
     lattice = lattice_from_problem(problem)
     instance = cvp_instance(lattice, problem.t, project=not args.no_project)
-    if args.oracle:
-        refuse_above_oracle_caps(lattice)  # a refusal after the solve wastes it
+    if args.oracle:  # a refusal after the solve wastes it
+        if problem.tu_mode == "verify":
+            require_tu(lattice.matrix)
+        refuse_above_oracle_caps(lattice)
     try:
         solution = solve_cvp(instance)
     except InternalInvariantError as exc:
-        # the solver's invariants rest on total unimodularity, so a failed
-        # self-check that a TU test blames on a false "tu_mode": "assert" is
-        # bad input (exit 1), not a solver bug (exit 2)
-        if problem.tu_mode == "assert" and tu_verdict(lattice.matrix) is False:
+        # a failed self-check on an M that the TU tests refute, or cannot
+        # decide for a "verify" file, is bad input; on a proved M, a bug
+        if problem.tu_mode == "verify":
+            require_tu(lattice.matrix)
+        elif tu_verdict(lattice.matrix) is False:
             raise InvalidInputError("matrix asserted totally unimodular is not") from exc
         raise
     agreement = None
@@ -358,6 +370,8 @@ def cmd_construct(args) -> int:
 def cmd_voronoi(args) -> int:
     problem = _load_problem(args.file)
     lattice = lattice_from_problem(problem)
+    if problem.tu_mode == "verify":  # the chains are the Voronoi vectors only on TU
+        require_tu(lattice.matrix)
     chains = enumerate_primitive_chains(lattice)
     payload = {
         "m": lattice.m,
@@ -370,13 +384,12 @@ def cmd_voronoi(args) -> int:
 
 def cmd_check(args) -> int:
     problem = _load_problem(args.file)
-    matrix = tu_matrix(problem.M, mode="assert", width=problem.m)
-    lattice = ZonotopalLattice(matrix=matrix, weights=problem.g)
+    lattice = lattice_from_problem(problem)
     payload = {
         "m": problem.m,
         "n": problem.n,
         "tu_mode": problem.tu_mode,
-        "tu": tu_verdict(matrix),
+        "tu": tu_verdict(lattice.matrix),
         "rank": lattice.rank(),
         "t_in_span": project_onto_span(problem.t, lattice) == problem.t,
     }

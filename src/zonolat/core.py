@@ -357,17 +357,34 @@ def tu_verdict(matrix: TUMatrix) -> bool | None:
     return verdict
 
 
+def require_tu(matrix: TUMatrix) -> None:
+    """Return only if `tu_verdict` proves matrix TU: InvalidInputError if it
+    refutes it, SizeCapError if it is over its cap (`tu_decidable`)."""
+    verdict = tu_verdict(matrix)
+    if verdict is None:
+        reduced = _tu_reduce(matrix.entries)
+        raise SizeCapError(
+            f"exhaustive TU verification capped at {VERIFY_ROW_CAP} rows: "
+            f"the {matrix.n} x {matrix.m} matrix reduces to {len(reduced)} x "
+            f"{len(reduced[0])}, with three or more nonzeros in a line; "
+            f"load with mode='assert'"
+        )
+    if not verdict:
+        raise InvalidInputError("matrix is not totally unimodular")
+
+
 def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
               width: int | None = None) -> TUMatrix:
     """The TUMatrix of rows: proved TU in mode "verify", trusted in "assert".
 
     `width` is required for matrices with zero rows.  Building the
-    TUMatrix refuses an entry outside `_unit_entries`, never truncating it.
-    "verify" then takes the verdict of `tu_verdict`: Heller-Tompkins at any
-    size when every column has at most two nonzeros, otherwise the
-    TU-preserving reduction and, on what it leaves, Heller-Tompkins or the
-    exhaustive check, refused above VERIFY_ROW_CAP reduced rows
-    (SizeCapError; `tu_decidable` says in advance).
+    TUMatrix refuses an entry outside `_unit_entries`, never truncating it;
+    that entry and shape check is all "assert" runs.  "verify" then takes
+    the verdict of `require_tu`: Heller-Tompkins at any size when every
+    column has at most two nonzeros, otherwise the TU-preserving reduction
+    and, on what it leaves, Heller-Tompkins or the exhaustive check,
+    refused above VERIFY_ROW_CAP reduced rows.  `zonolat solve` loads
+    every file in "assert" and lets its answer's certificate speak.
     """
     if mode not in ("verify", "assert"):
         raise InvalidInputError(f"unknown TU mode {mode!r}")
@@ -379,17 +396,7 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
         raise DimensionError(f"declared width {width} != row length {m}")
     matrix = TUMatrix(entries=rows, m=m)
     if mode == "verify":
-        verdict = tu_verdict(matrix)
-        if verdict is None:
-            reduced = _tu_reduce(matrix.entries)
-            raise SizeCapError(
-                f"exhaustive TU verification capped at {VERIFY_ROW_CAP} rows: "
-                f"the {matrix.n} x {m} matrix reduces to {len(reduced)} x "
-                f"{len(reduced[0])}, with three or more nonzeros in a line; "
-                f"load with mode='assert'"
-            )
-        if not verdict:
-            raise InvalidInputError("matrix is not totally unimodular")
+        require_tu(matrix)
     return matrix
 
 

@@ -291,13 +291,33 @@ def test_solve_trace_file(tmp_path, a2_file, capsys):
     assert out["closest"] == [1, 0, -1]
 
 
-def test_solve_rejects_non_tu(tmp_path, capsys):
-    data = {"m": 2, "n": 2, "M": [[1, 1], [-1, 1]], "g": [1, 1], "t": [0, 0],
-            "tu_mode": "verify"}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["solve", str(path)]) == 1
-    assert "not totally unimodular" in capsys.readouterr().err
+#: Determinant 2, so not TU, and its kernel is zero: the lattice is {0}.
+DET_TWO_PROBLEM = {"m": 2, "n": 2, "M": [[1, 1], [-1, 1]], "g": [1, 1], "t": [0, 0],
+                   "tu_mode": "verify"}
+
+
+def test_solve_certifies_a_non_tu_verify_file(tmp_path, capsys):
+    # solve decides no TU: the certificate proves the answer closest for
+    # any integer M, while check still reports the matrix as not TU
+    path = tmp_path / "det2.json"
+    path.write_text(json.dumps(DET_TWO_PROBLEM), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["closest"] == [0, 0] and out["certified"] is True
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["tu"] is False
+
+
+def test_voronoi_decides_tu_for_a_verify_file(tmp_path, capsys):
+    # the primitive chains are the strict Voronoi vectors only on a TU M
+    path = tmp_path / "det2.json"
+    path.write_text(json.dumps(DET_TWO_PROBLEM), encoding="utf-8")
+    assert main(["voronoi", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "not totally unimodular" in err and "Traceback" not in err
+    path.write_text(json.dumps(dict(DET_TWO_PROBLEM, tu_mode="assert")), encoding="utf-8")
+    assert main(["voronoi", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 0
 
 
 #: lambda(0) = 4/5 < max g = 1, so the walk starts at the origin, and its
@@ -322,6 +342,27 @@ def test_solve_rejects_false_tu_assertion(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["closest"] == [-4, -8, 4] and out["certified"] is True
     assert out["distance_sq"] == "6/25" and out["iterations"] == 1
+
+
+@pytest.mark.parametrize("rows", [NON_TU_M, NON_TU_M + [[0, 0, 0]] * 20],
+                         ids=["2-rows", "22-rows"])
+def test_solve_blames_a_failed_self_check_on_a_non_tu_verify_file(tmp_path, capsys, rows):
+    # the same two targets in "verify", also above the exhaustive cap: the
+    # failed self-check is bad input, with the loader's message, and the
+    # box-certified answer is printed
+    data = {"m": 3, "n": len(rows), "M": rows, "g": [1, 1, 1],
+            "t": NON_TU_TARGET, "tu_mode": "verify"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == "error: matrix is not totally unimodular\n"
+    path.write_text(json.dumps(dict(data, t=NON_TU_BOXED_TARGET)), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["closest"] == [-4, -8, 4] and out["certified"] is True
+    # the oracle's enumeration rests on TU, so --oracle decides it first
+    assert main(["solve", str(path), "--oracle"]) == 1
+    assert capsys.readouterr().err == "error: matrix is not totally unimodular\n"
 
 
 def _incidence_problem(tu_mode):
@@ -403,6 +444,27 @@ def test_set_up_walks_the_matrix_entries_once(monkeypatch):
         assert len(calls) == 1, data["name"]
 
 
+def test_solve_path_decides_no_tu(monkeypatch, tmp_path, capsys):
+    # set-up and solve of the workload problems, all "verify", call no TU
+    # test; check still decides and proves them TU
+    problems = _workload_problems()
+    calls = []
+    for name in ("_tu_without_search", "_ghouila_houri_ok"):
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *a, _real=real: calls.append(1) or _real(*a))
+    for data in problems:
+        assert data["tu_mode"] == "verify"
+        problem = parse_problem(data)
+        mmcc.solve_cvp(cvp_instance(lattice_from_problem(problem), problem.t))
+    assert calls == []
+    path = tmp_path / "p.json"
+    for data in problems[::57]:
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["tu"] is True
+    assert calls
+
+
 def test_solve_rejects_false_tu_assertion_above_the_cap(tmp_path, capsys):
     # the non-TU matrix above padded with zero rows to 22: Heller-Tompkins
     # still refutes the assertion, so the failed self-check exits 1, not 2
@@ -417,6 +479,34 @@ def test_solve_rejects_false_tu_assertion_above_the_cap(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["closest"] == [-4, -8, 4]
     assert main(["check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["tu"] is False
+
+
+def test_failed_self_check_on_an_undecidable_matrix(monkeypatch, tmp_path, capsys):
+    # a 32 x 64 cographic matrix that reduces to 24 x 26 rows, which no TU
+    # test decides: its solve certifies, and a failed self-check exits 1
+    # with the cap's message for a "verify" file, 2 for an "assert" one
+    from zonolat import cli, cographic_lattice, digraph
+
+    matrix = cographic_lattice(digraph(33, random_arcs(random.Random(33), 33, 64))).matrix
+    assert tu_decidable(matrix) is False
+    data = {"m": 64, "n": 32, "M": [list(row) for row in matrix.entries], "g": [1] * 64,
+            "t": [f"{(7 * j) % 11 - 5}/{1 + j % 4}" for j in range(64)], "tu_mode": "verify"}
+    path = tmp_path / "cographic64.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True
+
+    def boom(instance):
+        raise InternalInvariantError("lambda increased at unit step")
+
+    monkeypatch.setattr(cli, "solve_cvp", boom)
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: exhaustive TU verification capped at 20 rows: the 32 x 64 matrix "
+        "reduces to 24 x 26, with three or more nonzeros in a line; load with mode='assert'\n")
+    path.write_text(json.dumps(dict(data, tu_mode="assert")), encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == "internal error: lambda increased at unit step\n"
 
 
 def test_solve_no_project_requires_span(tmp_path, capsys):
