@@ -35,7 +35,6 @@ from .core import (
     frac_vec,
     project_onto_span,
     require_tu,
-    tu_decidable,
     tu_matrix,
     tu_verdict,
 )
@@ -50,6 +49,7 @@ from .oracle import (
     brute_force_cvp,
     distance_sq,
     enumerate_primitive_chains,
+    refuse_above_enumeration_cap,
     refuse_above_oracle_caps,
 )
 
@@ -246,17 +246,17 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def cmd_solve(args) -> int:
     """Solve the file's problem with no TU test on the way: every answer's
-    dual certificate proves it closest for any integer M, and on an M that
-    is not TU the solver either certifies or raises InternalInvariantError.
-    Only then is TU decided, to tell bad input (exit 1) from a bug (exit
-    2); `--oracle`, whose enumeration rests on TU, decides it first."""
+    dual certificate proves it closest for any integer M, and on a non-TU M
+    the solver certifies or raises InternalInvariantError; only then is TU
+    decided, to tell bad input (exit 1) from a bug (exit 2).  `--oracle`
+    refuses over its caps, then decides TU first, as `cmd_voronoi` does."""
     problem = _load_problem(args.file)
     lattice = lattice_from_problem(problem)
     instance = cvp_instance(lattice, problem.t, project=not args.no_project)
     if args.oracle:  # a refusal after the solve wastes it
+        refuse_above_oracle_caps(lattice)
         if problem.tu_mode == "verify":
             require_tu(lattice.matrix)
-        refuse_above_oracle_caps(lattice)
     try:
         solution = solve_cvp(instance)
     except InternalInvariantError as exc:
@@ -315,17 +315,16 @@ def _parse_weights(text: str | None, m: int) -> FracVec | None:
 
 
 def _problem_from_lattice(name: str, lattice: ZonotopalLattice) -> ProblemFile:
-    """The lattice, whose M every family proves TU, as a problem file:
-    "verify" only where a loader can decide M."""
-    matrix = lattice.matrix
+    """The lattice, whose M every family proves TU, as a "verify" problem
+    file; no TU test runs (a command decides TU where it rests on it)."""
     return ProblemFile(
         name=name,
         m=lattice.m,
-        n=matrix.n,
-        M=matrix.entries,
+        n=lattice.matrix.n,
+        M=lattice.matrix.entries,
         g=lattice.weights,
         t=tuple(Fraction(0) for _ in range(lattice.m)),
-        tu_mode="verify" if tu_decidable(matrix) else "assert",
+        tu_mode="verify",
     )
 
 
@@ -368,9 +367,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_voronoi(args) -> int:
+    """The strict Voronoi vectors, the primitive chains only on a TU M: a
+    "verify" file must pass `require_tu`, which after the enumeration's cap
+    (ENUMERATION_CAP = 14 < VERIFY_ROW_CAP columns) proves or refutes TU."""
     problem = _load_problem(args.file)
     lattice = lattice_from_problem(problem)
-    if problem.tu_mode == "verify":  # the chains are the Voronoi vectors only on TU
+    refuse_above_enumeration_cap(lattice)
+    if problem.tu_mode == "verify":
         require_tu(lattice.matrix)
     chains = enumerate_primitive_chains(lattice)
     payload = {

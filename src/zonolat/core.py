@@ -201,7 +201,7 @@ def _ghouila_houri_ok(rows: Sequence[Sequence[int]]) -> bool:
     subtracts one packed row.  s_j lies in {-1, 0, +1} iff its field has
     the top bit set, bits 2 to w-2 clear and not both low bits set.  Each
     support reached is marked in a bytearray.  Exponential in the row
-    count: `tu_verdict` runs it only on the reduced matrix, and only up to
+    count: `_tu_decision` runs it only on the reduced matrix, and only up to
     VERIFY_ROW_CAP rows.
     """
     n = len(rows)
@@ -252,7 +252,7 @@ class TUMatrix:
     kept as int tuples; `tu_matrix` in "verify", or a construction such as
     a spanning forest's network matrix, proves it TU.  A refusal names the
     first bad entry.  It is the one input of `tu_verdict` and
-    `tu_decidable`, so the entry rule runs once per matrix."""
+    `require_tu`, so the entry rule runs once per matrix."""
 
     entries: tuple[tuple[int, ...], ...]
     m: int
@@ -275,6 +275,17 @@ class TUMatrix:
         package's one M x."""
         x = _vector(x, self.m, "vector")
         return tuple(sum(map(mul, row, x)) for row in self.entries)
+
+    def apply_transpose(self, y: Sequence) -> list:
+        """M^T y for y of n entries, over the nonzero y_i and the nonzero
+        entries of their rows: the package's one M^T y."""
+        out = [0] * self.m
+        for row, yi in zip(self.entries, _vector(y, self.n, "vector")):
+            if yi:
+                for j, e in enumerate(row):
+                    if e:
+                        out[j] += e * yi
+        return out
 
 
 def _as_tu_matrix(matrix) -> TUMatrix:
@@ -321,11 +332,11 @@ def _tu_reduce(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return ()
 
 
-def _tu_without_search(matrix: TUMatrix) -> tuple[bool | None, tuple]:
-    """The polynomial part of `tu_verdict`: (verdict, ()) when it decides,
-    else (None, the reduced matrix R that the exhaustive check must decide).
-    Heller-Tompkins on M is the fast path that skips the reduction, as on an
-    incidence matrix.  On R's transpose it could never decide: R has r <= c
+def _tu_decision(matrix: TUMatrix) -> tuple[bool | None, tuple]:
+    """(verdict, R) for `tu_verdict` and `require_tu`: Heller-Tompkins on M
+    (as on an incidence matrix, with R = ()), else on R = `_tu_reduce(M)`,
+    else the exhaustive check on R within VERIFY_ROW_CAP rows; None above
+    it.  Heller-Tompkins on R's transpose could never decide: R has r <= c
     rows and columns and two or more nonzeros in every line, so if no row
     had more than two, 2c <= nnz(R) = 2r <= 2c would give every column
     exactly two, and the call on R itself would have decided."""
@@ -333,36 +344,26 @@ def _tu_without_search(matrix: TUMatrix) -> tuple[bool | None, tuple]:
     if verdict is not None:
         return verdict, ()
     reduced = _tu_reduce(matrix.entries)
-    if not reduced:
-        return True, ()
-    verdict = _heller_tompkins(reduced)
-    return (verdict, ()) if verdict is not None else (None, reduced)
-
-
-def tu_decidable(matrix: TUMatrix) -> bool:
-    """True iff `tu_verdict(matrix)` is not None: a polynomial test
-    decides, or the reduced matrix has at most VERIFY_ROW_CAP rows."""
-    verdict, reduced = _tu_without_search(matrix)
-    return verdict is not None or len(reduced) <= VERIFY_ROW_CAP
+    verdict = _heller_tompkins(reduced)  # True on the empty matrix
+    if verdict is None and len(reduced) <= VERIFY_ROW_CAP:
+        verdict = _ghouila_houri_ok(reduced)
+    return verdict, reduced
 
 
 def tu_verdict(matrix: TUMatrix) -> bool | None:
     """Exact TU verdict on a TUMatrix, whose entries passed the entry rule
-    once, or None when the exhaustive check is over its cap: the tests of
-    `_tu_without_search`, then, on the reduced matrix within VERIFY_ROW_CAP
-    rows, the exhaustive Ghouila-Houri check."""
-    verdict, reduced = _tu_without_search(matrix)
-    if verdict is None and len(reduced) <= VERIFY_ROW_CAP:
-        verdict = _ghouila_houri_ok(reduced)
-    return verdict
+    once, or None over the exhaustive check's cap (`_tu_decision`)."""
+    return _tu_decision(matrix)[0]
 
 
 def require_tu(matrix: TUMatrix) -> None:
     """Return only if `tu_verdict` proves matrix TU: InvalidInputError if it
-    refutes it, SizeCapError if it is over its cap (`tu_decidable`)."""
-    verdict = tu_verdict(matrix)
+    refutes it, SizeCapError if it is over its cap.  A matrix of m <=
+    VERIFY_ROW_CAP columns never is: the reduced matrix has no more rows
+    than columns, and one of the two is a subset of M's columns, so it has
+    at most m rows."""
+    verdict, reduced = _tu_decision(matrix)
     if verdict is None:
-        reduced = _tu_reduce(matrix.entries)
         raise SizeCapError(
             f"exhaustive TU verification capped at {VERIFY_ROW_CAP} rows: "
             f"the {matrix.n} x {matrix.m} matrix reduces to {len(reduced)} x "
@@ -379,12 +380,9 @@ def tu_matrix(rows: Sequence[Sequence[int]], mode: str = "verify",
 
     `width` is required for matrices with zero rows.  Building the
     TUMatrix refuses an entry outside `_unit_entries`, never truncating it;
-    that entry and shape check is all "assert" runs.  "verify" then takes
-    the verdict of `require_tu`: Heller-Tompkins at any size when every
-    column has at most two nonzeros, otherwise the TU-preserving reduction
-    and, on what it leaves, Heller-Tompkins or the exhaustive check,
-    refused above VERIFY_ROW_CAP reduced rows.  `zonolat solve` loads
-    every file in "assert" and lets its answer's certificate speak.
+    that entry and shape check is all "assert" runs.  "verify" then runs
+    `require_tu`.  `zonolat solve` loads every file in "assert" and lets
+    its answer's certificate speak.
     """
     if mode not in ("verify", "assert"):
         raise InvalidInputError(f"unknown TU mode {mode!r}")
@@ -522,9 +520,6 @@ def project_onto_span(t: Sequence, lattice: ZonotopalLattice) -> FracVec:
     h, pivots, den = simplex.eliminate(normal, lattice.matrix.apply(ct))
     if any(h[len(pivots):]):
         raise InternalInvariantError("normal equations of the projection are inconsistent")
-    mz = [0] * lattice.m  # M^T (den z), the free z being 0
-    for p, dz in zip(pivots, h):
-        for j, e in enumerate(rows[p]):
-            if e:
-                mz[j] += e * dz
+    dz = dict(zip(pivots, h))  # den z, the free z being 0
+    mz = lattice.matrix.apply_transpose([dz.get(i, 0) for i in range(n)])
     return tuple(Fraction(den * x - uj * s, den * c) for x, uj, s in zip(ct, u, mz))

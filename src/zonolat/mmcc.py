@@ -174,13 +174,13 @@ def dual_certificate_holds(v: Sequence, y: Sequence, instance: CVPInstance) -> b
     the denominators of y and Y = d y, the test runs in ints:
     d K c_i^- <= K (M^T Y)_i <= d K c_i^+.
     """
-    rows = instance.lattice.matrix.entries
+    matrix = instance.lattice.matrix
     if not (_is_vector_of(v, instance.m, _is_integer)
-            and _is_vector_of(y, len(rows), lambda a: type(a) in (int, Fraction))):
+            and _is_vector_of(y, matrix.n, lambda a: type(a) in (int, Fraction))):
         return False
     v = tuple(map(int, v))
     dy, d = integral_multiple(y)
-    mty = [sum(Y * row[i] for Y, row in zip(dy, rows) if Y) for i in range(instance.m)]
+    mty = matrix.apply_transpose(dy)
     slopes = (_scaled_slopes(i, x, instance) for i, x in enumerate(v))
     return all(d * lo <= instance.K * a <= d * hi for a, (lo, hi) in zip(mty, slopes))
 

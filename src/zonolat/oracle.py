@@ -230,7 +230,7 @@ def enumerate_primitive_chains(lattice: ZonotopalLattice) -> list[PrimitiveChain
     are pairwise incomparable by construction.  Refused with SizeCapError
     above ENUMERATION_CAP coordinates.
     """
-    _refuse_above_enumeration_cap(lattice)
+    refuse_above_enumeration_cap(lattice)
     return [primitive_chain(c, lattice) for c in _primitive_chain_coords(lattice.matrix)]
 
 
@@ -383,7 +383,8 @@ def distance_sq(u: Sequence, t: FracVec, lattice: ZonotopalLattice) -> Fraction:
                         for w, a, x in zip(g, u, t)), q * d * d)
 
 
-def _refuse_above_enumeration_cap(lattice: ZonotopalLattice) -> None:
+def refuse_above_enumeration_cap(lattice: ZonotopalLattice) -> None:
+    """SizeCapError above ENUMERATION_CAP coordinates, before any enumeration."""
     if lattice.m > ENUMERATION_CAP:
         raise SizeCapError(
             f"ternary enumeration capped at {ENUMERATION_CAP} coordinates (got {lattice.m})"
@@ -399,7 +400,7 @@ def refuse_above_oracle_caps(lattice: ZonotopalLattice) -> None:
         raise SizeCapError(
             f"coefficient enumeration capped at rank {COEFF_BOX_CAP} (got {rank})"
         )
-    _refuse_above_enumeration_cap(lattice)
+    refuse_above_enumeration_cap(lattice)
 
 
 def brute_force_cvp(instance: CVPInstance) -> IntVec:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
 import random
 import sys
@@ -30,8 +31,8 @@ from zonolat.core import (
     _heller_tompkins,
     _tu_reduce,
     frac_vec,
-    tu_decidable,
     tu_matrix,
+    tu_verdict,
 )
 from zonolat.errors import InternalInvariantError, InvalidInputError, ZonolatError
 from zonolat.mmcc import cvp_instance
@@ -320,6 +321,37 @@ def test_voronoi_decides_tu_for_a_verify_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 0
 
 
+def _irreducible_non_tu_problem():
+    """A 12 x 16 "verify" file of full row rank whose reduction keeps all of
+    it, with three or more nonzeros in some column, so that only the
+    exhaustive check could refute it: its rows are drawn from seed 0."""
+    rng = random.Random(0)
+    rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(16)] for _ in range(12)]
+    return {"m": 16, "n": 12, "M": rows, "g": [1] * 16, "t": [0] * 16, "tu_mode": "verify"}
+
+
+@pytest.mark.parametrize("argv", [["voronoi"], ["solve", "--oracle"]],
+                         ids=["voronoi", "solve-oracle"])
+def test_enumeration_cap_refuses_before_the_exhaustive_check(tmp_path, capsys, monkeypatch,
+                                                             argv):
+    # a non-TU "verify" file over the enumeration cap: the cap refuses it
+    # at once, where the exhaustive check once walked all 2 * 3^11 vectors
+    data = _irreducible_non_tu_problem()
+    matrix = tu_matrix(data["M"], mode="assert")
+    reduced = _tu_reduce(matrix.entries)
+    assert (len(reduced), len(reduced[0])) == (12, 16) and _heller_tompkins(reduced) is None
+    assert any(abs(r[i] * s[j] - r[j] * s[i]) == 2 for r, s in itertools.combinations(data["M"], 2)
+               for i, j in itertools.combinations(range(16), 2))  # a 2 x 2 minor of -2 or 2
+    assert core.matrix_rank(matrix) == 12  # rank 4, within the oracle's coefficient box
+    path = tmp_path / "non-tu16.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.setattr(core, "_ghouila_houri_ok", lambda rows: pytest.fail("exhaustive check"))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ternary enumeration capped at 14 coordinates (got 16)\n"
+
+
 #: lambda(0) = 4/5 < max g = 1, so the walk starts at the origin, and its
 #: first chain, (1, 2, -1) rescaled, fails the solver's self-check
 NON_TU_TARGET = ["3/5", "6/5", "-3/5"]
@@ -408,7 +440,7 @@ def test_heller_tompkins_on_the_reduced_matrix_decides_above_the_cap(tmp_path, c
     matrix = tu_matrix(data["M"], mode="verify", width=30)
     assert _heller_tompkins(matrix.entries) is None
     assert len(_tu_reduce(matrix.entries)) == 30 > VERIFY_ROW_CAP
-    assert tu_decidable(matrix) is True
+    assert tu_verdict(matrix) is True
     path = tmp_path / "cycle30t.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["check", str(path)]) == 0
@@ -449,7 +481,7 @@ def test_solve_path_decides_no_tu(monkeypatch, tmp_path, capsys):
     # test; check still decides and proves them TU
     problems = _workload_problems()
     calls = []
-    for name in ("_tu_without_search", "_ghouila_houri_ok"):
+    for name in ("_heller_tompkins", "_tu_reduce", "_ghouila_houri_ok"):
         real = getattr(core, name)
         monkeypatch.setattr(core, name, lambda *a, _real=real: calls.append(1) or _real(*a))
     for data in problems:
@@ -488,7 +520,7 @@ def test_failed_self_check_on_an_undecidable_matrix(monkeypatch, tmp_path, capsy
     from zonolat import cli, cographic_lattice, digraph
 
     matrix = cographic_lattice(digraph(33, random_arcs(random.Random(33), 33, 64))).matrix
-    assert tu_decidable(matrix) is False
+    assert tu_verdict(matrix) is None
     data = {"m": 64, "n": 32, "M": [list(row) for row in matrix.entries], "g": [1] * 64,
             "t": [f"{(7 * j) % 11 - 5}/{1 + j % 4}" for j in range(64)], "tu_mode": "verify"}
     path = tmp_path / "cographic64.json"
@@ -605,14 +637,22 @@ def test_construct_cographic_long_cycle(capsys):
     assert out["n"] == 1 and out["M"] == [[1] * 1501]
 
 
-def test_construct_cographic_above_the_cap_asserts(capsys):
-    # 32 fundamental cycles that reduce to 24 x 26: the lattice is verified
-    # by construction, but a loader could not decide the file, so it asserts
+def test_construct_cographic_above_the_cap_verifies(tmp_path, capsys):
+    # 32 fundamental cycles that reduce to 24 x 26, which no TU test
+    # decides: construct decides nothing and writes "verify", check reports
+    # the verdict as undecided, and solve, which decides no TU, certifies
     arcs = ",".join(f"{a}-{b}" for a, b in random_arcs(random.Random(33), 33, 64))
-    assert main(["construct", "cographic", "--vertices", "33", "--arcs", arcs]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["n"] == 32
-    assert out["tu_mode"] == "assert"
+    path = tmp_path / "cographic64.json"
+    assert main(["construct", "cographic", "--vertices", "33", "--arcs", arcs,
+                 "--output", str(path)]) == 0
+    out = json.loads(path.read_text(encoding="utf-8"))
+    assert (out["n"], out["tu_mode"]) == (32, "verify")
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["tu"] is None
+    out["t"] = [f"{(7 * j) % 11 - 5}/{1 + j % 4}" for j in range(64)]
+    path.write_text(json.dumps(out), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True
 
 
 def test_construct_cographic_reducing_under_the_cap_verifies(tmp_path, capsys):
@@ -628,6 +668,27 @@ def test_construct_cographic_reducing_under_the_cap_verifies(tmp_path, capsys):
     path.write_text(json.dumps(out), encoding="utf-8")
     assert main(["solve", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["certified"] is True
+
+
+def test_construct_runs_no_tu_reduction_or_exhaustive_check(tmp_path, capsys, monkeypatch):
+    # every family is TU by construction, so construct writes "verify" for
+    # the README's examples and above the cap alike and decides nothing
+    (tmp_path / "gram.json").write_text(
+        "[[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]]", encoding="utf-8")
+    above = ",".join(f"{a}-{b}" for a, b in random_arcs(random.Random(33), 33, 64))
+    examples = [
+        ["an", "--n", "2"],
+        ["tensor", "--m", "2", "--n", "2"],
+        ["graphic", "--vertices", "3", "--arcs", "0-1,1-2,2-0", "--weights", "1,1/2,3"],
+        ["cographic", "--vertices", "4", "--arcs", "0-1,0-2,0-3,1-2,1-3,2-3"],
+        ["vfk", "--gram", str(tmp_path / "gram.json")],
+        ["cographic", "--vertices", "33", "--arcs", above],
+    ]
+    for name in ("_tu_reduce", "_ghouila_houri_ok"):
+        monkeypatch.setattr(core, name, lambda *a, _name=name: pytest.fail(f"{_name} called"))
+    for argv in examples:
+        assert main(["construct", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["tu_mode"] == "verify"
 
 
 @pytest.mark.parametrize("kind", ["graphic", "cographic"])

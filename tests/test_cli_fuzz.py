@@ -1,8 +1,9 @@
 """CLI fuzzing: small generated files, well formed or not, never raise.
 
-`zonolat solve` and `zonolat check` must answer every file with exit code
-0 or 1: none of them may report an internal error, not even one whose
-matrix is falsely asserted totally unimodular.  `zonolat construct vfk
+`zonolat solve`, `zonolat solve --oracle`, `zonolat check` and `zonolat
+voronoi` must answer every file with exit code 0 or 1: none of them may
+report an internal error, not even one whose matrix is falsely asserted
+totally unimodular.  `zonolat construct vfk
 --gram` must answer with 0, 1 or 2.  Examples are derandomized, so every
 run checks the same files.
 """
@@ -104,6 +105,21 @@ def test_check_never_raises(tmp_path_factory, data):
     # rank and span membership come off the kernel basis, whose denominator
     # exceeds 1 on an asserted matrix that is not TU
     assert _run(tmp_path_factory, ["check"], data) in (0, 1)
+
+
+@FUZZ
+@given(data=problem_files())
+def test_solve_oracle_never_raises(tmp_path_factory, data):
+    # the oracle's caps, then a TU decision for a "verify" file, come
+    # before the solve and the brute-force reference
+    assert _run(tmp_path_factory, ["solve", "--oracle"], data) in (0, 1)
+
+
+@FUZZ
+@given(data=problem_files())
+def test_voronoi_never_raises(tmp_path_factory, data):
+    # the enumeration's cap, then a TU decision for a "verify" file
+    assert _run(tmp_path_factory, ["voronoi"], data) in (0, 1)
 
 
 @FUZZ

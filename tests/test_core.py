@@ -48,7 +48,7 @@ from zonolat.core import (
     chain_signs,
     frac_vec,
     int_vec,
-    tu_decidable,
+    require_tu,
     tu_verdict,
 )
 from zonolat.oracle import check_tu, row_reduce
@@ -288,6 +288,7 @@ SHAPE_READERS = [
     ("frac_vec", frac_vec, ["1/2", 1, 0], False),
     ("contains", lambda x: a2().contains(x), [1, -1, 0], True),
     ("apply", lambda x: a2().matrix.apply(x), [1, 2, 3], False),
+    ("apply_transpose", lambda y: a2().matrix.apply_transpose(y), [2], False),
     ("distance_sq", lambda x: _a2_instance().distance_sq(x), [1, -1, 0], False),
     ("dual_certificate_holds-v",
      lambda x: dual_certificate_holds(x, (F(0),), _a2_instance()), [0, 0, 0], True),
@@ -498,7 +499,7 @@ RAW_TU_CHECKS = {
     "TUMatrix": lambda rows: TUMatrix(entries=rows, m=3),
     "heller_tompkins": lambda rows: _heller_tompkins(tu_matrix(rows, mode="assert").entries),
     "tu_verdict": lambda rows: tu_verdict(tu_matrix(rows, mode="assert")),
-    "tu_decidable": lambda rows: tu_decidable(tu_matrix(rows, mode="assert")),
+    "require_tu": lambda rows: require_tu(tu_matrix(rows, mode="assert")),
     "ghouila_houri_ok": lambda rows: _ghouila_houri_ok(tu_matrix(rows, mode="assert").entries),
     "check_tu": check_tu,
 }
@@ -514,7 +515,7 @@ def test_tu_checks_refuse_a_flat_row():
 @pytest.mark.parametrize("check, rows", [
     ("heller_tompkins", [[1, 1], [1]]),
     ("tu_verdict", [[1, 1, 1], [1]]),
-    ("tu_decidable", [[1, 1], [1]]),
+    ("require_tu", [[1, 1], [1]]),
     ("ghouila_houri_ok", [[1, 1], [1]]),
     ("check_tu", [[1, 1], [1]]),
     ("TUMatrix", [[1, 1, 1], [1, -1]]),
@@ -538,9 +539,9 @@ def test_no_core_function_decides_tu_from_raw_rows():
 
 
 @pytest.mark.parametrize("call", [
-    tu_verdict, tu_decidable, matrix_rank,
+    tu_verdict, require_tu, matrix_rank,
     lambda rows: ZonotopalLattice(matrix=rows, weights=(1, 1)),
-], ids=["tu_verdict", "tu_decidable", "matrix_rank", "ZonotopalLattice"])
+], ids=["tu_verdict", "require_tu", "matrix_rank", "ZonotopalLattice"])
 def test_raw_rows_where_a_tu_matrix_belongs_point_to_tu_matrix(call):
     # each once raised a bare AttributeError on the rows' missing .entries or .m
     for rows in ([[1, 1], [1, -1]], ((1, 0),), []):
@@ -597,7 +598,7 @@ def test_tu_matrix_verify_cap():
     # the 32 x 64 cographic matrix of a 33-vertex digraph reduces to
     # 24 x 26, still above the cap, and no polynomial test decides it
     lat = cographic_lattice(_random_connected_digraph(random.Random(33), 33, 64))
-    assert tu_decidable(lat.matrix) is False
+    assert tu_verdict(lat.matrix) is None
     with pytest.raises(SizeCapError, match="32 x 64 matrix reduces to 24 x 26"):
         tu_matrix(lat.matrix.entries, mode="verify")
 
@@ -712,11 +713,32 @@ def test_tu_verdict_matches_oracle_random():
         matrix = tu_matrix(rows, mode="assert")
         verdict = tu_verdict(matrix)
         assert verdict == check_tu(rows), rows
-        assert tu_decidable(matrix)
+        assert verdict is not None
         assert _ghouila_houri_ok(_tu_reduce(matrix.entries)) == verdict, rows
         verdicts.append(verdict)
     # both verdicts are well represented
     assert 150 < verdicts.count(True) < 450
+
+
+def test_apply_transpose_matches_the_dense_product():
+    rng = random.Random(1984)
+    for _ in range(200):
+        rows = _random_matrix(rng, 7, 9)
+        y = [rng.choice((0, 0, -3, 2, F(5, 7))) for _ in rows]
+        dense = [sum(yi * row[j] for yi, row in zip(y, rows)) for j in range(len(rows[0]))]
+        assert tu_matrix(rows, mode="assert").apply_transpose(y) == dense
+
+
+def test_the_reduced_matrix_has_at_most_m_rows():
+    # why require_tu proves or refutes TU, never reaching its cap, on a
+    # matrix of at most ENUMERATION_CAP < VERIFY_ROW_CAP columns, however
+    # many rows it has
+    rng = random.Random(2004)
+    for _ in range(300):
+        rows = _random_matrix(rng, 30, 8)
+        reduced = _tu_reduce(rows)
+        assert len(reduced) <= len(rows[0]), rows
+        assert not reduced or len(reduced) <= len(reduced[0])
 
 
 def test_tu_verdict_matches_minor_oracle_random():
