@@ -32,18 +32,14 @@ from .core import (
     FracVec,
     IntVec,
     ZonotopalLattice,
+    _vector,
     frac_vec,
-    project_onto_span,
+    integral_multiple,
     require_tu,
     tu_matrix,
     tu_verdict,
 )
-from .errors import (
-    InternalInvariantError,
-    InvalidInputError,
-    OracleFailureError,
-    ZonolatError,
-)
+from .errors import InternalInvariantError, OracleFailureError, ZonolatError
 from .mmcc import cvp_instance, solve_cvp
 from .oracle import (
     brute_force_cvp,
@@ -80,7 +76,6 @@ class ProblemFile:
     M: tuple[tuple[int, ...], ...]
     g: FracVec
     t: FracVec
-    tu_mode: str
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,7 @@ class SolutionFile:
 def parse_problem(data: dict) -> ProblemFile:
     """The problem file data, whose values `lattice_from_problem` and
     `cvp_instance` go on to check: M's entries and row width, and the
-    lengths and signs of g and t."""
+    lengths and signs of g and t.  Any other key is ignored."""
     if not isinstance(data, dict):
         raise InputFormatError("problem file must be a JSON object")
     try:
@@ -115,9 +110,6 @@ def parse_problem(data: dict) -> ProblemFile:
     for key, value in (("M", rows), ("g", g), ("t", t)):
         if not isinstance(value, list):
             raise InputFormatError(f"{key} must be a list, got {value!r}")
-    tu_mode = data.get("tu_mode", "verify")
-    if tu_mode not in ("verify", "assert"):
-        raise InputFormatError(f"tu_mode must be 'verify' or 'assert', got {tu_mode!r}")
     if len(rows) != n or not all(isinstance(r, list) for r in rows):
         raise InputFormatError("M does not match the declared n x m shape")
     for row in rows:
@@ -128,7 +120,7 @@ def parse_problem(data: dict) -> ProblemFile:
     if name is not None and not isinstance(name, str):
         raise InputFormatError("name must be a string")
     return ProblemFile(name=name, m=m, n=n, M=tuple(map(tuple, rows)), g=_rationals(g),
-                       t=_rationals(t), tu_mode=tu_mode)
+                       t=_rationals(t))
 
 
 def problem_to_json(p: ProblemFile) -> dict:
@@ -141,7 +133,6 @@ def problem_to_json(p: ProblemFile) -> dict:
         "M": [list(row) for row in p.M],
         "g": list(map(str, p.g)),
         "t": list(map(str, p.t)),
-        "tu_mode": p.tu_mode,
     })
     return out
 
@@ -204,9 +195,9 @@ def solution_to_json(s: SolutionFile) -> dict:
 
 
 def lattice_from_problem(p: ProblemFile) -> ZonotopalLattice:
-    """The file's lattice, its M loaded in "assert" whatever `tu_mode` says:
-    the entry and shape rules run, but no TU test.  A command that rests on
-    TU decides it for a "verify" file with `require_tu`."""
+    """The file's lattice, its M loaded in "assert": the entry and shape
+    rules run, but no TU test.  A command that rests on TU decides it with
+    `require_tu`."""
     matrix = tu_matrix(p.M, mode="assert", width=p.m)
     return ZonotopalLattice(matrix=matrix, weights=p.g)
 
@@ -248,24 +239,21 @@ def cmd_solve(args) -> int:
     """Solve the file's problem with no TU test on the way: every answer's
     dual certificate proves it closest for any integer M, and on a non-TU M
     the solver certifies or raises InternalInvariantError; only then is TU
-    decided, to tell bad input (exit 1) from a bug (exit 2).  `--oracle`
-    refuses over its caps, then decides TU first, as `cmd_voronoi` does."""
+    decided, to tell bad input (exit 1: refuted, or undecided over
+    VERIFY_ROW_CAP) from a bug (exit 2: proved).  `--oracle` refuses over
+    its caps, then decides TU first, as `cmd_voronoi` does."""
     problem = _load_problem(args.file)
     lattice = lattice_from_problem(problem)
     instance = cvp_instance(lattice, problem.t, project=not args.no_project)
     if args.oracle:  # a refusal after the solve wastes it
         refuse_above_oracle_caps(lattice)
-        if problem.tu_mode == "verify":
-            require_tu(lattice.matrix)
+        require_tu(lattice.matrix)
     try:
         solution = solve_cvp(instance)
-    except InternalInvariantError as exc:
+    except InternalInvariantError:
         # a failed self-check on an M that the TU tests refute, or cannot
-        # decide for a "verify" file, is bad input; on a proved M, a bug
-        if problem.tu_mode == "verify":
-            require_tu(lattice.matrix)
-        elif tu_verdict(lattice.matrix) is False:
-            raise InvalidInputError("matrix asserted totally unimodular is not") from exc
+        # decide, is bad input; on a proved M, a bug
+        require_tu(lattice.matrix)
         raise
     agreement = None
     if args.oracle:
@@ -315,8 +303,8 @@ def _parse_weights(text: str | None, m: int) -> FracVec | None:
 
 
 def _problem_from_lattice(name: str, lattice: ZonotopalLattice) -> ProblemFile:
-    """The lattice, whose M every family proves TU, as a "verify" problem
-    file; no TU test runs (a command decides TU where it rests on it)."""
+    """The lattice, whose M every family proves TU, as a problem file; no
+    TU test runs (a command decides TU where it rests on it)."""
     return ProblemFile(
         name=name,
         m=lattice.m,
@@ -324,7 +312,6 @@ def _problem_from_lattice(name: str, lattice: ZonotopalLattice) -> ProblemFile:
         M=lattice.matrix.entries,
         g=lattice.weights,
         t=tuple(Fraction(0) for _ in range(lattice.m)),
-        tu_mode="verify",
     )
 
 
@@ -367,14 +354,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_voronoi(args) -> int:
-    """The strict Voronoi vectors, the primitive chains only on a TU M: a
-    "verify" file must pass `require_tu`, which after the enumeration's cap
+    """The strict Voronoi vectors, the primitive chains only on a TU M:
+    every file must pass `require_tu`, which after the enumeration's cap
     (ENUMERATION_CAP = 14 < VERIFY_ROW_CAP columns) proves or refutes TU."""
     problem = _load_problem(args.file)
     lattice = lattice_from_problem(problem)
     refuse_above_enumeration_cap(lattice)
-    if problem.tu_mode == "verify":
-        require_tu(lattice.matrix)
+    require_tu(lattice.matrix)
     chains = enumerate_primitive_chains(lattice)
     payload = {
         "m": lattice.m,
@@ -386,15 +372,17 @@ def cmd_voronoi(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """The TU verdict, the rank, and whether t is in the span: M T = 0 for
+    the integral multiple T of t, as `CVPInstance` reads it."""
     problem = _load_problem(args.file)
     lattice = lattice_from_problem(problem)
+    T, _ = integral_multiple(_vector(problem.t, lattice.m, "target"))
     payload = {
         "m": problem.m,
         "n": problem.n,
-        "tu_mode": problem.tu_mode,
         "tu": tu_verdict(lattice.matrix),
         "rank": lattice.rank(),
-        "t_in_span": project_onto_span(problem.t, lattice) == problem.t,
+        "t_in_span": not any(lattice.matrix.apply(T)),
     }
     _emit(payload, args.output)
     return 0

@@ -302,7 +302,6 @@ def _determinism_problem_files(tmp_path):
             "M": [list(r) for r in lat.matrix.entries],
             "g": [str(x) for x in lat.weights],
             "t": [str(x) for x in target],
-            "tu_mode": "verify",
         }
         parse_problem(problem_to_json(parse_problem(problem)))  # schema sanity
         path = tmp_path / f"{name}.json"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DEN_TWO_M, NON_TU_M, random_arcs
+from conftest import DEN_TWO_M, NON_TU_M, corpus_small, random_arcs
 from zonolat.cli import (
     InputFormatError,
     SolutionFile,
@@ -44,7 +44,6 @@ A2_PROBLEM = {
     "M": [[1, 1, 1]],
     "g": ["1", "1", "1"],
     "t": ["7/10", "-1/5", "-1/2"],
-    "tu_mode": "verify",
 }
 
 
@@ -76,8 +75,9 @@ def test_problem_rejects_floats_and_bad_shapes():
         lattice_from_problem(parse_problem(dict(A2_PROBLEM, M=[[1, 1]])))
     with pytest.raises(Exception):
         lattice_from_problem(parse_problem(dict(A2_PROBLEM, g=["0", "1", "1"])))
-    with pytest.raises(Exception):
-        parse_problem(dict(A2_PROBLEM, tu_mode="maybe"))
+    # a tu_mode key, whatever its value, is ignored like any other unknown key
+    for tu_mode in ("verify", "assert", "maybe", None, 1.5):
+        assert parse_problem(dict(A2_PROBLEM, tu_mode=tu_mode)) == parse_problem(A2_PROBLEM)
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, 2, -2, "1", [1], None])
@@ -237,7 +237,7 @@ def rank11_file(tmp_path):
     path = tmp_path / "graphic11.json"
     path.write_text(json.dumps({
         "name": "graphic-rank-11", "m": 20, "n": 10, "M": rows, "g": ["1"] * 20,
-        "t": [str(F(j % 5 - 2, 3)) for j in range(20)], "tu_mode": "verify",
+        "t": [str(F(j % 5 - 2, 3)) for j in range(20)],
     }), encoding="utf-8")
     return str(path)
 
@@ -293,8 +293,10 @@ def test_solve_trace_file(tmp_path, a2_file, capsys):
 
 
 #: Determinant 2, so not TU, and its kernel is zero: the lattice is {0}.
-DET_TWO_PROBLEM = {"m": 2, "n": 2, "M": [[1, 1], [-1, 1]], "g": [1, 1], "t": [0, 0],
-                   "tu_mode": "verify"}
+DET_TWO_PROBLEM = {"m": 2, "n": 2, "M": [[1, 1], [-1, 1]], "g": [1, 1], "t": [0, 0]}
+
+#: A problem file's tu_mode key as older files write it, or none: ignored.
+TU_MODE_KEYS = [{"tu_mode": "assert"}, {"tu_mode": "verify"}, {}]
 
 
 def test_solve_certifies_a_non_tu_verify_file(tmp_path, capsys):
@@ -310,31 +312,35 @@ def test_solve_certifies_a_non_tu_verify_file(tmp_path, capsys):
 
 
 def test_voronoi_decides_tu_for_a_verify_file(tmp_path, capsys):
-    # the primitive chains are the strict Voronoi vectors only on a TU M
-    path = tmp_path / "det2.json"
-    path.write_text(json.dumps(DET_TWO_PROBLEM), encoding="utf-8")
-    assert main(["voronoi", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "not totally unimodular" in err and "Traceback" not in err
-    path.write_text(json.dumps(dict(DET_TWO_PROBLEM, tu_mode="assert")), encoding="utf-8")
-    assert main(["voronoi", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["count"] == 0
+    # the primitive chains are the strict Voronoi vectors only on a TU M, so
+    # voronoi refuses these non-TU files whatever their tu_mode key: the
+    # strict Voronoi vectors of NON_TU_M and DEN_TWO_M are +-(1, 2, -1) and
+    # +-(1, -1, -2), no primitive chains, and the det-2 lattice is {0}
+    path = tmp_path / "non-tu.json"
+    problems = [DET_TWO_PROBLEM, *({"m": 3, "n": 2, "M": rows, "g": [1, 1, 1], "t": [0, 0, 0]}
+                                   for rows in (NON_TU_M, DEN_TWO_M))]
+    for problem, key in itertools.product(problems, TU_MODE_KEYS):
+        path.write_text(json.dumps(dict(problem, **key)), encoding="utf-8")
+        assert main(["voronoi", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix is not totally unimodular\n"
 
 
 def _irreducible_non_tu_problem():
-    """A 12 x 16 "verify" file of full row rank whose reduction keeps all of
+    """A 12 x 16 file of full row rank whose reduction keeps all of
     it, with three or more nonzeros in some column, so that only the
     exhaustive check could refute it: its rows are drawn from seed 0."""
     rng = random.Random(0)
     rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(16)] for _ in range(12)]
-    return {"m": 16, "n": 12, "M": rows, "g": [1] * 16, "t": [0] * 16, "tu_mode": "verify"}
+    return {"m": 16, "n": 12, "M": rows, "g": [1] * 16, "t": [0] * 16}
 
 
 @pytest.mark.parametrize("argv", [["voronoi"], ["solve", "--oracle"]],
                          ids=["voronoi", "solve-oracle"])
 def test_enumeration_cap_refuses_before_the_exhaustive_check(tmp_path, capsys, monkeypatch,
                                                              argv):
-    # a non-TU "verify" file over the enumeration cap: the cap refuses it
+    # a non-TU file over the enumeration cap: the cap refuses it
     # at once, where the exhaustive check once walked all 2 * 3^11 vectors
     data = _irreducible_non_tu_problem()
     matrix = tu_matrix(data["M"], mode="assert")
@@ -360,44 +366,34 @@ NON_TU_TARGET = ["3/5", "6/5", "-3/5"]
 NON_TU_BOXED_TARGET = ["-19/5", "-38/5", "19/5"]
 
 
-def test_solve_rejects_false_tu_assertion(tmp_path, capsys):
-    # the failed self-check is blamed on the assertion by the exhaustive
-    # check: exit 1
-    data = {"m": 3, "n": 2, "M": NON_TU_M, "g": [1, 1, 1],
-            "t": NON_TU_TARGET, "tu_mode": "assert"}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["solve", str(path)]) == 1
-    assert "asserted totally unimodular is not" in capsys.readouterr().err
-    path.write_text(json.dumps(dict(data, t=NON_TU_BOXED_TARGET)), encoding="utf-8")
-    assert main(["solve", str(path)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["closest"] == [-4, -8, 4] and out["certified"] is True
-    assert out["distance_sq"] == "6/25" and out["iterations"] == 1
-
-
 @pytest.mark.parametrize("rows", [NON_TU_M, NON_TU_M + [[0, 0, 0]] * 20],
                          ids=["2-rows", "22-rows"])
-def test_solve_blames_a_failed_self_check_on_a_non_tu_verify_file(tmp_path, capsys, rows):
-    # the same two targets in "verify", also above the exhaustive cap: the
-    # failed self-check is bad input, with the loader's message, and the
-    # box-certified answer is printed
-    data = {"m": 3, "n": len(rows), "M": rows, "g": [1, 1, 1],
-            "t": NON_TU_TARGET, "tu_mode": "verify"}
+def test_solve_blames_a_failed_self_check_on_a_non_tu_file(tmp_path, capsys, rows):
+    # near the origin the first chain fails the solver's self-check, which
+    # the TU tests blame on the matrix (Heller-Tompkins refutes it at any
+    # number of rows): exit 1, whatever the file's tu_mode key; the far
+    # target's box vertex is certified by the box LP's duals whatever M is
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["solve", str(path)]) == 1
-    assert capsys.readouterr().err == "error: matrix is not totally unimodular\n"
-    path.write_text(json.dumps(dict(data, t=NON_TU_BOXED_TARGET)), encoding="utf-8")
-    assert main(["solve", str(path)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["closest"] == [-4, -8, 4] and out["certified"] is True
-    # the oracle's enumeration rests on TU, so --oracle decides it first
-    assert main(["solve", str(path), "--oracle"]) == 1
-    assert capsys.readouterr().err == "error: matrix is not totally unimodular\n"
+    for key in TU_MODE_KEYS:
+        data = {"m": 3, "n": len(rows), "M": rows, "g": [1, 1, 1], "t": NON_TU_TARGET, **key}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == "error: matrix is not totally unimodular\n"
+        path.write_text(json.dumps(dict(data, t=NON_TU_BOXED_TARGET)), encoding="utf-8")
+        assert main(["solve", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["closest"] == [-4, -8, 4] and out["certified"] is True
+        assert out["distance_sq"] == "6/25" and out["iterations"] == 1
+        # the oracle's enumeration rests on TU, so --oracle decides it first
+        assert main(["solve", str(path), "--oracle"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix is not totally unimodular\n"
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["tu"] is False
 
 
-def _incidence_problem(tu_mode):
+def _incidence_problem():
     """A 30-vertex cycle with three chords: 30 rows, above the exhaustive cap."""
     arcs = [(v, (v + 1) % 30) for v in range(30)] + [(0, 15), (5, 20), (10, 25)]
     rows = [[0] * len(arcs) for _ in range(30)]
@@ -405,20 +401,19 @@ def _incidence_problem(tu_mode):
         rows[tail][j] = -1
         rows[head][j] = 1
     return {"m": len(arcs), "n": 30, "M": rows, "g": ["1"] * len(arcs),
-            "t": [f"{(7 * j) % 11 - 5}/{1 + j % 4}" for j in range(len(arcs))],
-            "tu_mode": tu_mode}
+            "t": [f"{(7 * j) % 11 - 5}/{1 + j % 4}" for j in range(len(arcs))]}
 
 
 def test_solve_verifies_incidence_matrix_above_the_cap(tmp_path, capsys):
     path = tmp_path / "cycle30.json"
-    path.write_text(json.dumps(_incidence_problem("verify")), encoding="utf-8")
+    path.write_text(json.dumps(_incidence_problem()), encoding="utf-8")
     assert main(["solve", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["certified"] is True
 
 
 def test_check_decides_tu_above_the_cap(tmp_path, capsys):
     path = tmp_path / "cycle30.json"
-    path.write_text(json.dumps(_incidence_problem("assert")), encoding="utf-8")
+    path.write_text(json.dumps(_incidence_problem()), encoding="utf-8")
     assert main(["check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["tu"] is True
 
@@ -428,9 +423,9 @@ def _transposed_incidence_problem():
     with three nonzeros in the columns of the chords' ends.  It reduces to
     the 30 x 33 incidence matrix, which Heller-Tompkins decides though it
     is above the cap."""
-    rows = [list(col) for col in zip(*_incidence_problem("verify")["M"])]
+    rows = [list(col) for col in zip(*_incidence_problem()["M"])]
     return {"m": 30, "n": 33, "M": rows, "g": ["1"] * 30,
-            "t": [f"{(5 * j) % 9 - 4}/{1 + j % 3}" for j in range(30)], "tu_mode": "verify"}
+            "t": [f"{(5 * j) % 9 - 4}/{1 + j % 3}" for j in range(30)]}
 
 
 def test_heller_tompkins_on_the_reduced_matrix_decides_above_the_cap(tmp_path, capsys):
@@ -477,15 +472,14 @@ def test_set_up_walks_the_matrix_entries_once(monkeypatch):
 
 
 def test_solve_path_decides_no_tu(monkeypatch, tmp_path, capsys):
-    # set-up and solve of the workload problems, all "verify", call no TU
-    # test; check still decides and proves them TU
+    # set-up and solve of the workload problems call no TU test; check
+    # still decides and proves them TU
     problems = _workload_problems()
     calls = []
     for name in ("_heller_tompkins", "_tu_reduce", "_ghouila_houri_ok"):
         real = getattr(core, name)
         monkeypatch.setattr(core, name, lambda *a, _real=real: calls.append(1) or _real(*a))
     for data in problems:
-        assert data["tu_mode"] == "verify"
         problem = parse_problem(data)
         mmcc.solve_cvp(cvp_instance(lattice_from_problem(problem), problem.t))
     assert calls == []
@@ -497,32 +491,16 @@ def test_solve_path_decides_no_tu(monkeypatch, tmp_path, capsys):
     assert calls
 
 
-def test_solve_rejects_false_tu_assertion_above_the_cap(tmp_path, capsys):
-    # the non-TU matrix above padded with zero rows to 22: Heller-Tompkins
-    # still refutes the assertion, so the failed self-check exits 1, not 2
-    data = {"m": 3, "n": 22, "M": NON_TU_M + [[0, 0, 0]] * 20,
-            "g": [1, 1, 1], "t": NON_TU_TARGET, "tu_mode": "assert"}
-    path = tmp_path / "bad22.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["solve", str(path)]) == 1
-    assert "asserted totally unimodular is not" in capsys.readouterr().err
-    path.write_text(json.dumps(dict(data, t=NON_TU_BOXED_TARGET)), encoding="utf-8")
-    assert main(["solve", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["closest"] == [-4, -8, 4]
-    assert main(["check", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["tu"] is False
-
-
 def test_failed_self_check_on_an_undecidable_matrix(monkeypatch, tmp_path, capsys):
     # a 32 x 64 cographic matrix that reduces to 24 x 26 rows, which no TU
     # test decides: its solve certifies, and a failed self-check exits 1
-    # with the cap's message for a "verify" file, 2 for an "assert" one
+    # with the cap's message, whatever the file's tu_mode key
     from zonolat import cli, cographic_lattice, digraph
 
     matrix = cographic_lattice(digraph(33, random_arcs(random.Random(33), 33, 64))).matrix
     assert tu_verdict(matrix) is None
     data = {"m": 64, "n": 32, "M": [list(row) for row in matrix.entries], "g": [1] * 64,
-            "t": [f"{(7 * j) % 11 - 5}/{1 + j % 4}" for j in range(64)], "tu_mode": "verify"}
+            "t": [f"{(7 * j) % 11 - 5}/{1 + j % 4}" for j in range(64)]}
     path = tmp_path / "cographic64.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["solve", str(path)]) == 0
@@ -532,13 +510,12 @@ def test_failed_self_check_on_an_undecidable_matrix(monkeypatch, tmp_path, capsy
         raise InternalInvariantError("lambda increased at unit step")
 
     monkeypatch.setattr(cli, "solve_cvp", boom)
-    assert main(["solve", str(path)]) == 1
-    assert capsys.readouterr().err == (
-        "error: exhaustive TU verification capped at 20 rows: the 32 x 64 matrix "
-        "reduces to 24 x 26, with three or more nonzeros in a line; load with mode='assert'\n")
-    path.write_text(json.dumps(dict(data, tu_mode="assert")), encoding="utf-8")
-    assert main(["solve", str(path)]) == 2
-    assert capsys.readouterr().err == "internal error: lambda increased at unit step\n"
+    for key in TU_MODE_KEYS:
+        path.write_text(json.dumps(dict(data, **key)), encoding="utf-8")
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: exhaustive TU verification capped at 20 rows: the 32 x 64 matrix reduces "
+            "to 24 x 26, with three or more nonzeros in a line; load with mode='assert'\n")
 
 
 def test_solve_no_project_requires_span(tmp_path, capsys):
@@ -603,7 +580,7 @@ def test_construct_an(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["M"] == [[1, 1, 1]]
     assert out["t"] == ["0", "0", "0"]
-    assert out["tu_mode"] == "verify"
+    assert "tu_mode" not in out
 
 
 def test_construct_tensor(capsys):
@@ -639,14 +616,14 @@ def test_construct_cographic_long_cycle(capsys):
 
 def test_construct_cographic_above_the_cap_verifies(tmp_path, capsys):
     # 32 fundamental cycles that reduce to 24 x 26, which no TU test
-    # decides: construct decides nothing and writes "verify", check reports
+    # decides: construct decides nothing and writes no tu_mode, check reports
     # the verdict as undecided, and solve, which decides no TU, certifies
     arcs = ",".join(f"{a}-{b}" for a, b in random_arcs(random.Random(33), 33, 64))
     path = tmp_path / "cographic64.json"
     assert main(["construct", "cographic", "--vertices", "33", "--arcs", arcs,
                  "--output", str(path)]) == 0
     out = json.loads(path.read_text(encoding="utf-8"))
-    assert (out["n"], out["tu_mode"]) == (32, "verify")
+    assert out["n"] == 32 and "tu_mode" not in out
     assert main(["check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["tu"] is None
     out["t"] = [f"{(7 * j) % 11 - 5}/{1 + j % 4}" for j in range(64)]
@@ -663,7 +640,7 @@ def test_construct_cographic_reducing_under_the_cap_verifies(tmp_path, capsys):
     assert main(["construct", "cographic", "--vertices", "25", "--arcs", arcs,
                  "--output", str(path)]) == 0
     out = json.loads(path.read_text(encoding="utf-8"))
-    assert (out["n"], out["m"], out["tu_mode"]) == (22, 46, "verify")
+    assert (out["n"], out["m"]) == (22, 46) and "tu_mode" not in out
     out["t"] = [f"{(5 * j) % 7 - 3}/{1 + j % 3}" for j in range(46)]
     path.write_text(json.dumps(out), encoding="utf-8")
     assert main(["solve", str(path)]) == 0
@@ -671,8 +648,8 @@ def test_construct_cographic_reducing_under_the_cap_verifies(tmp_path, capsys):
 
 
 def test_construct_runs_no_tu_reduction_or_exhaustive_check(tmp_path, capsys, monkeypatch):
-    # every family is TU by construction, so construct writes "verify" for
-    # the README's examples and above the cap alike and decides nothing
+    # every family is TU by construction, so construct decides nothing and
+    # writes no tu_mode, for the README's examples and above the cap alike
     (tmp_path / "gram.json").write_text(
         "[[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]]", encoding="utf-8")
     above = ",".join(f"{a}-{b}" for a, b in random_arcs(random.Random(33), 33, 64))
@@ -688,7 +665,7 @@ def test_construct_runs_no_tu_reduction_or_exhaustive_check(tmp_path, capsys, mo
         monkeypatch.setattr(core, name, lambda *a, _name=name: pytest.fail(f"{_name} called"))
     for argv in examples:
         assert main(["construct", *argv]) == 0
-        assert json.loads(capsys.readouterr().out)["tu_mode"] == "verify"
+        assert "tu_mode" not in json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("kind", ["graphic", "cographic"])
@@ -782,8 +759,44 @@ def test_check_command(capsys, a2_file):
     assert out["rank"] == 2
 
 
+def test_check_reads_the_span_without_projecting(tmp_path, capsys, monkeypatch):
+    # t is in the span iff M T = 0 for T the integral multiple of t, as
+    # CVPInstance reads it, at any integer M: check projects nothing, and
+    # answers as the old test project_onto_span(t) == t did, on targets on
+    # the span and off it
+    from zonolat import cli
+
+    lattices = [*corpus_small(), *(ZonotopalLattice(matrix=tu_matrix(rows, mode="assert"),
+                                                    weights=(1, 2, "1/3"))
+                                   for rows in (NON_TU_M, DEN_TWO_M))]
+    lattices.append(ZonotopalLattice(matrix=tu_matrix([], mode="assert", width=3),
+                                     weights=(1, 1, 1)))
+    rng = random.Random(5)
+    cases = []
+    for lattice in lattices:
+        for _ in range(3):
+            t = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(lattice.m))
+            cases += [(lattice, t), (lattice, core.project_onto_span(t, lattice))]
+    expected = [core.project_onto_span(t, lattice) == t for lattice, t in cases]
+    assert expected.count(True) > len(cases) // 2 and False in expected
+
+    def never(*args):
+        pytest.fail("check projected the target")
+
+    monkeypatch.setattr(core, "project_onto_span", never)
+    monkeypatch.setattr(cli, "project_onto_span", never, raising=False)
+    path = tmp_path / "p.json"
+    for (lattice, t), in_span in zip(cases, expected):
+        path.write_text(json.dumps({
+            "m": lattice.m, "n": lattice.matrix.n, "M": [list(r) for r in lattice.matrix.entries],
+            "g": list(map(str, lattice.weights)), "t": list(map(str, t))}), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["t_in_span"] is in_span
+
+
 def test_check_asserted_non_tu_matrix(tmp_path, capsys):
-    # its kernel basis comes off a pivot block of determinant -2 (den = 2)
+    # its kernel basis comes off a pivot block of determinant -2 (den = 2);
+    # the file's "assert" key is ignored
     data = {"m": 3, "n": 2, "M": DEN_TWO_M, "g": [1, 1, 1],
             "t": [1, -1, -2], "tu_mode": "assert"}
     path = tmp_path / "den2.json"
@@ -807,7 +820,8 @@ def test_internal_error_maps_to_exit_2(monkeypatch, a2_file, capsys):
 
 
 def test_internal_error_on_true_tu_assertion_maps_to_exit_2(monkeypatch, tmp_path, capsys):
-    # A_2 is TU, so an internal error on it stays a bug even when asserted
+    # A_2 is TU, so an internal error on it stays a bug; the file's
+    # "assert" key is ignored
     from zonolat.errors import InternalInvariantError
 
     def boom(*args, **kwargs):

@@ -2,8 +2,9 @@
 
 `zonolat solve`, `zonolat solve --oracle`, `zonolat check` and `zonolat
 voronoi` must answer every file with exit code 0 or 1: none of them may
-report an internal error, not even one whose matrix is falsely asserted
-totally unimodular.  `zonolat construct vfk
+report an internal error, not even on a matrix that is not totally
+unimodular.  Files carry a drawn `tu_mode` key, which the format ignores,
+as older files wrote it.  `zonolat construct vfk
 --gram` must answer with 0, 1 or 2.  Examples are derandomized, so every
 run checks the same files.
 """
@@ -102,23 +103,22 @@ def test_solve_never_raises(tmp_path_factory, data):
 @FUZZ
 @given(data=problem_files())
 def test_check_never_raises(tmp_path_factory, data):
-    # rank and span membership come off the kernel basis, whose denominator
-    # exceeds 1 on an asserted matrix that is not TU
+    # rank and span membership hold at any integer M, TU or not
     assert _run(tmp_path_factory, ["check"], data) in (0, 1)
 
 
 @FUZZ
 @given(data=problem_files())
 def test_solve_oracle_never_raises(tmp_path_factory, data):
-    # the oracle's caps, then a TU decision for a "verify" file, come
-    # before the solve and the brute-force reference
+    # the oracle's caps, then a TU decision, come before the solve and the
+    # brute-force reference
     assert _run(tmp_path_factory, ["solve", "--oracle"], data) in (0, 1)
 
 
 @FUZZ
 @given(data=problem_files())
 def test_voronoi_never_raises(tmp_path_factory, data):
-    # the enumeration's cap, then a TU decision for a "verify" file
+    # the enumeration's cap, then a TU decision
     assert _run(tmp_path_factory, ["voronoi"], data) in (0, 1)
 
 
