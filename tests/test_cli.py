@@ -366,31 +366,49 @@ NON_TU_TARGET = ["3/5", "6/5", "-3/5"]
 NON_TU_BOXED_TARGET = ["-19/5", "-38/5", "19/5"]
 
 
-@pytest.mark.parametrize("rows", [NON_TU_M, NON_TU_M + [[0, 0, 0]] * 20],
-                         ids=["2-rows", "22-rows"])
-def test_solve_blames_a_failed_self_check_on_a_non_tu_file(tmp_path, capsys, rows):
-    # near the origin the first chain fails the solver's self-check, which
-    # the TU tests blame on the matrix (Heller-Tompkins refutes it at any
-    # number of rows): exit 1, whatever the file's tu_mode key; the far
-    # target's box vertex is certified by the box LP's duals whatever M is
-    path = tmp_path / "bad.json"
-    for key in TU_MODE_KEYS:
-        data = {"m": 3, "n": len(rows), "M": rows, "g": [1, 1, 1], "t": NON_TU_TARGET, **key}
-        path.write_text(json.dumps(data), encoding="utf-8")
-        assert main(["solve", str(path)]) == 1
-        assert capsys.readouterr().err == "error: matrix is not totally unimodular\n"
-        path.write_text(json.dumps(dict(data, t=NON_TU_BOXED_TARGET)), encoding="utf-8")
-        assert main(["solve", str(path)]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["closest"] == [-4, -8, 4] and out["certified"] is True
-        assert out["distance_sq"] == "6/25" and out["iterations"] == 1
-        # the oracle's enumeration rests on TU, so --oracle decides it first
-        assert main(["solve", str(path), "--oracle"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: matrix is not totally unimodular\n"
+def _solve_non_tu_file(path, capsys, rows, key):
+    """Near the origin the first chain fails the solver's self-check, which
+    the TU tests blame on the matrix (Heller-Tompkins refutes it at any
+    number of rows): exit 1, whatever the file's tu_mode key; the far
+    target's box vertex is certified by the box LP's duals whatever M is."""
+    data = {"m": 3, "n": len(rows), "M": rows, "g": [1, 1, 1], "t": NON_TU_TARGET, **key}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == "error: matrix is not totally unimodular\n"
+    path.write_text(json.dumps(dict(data, t=NON_TU_BOXED_TARGET)), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["closest"] == [-4, -8, 4] and out["certified"] is True
+    assert out["distance_sq"] == "6/25" and out["iterations"] == 1
+    # the oracle's enumeration rests on TU, so --oracle decides it first
+    assert main(["solve", str(path), "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix is not totally unimodular\n"
     assert main(["check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["tu"] is False
+
+
+def test_solve_rejects_false_tu_assertion(tmp_path, capsys):
+    # an older file's "assert" no longer skips the TU tests after a failed
+    # self-check: the matrix is refuted, exit 1
+    _solve_non_tu_file(tmp_path / "bad.json", capsys, NON_TU_M, {"tu_mode": "assert"})
+
+
+def test_solve_rejects_false_tu_assertion_above_the_cap(tmp_path, capsys):
+    # the non-TU matrix above padded with zero rows to 22: Heller-Tompkins
+    # still refutes it, so the failed self-check exits 1, not 2
+    _solve_non_tu_file(tmp_path / "bad22.json", capsys, NON_TU_M + [[0, 0, 0]] * 20,
+                       {"tu_mode": "assert"})
+
+
+@pytest.mark.parametrize("rows", [NON_TU_M, NON_TU_M + [[0, 0, 0]] * 20],
+                         ids=["2-rows", "22-rows"])
+def test_solve_blames_a_failed_self_check_on_a_non_tu_verify_file(tmp_path, capsys, rows):
+    # the same cases for an older file's "verify" and for a file with no
+    # tu_mode key: both are read as the "assert" files above
+    for key in ({"tu_mode": "verify"}, {}):
+        _solve_non_tu_file(tmp_path / "bad.json", capsys, rows, key)
 
 
 def _incidence_problem():
